@@ -88,9 +88,8 @@ def run_carat(
     engine: str = "reference",
     safety: bool = False,
 ) -> RunResult:
-    """The compact legacy call shape the benchmark files use, as an
-    explicit veneer over :class:`CaratSession` (the removed
-    ``repro.machine.executor.run_carat`` shim used to provide this)."""
+    """The compact call shape the benchmark files use, as an explicit
+    veneer over :class:`CaratSession`."""
     fields = dict(
         mode="carat", guard_mechanism=guard_mechanism, name=name,
         sanitize=sanitize, engine=engine, safety=safety,

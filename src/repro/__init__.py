@@ -15,10 +15,6 @@ Quickstart::
     result = session.run(minic_source)
     print(result.output, result.cycles)
 
-(The legacy ``run_carat``/``run_carat_baseline``/``run_traditional``
-helpers were removed; the names survive as tombstones that raise with a
-pointer at the session API.)
-
 The packages:
 
 * :mod:`repro.ir` / :mod:`repro.frontend` — the SSA IR and the Mini-C
@@ -53,9 +49,6 @@ __all__ = [
     "compile_source",
     "CaratSession",
     "RunConfig",
-    "run_carat",
-    "run_carat_baseline",
-    "run_traditional",
     "__version__",
 ]
 
@@ -63,7 +56,7 @@ __all__ = [
 def __getattr__(name: str):
     # Executor/session helpers are lazy: they pull in the kernel/machine
     # stack, which imports back into the compiler packages above.
-    if name in ("run_carat", "run_carat_baseline", "run_traditional", "RunResult"):
+    if name == "RunResult":
         from repro.machine import executor
 
         value = getattr(executor, name)

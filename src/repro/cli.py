@@ -4,8 +4,14 @@ Commands:
 
 * ``compile FILE``  — compile Mini-C to a signed CARAT binary; print the
   IR and the guard/tracking statistics (``--emit-ir``, ``--no-opt``...);
-* ``run FILE``      — compile and execute under a chosen model
-  (``--mode carat|baseline|traditional``), reporting output and cycles;
+* ``run NAME|FILE`` — compile and execute one program (a Mini-C file if
+  the path exists, else a suite workload at ``--scale``) under a chosen
+  model (``--mode carat|baseline|traditional``), reporting output and
+  cycles.  ``--sanitize`` audits it under the cross-layer invariant
+  checker, ``--trace``/``--trace-out PREFIX`` record an event trace
+  (exported as JSONL + Chrome ``trace_event`` JSON and schema-gated: an
+  invalid export exits 1), ``--profile`` prints the cycle-attributed
+  breakdown, and ``--json FILE`` writes the ``carat.run.v1`` document;
 * ``bench [NAME]``  — run one suite workload under all three models and
   print the comparison row; with no name, list the available targets;
 * ``policy NAME``   — run one workload under CARAT with the memory-policy
@@ -15,24 +21,20 @@ Commands:
   over a single kernel (per-tenant region sets, CoW-deduplicated images,
   optional fairness arbitration) and report aggregate throughput plus
   per-tenant p99 pause; ``--json`` writes the ``carat.multitenant.v1``
-  document (the CI smp-smoke job drives this);
-* ``sanitize [NAME]`` — audit workload runs under the cross-layer
-  invariant checker (:mod:`repro.sanitizer`) and report violations;
-* ``trace NAME``    — record a structured event trace of one run, export
-  it as JSONL + Chrome ``trace_event`` JSON, and validate it against the
-  schema (the CI trace-smoke job drives this);
-* ``profile NAME``  — run with the cycle-attributed profiler and print
-  the bucket/function/allocation-site breakdown (buckets sum exactly to
-  ``InterpStats.cycles``);
+  document;
+* ``soak``          — long-horizon service soak under continuous chaos
+  injection with steady-state watchdogs; exits 1 on any verdict and
+  ``--json`` writes the ``carat.soak.v1`` document;
 * ``workloads``     — list the benchmark suite.
 
 Every subcommand is a thin veneer over
 :class:`~repro.machine.session.CaratSession`: flags map 1:1 onto
 :class:`~repro.machine.session.RunConfig` fields via
 ``RunConfig.from_args``, so the CLI, the benchmark harness, and library
-callers all drive the same run path.  ``run`` additionally accepts
-``--trace``/``--profile``/``--trace-out`` to attach telemetry to any
-execution.
+callers all drive the same run path.
+
+Bad input — an unknown workload, a missing file, an invalid config
+value — exits 2 with one ``repro <command>: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def _telemetry_flags() -> argparse.ArgumentParser:
         metavar="PREFIX",
         dest="trace_out",
         help="write the trace to PREFIX.jsonl and PREFIX.chrome.json "
-        "(implies --trace)",
+        "(implies --trace); exits 1 if the JSONL fails schema validation",
     )
     parent.add_argument(
         "--profile",
@@ -219,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser(
         "run",
-        help="compile and execute a program",
+        help="compile and execute one program (a Mini-C file or a workload)",
         parents=[
             _engine_flags(),
             _sanitize_flags(),
@@ -229,7 +231,24 @@ def _build_parser() -> argparse.ArgumentParser:
             _client_flags(),
         ],
     )
-    run.add_argument("file", help="Mini-C source file")
+    run.add_argument(
+        "name",
+        metavar="NAME|FILE",
+        help="Mini-C source file, or a workload name (see `repro workloads`)",
+    )
+    run.add_argument(
+        "--scale",
+        choices=["tiny", "small", "medium"],
+        default="tiny",
+        help="workload scale when NAME is not a file (default: tiny)",
+    )
+    run.add_argument(
+        "--json",
+        metavar="FILE",
+        dest="json_out",
+        help="write the carat.run.v1 document (stats, config, and the "
+        "profile when --profile is on) to FILE",
+    )
     run.add_argument(
         "--mode",
         choices=["carat", "baseline", "traditional"],
@@ -536,111 +555,51 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the carat.soak.v1 report document to FILE",
     )
 
-    sanitize = sub.add_parser(
-        "sanitize",
-        help="audit workload runs under the cross-layer invariant checker",
-    )
-    sanitize.add_argument(
-        "name",
-        nargs="?",
-        help="workload name (omit to audit the whole suite)",
-    )
-    sanitize.add_argument(
-        "--scale", choices=["tiny", "small", "medium"], default="tiny"
-    )
-    sanitize.add_argument(
-        "--mode",
-        choices=["carat", "traditional", "both"],
-        default="both",
-        help="execution model(s) to audit (default: both)",
-    )
-    sanitize.add_argument(
-        "--tick-interval",
-        type=int,
-        default=10_000,
-        help="instructions between safepoint checkpoints (default 10000)",
-    )
-
-    trace = sub.add_parser(
-        "trace",
-        help="record, export, and validate a structured trace of one run",
-        parents=[_engine_flags()],
-    )
-    trace.add_argument(
-        "name", help="workload name (see `repro workloads`) or a Mini-C file"
-    )
-    trace.add_argument(
-        "--scale", choices=["tiny", "small", "medium"], default="tiny"
-    )
-    trace.add_argument(
-        "--mode",
-        choices=["carat", "baseline", "traditional"],
-        default="carat",
-        help="execution model (default: carat)",
-    )
-    trace.add_argument(
-        "--detail",
-        choices=["normal", "fine"],
-        default="normal",
-        dest="trace_detail",
-        help="trace granularity ('fine' adds per-guard-check instants)",
-    )
-    trace.add_argument(
-        "--out",
-        default="trace",
-        metavar="PREFIX",
-        help="output prefix: writes PREFIX.jsonl and PREFIX.chrome.json "
-        "(default: trace)",
-    )
-    trace.add_argument(
-        "--profile",
-        action="store_true",
-        help="also attach the cycle profiler and print its breakdown",
-    )
-
-    profile = sub.add_parser(
-        "profile",
-        help="run with the cycle-attributed profiler and print the breakdown",
-        parents=[_engine_flags()],
-    )
-    profile.add_argument(
-        "name", help="workload name (see `repro workloads`) or a Mini-C file"
-    )
-    profile.add_argument(
-        "--scale", choices=["tiny", "small", "medium"], default="tiny"
-    )
-    profile.add_argument(
-        "--mode",
-        choices=["carat", "baseline", "traditional"],
-        default="carat",
-        help="execution model (default: carat)",
-    )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the full carat.profile.v1 document as JSON",
-    )
-
     sub.add_parser("workloads", help="list the benchmark suite")
     return parser
 
 
+class _BadInput(Exception):
+    """Input a command cannot use; ``main`` prints it as one
+    ``repro <command>: ...`` line on stderr and exits 2."""
+
+
 def _read_source(path: str) -> str:
     file = Path(path)
-    if not file.exists():
-        raise SystemExit(f"repro: no such file: {path}")
+    if not file.is_file():
+        raise _BadInput(f"no such file: {path}")
     return file.read_text()
+
+
+def _workload(args: argparse.Namespace):
+    """The suite workload ``args.name`` at ``args.scale``."""
+    from repro.workloads import get_workload
+
+    try:
+        return get_workload(args.name, args.scale)
+    except KeyError as error:
+        raise _BadInput(error.args[0]) from None
 
 
 def _resolve_program(args: argparse.Namespace):
     """``NAME`` is a Mini-C file path if one exists, else a suite
-    workload resolved at ``--scale``.  Returns (source, display name)."""
-    if Path(args.name).exists():
-        return _read_source(args.name), Path(args.name).stem
-    from repro.workloads import get_workload
-
-    workload = get_workload(args.name, args.scale)
+    workload resolved at ``--scale``; a name with a suffix or a directory
+    part is always a path.  Returns (source, display name)."""
+    path = Path(args.name)
+    if path.is_file() or path.suffix or len(path.parts) > 1:
+        return _read_source(args.name), path.stem
+    workload = _workload(args)
     return workload.source, workload.name
+
+
+def _config(args: argparse.Namespace, **overrides):
+    """``RunConfig.from_args``, with an invalid value reported as bad input."""
+    from repro.machine.session import RunConfig
+
+    try:
+        return RunConfig.from_args(args, **overrides)
+    except ValueError as error:
+        raise _BadInput(str(error)) from None
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -669,18 +628,13 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.errors import SafetyFault
-    from repro.machine.session import CaratSession, RunConfig
+    from repro.machine.session import CaratSession
+    from repro.telemetry import run_snapshot, validate_jsonl
 
-    source = _read_source(args.file)
-    name = Path(args.file).stem
-    try:
-        config = RunConfig.from_args(args, name=name)
-    except ValueError as error:
-        print(f"repro run: {error}", file=sys.stderr)
-        return 2
+    source, name = _resolve_program(args)
+    config = _config(args, name=name)
     if config.faulting and config.mode != "carat":
-        print("--inject-faults/--max-retries require --mode carat", file=sys.stderr)
-        return 2
+        raise _BadInput("--inject-faults/--max-retries require --mode carat")
     try:
         result = CaratSession(config).run(source)
     except SafetyFault as fault:
@@ -779,23 +733,36 @@ def _cmd_run(args: argparse.Namespace) -> int:
             + (f" -> {config.trace_out}.jsonl" if config.trace_out else ""),
             file=sys.stderr,
         )
+    schema_errors = []
+    if config.trace_out:
+        schema_errors = validate_jsonl(f"{config.trace_out}.jsonl")
+        verdict = (
+            f"INVALID ({len(schema_errors)} errors)" if schema_errors else "valid"
+        )
+        print(f"-- schema       : {verdict}", file=sys.stderr)
+        for error in schema_errors[:10]:
+            print(f"   {error}", file=sys.stderr)
     if result.profile is not None:
         result.profile.assert_reconciles(result.stats)
         print("-- profile --", file=sys.stderr)
         print(result.profile.report(), file=sys.stderr)
-    return result.exit_code
+    if args.json_out:
+        Path(args.json_out).write_text(
+            json.dumps(run_snapshot(result), indent=2, sort_keys=True) + "\n"
+        )
+        print(f"-- json         : {args.json_out}", file=sys.stderr)
+    return 1 if schema_errors else result.exit_code
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.machine.session import CaratSession, RunConfig
-    from repro.workloads import get_workload
+    from repro.machine.session import CaratSession
 
     if args.name is None:
         return _cmd_workloads(args)
-    workload = get_workload(args.name, args.scale)
+    workload = _workload(args)
 
     def run_mode(mode: str):
-        config = RunConfig.from_args(args, mode=mode, name=workload.name)
+        config = _config(args, mode=mode, name=workload.name)
         return CaratSession(config).run(workload.source)
 
     base = run_mode("baseline")
@@ -817,7 +784,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 def _cmd_policy(args: argparse.Namespace) -> int:
     from repro.kernel.kernel import Kernel
-    from repro.machine.session import CaratSession, RunConfig
+    from repro.machine.session import CaratSession
     from repro.policy import (
         CompactionDaemon,
         HeatTracker,
@@ -827,9 +794,8 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         scatter_capsule,
     )
     from repro.resilience import DegradationManager
-    from repro.workloads import get_workload
 
-    workload = get_workload(args.name, args.scale)
+    workload = _workload(args)
     fast = args.fast_kb * 1024
     kernel = Kernel(
         memory_size=args.memory_kb * 1024,
@@ -869,7 +835,7 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         )
         engine.attach(interpreter)
 
-    config = RunConfig.from_args(
+    config = _config(
         args,
         mode="carat",
         name=workload.name,
@@ -910,24 +876,27 @@ def _cmd_policy(args: argparse.Namespace) -> int:
 
 
 def _cmd_smp(args: argparse.Namespace) -> int:
-    from repro.machine.session import RunConfig
     from repro.multiproc import FairnessArbiter, Scheduler, TenantSpec
 
     if args.tenants < 1:
-        raise SystemExit("repro smp: --tenants must be at least 1")
+        raise _BadInput("--tenants must be at least 1")
     source, name = _resolve_program(args)
     weights = [1] * args.tenants
     if args.weights:
         try:
             parsed = [int(w) for w in args.weights.split(",")]
         except ValueError:
-            raise SystemExit(f"repro smp: bad --weights {args.weights!r}")
+            parsed = []
+        if not parsed or min(parsed) < 1:
+            raise _BadInput(
+                f"bad --weights {args.weights!r} (want positive ints W1,W2,...)"
+            )
         weights = [parsed[i % len(parsed)] for i in range(args.tenants)]
     specs = [
         TenantSpec(source, name=f"{name}{i}", weight=weights[i])
         for i in range(args.tenants)
     ]
-    config = RunConfig.from_args(
+    config = _config(
         args,
         mode="carat",
         name=name,
@@ -992,12 +961,11 @@ def _cmd_smp(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    from repro.machine.session import RunConfig
     from repro.soak import SoakRunner
 
     if args.tenants < 1:
-        raise SystemExit("repro soak: --tenants must be at least 1")
-    config = RunConfig.from_args(
+        raise _BadInput("--tenants must be at least 1")
+    config = _config(
         args,
         mode="carat",
         name=args.workload,
@@ -1063,102 +1031,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_sanitize(args: argparse.Namespace) -> int:
-    from repro.machine.session import CaratSession, RunConfig
-    from repro.sanitizer import Sanitizer
-    from repro.workloads import all_workloads, get_workload
-
-    if args.name is None:
-        workloads = all_workloads(args.scale)
-    else:
-        workloads = [get_workload(args.name, args.scale)]
-    modes = ["carat", "traditional"] if args.mode == "both" else [args.mode]
-
-    failures = 0
-    print(f"{'workload':14s} {'mode':12s} {'checks':>7s} {'errors':>7s} "
-          f"{'warnings':>9s} verdict")
-    for workload in workloads:
-        for mode in modes:
-            sanitizer = Sanitizer(raise_on_violation=False)
-            setup = None
-            if mode == "carat":
-                setup = lambda i: i.set_tick_interval(args.tick_interval)
-            config = RunConfig.from_args(args, mode=mode, name=workload.name)
-            session = CaratSession(config, sanitizer=sanitizer, setup=setup)
-            result = session.run(workload.source)
-            report = sanitizer.report
-            verdict = "clean" if sanitizer.ok else "VIOLATIONS"
-            if not sanitizer.ok or result.exit_code != 0:
-                failures += 1
-            print(
-                f"{workload.name:14s} {mode:12s} {sanitizer.checks_run:7d} "
-                f"{len(report.errors):7d} {len(report.warnings):9d} {verdict}"
-            )
-            for violation in report.violations:
-                print(f"    {violation.describe()}")
-    if failures:
-        print(f"{failures} audited run(s) failed")
-    return 1 if failures else 0
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.machine.session import CaratSession, RunConfig
-    from repro.telemetry import validate_jsonl
-
-    source, name = _resolve_program(args)
-    config = RunConfig.from_args(
-        args, name=name, trace=True, trace_out=args.out
-    )
-    result = CaratSession(config).run(source)
-    tracer = result.tracer
-    summary = tracer.summary()
-    jsonl_path = f"{args.out}.jsonl"
-    chrome_path = f"{args.out}.chrome.json"
-    errors = validate_jsonl(jsonl_path)
-    print(f"workload    : {name} ({config.mode}, {config.engine})")
-    print(f"output      : {result.output[-1] if result.output else ''}")
-    categories = ", ".join(
-        f"{cat} {count}"
-        for cat, count in sorted(summary.items())
-        if cat not in ("total", "dropped")
-    )
-    print(f"trace       : {summary['total']} events ({categories})")
-    if tracer.dropped:
-        print(f"dropped     : {tracer.dropped} events (buffer full)")
-    print(f"jsonl       : {jsonl_path}")
-    print(f"chrome      : {chrome_path}")
-    if errors:
-        print(f"schema      : INVALID ({len(errors)} errors)")
-        for error in errors[:10]:
-            print(f"    {error}")
-        return 1
-    print("schema      : valid")
-    if result.profile is not None:
-        result.profile.assert_reconciles(result.stats)
-        print()
-        print(result.profile.report())
-    return result.exit_code
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.machine.session import CaratSession, RunConfig
-
-    source, name = _resolve_program(args)
-    config = RunConfig.from_args(args, name=name, profile=True)
-    result = CaratSession(config).run(source)
-    profile = result.profile
-    profile.assert_reconciles(result.stats)
-    if args.json:
-        print(json.dumps(profile.to_dict(), indent=2, sort_keys=True))
-        return result.exit_code
-    print(f"workload    : {name} ({config.mode}, {config.engine})")
-    print(f"output      : {result.output[-1] if result.output else ''}")
-    print(f"cycles      : {result.cycles} (buckets reconcile exactly)")
-    print()
-    print(profile.report())
-    return result.exit_code
-
-
 def _cmd_workloads(_args: argparse.Namespace) -> int:
     from repro.workloads import all_workloads
 
@@ -1177,12 +1049,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "policy": _cmd_policy,
         "smp": _cmd_smp,
         "soak": _cmd_soak,
-        "sanitize": _cmd_sanitize,
-        "trace": _cmd_trace,
-        "profile": _cmd_profile,
         "workloads": _cmd_workloads,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _BadInput as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,9 +19,6 @@ __all__ = [
     "CaratSession",
     "RunConfig",
     "RunResult",
-    "run_carat",
-    "run_carat_baseline",
-    "run_traditional",
     "ENGINES",
     "ExitProgram",
     "FastInterpreter",
@@ -35,9 +32,6 @@ _LAZY = {
     "CaratSession": "repro.machine.session",
     "RunConfig": "repro.machine.session",
     "RunResult": "repro.machine.executor",
-    "run_carat": "repro.machine.executor",
-    "run_carat_baseline": "repro.machine.executor",
-    "run_traditional": "repro.machine.executor",
     "ENGINES": "repro.machine.executor",
     "ExitProgram": "repro.machine.interp",
     "FastInterpreter": "repro.machine.fastexec",

@@ -1,20 +1,13 @@
 """Execution-engine registry and the result type every run produces.
 
-This module used to be the front door (``run_carat`` and friends, each
-with 10+ kwargs); since the session redesign the one run path is
-:class:`repro.machine.session.CaratSession` driven by a
-:class:`~repro.machine.session.RunConfig`.  What remains here is the
-machinery the session itself uses:
+The one run path is :class:`repro.machine.session.CaratSession` driven
+by a :class:`~repro.machine.session.RunConfig`; this module holds the
+machinery the session uses:
 
 * :data:`ENGINES` / :func:`_interpreter_class` — the selectable
   execution engines;
 * :class:`RunResult` — everything one execution produced;
 * :func:`_make_sanitizer` / :func:`_as_binary` — attach helpers.
-
-The legacy ``run_carat`` / ``run_carat_baseline`` / ``run_traditional``
-names survive only as tombstones: calling them raises with a pointer at
-the session API (tests wanting the compact legacy shape use
-``tests.support``; benchmarks use ``benchmarks.harness``).
 """
 
 from __future__ import annotations
@@ -94,8 +87,8 @@ class RunResult:
         """Digest of the run's observable behavior: exit code, printed
         output, and every modeled counter.  Two runs of the same program
         under the same config must produce equal fingerprints regardless
-        of which API (shim or session) launched them — the parity tests
-        assert exactly that."""
+        of which entry point (CLI, harness, test veneer, or session)
+        launched them — the parity tests assert exactly that."""
         stats = self.stats
         payload = {
             "exit_code": self.exit_code,
@@ -134,24 +127,3 @@ def _make_sanitizer(
     active.attach_kernel(kernel)
     return active
 
-
-def _removed(name: str, mode: str):
-    raise RuntimeError(
-        f"{name}() was removed: build RunConfig(mode={mode!r}, ...) and "
-        "call CaratSession(config).run(program) — see repro.machine.session"
-    )
-
-
-def run_carat(*args, **kwargs):
-    """Removed — use ``CaratSession(RunConfig(mode='carat', ...))``."""
-    _removed("run_carat", "carat")
-
-
-def run_carat_baseline(*args, **kwargs):
-    """Removed — use ``CaratSession(RunConfig(mode='baseline', ...))``."""
-    _removed("run_carat_baseline", "baseline")
-
-
-def run_traditional(*args, **kwargs):
-    """Removed — use ``CaratSession(RunConfig(mode='traditional', ...))``."""
-    _removed("run_traditional", "traditional")

@@ -1,8 +1,7 @@
 """The session API: one frozen config, one facade, one run path.
 
-Four PRs of growth left ``executor.py`` with three 10+-kwarg entry
-points and the CLI re-implementing kernel/fault wiring by hand.  This
-module is the redesign:
+Every run — the CLI, the benchmark harness, the tests, and library
+callers — goes through this module:
 
 * :class:`RunConfig` — a frozen dataclass naming every knob a run has
   (model, guard mechanism, engine, capsule sizes, sanitizing, fault
@@ -12,11 +11,6 @@ module is the redesign:
   compile (tracing pass deltas), build/wire the kernel (retry policy,
   fault injector, degradation), load, attach sanitizer/profiler/tracer,
   run, close the books, export traces.
-
-``run_carat`` / ``run_carat_baseline`` / ``run_traditional`` in
-:mod:`repro.machine.executor` survive as thin shims over this class
-(signatures preserved; explicit use of the sprawling kwargs raises a
-``DeprecationWarning`` pointing here).
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ points:
 With ``raise_on_violation`` (the default) the first error-severity
 finding raises :class:`SanitizerError` at the hook that caught it, so a
 stack trace points at the operation that corrupted state.  Audit-style
-callers (the ``sanitize`` CLI subcommand) disable it and read the
+callers (the whole-suite audit in ``tests/test_sanitizer.py``) disable
+it and read the
 accumulated :attr:`report` instead.
 """
 

@@ -19,7 +19,7 @@ This package is the observability substrate every layer reports through:
   allocation site, with buckets summing *exactly* to
   ``InterpStats.cycles`` on both execution engines;
 * :mod:`repro.telemetry.schema` — the JSONL trace-event schema and a
-  dependency-free validator (used by tests and the CI trace-smoke job).
+  dependency-free validator (used by tests and ``repro run --trace-out``).
 
 Telemetry is strictly opt-in and charges **zero simulated cycles**: no
 emitter ever touches ``stats.cycles``, so a run with tracing or

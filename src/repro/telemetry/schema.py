@@ -20,8 +20,8 @@ phase alphabet, category membership, timestamp monotonic sanity, and
 begin/end balance — both keyed per ``(pid, tid)`` lane, so multi-tenant
 traces (one pid per tenant) load cleanly in Chrome's trace viewer,
 which renders each pid as its own process group.  Used by
-``tests/test_telemetry.py`` and the CI trace-smoke job via
-``repro trace``.
+``tests/test_telemetry.py`` and by ``repro run --trace-out``, which
+exits 1 when the JSONL it exported fails validation.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ liveness check behind the guard catches the planted access and raises
 100% of them fire, on all three engines.
 
 They are kept out of the ``register()`` registry on purpose: the
-full-suite zero-false-positive sweep, the benchmark harness, and the
-``bench``/``sanitize`` CLIs iterate registered workloads and must never
+full-suite zero-false-positive sweep, the sanitizer's whole-suite
+audit, the benchmark harness, and the ``bench`` CLI iterate registered
+workloads and must never
 see a program whose *point* is to contain a bug.  Use
 :func:`adversarial_workload` / :func:`adversarial_names`.
 """

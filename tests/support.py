@@ -1,11 +1,9 @@
-"""Shared test helpers: the legacy ``run_*`` signatures over the session API.
+"""Shared test helpers: a compact ``run_*`` call shape over the session API.
 
-The deprecated ``repro.machine.executor`` shims are gone (they raise
-now); tests that want the compact call shape — positional program,
-``kernel=``/``setup=``/``engine=`` keywords — import these instead.
-Each helper is an explicit, warning-free veneer over
-:class:`~repro.machine.session.CaratSession`, so every test exercises
-the real run path.
+Tests that want a positional program plus ``kernel=``/``setup=``/
+``engine=`` keywords import these.  Each helper is an explicit veneer
+over :class:`~repro.machine.session.CaratSession`, so every test
+exercises the real run path.
 """
 
 from __future__ import annotations

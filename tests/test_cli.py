@@ -83,6 +83,78 @@ def test_workloads_listing(capsys):
     assert "hpccg" in out and "xz" in out
 
 
-def test_missing_file():
-    with pytest.raises(SystemExit):
-        main(["run", "/no/such/file.c"])
+def test_missing_file(capsys):
+    assert main(["run", "/no/such/file.c"]) == 2
+    err = capsys.readouterr().err
+    assert err == "repro run: no such file: /no/such/file.c\n"
+
+
+def test_run_name_matches_run_file(tmp_path, capsys):
+    from repro.workloads import get_workload
+
+    source = tmp_path / "ep.c"
+    source.write_text(get_workload("ep", "tiny").source)
+    assert main(["run", "ep"]) == 0
+    by_name = capsys.readouterr().out
+    assert main(["run", str(source)]) == 0
+    assert capsys.readouterr().out == by_name
+    assert by_name.strip()
+
+
+def test_run_trace_out_writes_valid_jsonl(tmp_path, capsys):
+    from repro.telemetry import validate_jsonl
+
+    prefix = tmp_path / "ep"
+    assert main(["run", "ep", "--trace-out", str(prefix)]) == 0
+    assert "schema       : valid" in capsys.readouterr().err
+    jsonl = tmp_path / "ep.jsonl"
+    assert jsonl.read_text().strip()
+    assert validate_jsonl(str(jsonl)) == []
+    assert (tmp_path / "ep.chrome.json").exists()
+
+
+def test_run_json_carries_reconciled_profile(tmp_path, capsys):
+    import json
+
+    out = tmp_path / "ep.json"
+    assert main(["run", "ep", "--profile", "--json", str(out)]) == 0
+    document = json.loads(out.read_text())
+    assert document["schema"] == "carat.run.v1"
+    assert document["config"]["name"] == "ep"
+    profile = document["profile"]
+    assert profile["schema"] == "carat.profile.v1"
+    assert sum(profile["buckets"].values()) == document["interp"]["cycles"]
+
+
+#: One argv per (subcommand, kind of bad input) the CLI must reject with
+#: exit 2 and a single ``repro <cmd>: ...`` line instead of a traceback.
+BAD_INPUT = {
+    "run-unknown-workload": ["run", "nosuch"],
+    "run-missing-file": ["run", "/no/such/file.c"],
+    "run-bad-config": ["run", "ep", "--move-batch", "0"],
+    "run-faults-need-carat": [
+        "run", "ep", "--mode", "traditional", "--max-retries", "2",
+    ],
+    "bench-unknown-workload": ["bench", "nosuch"],
+    "policy-unknown-workload": ["policy", "nosuch"],
+    "policy-bad-config": ["policy", "ep", "--chunk-budget", "-1"],
+    "smp-unknown-workload": ["smp", "nosuch"],
+    "smp-missing-file": ["smp", "/no/such/file.c"],
+    "smp-bad-config": ["smp", "ep", "--move-batch", "0"],
+    "smp-unparsable-weights": ["smp", "ep", "--weights", "1,x"],
+    "smp-zero-weight": ["smp", "ep", "--weights", "0"],
+    "smp-zero-tenants": ["smp", "ep", "--tenants", "0"],
+    "soak-zero-tenants": ["soak", "--tenants", "0"],
+    "soak-bad-config": ["soak", "--requests", "0"],
+    "compile-missing-file": ["compile", "/no/such/file.c"],
+}
+
+
+@pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
+def test_bad_input_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: ")
+    assert "Traceback" not in captured.err

@@ -14,6 +14,7 @@ Two halves:
 import pytest
 
 from tests.support import run_carat, run_traditional
+from repro.machine.session import CaratSession, RunConfig
 from repro.runtime.escape_map import AllocationToEscapeMap
 from repro.runtime.allocation_table import AllocationTable
 from repro.sanitizer import (
@@ -24,6 +25,7 @@ from repro.sanitizer import (
     ShadowedEscapeMap,
     install_escape_shadow,
 )
+from repro.workloads import get_workload, workload_names
 from tests.conftest import LINKED_LIST_SOURCE, SUM_SOURCE
 
 
@@ -229,16 +231,31 @@ class TestShadowEscapeMap:
         assert runtime.patcher.escapes is proxy
 
 
+class TestSuiteAudit:
+    """The whole registered suite, at tiny scale, under both execution
+    models with a non-raising checker that audits every 10 000
+    instructions: every run must exit 0 with zero violations."""
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_workload_audits_clean(self, name, mode):
+        workload = get_workload(name, "tiny")
+        sanitizer = Sanitizer(raise_on_violation=False)
+        setup = None
+        if mode == "carat":
+            setup = lambda interp: interp.set_tick_interval(10_000)
+        session = CaratSession(
+            RunConfig(mode=mode, name=workload.name),
+            sanitizer=sanitizer,
+            setup=setup,
+        )
+        result = session.run(workload.source)
+        assert result.exit_code == 0
+        assert sanitizer.checks_run > 0
+        assert sanitizer.ok, [v.describe() for v in sanitizer.report.violations]
+
+
 class TestSanitizeCli:
-    def test_sanitize_subcommand(self, capsys):
-        from repro.cli import main
-
-        code = main(["sanitize", "mcf", "--mode", "carat"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "mcf" in out
-        assert "clean" in out
-
     def test_run_with_sanitize_flag(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -1,15 +1,10 @@
-"""Tests for the session API: RunConfig round-trips, CaratSession, the
-removed ``run_*`` tombstones, and the ``tests.support`` veneers."""
+"""Tests for the session API: RunConfig round-trips, CaratSession, and
+the ``tests.support`` veneers."""
 
 import argparse
 
 import pytest
 
-from repro.machine.executor import (
-    run_carat,
-    run_carat_baseline,
-    run_traditional,
-)
 from repro.machine.session import CaratSession, RunConfig
 from tests import support
 
@@ -107,13 +102,12 @@ class TestRunConfig:
 #: before calling ``from_args`` (mirroring ``repro.cli._cmd_*``).
 SUBCOMMAND_ARGV = {
     "run": (["run", "prog.c"], {"name": "prog"}),
+    "run-name": (["run", "hpccg"], {"name": "hpccg"}),
+    "run-json": (["run", "prog.c", "--json", "x"], {"name": "prog"}),
     "bench": (["bench", "hpccg"], {"mode": "baseline", "name": "hpccg"}),
     "policy": (["policy", "hpccg"], {"mode": "carat", "name": "hpccg"}),
     "smp": (["smp", "hpccg"], {"mode": "carat", "name": "hpccg"}),
     "soak": (["soak"], {"mode": "carat", "name": "kvservice"}),
-    "sanitize": (["sanitize"], {"mode": "carat"}),
-    "trace": (["trace", "hpccg"], {"name": "hpccg", "trace": True}),
-    "profile": (["profile", "hpccg"], {"name": "hpccg", "profile": True}),
 }
 
 
@@ -199,15 +193,9 @@ class TestCaratSession:
 
 
 # ---------------------------------------------------------------------------
-# Removed legacy shims: the raise contract + the tests.support veneers
+# The tests.support veneers that replaced the removed legacy run_* shims
 # ---------------------------------------------------------------------------
 
-
-TOMBSTONES = {
-    "carat": run_carat,
-    "baseline": run_carat_baseline,
-    "traditional": run_traditional,
-}
 
 SUPPORT = {
     "carat": support.run_carat,
@@ -217,13 +205,6 @@ SUPPORT = {
 
 
 class TestRemovedShims:
-    @pytest.mark.parametrize("mode", sorted(TOMBSTONES))
-    def test_calling_removed_shim_raises_with_pointer(self, mode):
-        with pytest.raises(RuntimeError, match="CaratSession"):
-            TOMBSTONES[mode](SUM_SOURCE)
-        with pytest.raises(RuntimeError, match=f"mode={mode!r}"):
-            TOMBSTONES[mode]()
-
     @pytest.mark.parametrize("mode", sorted(SUPPORT))
     def test_support_veneer_matches_session_fingerprint(self, mode):
         veneer_result = SUPPORT[mode](LINKED_LIST_SOURCE)
