@@ -43,10 +43,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.ir.printer import print_module
+from repro.kernel.pagetable import PAGE_SIZE
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +603,31 @@ def _config(args: argparse.Namespace, **overrides):
         raise _BadInput(str(error)) from None
 
 
+def _memory_bytes(flag: str, kib: int) -> int:
+    """A ``--*-kb`` memory size in bytes; it must be a whole number of
+    pages (0 keeps the flag's "off"/"automatic" meaning)."""
+    if kib < 0 or kib * 1024 % PAGE_SIZE:
+        raise _BadInput(
+            f"{flag} must be a non-negative multiple of "
+            f"{PAGE_SIZE // 1024} (whole pages), not {kib}"
+        )
+    return kib * 1024
+
+
+def _tier_sizes(args: argparse.Namespace) -> Tuple[int, int]:
+    """``(--memory-kb, --fast-kb)`` in bytes (``--memory-kb`` is 0 where
+    the command has no such flag).  An explicit total must leave room for
+    a slow tier beside the fast one."""
+    memory = _memory_bytes("--memory-kb", getattr(args, "memory_kb", 0))
+    fast = _memory_bytes("--fast-kb", args.fast_kb)
+    if fast and memory and fast >= memory:
+        raise _BadInput(
+            f"--fast-kb {args.fast_kb} must be smaller than "
+            f"--memory-kb {args.memory_kb}"
+        )
+    return memory, fast
+
+
 def _cmd_compile(args: argparse.Namespace) -> int:
     source = _read_source(args.file)
     options = CompileOptions(
@@ -795,12 +821,26 @@ def _cmd_policy(args: argparse.Namespace) -> int:
     )
     from repro.resilience import DegradationManager
 
+    if args.epoch_cycles < 1:
+        raise _BadInput(
+            f"--epoch-cycles must be at least 1, not {args.epoch_cycles}"
+        )
+    if args.budget < 0:
+        raise _BadInput(f"--budget must be non-negative, not {args.budget}")
+    memory, fast = _tier_sizes(args)
+    if not memory:
+        raise _BadInput("--memory-kb must be positive")
     workload = _workload(args)
-    fast = args.fast_kb * 1024
-    kernel = Kernel(
-        memory_size=args.memory_kb * 1024,
-        fast_memory=fast if fast else None,
+    config = _config(
+        args,
+        mode="carat",
+        name=workload.name,
+        # Modest capsule so it fits the slow tier of the default 8 MiB
+        # machine (suite workloads at these scales need far less).
+        heap_size=512 * 1024,
+        stack_size=128 * 1024,
     )
+    kernel = Kernel(memory_size=memory, fast_memory=fast or None)
     # Policy runs always degrade gracefully on exhausted moves; the
     # session layers the config-driven retry/injector wiring on top.
     kernel.attach_degradation(DegradationManager())
@@ -835,15 +875,6 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         )
         engine.attach(interpreter)
 
-    config = _config(
-        args,
-        mode="carat",
-        name=workload.name,
-        # Modest capsule so it fits the slow tier of the default 8 MiB
-        # machine (suite workloads at these scales need far less).
-        heap_size=512 * 1024,
-        stack_size=128 * 1024,
-    )
     session = CaratSession(config, kernel=kernel, setup=setup)
     result = session.run(workload.source)
     assert engine is not None and frag_before is not None
@@ -880,6 +911,7 @@ def _cmd_smp(args: argparse.Namespace) -> int:
 
     if args.tenants < 1:
         raise _BadInput("--tenants must be at least 1")
+    memory, fast = _tier_sizes(args)
     source, name = _resolve_program(args)
     weights = [1] * args.tenants
     if args.weights:
@@ -908,8 +940,8 @@ def _cmd_smp(args: argparse.Namespace) -> int:
         specs,
         share=args.cow,
         arbiter=FairnessArbiter() if args.arbiter else None,
-        memory_size=args.memory_kb * 1024 or None,
-        fast_memory=args.fast_kb * 1024 or None,
+        memory_size=memory or None,
+        fast_memory=fast or None,
     )
     result = scheduler.run()
 
@@ -965,6 +997,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     if args.tenants < 1:
         raise _BadInput("--tenants must be at least 1")
+    _, fast = _tier_sizes(args)
     config = _config(
         args,
         mode="carat",
@@ -974,7 +1007,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     runner = SoakRunner(
         config,
         workload=args.workload,
-        fast_memory=args.fast_kb * 1024 or None,
+        fast_memory=fast or None,
         crash_dump_path=args.crash_dump,
     )
     report = runner.run()

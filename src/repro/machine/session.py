@@ -183,6 +183,13 @@ class RunConfig:
                 raise ValueError(
                     f"{field_name} must be a non-negative int, not {value!r}"
                 )
+        if self.max_retries is not None and (
+            not isinstance(self.max_retries, int) or self.max_retries < 1
+        ):
+            raise ValueError(
+                f"max_retries must be a positive attempt count, "
+                f"not {self.max_retries!r}"
+            )
         if not isinstance(self.chaos_rate, (int, float)) or self.chaos_rate < 0:
             raise ValueError(
                 f"chaos_rate must be a non-negative fault rate, "

@@ -27,6 +27,13 @@ from repro.policy.moves import EpochBudget, estimate_move_cycles, perform_move
 MAX_MOVES_PER_EPOCH = 32
 
 
+def _seed_range(allocation) -> Tuple[int, int]:
+    """The page-aligned range a move of ``allocation`` starts from."""
+    page_lo = allocation.address & ~(PAGE_SIZE - 1)
+    page_hi = (allocation.end + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
+    return page_lo, page_hi
+
+
 class TieringBalancer:
     """Promotes hot allocations into fast memory, evicting colder ones."""
 
@@ -127,9 +134,7 @@ class TieringBalancer:
         return moves
 
     def _plan_for(self, allocation):
-        page_lo = allocation.address & ~(PAGE_SIZE - 1)
-        page_hi = (allocation.end + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
-        return self.process.runtime.patcher.plan_move(page_lo, page_hi)
+        return self.process.runtime.patcher.plan_move(*_seed_range(allocation))
 
     def _range_heat(self, lo: int, hi: int) -> float:
         """Total heat of the pages in ``[lo, hi)`` (page-aligned)."""
@@ -218,16 +223,26 @@ class TieringBalancer:
         """Demote the fast-tier resident whose *move plan* carries the
         least heat, provided it is strictly colder than the incoming
         range.  Returns 1 on success, ``None`` if nothing evictable (or
-        the budget cannot cover the demotion)."""
+        the budget cannot cover the demotion).
+
+        Residents sharing a seed page range get the same plan, checks and
+        score, and ``best`` moves only on a strictly lower score, so each
+        seed range is planned once: the first resident holding it is the
+        only one that could be chosen."""
         kernel = self.kernel
         frames = kernel.frames
         runtime = self.process.runtime
         best = None
         degradation = kernel.degradation
+        planned = set()
         for index, (victim, _) in enumerate(residents):
             if kernel.memory.tier_of(victim.address) != "fast":
                 continue  # already moved (dragged by an earlier plan)
-            plan = self._plan_for(victim)
+            seed = _seed_range(victim)
+            if seed in planned:
+                continue
+            planned.add(seed)
+            plan = runtime.patcher.plan_move(*seed)
             if plan.page_count > self.max_allocation_pages:
                 continue
             if degradation is not None and not degradation.allows(plan.lo, plan.hi):

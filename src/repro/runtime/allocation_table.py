@@ -136,15 +136,19 @@ class AllocationTable:
         """All allocations intersecting [lo, hi), ascending by address.
 
         The floor predecessor must be checked too: it may start before
-        ``lo`` but reach into the range.
+        ``lo`` but reach into the range.  A floor keyed exactly at ``lo`` is
+        also the range scan's first item, so only a floor strictly below
+        ``lo`` is taken from the floor query; every key in ``[lo, hi)``
+        overlaps the range because sizes are positive.  So the query is
+        O(log n + k) for k results, with no deduplication pass.
         """
         result: List[Allocation] = []
         found = self._tree.floor_item(lo)
-        if found is not None and found[1].overlaps(lo, hi):
+        if found is not None and found[0] < lo and found[1].overlaps(lo, hi):
             result.append(found[1])
-        for _, allocation in self._tree.items_in_range(lo, hi):
-            if allocation not in result and allocation.overlaps(lo, hi):
-                result.append(allocation)
+        result.extend(
+            allocation for _, allocation in self._tree.items_in_range(lo, hi)
+        )
         return result
 
     def live_bytes(self) -> int:

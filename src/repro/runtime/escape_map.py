@@ -126,10 +126,12 @@ class AllocationToEscapeMap:
         pending buffer."""
         per_entry = 16  # hash set entry: pointer + bucket overhead
         per_set = 64  # set header
-        total = len(self._pending) * 8
-        for locations in self._escapes.values():
-            total += per_set + per_entry * len(locations)
-        return total
+        escapes = self._escapes
+        return (
+            len(self._pending) * 8
+            + per_set * len(escapes)
+            + per_entry * sum(map(len, escapes.values()))
+        )
 
     # -- maintenance --------------------------------------------------------------------
 

@@ -147,6 +147,14 @@ BAD_INPUT = {
     "soak-zero-tenants": ["soak", "--tenants", "0"],
     "soak-bad-config": ["soak", "--requests", "0"],
     "compile-missing-file": ["compile", "/no/such/file.c"],
+    "policy-zero-epoch": ["policy", "hpccg", "--epoch", "0"],
+    "policy-negative-budget": ["policy", "hpccg", "--budget", "-1"],
+    "run-negative-retries": ["run", "hpccg", "--max-retries", "-1"],
+    "policy-zero-retries": ["policy", "hpccg", "--max-retries", "0"],
+    "soak-negative-fast-tier": ["soak", "--fast-kb", "-5"],
+    "smp-unaligned-fast-tier": ["smp", "hpccg", "--fast-kb", "7"],
+    "smp-unaligned-memory": ["smp", "hpccg", "--memory-kb", "1"],
+    "policy-fast-tier-fills-memory": ["policy", "hpccg", "--fast-kb", "8192"],
 }
 
 

@@ -24,7 +24,7 @@ from repro.policy import (
     assess_fragmentation,
     scatter_capsule,
 )
-from repro.policy.moves import estimate_move_cycles
+from repro.policy.moves import estimate_move_cycles, perform_move
 from repro.runtime.allocation_table import AllocationTable
 from tests.conftest import SUM_SOURCE
 
@@ -445,6 +445,67 @@ class TestTieringBalancer:
         process = _load_sum(kernel)
         with pytest.raises(ValueError):
             TieringBalancer(kernel, process, HeatTracker())
+
+    def test_demote_plans_each_seed_range_once(self, monkeypatch):
+        kernel, process, heat, balancer = self._tiered_setup(fast_frames=32)
+        runtime = process.runtime
+        base = process.layout.heap_base
+        pages = 8
+        for page in range(pages):
+            for slot in range(15):
+                runtime.on_alloc(base + page * PAGE_SIZE + 128 + slot * 256, 64)
+        # One block straddles pages 3 and 4, so their plans merge.
+        runtime.on_alloc(base + 4 * PAGE_SIZE - 32, 64)
+        destination = kernel.frames.alloc_address(pages, tier="fast")
+        assert perform_move(kernel, process, None, base, pages, destination, "test")
+        # Page 3 is the coldest page, but its plan drags in hot page 4;
+        # page 5 is the coldest plan (tied with page 6).  Page heat is
+        # charged to one block per page, so most residents score 0 and
+        # rank ahead of the victim.
+        first = destination >> PAGE_SHIFT
+        for page, score in enumerate([5, 3, 7, 0, 8, 1, 1, 6]):
+            heat.scores[first + page] = float(score)
+        _, residents = balancer.classify()
+        assert len(residents) == pages * 15 + 1
+        seed_ranges = {
+            (a.address & -PAGE_SIZE, (a.end + PAGE_SIZE - 1) & -PAGE_SIZE)
+            for a, _ in residents
+        }
+        # 8 single-page seeds plus the straddling block's two-page seed.
+        assert len(seed_ranges) == pages + 1
+
+        # The reference plans every resident and keeps the first of the
+        # strictly coldest plans.
+        best = None
+        for victim, _ in residents:
+            plan = balancer._plan_for(victim)
+            score = balancer._range_heat(plan.lo, plan.hi)
+            if best is None or score < best[0]:
+                best = (score, victim)
+        expected = best[1]
+        assert expected.address >> PAGE_SHIFT == first + 5
+        assert residents[0][0] is not expected
+        victim_page = expected.address & -PAGE_SIZE
+
+        seeds = []
+        plan_move = runtime.patcher.plan_move
+
+        def counting_plan_move(lo, hi):
+            seeds.append((lo, hi))
+            return plan_move(lo, hi)
+
+        monkeypatch.setattr(runtime.patcher, "plan_move", counting_plan_move)
+        assert balancer.demote_coldest(residents, EpochBudget(10_000_000)) == 1
+        # One plan per distinct seed range; the last call is the kernel
+        # re-planning the victim's range as it negotiates the move.
+        *chosen, negotiated = seeds
+        assert len(chosen) == len(set(chosen)) and set(chosen) == seed_ranges
+        assert negotiated == (victim_page, victim_page + PAGE_SIZE)
+        assert all(victim is not expected for victim, _ in residents)
+        assert len(residents) == pages * 15
+        assert kernel.memory.tier_of(expected.address) == "slow"
+        fast = [a for a in runtime.table if kernel.memory.tier_of(a.address) == "fast"]
+        assert len(fast) == (pages - 1) * 15 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,40 @@ class TestAllocationTable:
         # Predecessor reaching in from below:
         found = t.overlapping(0x1080, 0x1100)
         assert found == [a]
+        # An allocation starting exactly at lo is the floor too; it is
+        # reported once.
+        found = t.overlapping(0x2000, 0x2100)
+        assert len(found) == 1 and found[0] is b
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=24),  # gap before the block
+                st.integers(min_value=1, max_value=48),  # block size
+            ),
+            max_size=30,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_overlapping_matches_brute_force(self, blocks, data):
+        t = AllocationTable()
+        end = 0
+        for gap, size in blocks:
+            t.add(end + gap, size)
+            end += gap + size
+        starts = [a.address for a in t]
+        lo = data.draw(
+            st.sampled_from(starts) | st.integers(0, end + 8)
+            if starts
+            else st.integers(0, end + 8),
+            label="lo",
+        )
+        hi = lo + data.draw(st.integers(0, 64), label="length")
+        expected = [a for a in t if a.overlaps(lo, hi)]
+        found = t.overlapping(lo, hi)
+        assert len(found) == len(expected)
+        assert all(f is e for f, e in zip(found, expected))
 
     def test_rebase(self):
         t = AllocationTable()
@@ -191,6 +225,10 @@ class TestEscapeMap:
             m.record(cell)
         m.flush(t, self._memory(contents))
         assert m.memory_footprint_bytes() > baseline
+        # One 64-byte set header plus 16 bytes per resolved escape, and 8
+        # bytes per pending record.
+        m.record(0x9000)
+        assert m.memory_footprint_bytes() == 64 + 16 * 100 + 8
 
 
 class TestRegions:
