@@ -10,9 +10,8 @@ Emitted artifacts:
 
 * ``benchmarks/results/fastpath_<workload>.json`` — one file per
   benchmark with both engines' wall-clock and the cache counters;
-* ``benchmarks/results/fastpath.json`` and the repo-root
-  ``BENCH_fastpath.json`` — the aggregate: per-workload speedups, the
-  geomean, and the headline verdict.
+* the repo-root ``BENCH_fastpath.json`` — the aggregate: per-workload
+  speedups, the geomean, and the headline verdict.
 
 The assertion floor here is the CI gate (fast must be at least 1.5x
 faster on the headline workload at any scale); the committed
@@ -118,7 +117,6 @@ def test_fastpath_speedup():
         "target_speedup": 3.0,
         "workloads": per_workload,
     }
-    emit_json("fastpath", aggregate)
     (REPO_ROOT / "BENCH_fastpath.json").write_text(
         json.dumps(aggregate, indent=2) + "\n"
     )

@@ -21,8 +21,7 @@ the pause log is cleared after scatter):
 
 Emitted artifacts:
 
-* ``benchmarks/results/movepause.json`` and the repo-root
-  ``BENCH_movepause.json`` — the full frontier;
+* the repo-root ``BENCH_movepause.json`` — the full frontier;
 * ``benchmarks/results/movepause_frontier.txt`` — the table.
 
 The assertion floor is the CI gate: the best chunked configuration must
@@ -33,7 +32,7 @@ throughput, with bit-identical program output.
 import json
 from pathlib import Path
 
-from harness import emit_json, emit_table, run_carat
+from harness import emit_table, run_carat
 
 from repro.kernel.kernel import Kernel
 from repro.multiproc.scheduler import percentile
@@ -175,7 +174,6 @@ def test_move_pause_frontier():
             "pages_per_kilocycle": best["pages_per_kilocycle"],
         },
     }
-    emit_json("movepause", aggregate)
     (REPO_ROOT / "BENCH_movepause.json").write_text(
         json.dumps(aggregate, indent=2) + "\n"
     )

@@ -16,9 +16,8 @@ Emitted artifacts:
 
 * ``benchmarks/results/safety_<workload>.json`` — one file per
   workload with per-engine cycles/checks/overhead;
-* ``benchmarks/results/safety_overhead.json`` and the repo-root
-  ``BENCH_safety.json`` — the aggregate: per-workload overheads, the
-  geomean, and the detection-matrix verdict.
+* the repo-root ``BENCH_safety.json`` — the aggregate: per-workload
+  overheads, the geomean, and the detection-matrix verdict.
 
 The assertion floor doubles as the CI gate: detection must be 4/4 on
 every engine, outputs must be bit-identical with safety on, and the
@@ -114,7 +113,6 @@ def test_safety_overhead():
         "detection": detection,
         "workloads": per_workload,
     }
-    emit_json("safety_overhead", aggregate)
     (REPO_ROOT / "BENCH_safety.json").write_text(
         json.dumps(aggregate, indent=2) + "\n"
     )

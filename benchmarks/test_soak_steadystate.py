@@ -28,7 +28,7 @@ import json
 import os
 from pathlib import Path
 
-from harness import emit_json, emit_table
+from harness import emit_table
 
 from repro.machine.session import RunConfig
 from repro.soak import SoakRunner
@@ -108,7 +108,6 @@ def test_soak_steady_state_headline():
         "dropped_events": headline.dropped_events,
         "sanitizer": headline.sanitizer,
     }
-    emit_json("soak", aggregate)
     (REPO_ROOT / "BENCH_soak.json").write_text(
         json.dumps(aggregate, indent=2) + "\n"
     )

@@ -13,9 +13,8 @@ Emitted artifacts:
 
 * ``benchmarks/results/trace_<workload>.json`` — one file per
   benchmark with both engines' wall-clock and the trace counters;
-* ``benchmarks/results/trace_speedup.json`` and the repo-root
-  ``BENCH_trace.json`` — the aggregate: per-workload speedups, the
-  geomean, and the headline verdict.
+* the repo-root ``BENCH_trace.json`` — the aggregate: per-workload
+  speedups, the geomean, and the headline verdict.
 
 The assertion floor here is the CI gate (trace must be at least 2x
 faster on the headline workload at any scale); the committed
@@ -135,7 +134,6 @@ def test_trace_speedup():
         "target_geomean_speedup": TARGET_GEOMEAN,
         "workloads": per_workload,
     }
-    emit_json("trace_speedup", aggregate)
     (REPO_ROOT / "BENCH_trace.json").write_text(
         json.dumps(aggregate, indent=2) + "\n"
     )

@@ -48,6 +48,7 @@ from typing import List, Optional, Tuple
 from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.ir.printer import print_module
 from repro.kernel.pagetable import PAGE_SIZE
+from repro.kernel.physmem import PhysicalMemoryError
 
 
 # ---------------------------------------------------------------------------
@@ -943,7 +944,14 @@ def _cmd_smp(args: argparse.Namespace) -> int:
         memory_size=memory or None,
         fast_memory=fast or None,
     )
-    result = scheduler.run()
+    try:
+        result = scheduler.run()
+    except PhysicalMemoryError as error:
+        if scheduler.kernel is not None:
+            raise  # the machine was built: a fault while running
+        # The memory is sized only after compiling, so a fast tier that
+        # fills it is caught here rather than in _tier_sizes.
+        raise _BadInput(f"--fast-kb {args.fast_kb} does not fit: {error}") from None
 
     print(
         f"schedule    : {args.tenants} x {name} ({config.engine}, "

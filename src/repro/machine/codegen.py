@@ -1,0 +1,629 @@
+"""One code template per value-instruction form, shared by both tiers.
+
+The block tier (:mod:`repro.machine.fastexec`) compiles every
+instruction into its own op; the trace tier
+(:mod:`repro.machine.tracejit`) inlines a whole superblock into one
+closure.  Both must charge the cost model in the reference engine's
+order and compute its exact results, so each value form — integer and
+float binary ops (division, remainder and shifts included), ``icmp``,
+``fcmp``, the casts, GEPs, loads, stores and pure unary math builtins —
+has exactly one emitter here.  :func:`emit_value_op` writes the op's
+body lines into a :class:`Writer` at a given indent: the base charge,
+the operand reads whose ``KeyError`` reaches :func:`_raise_undefined`,
+the wrap arithmetic, and the fault messages.
+
+The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
+``stats``; the per-interpreter names of :data:`BINDINGS` and
+:data:`KNOWN_FACT_BINDINGS`; and the constants of :data:`GLOBALS`.  The
+trace tier inlines them into a superblock whose instantiation binds every
+name once.  The block tier wraps them in a ``def`` behind a prologue that
+binds the names the body reads.
+
+An emitter branches only on the instruction and on two facts its caller
+may know: the addressing mode (``is_carat``) and whether the kernel has
+a fast/slow tier boundary (``has_tier``).  ``None`` — what the
+module-shared block tier passes — makes the fact a run-time test in the
+emitted code.
+"""
+
+from __future__ import annotations
+
+import math
+import struct
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.errors import InterpError
+from repro.ir.instructions import (
+    BinaryInst,
+    CallInst,
+    CastInst,
+    FCmpInst,
+    GEPInst,
+    ICmpInst,
+    Instruction,
+    LoadInst,
+    StoreInst,
+)
+from repro.ir.module import Function, GlobalVariable
+from repro.ir.types import (
+    ArrayType,
+    FloatType,
+    IntType,
+    PointerType,
+    StructType,
+    Type,
+    size_of,
+    stride_of,
+    struct_field_offset,
+)
+from repro.ir.values import (
+    Argument,
+    ConstantFloat,
+    ConstantInt,
+    ConstantNull,
+    UndefValue,
+    Value,
+)
+from repro.machine.interp import _MATH_BUILTINS
+from repro.transform.simplify import fold_int_binop
+
+_MASK64 = (1 << 64) - 1
+
+#: Never-faulting integer and float ops, by infix symbol.
+_INT_OP_SYMBOL = {
+    "add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^",
+}
+_FLOAT_OP_SYMBOL = {"fadd": "+", "fsub": "-", "fmul": "*"}
+_ICMP_SIGNED = {
+    "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
+}
+_ICMP_UNSIGNED = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
+_FCMP_SYMBOL = {
+    "oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
+}
+
+
+def _raise_undefined(interp, values, *operands: Value) -> None:
+    """Slow path behind an inlined operand read's KeyError: report the
+    first unset operand, in evaluation order, with the reference
+    wording."""
+    for value in operands:
+        if isinstance(value, (Argument, Instruction)) and id(value) not in values:
+            raise InterpError(
+                f"use of undefined value %{value.name} in "
+                f"@{interp.frames[-1].function.name}"
+            ) from None
+        if (
+            isinstance(value, GlobalVariable)
+            and value.name not in interp.process.globals_map
+        ):
+            raise InterpError(f"global @{value.name} was not loaded") from None
+    raise InterpError("undefined value in compiled op") from None
+
+
+#: Module-level names every emitted body may read.
+GLOBALS: Dict[str, object] = {
+    "_raise_undefined": _raise_undefined,
+    "_ifb": int.from_bytes,
+    "_inf": math.inf,
+    "_nan": math.nan,
+    "_ierr": InterpError,
+}
+
+#: Per-interpreter names the emitted bodies read, as attribute paths on
+#: the interpreter.  Move transactions patch ``_gm`` in place, so a bound
+#: reference always sees the current global addresses.
+BINDINGS: Dict[str, str] = {
+    "_ci": "_cost_instruction",
+    "_cm": "_cost_memory",
+    "_cc": "_cost_call",
+    "_gm": "process.globals_map",
+    "_cells": "_guard_cells",
+}
+#: Names only the forms emitted with the addressing mode or the tiering
+#: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores raw
+#: physical-memory access: the backing buffer is allocated once per
+#: kernel and never reassigned, and the out-of-range path delegates to
+#: the real accessor (``_rdb``/``_wrb``) for its exact error.
+KNOWN_FACT_BINDINGS: Dict[str, str] = {
+    "_tb": "_tier_boundary",
+    "_cft": "costs.fast_tier_access",
+    "_cst": "costs.slow_tier_access",
+    "_pm": "memory",
+    "_pmd": "memory._data",
+    "_pms": "memory.size",
+    "_rdb": "memory.read_bytes",
+    "_wrb": "memory.write_bytes",
+    "_rmem": "_read_mem",
+    "_wmem": "_write_mem",
+}
+_GETTERS = {
+    name: attrgetter(path)
+    for name, path in {**BINDINGS, **KNOWN_FACT_BINDINGS}.items()
+}
+
+
+def bind(interp) -> Dict[str, object]:
+    """Every binding name, resolved against ``interp``."""
+    return {name: get(interp) for name, get in _GETTERS.items()}
+
+
+class Writer:
+    """Indented-source accumulator for generated code."""
+
+    __slots__ = ("lines",)
+
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+
+    def line(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def reject(value: Value):
+    """Getter for an operand no engine can evaluate (an aggregate
+    constant): like the reference, it faults only when evaluated, so
+    dead blocks holding one still compile."""
+    rep = repr(value)
+
+    def read(interp, values):
+        raise InterpError(f"cannot evaluate operand {rep}")
+
+    return read
+
+
+def expr(value: Value, ns: Dict[str, object], tag: str) -> str:
+    """Source reading ``value`` inside a template (``interp`` and
+    ``values`` in scope), storing what it needs in ``ns`` under names
+    made unique by ``tag``.  Slot and global reads are raw dict lookups
+    whose KeyError the template routes to :func:`_raise_undefined`."""
+    if isinstance(value, (Argument, Instruction)):
+        ns[f"_k{tag}"] = id(value)
+        return f"values[_k{tag}]"
+    if isinstance(value, GlobalVariable):
+        ns[f"_n{tag}"] = value.name
+        return f"_gm[_n{tag}]"
+    if isinstance(value, (ConstantInt, ConstantFloat)):
+        ns[f"_c{tag}"] = value.value
+        return f"_c{tag}"
+    if isinstance(value, (ConstantNull, UndefValue)):
+        ns[f"_c{tag}"] = 0
+        return f"_c{tag}"
+    ns[f"_g{tag}"] = reject(value)
+    return f"_g{tag}(interp, values)"
+
+
+def undef(w: Writer, ind: int, operands: Sequence[Value], t: int, ns) -> None:
+    """Close an operand-reading ``try:`` with the undefined-value path."""
+    ns[f"_v{t}"] = tuple(operands)
+    w.line(ind, "except KeyError:")
+    w.line(ind + 1, f"_raise_undefined(interp, values, *_v{t})")
+
+
+def gep_plan(inst: GEPInst) -> Tuple[int, List[Tuple[Value, int]], Optional[str]]:
+    """Walk the indexed type once, at compile time: each index contributes
+    either a static offset (constant index) or a dynamic ``(value, stride)``
+    term.  Struct indices are constant by construction.  Returns
+    ``(const_offset, dynamic_terms, bad_type_rep)``; a non-``None`` third
+    element names the non-aggregate type the walk hit, and the caller must
+    then emit the lazy reference fault with that exact wording."""
+    const_offset = 0
+    dynamic: List[Tuple[Value, int]] = []
+    current: Type = inst.source_type
+    for i, index in enumerate(inst.indices):
+        if i == 0:
+            stride = stride_of(current)
+        elif isinstance(current, ArrayType):
+            stride = stride_of(current.element)
+            current = current.element
+        elif isinstance(current, StructType):
+            if not isinstance(index, ConstantInt):
+                raise InterpError("struct gep index must be constant")
+            const_offset += struct_field_offset(current, index.value)
+            current = current.fields[index.value]
+            continue
+        else:
+            return 0, [], str(current)
+        if isinstance(index, ConstantInt):
+            const_offset += index.value * stride
+        else:
+            dynamic.append((index, stride))
+    return const_offset, dynamic, None
+
+
+def is_math_call(inst: Instruction) -> bool:
+    """A call of a pure unary math builtin — the one call form with a
+    template (every other call is frame or runtime work)."""
+    if not isinstance(inst, CallInst):
+        return False
+    callee = inst.callee
+    return (
+        isinstance(callee, Function)
+        and callee.is_declaration
+        and callee.name in _MATH_BUILTINS
+        and len(inst.args) == 1
+        and not inst.type.is_void
+    )
+
+
+class _Op:
+    """One emission: the writer, indent, name tag and facts in effect."""
+
+    __slots__ = ("w", "ind", "t", "ns", "is_carat", "has_tier")
+
+    def __init__(self, w, ind, t, ns, is_carat, has_tier) -> None:
+        self.w = w
+        self.ind = ind
+        self.t = t
+        self.ns = ns
+        self.is_carat = is_carat
+        self.has_tier = has_tier
+
+    def line(self, text: str, depth: int = 0) -> None:
+        self.w.lines.append("    " * (self.ind + depth) + text)
+
+    def read(self, value: Value, suffix: str) -> str:
+        return expr(value, self.ns, f"{self.t}{suffix}")
+
+    def head(self, reads: Sequence[str], operands: Sequence[Value], *pre: str) -> None:
+        """The base charge, then ``reads`` under the undefined-value
+        handler.  Every template opens this way, so the charge is the
+        op's first top-level line and precedes anything that can raise
+        (the trace tier batches it per segment)."""
+        self.line("stats.cycles += _ci")
+        for text in pre:
+            self.line(text)
+        self.line("try:")
+        for text in reads:
+            self.line(text, 1)
+        undef(self.w, self.ind, operands, self.t, self.ns)
+
+    def wrap(self, key: int, ty: IntType) -> None:
+        """Store ``_m`` re-signed to ``ty`` (IntType.wrap, inlined)."""
+        self.line(
+            f"values[{key}] = _m - {ty.max_unsigned + 1}"
+            f" if _m > {ty.max_signed} else _m"
+        )
+
+    def mode(
+        self, carat: Sequence[str], paging: Sequence[str], either: Sequence[str]
+    ) -> None:
+        """The memory access for the addressing mode, or — with the mode
+        unknown — ``either``: a run-time test between the interpreter's
+        own accessors.  Lines carry their relative indent."""
+        if self.is_carat is None:
+            lines = either
+        else:
+            lines = carat if self.is_carat else paging
+        for text in lines:
+            body = text.lstrip(" ")
+            self.line(body, (len(text) - len(body)) // 4)
+
+    def tier(self) -> None:
+        """Tier-cost accounting for the access at ``_a``.  Known tiered:
+        Interpreter._charge_tier inlined (adding a possibly-zero cost
+        unconditionally is value-identical to its ``if extra:`` test).
+        Unknown: a run-time test and the call."""
+        if self.has_tier is None:
+            self.line("if interp._tier_boundary is not None:")
+            self.line("interp._charge_tier(_a)", 1)
+        elif self.has_tier:
+            self.line("if _a < _tb:")
+            self.line("stats.fast_tier_accesses += 1", 1)
+            self.line("stats.cycles += _cft", 1)
+            self.line("stats.tier_cycles += _cft", 1)
+            self.line("else:")
+            self.line("stats.slow_tier_accesses += 1", 1)
+            self.line("stats.cycles += _cst", 1)
+            self.line("stats.tier_cycles += _cst", 1)
+
+
+def _int_binary(e: _Op, inst: BinaryInst) -> bool:
+    op = inst.opcode
+    ty = inst.type
+    key = id(inst)
+    lhs_v, rhs_v = inst.lhs, inst.rhs
+    if isinstance(lhs_v, ConstantInt) and isinstance(rhs_v, ConstantInt):
+        folded = fold_int_binop(op, ty, lhs_v.value, rhs_v.value)
+        if folded is not None:
+            e.line("stats.cycles += _ci")
+            e.line(f"values[{key}] = {folded}")
+            return True
+    mask = ty.max_unsigned
+    symbol = _INT_OP_SYMBOL.get(op)
+    if symbol is not None:
+        lhs, rhs = e.read(lhs_v, "a"), e.read(rhs_v, "b")
+        e.head([f"_m = (int({lhs}) {symbol} int({rhs})) & {mask}"], (lhs_v, rhs_v))
+        e.wrap(key, ty)
+        return True
+    # Division, remainder and shifts.  Signed quotients truncate toward
+    # zero: for operands of opposite sign that is the exact ceiling
+    # division -(-a // b) (a float quotient loses precision past 2**53).
+    division = op in ("sdiv", "srem", "udiv", "urem")
+    b = rhs_v.value if isinstance(rhs_v, ConstantInt) else None
+    if b is not None and (b != 0 if division else 0 <= b < ty.bits):
+        # A constant that can never fault: no check, constant operands.
+        e.head([f"_m = int({e.read(lhs_v, 'a')})"], (lhs_v,))
+        if op in ("sdiv", "srem"):
+            cond = "_m < 0" if b > 0 else "_m >= 0"
+            quot = f"-(-_m // ({b})) if {cond} else _m // ({b})"
+            if op == "sdiv":
+                e.line(f"_m = {quot}")
+            else:
+                e.line(f"_b = {quot}")
+                e.line(f"_m = _m - _b * ({b})")
+        elif division:
+            sym = "//" if op == "udiv" else "%"
+            e.line(f"_m = (_m & {mask}) {sym} {b & mask}")
+        elif op == "shl":
+            e.line(f"_m = _m << {b}")
+        elif op == "lshr":
+            e.line(f"_m = (_m & {mask}) >> {b}")
+        else:
+            e.line(f"_m = _m >> {b}")
+    else:
+        lhs, rhs = e.read(lhs_v, "a"), e.read(rhs_v, "b")
+        e.head([f"_a = int({lhs})", f"_b = int({rhs})"], (lhs_v, rhs_v))
+        e.line("if _b == 0:" if division else f"if not 0 <= _b < {ty.bits}:")
+        e.line(
+            f"raise _ierr(f'integer fault: {op} "
+            "{_a}, {_b} (division by zero or invalid shift)')",
+            1,
+        )
+        if op in ("sdiv", "srem"):
+            quot = "-(-_a // _b) if (_a < 0) != (_b < 0) else _a // _b"
+            if op == "sdiv":
+                e.line(f"_m = {quot}")
+            else:
+                e.line(f"_c = {quot}")
+                e.line("_m = _a - _c * _b")
+        elif division:
+            sym = "//" if op == "udiv" else "%"
+            e.line(f"_m = (_a & {mask}) {sym} (_b & {mask})")
+        elif op == "shl":
+            e.line("_m = _a << _b")
+        elif op == "lshr":
+            e.line(f"_m = (_a & {mask}) >> _b")
+        else:
+            e.line("_m = _a >> _b")
+    e.line(f"_m = _m & {mask}")
+    e.wrap(key, ty)
+    return True
+
+
+def _binary(e: _Op, inst: BinaryInst) -> bool:
+    if isinstance(inst.type, IntType):
+        return _int_binary(e, inst)
+    op = inst.opcode
+    if op == "frem":
+        return False
+    key = id(inst)
+    lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
+    operands = (inst.lhs, inst.rhs)
+    if op != "fdiv":
+        symbol = _FLOAT_OP_SYMBOL[op]
+        e.head([f"values[{key}] = float({lhs}) {symbol} float({rhs})"], operands)
+        return True
+    e.head([f"_a = float({lhs})", f"_b = float({rhs})"], operands)
+    e.line("if _b == 0.0:")
+    e.line(f"values[{key}] = _inf if _a > 0 else (-_inf if _a < 0 else _nan)", 1)
+    e.line("else:")
+    e.line(f"values[{key}] = _a / _b", 1)
+    return True
+
+
+def _icmp(e: _Op, inst: ICmpInst) -> bool:
+    pred = inst.predicate
+    lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
+    symbol = _ICMP_SIGNED.get(pred)
+    if symbol is not None:
+        compare = f"int({lhs}) {symbol} int({rhs})"
+    else:
+        bits = inst.lhs.type.bits if isinstance(inst.lhs.type, IntType) else 64
+        mask = (1 << bits) - 1
+        symbol = _ICMP_UNSIGNED[pred]
+        compare = f"(int({lhs}) & {mask}) {symbol} (int({rhs}) & {mask})"
+    e.head([f"values[{id(inst)}] = 1 if {compare} else 0"], (inst.lhs, inst.rhs))
+    return True
+
+
+def _fcmp(e: _Op, inst: FCmpInst) -> bool:
+    symbol = _FCMP_SYMBOL[inst.predicate]
+    lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
+    e.head([f"_a = float({lhs})", f"_b = float({rhs})"], (inst.lhs, inst.rhs))
+    # Ordered compares are false on NaN; x != x is the call-free isnan.
+    e.line(
+        f"values[{id(inst)}] = 0 if (_a != _a or _b != _b)"
+        f" else (1 if _a {symbol} _b else 0)"
+    )
+    return True
+
+
+def _cast(e: _Op, inst: CastInst) -> bool:
+    op = inst.opcode
+    key = id(inst)
+    value = e.read(inst.value, "v")
+    ty = inst.type
+    if op in ("bitcast", "ptrtoint", "inttoptr", "sext"):
+        body = [f"values[{key}] = int({value})"]
+    elif op == "trunc":
+        body = [
+            f"_m = int({value}) & {ty.max_unsigned}",
+            f"values[{key}] = _m - {ty.max_unsigned + 1}"
+            f" if _m > {ty.max_signed} else _m",
+        ]
+    elif op == "zext":
+        body = [f"values[{key}] = int({value}) & {inst.value.type.max_unsigned}"]
+    elif op == "sitofp":
+        body = [f"values[{key}] = float(int({value}))"]
+    else:
+        # fptosi: nan and inf collapse to 0; anything else truncates and
+        # wraps to the target width.
+        body = [
+            f"_a = float({value})",
+            "_m = 0 if (_a != _a or _a == _inf or _a == -_inf)"
+            f" else int(_a) & {ty.max_unsigned}",
+            f"values[{key}] = _m - {ty.max_unsigned + 1}"
+            f" if _m > {ty.max_signed} else _m",
+        ]
+    e.head(body, (inst.value,))
+    return True
+
+
+def _gep(e: _Op, inst: GEPInst) -> bool:
+    const_offset, dynamic, bad_type = gep_plan(inst)
+    if bad_type is not None:
+        return False
+    operands: List[Value] = [inst.pointer]
+    terms = [f"int({e.read(inst.pointer, 'p')})"]
+    if const_offset:
+        terms.append(str(const_offset))
+    for n, (index, stride) in enumerate(dynamic):
+        operands.append(index)
+        term = f"int({e.read(index, f'i{n}')})"
+        if stride != 1:
+            term += f" * {stride}"
+        terms.append(term)
+    e.head([f"values[{id(inst)}] = {' + '.join(terms)}"], operands)
+    return True
+
+
+def _load(e: _Op, inst: LoadInst) -> bool:
+    ty = inst.type
+    size = size_of(ty)
+    key = id(inst)
+    if isinstance(ty, IntType):
+        decode = [
+            "_m = _ifb(_v, 'little')",
+            f"values[{key}] = _m - {ty.max_unsigned + 1}"
+            f" if _m > {ty.max_signed} else _m",
+        ]
+    elif isinstance(ty, FloatType):
+        e.ns[f"_up{e.t}"] = struct.Struct("<d" if ty.bits == 64 else "<f").unpack
+        decode = [f"values[{key}] = _up{e.t}(_v)[0]"]
+    elif isinstance(ty, PointerType):
+        decode = [f"values[{key}] = _ifb(_v, 'little')"]
+    else:
+        return False
+    e.head([f"_a = int({e.read(inst.pointer, 'p')})"], (inst.pointer,))
+    e.line("stats.cycles += _cm")
+    e.line("stats.loads += 1")
+    e.tier()
+    e.line("if interp.access_probe is not None:")
+    e.line(f"interp.access_probe(_a, {size}, 'read')", 1)
+    # CARAT: read_bytes, unrolled — bounds check (the real accessor
+    # raises the exact error), bandwidth accounting, slice.  An mmap
+    # slice decodes the same as the bytes copy read_bytes returns.
+    e.mode(
+        [
+            f"if _a < 0 or _a + {size} > _pms:",
+            f"    _rdb(_a, {size})",
+            f"_pm.bytes_read += {size}",
+            f"_v = _pmd[_a:_a + {size}]",
+        ],
+        [f"_v = _rmem(_a, {size}, 'read')"],
+        [
+            "if interp.is_carat:",
+            f"    _v = interp.memory.read_bytes(_a, {size})",
+            "else:",
+            f"    _v = interp._read_mem(_a, {size}, 'read')",
+        ],
+    )
+    for text in decode:
+        e.line(text)
+    return True
+
+
+def _store(e: _Op, inst: StoreInst) -> bool:
+    ty = inst.value.type
+    size = size_of(ty)
+    if isinstance(ty, IntType):
+        encode = f"(int(_v) & {ty.max_unsigned}).to_bytes({size}, 'little')"
+    elif isinstance(ty, FloatType):
+        e.ns[f"_pa{e.t}"] = struct.Struct("<d" if ty.bits == 64 else "<f").pack
+        encode = f"_pa{e.t}(float(_v))"
+    elif isinstance(ty, PointerType):
+        encode = f"(int(_v) & {_MASK64}).to_bytes(8, 'little')"
+    else:
+        return False
+    pointer, value = e.read(inst.pointer, "p"), e.read(inst.value, "v")
+    e.head([f"_a = int({pointer})", f"_v = {value}"], (inst.pointer, inst.value))
+    e.line("stats.cycles += _cm")
+    e.line("stats.stores += 1")
+    e.tier()
+    e.line("if interp.access_probe is not None:")
+    e.line(f"interp.access_probe(_a, {size}, 'write')", 1)
+    # CARAT: write_bytes, unrolled like the load's read_bytes; the
+    # encoders always produce exactly ``size`` bytes, so the slice
+    # assignment never resizes.
+    e.mode(
+        [
+            f"_b = {encode}",
+            f"if _a < 0 or _a + {size} > _pms:",
+            "    _wrb(_a, _b)",
+            f"_pm.bytes_written += {size}",
+            f"_pmd[_a:_a + {size}] = _b",
+        ],
+        [f"_wmem(_a, {encode})"],
+        [
+            f"_b = {encode}",
+            "if interp.is_carat:",
+            "    interp.memory.write_bytes(_a, _b)",
+            "else:",
+            "    interp._write_mem(_a, _b)",
+        ],
+    )
+    return True
+
+
+def _call(e: _Op, inst: CallInst) -> bool:
+    if not is_math_call(inst):
+        return False
+    # The builtin's charge order: instruction, calls, evaluate, compute
+    # (a domain error yields nan), then the call cost.
+    t = e.t
+    e.ns[f"_fn{t}"] = _MATH_BUILTINS[inst.callee.name]
+    key = id(inst)
+    e.head([f"_a = float({e.read(inst.args[0], 'a')})"], inst.args, "stats.calls += 1")
+    e.line("try:")
+    e.line(f"values[{key}] = float(_fn{t}(_a))", 1)
+    e.line("except ValueError:")
+    e.line(f"values[{key}] = _nan", 1)
+    e.line("stats.cycles += _cc")
+    return True
+
+
+_EMITTERS = {
+    BinaryInst: _binary,
+    ICmpInst: _icmp,
+    FCmpInst: _fcmp,
+    CastInst: _cast,
+    GEPInst: _gep,
+    LoadInst: _load,
+    StoreInst: _store,
+    CallInst: _call,
+}
+
+
+def emit_value_op(
+    w: Writer,
+    ind: int,
+    inst: Instruction,
+    t: int,
+    ns: Dict[str, object],
+    is_carat: Optional[bool] = None,
+    has_tier: Optional[bool] = None,
+) -> bool:
+    """Write ``inst``'s body into ``w`` at indent ``ind`` and return True;
+    or write nothing and return False for a form with no template (frem,
+    a non-scalar load or store, a GEP through a non-aggregate, and every
+    instruction that is not a value op).  ``t`` makes the body's ``ns``
+    names unique; ``is_carat``/``has_tier`` are the facts above."""
+    emitter = _EMITTERS.get(type(inst))
+    if emitter is None:
+        return False
+    return emitter(_Op(w, ind, t, ns, is_carat, has_tier), inst)

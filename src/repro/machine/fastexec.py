@@ -11,11 +11,14 @@ changing a single observable number:
   compile time — constants are captured, SSA values become direct
   ``frame.values`` slot reads, branch edges carry their phi parallel-copy
   pre-staged, and the opcode is dispatched by *which closure was built*,
-  not by isinstance at run time.  The hottest instruction forms (integer
-  and float arithmetic, compares, GEPs, loads/stores, guards) are
-  specialized through small source templates compiled with ``exec`` so
-  the operand reads, wrap arithmetic, and NaN checks are inline in the
-  op itself rather than behind further calls;
+  not by isinstance at run time.  Every value form (arithmetic,
+  compares, casts, GEPs, loads/stores, unary math builtins) is the one
+  source template of :mod:`repro.machine.codegen` — the lines the trace
+  tier inlines — wrapped in a ``def`` behind a prologue that binds the
+  names the body reads, so operand reads, wrap arithmetic and NaN checks
+  are inline in the op itself (one ``compile`` per block); guards are
+  generated the same way, while control flow, calls and the rare fault
+  forms stay ordinary closures;
 * the compiled form is cached on the module (``Module.metadata``) and
   shared by every subsequent run of the same binary;
 * every ``carat.guard.*`` call site gets a numbered
@@ -37,7 +40,6 @@ mechanism's cost/predictor state machine on a hit.
 from __future__ import annotations
 
 import math
-import struct
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.carat.intrinsics import (
@@ -55,10 +57,7 @@ from repro.ir.instructions import (
     BinaryInst,
     BranchInst,
     CallInst,
-    CastInst,
-    FCmpInst,
     GEPInst,
-    ICmpInst,
     Instruction,
     LoadInst,
     PhiInst,
@@ -68,17 +67,7 @@ from repro.ir.instructions import (
     UnreachableInst,
 )
 from repro.ir.module import BasicBlock, Function, GlobalVariable, Module
-from repro.ir.types import (
-    ArrayType,
-    FloatType,
-    IntType,
-    PointerType,
-    StructType,
-    Type,
-    size_of,
-    stride_of,
-    struct_field_offset,
-)
+from repro.ir.types import stride_of
 from repro.ir.values import (
     Argument,
     ConstantFloat,
@@ -89,16 +78,24 @@ from repro.ir.values import (
 )
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
+from repro.machine.codegen import (
+    BINDINGS,
+    GLOBALS,
+    Writer,
+    _raise_undefined,
+    emit_value_op,
+    expr,
+    gep_plan,
+    reject,
+    undef,
+)
 from repro.machine.interp import ExitProgram, Interpreter, _Frame
 from repro.runtime.runtime import GuardSiteCell
-from repro.transform.simplify import fold_icmp, fold_int_binop
 
 #: A compiled operand: ``getter(interp, frame.values) -> value``.
 Getter = Callable[["FastInterpreter", Dict[int, Union[int, float]]], Union[int, float]]
 #: A compiled instruction: ``op(interp, frame) -> None``.
 Op = Callable[["FastInterpreter", "_FastFrame"], None]
-
-_MASK64 = (1 << 64) - 1
 
 
 class _FastFrame(_Frame):
@@ -152,17 +149,8 @@ def _operand(value: Value) -> Getter:
         return read_global
 
     # Aggregate constants and other oddities: the reference interpreter
-    # faults when (and only when) such an operand is *evaluated* — keep
-    # that, so dead blocks containing them still compile.
-    rep = repr(value)
-
-    def reject(interp, values, _rep=rep):
-        raise InterpError(f"cannot evaluate operand {_rep}")
-
-    return reject
-
-
-_NOT_CONST = object()
+    # faults when (and only when) such an operand is *evaluated*.
+    return reject(value)
 
 
 def _slot_key(value: Value) -> Optional[int]:
@@ -170,62 +158,56 @@ def _slot_key(value: Value) -> Optional[int]:
     return id(value) if isinstance(value, (Argument, Instruction)) else None
 
 
-def _const_of(value: Value):
-    """Compile-time value of a constant operand, else ``_NOT_CONST``."""
-    if isinstance(value, (ConstantInt, ConstantFloat)):
-        return value.value
-    if isinstance(value, (ConstantNull, UndefValue)):
-        return 0
-    return _NOT_CONST
-
-
-def _raise_undefined(interp: "FastInterpreter", values, *operands: Value) -> None:
-    """Slow path behind an inlined slot read's KeyError: report the first
-    unset SSA operand, in evaluation order, with the reference wording."""
-    for value in operands:
-        if isinstance(value, (Argument, Instruction)) and id(value) not in values:
-            raise InterpError(
-                f"use of undefined value %{value.name} in "
-                f"@{interp.frames[-1].function.name}"
-            ) from None
-    raise InterpError("undefined value in compiled op") from None
-
-
 # ----------------------------------------------------------------------
-# Source-template specialization
+# Source-template ops
 # ----------------------------------------------------------------------
 
-_GEN_GLOBALS: Dict[str, object] = {"_raise_undefined": _raise_undefined}
+#: Prologue line for each name a block-tier body may read (the facts a
+#: known-fact binding serves are never known here).
+_PROLOGUE = {
+    "stats": "    stats = interp.stats\n",
+    "values": "    values = frame.values\n",
+}
+_PROLOGUE.update(
+    (name, f"    {name} = interp.{path}\n") for name, path in BINDINGS.items()
+)
 
 
-def _gen(source: str, ns: Dict[str, object]) -> Op:
-    """Compile one generated op.  ``ns`` holds the captured constants and
-    slot keys the source refers to."""
-    scope = dict(_GEN_GLOBALS)
-    scope.update(ns)
-    exec(compile(source, "<fastexec>", "exec"), scope)
-    return scope["op"]
+class _OpSource:
+    """One block's generated ops, compiled by one ``compile`` call.  Each
+    op is ``def _op<n>(interp, frame):`` plus a prologue binding the names
+    its body mentions; ``n`` also keeps the bodies' constants apart in the
+    shared scope."""
 
+    def __init__(self) -> None:
+        self.lines: List[str] = []
+        self.scope: Dict[str, object] = dict(GLOBALS)
+        self.count = 0
 
-def _expr(value: Value, ns: Dict[str, object], tag: str) -> str:
-    """An expression evaluating ``value`` inside a generated op (with
-    ``interp`` and ``values`` in scope).  Slot reads are raw dict lookups;
-    the template's KeyError handler reproduces the reference
-    undefined-value error.  Getter-backed operands (globals, aggregate
-    rejects) handle their own errors and never raise KeyError."""
-    key = _slot_key(value)
-    if key is not None:
-        name = f"_k{tag}"
-        ns[name] = key
-        return f"values[{name}]"
-    const = _const_of(value)
-    if const is not _NOT_CONST:
-        name = f"_c{tag}"
-        ns[name] = const
+    def add(self, w: Writer, ns: Dict[str, object]) -> str:
+        """Queue body lines written at indent 1; returns the op's name."""
+        name = f"_op{self.count}"
+        self.count += 1
+        body = w.source()
+        self.lines.append(f"def {name}(interp, frame):\n")
+        self.lines += [line for var, line in _PROLOGUE.items() if var in body]
+        self.lines.append(body)
+        self.scope.update(ns)
         return name
-    name = f"_g{tag}"
-    ns[name] = _operand(value)
-    return f"{name}(interp, values)"
+
+    def template(self, inst: Instruction) -> Optional[str]:
+        """Queue ``inst``'s shared template, or return ``None`` when its
+        form has none.  Module-shared code knows neither the addressing
+        mode nor the tiering, so both stay run-time tests."""
+        w = Writer()
+        ns: Dict[str, object] = {}
+        if not emit_value_op(w, 1, inst, self.count, ns):
+            return None
+        return self.add(w, ns)
+
+    def compile(self) -> Dict[str, object]:
+        exec(compile("".join(self.lines), "<fastexec>", "exec"), self.scope)
+        return self.scope
 
 
 # ----------------------------------------------------------------------
@@ -315,121 +297,12 @@ def _edge_enter(edge: _Edge) -> Callable[["FastInterpreter", _FastFrame], None]:
 # Per-instruction compilation
 # ----------------------------------------------------------------------
 
-#: Simple (never-faulting) integer ops, by infix symbol for the template.
-_INT_OP_SYMBOL = {
-    "add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|", "xor": "^",
-}
-_ICMP_SIGNED = {
-    "eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">=",
-}
-_ICMP_UNSIGNED = {"ult": "<", "ule": "<=", "ugt": ">", "uge": ">="}
-_FCMP_SYMBOL = {
-    "oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">=",
-}
-
-
-def _compile_binary(inst: BinaryInst) -> Op:
-    key = id(inst)
-    ty = inst.type
-    op = inst.opcode
-    if isinstance(ty, IntType):
-        # Constant-fold fully-constant int ops at compile time (same fold
-        # the reference runs per tick; only when it succeeds — a folding
-        # failure must still fault at run time, in order).
-        if isinstance(inst.lhs, ConstantInt) and isinstance(inst.rhs, ConstantInt):
-            folded = fold_int_binop(op, ty, inst.lhs.value, inst.rhs.value)
-            if folded is not None:
-
-                def const_op(interp, frame, _key=key, _folded=folded):
-                    interp.stats.cycles += interp._cost_instruction
-                    frame.values[_key] = _folded
-
-                return const_op
-        symbol = _INT_OP_SYMBOL.get(op)
-        if symbol is not None:
-            # wrap() inlined: mask to the width, re-sign if the top bit
-            # is set — bit-identical to IntType.wrap.
-            ns = {
-                "_key": key,
-                "_max_u": ty.max_unsigned,
-                "_max_s": ty.max_signed,
-                "_span": ty.max_unsigned + 1,
-                "_lhs_v": inst.lhs,
-                "_rhs_v": inst.rhs,
-            }
-            lhs = _expr(inst.lhs, ns, "l")
-            rhs = _expr(inst.rhs, ns, "r")
-            return _gen(
-                "def op(interp, frame):\n"
-                "    interp.stats.cycles += interp._cost_instruction\n"
-                "    values = frame.values\n"
-                "    try:\n"
-                f"        m = (int({lhs}) {symbol} int({rhs})) & _max_u\n"
-                "    except KeyError:\n"
-                "        _raise_undefined(interp, values, _lhs_v, _rhs_v)\n"
-                "    values[_key] = m - _span if m > _max_s else m\n",
-                ns,
-            )
-        # Division/remainder/shift family: keep the shared fold so the
-        # fault conditions stay byte-for-byte identical.
-        get_l = _operand(inst.lhs)
-        get_r = _operand(inst.rhs)
-
-        def int_op(interp, frame):
-            interp.stats.cycles += interp._cost_instruction
-            values = frame.values
-            lhs_val = get_l(interp, values)
-            rhs_val = get_r(interp, values)
-            result = fold_int_binop(op, ty, int(lhs_val), int(rhs_val))
-            if result is None:
-                raise InterpError(
-                    f"integer fault: {op} {lhs_val}, {rhs_val} "
-                    f"(division by zero or invalid shift)"
-                )
-            values[key] = result
-
-        return int_op
-    if op in ("fadd", "fsub", "fmul"):
-        symbol = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-        ns = {"_key": key, "_lhs_v": inst.lhs, "_rhs_v": inst.rhs}
-        lhs = _expr(inst.lhs, ns, "l")
-        rhs = _expr(inst.rhs, ns, "r")
-        return _gen(
-            "def op(interp, frame):\n"
-            "    interp.stats.cycles += interp._cost_instruction\n"
-            "    values = frame.values\n"
-            "    try:\n"
-            f"        values[_key] = float({lhs}) {symbol} float({rhs})\n"
-            "    except KeyError:\n"
-            "        _raise_undefined(interp, values, _lhs_v, _rhs_v)\n",
-            ns,
-        )
-    if op == "fdiv":
-        ns = {
-            "_key": key,
-            "_lhs_v": inst.lhs,
-            "_rhs_v": inst.rhs,
-            "_inf": math.inf,
-            "_nan": math.nan,
-        }
-        lhs = _expr(inst.lhs, ns, "l")
-        rhs = _expr(inst.rhs, ns, "r")
-        return _gen(
-            "def op(interp, frame):\n"
-            "    interp.stats.cycles += interp._cost_instruction\n"
-            "    values = frame.values\n"
-            "    try:\n"
-            f"        a = float({lhs})\n"
-            f"        b = float({rhs})\n"
-            "    except KeyError:\n"
-            "        _raise_undefined(interp, values, _lhs_v, _rhs_v)\n"
-            "    if b == 0.0:\n"
-            "        values[_key] = _inf if a > 0 else (-_inf if a < 0 else _nan)\n"
-            "    else:\n"
-            "        values[_key] = a / b\n",
-            ns,
-        )
-    if op == "frem":
+def _fallback_op(inst: Instruction) -> Op:
+    """The op for a value form with no template: frem, a GEP through a
+    non-aggregate, or a load/store of a non-scalar type.  Rare enough to
+    stay closures; the trace tier calls them as they are."""
+    if isinstance(inst, BinaryInst):  # frem
+        key = id(inst)
         get_l = _operand(inst.lhs)
         get_r = _operand(inst.rhs)
 
@@ -441,322 +314,37 @@ def _compile_binary(inst: BinaryInst) -> Op:
             values[key] = math.fmod(lhs_val, rhs_val) if rhs_val != 0 else math.nan
 
         return frem_op
-    get_l = _operand(inst.lhs)
-    get_r = _operand(inst.rhs)
-
-    def bad_float_op(interp, frame, _op=op):
-        interp.stats.cycles += interp._cost_instruction
-        get_l(interp, frame.values)
-        get_r(interp, frame.values)
-        raise InterpError(f"unknown float op {_op!r}")
-
-    return bad_float_op
-
-
-def _compile_icmp(inst: ICmpInst) -> Op:
-    key = id(inst)
-    pred = inst.predicate
-    bits = inst.lhs.type.bits if isinstance(inst.lhs.type, IntType) else 64
-    ns = {"_key": key, "_lhs_v": inst.lhs, "_rhs_v": inst.rhs}
-    lhs = _expr(inst.lhs, ns, "l")
-    rhs = _expr(inst.rhs, ns, "r")
-    symbol = _ICMP_SIGNED.get(pred)
-    if symbol is not None:
-        compare = f"int({lhs}) {symbol} int({rhs})"
-    else:
-        symbol = _ICMP_UNSIGNED.get(pred)
-        if symbol is None:
-            get_l = _operand(inst.lhs)
-            get_r = _operand(inst.rhs)
-
-            def generic_icmp_op(interp, frame):
-                interp.stats.cycles += interp._cost_instruction
-                values = frame.values
-                values[key] = int(
-                    fold_icmp(
-                        pred,
-                        int(get_l(interp, values)),
-                        int(get_r(interp, values)),
-                        bits,
-                    )
-                )
-
-            return generic_icmp_op
-        ns["_mask"] = (1 << bits) - 1
-        compare = f"(int({lhs}) & _mask) {symbol} (int({rhs}) & _mask)"
-    return _gen(
-        "def op(interp, frame):\n"
-        "    interp.stats.cycles += interp._cost_instruction\n"
-        "    values = frame.values\n"
-        "    try:\n"
-        f"        values[_key] = 1 if {compare} else 0\n"
-        "    except KeyError:\n"
-        "        _raise_undefined(interp, values, _lhs_v, _rhs_v)\n",
-        ns,
-    )
-
-
-def _compile_fcmp(inst: FCmpInst) -> Op:
-    key = id(inst)
-    symbol = _FCMP_SYMBOL[inst.predicate]
-    ns = {"_key": key, "_lhs_v": inst.lhs, "_rhs_v": inst.rhs}
-    lhs = _expr(inst.lhs, ns, "l")
-    rhs = _expr(inst.rhs, ns, "r")
-    # NaN check inline: x != x is the call-free isnan.
-    return _gen(
-        "def op(interp, frame):\n"
-        "    interp.stats.cycles += interp._cost_instruction\n"
-        "    values = frame.values\n"
-        "    try:\n"
-        f"        a = float({lhs})\n"
-        f"        b = float({rhs})\n"
-        "    except KeyError:\n"
-        "        _raise_undefined(interp, values, _lhs_v, _rhs_v)\n"
-        "    values[_key] = 0 if (a != a or b != b) else "
-        f"(1 if a {symbol} b else 0)\n",
-        ns,
-    )
-
-
-def _compile_cast(inst: CastInst) -> Op:
-    key = id(inst)
-    op = inst.opcode
-    ns = {"_key": key, "_val_v": inst.value}
-    value = _expr(inst.value, ns, "v")
-    if op in ("bitcast", "ptrtoint", "inttoptr", "sext"):
-        body = f"        values[_key] = int({value})\n"
-    elif op == "trunc":
-        ns["_max_u"] = inst.type.max_unsigned
-        ns["_max_s"] = inst.type.max_signed
-        ns["_span"] = inst.type.max_unsigned + 1
-        body = (
-            f"        m = int({value}) & _max_u\n"
-            "        values[_key] = m - _span if m > _max_s else m\n"
-        )
-    elif op == "zext":
-        ns["_max_u"] = inst.value.type.max_unsigned
-        body = f"        values[_key] = int({value}) & _max_u\n"
-    elif op == "sitofp":
-        body = f"        values[_key] = float(int({value}))\n"
-    elif op == "fptosi":
-        wrap = inst.type.wrap
-        get_v = _operand(inst.value)
-
-        def fptosi_op(interp, frame):
-            interp.stats.cycles += interp._cost_instruction
-            values = frame.values
-            f = float(get_v(interp, values))
-            values[key] = 0 if (math.isnan(f) or math.isinf(f)) else wrap(int(f))
-
-        return fptosi_op
-    else:
-        get_v = _operand(inst.value)
-
-        def bad_cast_op(interp, frame, _op=op):
-            interp.stats.cycles += interp._cost_instruction
-            get_v(interp, frame.values)
-            raise InterpError(f"unknown cast {_op!r}")
-
-        return bad_cast_op
-    return _gen(
-        "def op(interp, frame):\n"
-        "    interp.stats.cycles += interp._cost_instruction\n"
-        "    values = frame.values\n"
-        "    try:\n"
-        f"{body}"
-        "    except KeyError:\n"
-        "        _raise_undefined(interp, values, _val_v)\n",
-        ns,
-    )
-
-
-def _gep_plan(
-    inst: GEPInst,
-) -> Tuple[int, List[Tuple[Value, int]], Optional[str]]:
-    """Walk the indexed type once, at compile time: each index contributes
-    either a static offset (constant index) or a dynamic ``(value, stride)``
-    term.  Struct indices are constant by construction.  Returns
-    ``(const_offset, dynamic_terms, bad_type_rep)``; a non-``None`` third
-    element names the non-aggregate type the walk hit, and the caller must
-    then emit the lazy reference fault with that exact wording.  Shared
-    with the trace tier, which inlines the same address expression into
-    superblock bodies."""
-    const_offset = 0
-    dynamic: List[Tuple[Value, int]] = []
-    current: Type = inst.source_type
-    for i, index in enumerate(inst.indices):
-        if i == 0:
-            stride = stride_of(current)
-        elif isinstance(current, ArrayType):
-            stride = stride_of(current.element)
-            current = current.element
-        elif isinstance(current, StructType):
-            if not isinstance(index, ConstantInt):
-                raise InterpError("struct gep index must be constant")
-            const_offset += struct_field_offset(current, index.value)
-            current = current.fields[index.value]
-            continue
-        else:
-            return 0, [], str(current)
-        if isinstance(index, ConstantInt):
-            const_offset += index.value * stride
-        else:
-            dynamic.append((index, stride))
-    return const_offset, dynamic, None
-
-
-def _compile_gep(inst: GEPInst) -> Op:
-    key = id(inst)
-    const_offset, dynamic, bad_type = _gep_plan(inst)
-    if bad_type is not None:
+    if isinstance(inst, GEPInst):
         # Mirror the reference fault lazily: the bad index is only an
         # error if the instruction actually executes.
+        rep = gep_plan(inst)[2]
 
-        def bad_gep_op(interp, frame, _rep=bad_type):
+        def bad_gep_op(interp, frame):
             interp.stats.cycles += interp._cost_instruction
-            raise InterpError(f"gep into non-aggregate {_rep}")
+            raise InterpError(f"gep into non-aggregate {rep}")
 
         return bad_gep_op
+    is_store = isinstance(inst, StoreInst)
+    get_ptr = _operand(inst.pointer)
+    get_val = _operand(inst.value) if is_store else None
+    kind = "store" if is_store else "load"
+    rep = str(inst.value.type if is_store else inst.type)
 
-    ns: Dict[str, object] = {"_key": key}
-    operands: List[Value] = [inst.pointer]
-    terms = [f"int({_expr(inst.pointer, ns, 'p')})"]
-    if const_offset:
-        ns["_off"] = const_offset
-        terms.append("_off")
-    for n, (index, stride) in enumerate(dynamic):
-        operands.append(index)
-        term = f"int({_expr(index, ns, f'i{n}')})"
-        if stride != 1:
-            ns[f"_s{n}"] = stride
-            term += f" * _s{n}"
-        terms.append(term)
-    ns["_operands"] = tuple(operands)
-    return _gen(
-        "def op(interp, frame):\n"
-        "    interp.stats.cycles += interp._cost_instruction\n"
-        "    values = frame.values\n"
-        "    try:\n"
-        f"        values[_key] = {' + '.join(terms)}\n"
-        "    except KeyError:\n"
-        "        _raise_undefined(interp, values, *_operands)\n",
-        ns,
-    )
-
-
-def _compile_load(inst: LoadInst) -> Op:
-    key = id(inst)
-    ty = inst.type
-    size = size_of(ty)
-    ns: Dict[str, object] = {"_key": key, "_size": size, "_ptr_v": inst.pointer}
-    pointer = _expr(inst.pointer, ns, "p")
-    if isinstance(ty, IntType):
-        ns["_max_s"] = ty.max_signed
-        ns["_span"] = ty.max_unsigned + 1
-        decode = (
-            "    m = int.from_bytes(raw, 'little')\n"
-            "    values[_key] = m - _span if m > _max_s else m\n"
-        )
-    elif isinstance(ty, FloatType):
-        ns["_unpack"] = struct.Struct("<d" if ty.bits == 64 else "<f").unpack
-        decode = "    values[_key] = _unpack(raw)[0]\n"
-    elif isinstance(ty, PointerType):
-        decode = "    values[_key] = int.from_bytes(raw, 'little')\n"
-    else:
-        get_ptr = _operand(inst.pointer)
-        rep = str(ty)
-
-        def bad_load_op(interp, frame, _rep=rep):
-            stats = interp.stats
-            stats.cycles += interp._cost_instruction
-            int(get_ptr(interp, frame.values))
-            stats.cycles += interp._cost_memory
-            stats.loads += 1
-            raise InterpError(f"cannot load a value of type {_rep}")
-
-        return bad_load_op
-    return _gen(
-        "def op(interp, frame):\n"
-        "    stats = interp.stats\n"
-        "    stats.cycles += interp._cost_instruction\n"
-        "    values = frame.values\n"
-        "    try:\n"
-        f"        address = int({pointer})\n"
-        "    except KeyError:\n"
-        "        _raise_undefined(interp, values, _ptr_v)\n"
-        "    stats.cycles += interp._cost_memory\n"
-        "    stats.loads += 1\n"
-        "    if interp._tier_boundary is not None:\n"
-        "        interp._charge_tier(address)\n"
-        "    if interp.access_probe is not None:\n"
-        "        interp.access_probe(address, _size, 'read')\n"
-        "    if interp.is_carat:\n"
-        "        raw = interp.memory.read_bytes(address, _size)\n"
-        "    else:\n"
-        "        raw = interp._read_mem(address, _size, 'read')\n"
-        f"{decode}",
-        ns,
-    )
-
-
-def _compile_store(inst: StoreInst) -> Op:
-    ty = inst.value.type
-    size = size_of(ty)
-    ns: Dict[str, object] = {
-        "_size": size,
-        "_ptr_v": inst.pointer,
-        "_val_v": inst.value,
-    }
-    pointer = _expr(inst.pointer, ns, "p")
-    value = _expr(inst.value, ns, "v")
-    if isinstance(ty, IntType):
-        ns["_max_u"] = ty.max_unsigned
-        encode = f"(int(value) & _max_u).to_bytes(_size, 'little')"
-    elif isinstance(ty, FloatType):
-        ns["_pack"] = struct.Struct("<d" if ty.bits == 64 else "<f").pack
-        encode = "_pack(float(value))"
-    elif isinstance(ty, PointerType):
-        ns["_mask64"] = _MASK64
-        encode = "(int(value) & _mask64).to_bytes(8, 'little')"
-    else:
-        get_ptr = _operand(inst.pointer)
-        get_val = _operand(inst.value)
-        rep = str(ty)
-
-        def bad_store_op(interp, frame, _rep=rep):
-            stats = interp.stats
-            stats.cycles += interp._cost_instruction
-            values = frame.values
-            int(get_ptr(interp, values))
+    def bad_memory_op(interp, frame):
+        stats = interp.stats
+        stats.cycles += interp._cost_instruction
+        values = frame.values
+        int(get_ptr(interp, values))
+        if is_store:
             get_val(interp, values)
             stats.cycles += interp._cost_memory
             stats.stores += 1
-            raise InterpError(f"cannot store a value of type {_rep}")
+        else:
+            stats.cycles += interp._cost_memory
+            stats.loads += 1
+        raise InterpError(f"cannot {kind} a value of type {rep}")
 
-        return bad_store_op
-    return _gen(
-        "def op(interp, frame):\n"
-        "    stats = interp.stats\n"
-        "    stats.cycles += interp._cost_instruction\n"
-        "    values = frame.values\n"
-        "    try:\n"
-        f"        address = int({pointer})\n"
-        f"        value = {value}\n"
-        "    except KeyError:\n"
-        "        _raise_undefined(interp, values, _ptr_v, _val_v)\n"
-        "    stats.cycles += interp._cost_memory\n"
-        "    stats.stores += 1\n"
-        "    if interp._tier_boundary is not None:\n"
-        "        interp._charge_tier(address)\n"
-        "    if interp.access_probe is not None:\n"
-        "        interp.access_probe(address, _size, 'write')\n"
-        f"    raw = {encode}\n"
-        "    if interp.is_carat:\n"
-        "        interp.memory.write_bytes(address, raw)\n"
-        "    else:\n"
-        "        interp._write_mem(address, raw)\n",
-        ns,
-    )
+    return bad_memory_op
 
 
 def _compile_select(inst: SelectInst) -> Op:
@@ -946,95 +534,48 @@ def _compile_unreachable(inst: UnreachableInst) -> Op:
 # ----------------------------------------------------------------------
 
 
+def _compile_guard(inst: CallInst, name: str, site: int, source: _OpSource) -> str:
+    """A ``carat.guard.*`` site: the generic runtime check through the
+    site's region-cache cell (the trace tier specializes its own)."""
+    args = inst.args
+    ns: Dict[str, object] = {}
+    t = source.count
+    reads = [f"_s = int({expr(args[0 if name == GUARD_CALL else 1], ns, f'{t}s')})"]
+    if name == GUARD_CALL:
+        check = "guard_call(interp.sp, _s"
+    else:
+        reads.insert(0, f"_a = int({expr(args[0], ns, f'{t}a')})")
+        if name != GUARD_RANGE:
+            access = "'read'" if name == GUARD_LOAD else "'write'"
+            check = f"guard_access(_a, _s, {access}"
+        elif len(args) > 2:
+            flag = expr(args[2], ns, f"{t}f")
+            reads.append(f"_c = 'write' if int({flag}) else 'read'")
+            check = "guard_range(_a, _s, _c"
+        else:
+            check = "guard_range(_a, _s, 'read'"
+    w = Writer()
+    w.line(1, "stats.cycles += _ci")
+    w.line(1, "runtime = interp.process.runtime")
+    w.line(1, "if runtime is None:")
+    w.line(2, "return")
+    w.line(1, "try:")
+    for text in reads:
+        w.line(2, text)
+    undef(w, 1, args[: len(reads)], t, ns)
+    w.line(1, f"_gc = runtime.{check}, _cells[{site}])")
+    w.line(1, "stats.guard_cycles += _gc")
+    w.line(1, "stats.cycles += _gc")
+    return source.add(w, ns)
+
+
 def _compile_intrinsic(inst: CallInst, name: str, code: "ModuleCode") -> Op:
     """CARAT intrinsics: no ``calls`` counter, no call cost — only the
     guard/tracking cycles the runtime reports (matches ``_exec_intrinsic``).
     Guard sites get a numbered memoization cell for the region cache."""
     args = inst.args
-    if name in (GUARD_LOAD, GUARD_STORE):
-        site = code.new_guard_site(inst)
-        ns: Dict[str, object] = {
-            "_site": site,
-            "_access": "read" if name == GUARD_LOAD else "write",
-            "_addr_v": args[0],
-            "_size_v": args[1],
-        }
-        addr = _expr(args[0], ns, "a")
-        size = _expr(args[1], ns, "s")
-        return _gen(
-            "def op(interp, frame):\n"
-            "    stats = interp.stats\n"
-            "    stats.cycles += interp._cost_instruction\n"
-            "    runtime = interp.process.runtime\n"
-            "    if runtime is None:\n"
-            "        return\n"
-            "    values = frame.values\n"
-            "    try:\n"
-            f"        address = int({addr})\n"
-            f"        size = int({size})\n"
-            "    except KeyError:\n"
-            "        _raise_undefined(interp, values, _addr_v, _size_v)\n"
-            "    cycles = runtime.guard_access(\n"
-            "        address, size, _access, interp._guard_cells[_site])\n"
-            "    stats.guard_cycles += cycles\n"
-            "    stats.cycles += cycles\n",
-            ns,
-        )
-    if name == GUARD_CALL:
-        site = code.new_guard_site(inst)
-        ns = {"_site": site, "_size_v": args[0]}
-        size = _expr(args[0], ns, "s")
-        return _gen(
-            "def op(interp, frame):\n"
-            "    stats = interp.stats\n"
-            "    stats.cycles += interp._cost_instruction\n"
-            "    runtime = interp.process.runtime\n"
-            "    if runtime is None:\n"
-            "        return\n"
-            "    values = frame.values\n"
-            "    try:\n"
-            f"        size = int({size})\n"
-            "    except KeyError:\n"
-            "        _raise_undefined(interp, values, _size_v)\n"
-            "    cycles = runtime.guard_call(\n"
-            "        interp.sp, size, interp._guard_cells[_site])\n"
-            "    stats.guard_cycles += cycles\n"
-            "    stats.cycles += cycles\n",
-            ns,
-        )
-    if name == GUARD_RANGE:
-        site = code.new_guard_site(inst)
-        ns = {"_site": site, "_addr_v": args[0], "_len_v": args[1]}
-        addr = _expr(args[0], ns, "a")
-        length = _expr(args[1], ns, "n")
-        if len(args) > 2:
-            ns["_flag_v"] = args[2]
-            flag = _expr(args[2], ns, "f")
-            access = f"('write' if int({flag}) else 'read')"
-            undef = "_raise_undefined(interp, values, _addr_v, _len_v, _flag_v)"
-        else:
-            access = "'read'"
-            undef = "_raise_undefined(interp, values, _addr_v, _len_v)"
-        return _gen(
-            "def op(interp, frame):\n"
-            "    stats = interp.stats\n"
-            "    stats.cycles += interp._cost_instruction\n"
-            "    runtime = interp.process.runtime\n"
-            "    if runtime is None:\n"
-            "        return\n"
-            "    values = frame.values\n"
-            "    try:\n"
-            f"        address = int({addr})\n"
-            f"        length = int({length})\n"
-            f"        access = {access}\n"
-            "    except KeyError:\n"
-            f"        {undef}\n"
-            "    cycles = runtime.guard_range(\n"
-            "        address, length, access, interp._guard_cells[_site])\n"
-            "    stats.guard_cycles += cycles\n"
-            "    stats.cycles += cycles\n",
-            ns,
-        )
+    if name in (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE):
+        return _compile_guard(inst, name, code.new_guard_site(inst), code._source)
     if name in (TRACK_ALLOC, TRACK_FREE, TRACK_ESCAPE):
         getters = tuple(_operand(a) for a in args)
         if name == TRACK_ALLOC:
@@ -1177,11 +718,18 @@ class ModuleCode:
                 continue
             self.compiled_functions += 1
             for block in function.blocks:
-                self.ops_by_block[id(block)] = [
+                self._source = _OpSource()
+                ops = [
                     (self._compile(inst), inst.is_terminator)
                     for inst in block.instructions
                 ]
+                scope = self._source.compile()
+                self.ops_by_block[id(block)] = [
+                    (scope[op] if isinstance(op, str) else op, is_terminator)
+                    for op, is_terminator in ops
+                ]
                 self.compiled_blocks += 1
+        self._source = None
 
     def new_guard_site(self, inst: Instruction) -> int:
         site = self.guard_sites
@@ -1189,21 +737,12 @@ class ModuleCode:
         self.guard_site_of[id(inst)] = site
         return site
 
-    def _compile(self, inst: Instruction) -> Op:
-        if isinstance(inst, BinaryInst):
-            return _compile_binary(inst)
-        if isinstance(inst, LoadInst):
-            return _compile_load(inst)
-        if isinstance(inst, StoreInst):
-            return _compile_store(inst)
-        if isinstance(inst, GEPInst):
-            return _compile_gep(inst)
-        if isinstance(inst, ICmpInst):
-            return _compile_icmp(inst)
-        if isinstance(inst, FCmpInst):
-            return _compile_fcmp(inst)
-        if isinstance(inst, CastInst):
-            return _compile_cast(inst)
+    def _compile(self, inst: Instruction) -> Union[Op, str]:
+        op = self._source.template(inst)
+        if op is not None:
+            return op
+        if isinstance(inst, (BinaryInst, GEPInst, LoadInst, StoreInst)):
+            return _fallback_op(inst)
         if isinstance(inst, SelectInst):
             return _compile_select(inst)
         if isinstance(inst, AllocaInst):

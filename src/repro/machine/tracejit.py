@@ -18,9 +18,10 @@ changing a single observable number:
   whose body calls helpers compiles into one closure instead of
   bouncing through the dispatch loop at every call boundary;
 * the superblock is compiled into a **single Python closure**: every
-  instruction body is inlined into one generated source (the same
-  templates fastexec specializes per instruction, but without the per-op
-  dispatch around them), interior branch edges collapse their phi
+  instruction body is inlined into one generated source (the one
+  per-instruction template of :mod:`repro.machine.codegen` that the
+  block tier wraps per op, emitted with the trace's known addressing
+  mode and tiering), interior branch edges collapse their phi
   parallel-copies into direct slot assignments, and ``steps`` /
   ``instructions`` — plus the uniform per-op base cycle charge — are
   batched per block segment, with a fault reconciler that restores the
@@ -76,8 +77,6 @@ per-process generations and isolation for free.
 
 from __future__ import annotations
 
-import math
-import struct
 from typing import Dict, List, Optional, Tuple
 
 from repro.carat.guard_opt import guard_covered, guard_tag
@@ -90,59 +89,39 @@ from repro.carat.intrinsics import (
 from repro.errors import InterpError
 from repro.ir.instructions import (
     AllocaInst,
-    BinaryInst,
     BranchInst,
     CallInst,
-    CastInst,
-    FCmpInst,
-    GEPInst,
-    ICmpInst,
     Instruction,
-    LoadInst,
     PhiInst,
     ReturnInst,
-    SelectInst,
-    StoreInst,
     UnreachableInst,
 )
-from repro.ir.module import BasicBlock, Function, GlobalVariable
-from repro.ir.types import FloatType, IntType, PointerType, size_of
-from repro.ir.values import ConstantInt, Value
+from repro.ir.module import BasicBlock, Function
+from repro.ir.values import ConstantInt
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
+from repro.machine.codegen import (
+    GLOBALS,
+    Writer,
+    bind,
+    emit_value_op,
+    expr,
+    is_math_call,
+    undef,
+)
 from repro.machine.fastexec import (
-    _MASK64,
     _Edge,
     _edge_enter,
-    _expr,
     _FastFrame,
-    _gep_plan,
-    _raise_undefined,
-    _slot_key,
-    _FCMP_SYMBOL,
-    _ICMP_SIGNED,
-    _ICMP_UNSIGNED,
-    _INT_OP_SYMBOL,
     FastInterpreter,
     ModuleCode,
 )
-from repro.machine.interp import _MATH_BUILTINS, ExitProgram
-from repro.transform.simplify import fold_int_binop
+from repro.machine.interp import ExitProgram
 
 #: Guard mechanisms whose steady-state hit cost can be baked into a
 #: specialized check (all three model one — see
 #: :meth:`~repro.runtime.regions.GuardMechanism.steady_cycles`).
 _SPECIALIZABLE = frozenset({"mpx", "binary_search", "if_tree"})
-
-#: Names resolvable from every generated trace body, merged with the
-#: per-trace and per-interpreter bindings at instantiation.
-_TRACE_GLOBALS: Dict[str, object] = {
-    "_raise_undefined": _raise_undefined,
-    "_ifb": int.from_bytes,
-    "_inf": math.inf,
-    "_nan": math.nan,
-    "_ierr": InterpError,
-}
 
 #: Consecutive recording aborts before an anchor is blacklisted.
 _ABORT_LIMIT = 3
@@ -264,30 +243,10 @@ class _TraceCode:
         self.code_obj = compile(source, "<tracejit>", "exec")
 
     def instantiate(self, interp: "TraceInterpreter"):
-        scope: Dict[str, object] = dict(_TRACE_GLOBALS)
+        scope: Dict[str, object] = dict(GLOBALS)
         scope.update(self.ns)
-        scope["_ci"] = interp._cost_instruction
-        scope["_cm"] = interp._cost_memory
-        scope["_tb"] = interp._tier_boundary
-        scope["_cft"] = interp.costs.fast_tier_access
-        scope["_cst"] = interp.costs.slow_tier_access
-        scope["_cells"] = interp._guard_cells
-        scope["_rdb"] = interp.memory.read_bytes
-        scope["_wrb"] = interp.memory.write_bytes
-        # Raw physical-memory access, inlined on CARAT traces: the
-        # backing buffer (an anonymous mmap) is allocated once per
-        # kernel and never reassigned, so binding it here is binding
-        # it for good.  The
-        # out-of-range path delegates back to the real accessor for the
-        # exact error.
-        scope["_pm"] = interp.memory
-        scope["_pmd"] = interp.memory._data
-        scope["_pms"] = interp.memory.size
-        scope["_rmem"] = interp._read_mem
-        scope["_wmem"] = interp._write_mem
+        scope.update(bind(interp))
         scope["_respec"] = _respecialize
-        scope["_cc"] = interp._cost_call
-        scope["_gm"] = interp.process.globals_map
         runtime = interp.process.runtime
         if runtime is not None:
             scope["_rt"] = runtime
@@ -307,21 +266,6 @@ class _TraceCode:
             scope[f"_spec{j}"] = _SpecCell()
         exec(self.code_obj, scope)
         return scope["trace"]
-
-
-class _W:
-    """Tiny indented-source writer for the generated trace body."""
-
-    __slots__ = ("lines",)
-
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-
-    def line(self, indent: int, text: str) -> None:
-        self.lines.append("    " * indent + text)
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
 
 
 #: Deepest call nesting a trace may inline.  Recording aborts past it
@@ -493,10 +437,10 @@ def _build_trace(
     workloads with data-dependent branches stay in compiled code instead
     of bridging each divergence through the block tier.
 
-    The generated source inlines the same per-instruction templates
-    fastexec specializes (same expressions, same charge order, same
-    error paths) minus the per-op dispatch: one ``while True:`` walks the
-    segments :func:`_layout` derives from the chain, each becoming a
+    The generated source inlines the shared per-instruction templates
+    (:func:`~repro.machine.codegen.emit_value_op`, the lines the block
+    tier wraps per op) minus the per-op dispatch: one ``while True:``
+    walks the segments :func:`_layout` derives from the chain, each a
     ``try:`` region whose ``steps`` / ``instructions`` are batched at its
     control op.  Tick and pause checks are emitted only after terminator
     segments (branches and returns — the safepoints of both other
@@ -516,7 +460,7 @@ def _build_trace(
     if segments is None:
         return None
 
-    w = _W()
+    w = Writer()
     ns: Dict[str, object] = {}
     block_names: Dict[int, str] = {}
 
@@ -528,20 +472,6 @@ def _build_trace(
             ns[name] = block
             ns["_ops" + name[4:]] = code.ops_by_block[id(block)]
         return name
-
-    def expr(value: Value, ens: Dict[str, object], tagstr: str) -> str:
-        # Same contract as fastexec's _expr, except globals inline as one
-        # probe of the instantiation-bound globals_map (move transactions
-        # patch that dict in place, so the probe always sees the current
-        # address) instead of a closure call per evaluation.  A missing
-        # global would surface as the generic undefined-operand error —
-        # the loader lays out every module global, so that path is
-        # unreachable in practice.
-        if isinstance(value, GlobalVariable):
-            name = f"_n{tagstr}"
-            ens[name] = value.name
-            return f"_gm[{name}]"
-        return _expr(value, ens, tagstr)
 
     tag = 0
     spec_count = 0
@@ -555,11 +485,6 @@ def _build_trace(
     else:
         mc = ""
 
-    def undef(ind: int, operands, t: int) -> None:
-        ns[f"_v{t}"] = tuple(operands)
-        w.line(ind, "except KeyError:")
-        w.line(ind + 1, f"_raise_undefined(interp, values, *_v{t})")
-
     def fallback(block: BasicBlock, k: int) -> None:
         # The block tier's compiled op, verbatim: it charges its own
         # costs and handles its own errors, so parity is free.
@@ -568,20 +493,6 @@ def _build_trace(
         tag += 1
         ns[f"_op{t}"] = code.ops_by_block[id(block)][k][0]
         w.line(3, f"_op{t}(interp, frame)")
-
-    def emit_tier(ind: int) -> None:
-        # Inlined Interpreter._charge_tier; adding a possibly-zero cost
-        # unconditionally is value-identical to its `if extra:` guard.
-        if not has_tier:
-            return
-        w.line(ind, "if _a < _tb:")
-        w.line(ind + 1, "stats.fast_tier_accesses += 1")
-        w.line(ind + 1, "stats.cycles += _cft")
-        w.line(ind + 1, "stats.tier_cycles += _cft")
-        w.line(ind, "else:")
-        w.line(ind + 1, "stats.slow_tier_accesses += 1")
-        w.line(ind + 1, "stats.cycles += _cst")
-        w.line(ind + 1, "stats.tier_cycles += _cst")
 
     def emit_hit(ind: int) -> None:
         # The steady-state hit: replicate exactly what the generic path
@@ -622,7 +533,7 @@ def _build_trace(
             w.line(4, "try:")
             w.line(5, f"_a = int({addr_e})")
             w.line(5, f"_s = int({size_e})")
-            undef(4, (inst.args[0], inst.args[1]), t)
+            undef(w, 4, (inst.args[0], inst.args[1]), t, ns)
             w.line(4, f"_gc = _rt.guard_access(_a, _s, '{access}', _cells[{site}])")
             w.line(4, "stats.guard_cycles += _gc")
             w.line(4, "stats.cycles += _gc")
@@ -631,7 +542,7 @@ def _build_trace(
         w.line(3, "try:")
         w.line(4, f"_a = int({addr_e})")
         w.line(4, f"_s = int({size_e})")
-        undef(3, (inst.args[0], inst.args[1]), t)
+        undef(w, 3, (inst.args[0], inst.args[1]), t, ns)
         if jdom is not None:
             # Predictor-dependent mechanisms keep the bounds test (it is
             # what makes the hit provably steady) but share the
@@ -689,7 +600,7 @@ def _build_trace(
             return
         w.line(3, "try:")
         w.line(4, f"_s = int({size_e})")
-        undef(3, (inst.args[0],), t)
+        undef(w, 3, (inst.args[0],), t, ns)
         w.line(3, "_a = interp.sp - _s")
         if jdom is not None:
             j = jdom
@@ -733,13 +644,13 @@ def _build_trace(
             flag_e = expr(args[2], ns, f"{t}f")
             w.line(4, f"_c = 'write' if int({flag_e}) else 'read'")
             acc = "_c"
-            undef(3, (args[0], args[1], args[2]), t)
+            undef(w, 3, (args[0], args[1], args[2]), t, ns)
         else:
             if len(args) > 2:
                 acc = "'write'" if args[2].value else "'read'"
             else:
                 acc = "'read'"
-            undef(3, (args[0], args[1]), t)
+            undef(w, 3, (args[0], args[1]), t, ns)
         j = spec_count
         spec_count += 1
         w.line(3, f"_sc = _spec{j}")
@@ -765,389 +676,26 @@ def _build_trace(
         nonlocal tag, guard_count
         if isinstance(inst, CallInst):
             callee = inst.callee
-            if isinstance(callee, Function) and callee.name.startswith("carat."):
-                name = callee.name
-                if name in (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE):
-                    guard_count += 1
-                    if specialize:
-                        if name in (GUARD_LOAD, GUARD_STORE):
-                            emit_guard_access(inst, name)
-                        elif name == GUARD_CALL:
-                            emit_guard_call(inst)
-                        else:
-                            emit_guard_range(inst)
-                        return
-            elif (
-                isinstance(callee, Function)
-                and callee.is_declaration
-                and callee.name in _MATH_BUILTINS
-                and len(inst.args) == 1
-                and not inst.type.is_void
-            ):
-                # Pure unary math builtin: same charge order as the block
-                # tier's builtin_op (_ci, calls, evaluate, compute — with
-                # _exec_builtin's ValueError-to-nan — then _cost_call).
-                t = tag
-                tag += 1
-                ns[f"_fn{t}"] = _MATH_BUILTINS[callee.name]
-                arg = expr(inst.args[0], ns, f"{t}a")
-                w.line(3, "stats.cycles += _ci")
-                w.line(3, "stats.calls += 1")
-                w.line(3, "try:")
-                w.line(4, f"_a = float({arg})")
-                undef(3, (inst.args[0],), t)
-                w.line(3, "try:")
-                w.line(4, f"values[{id(inst)}] = float(_fn{t}(_a))")
-                w.line(3, "except ValueError:")
-                w.line(4, f"values[{id(inst)}] = _nan")
-                w.line(3, "stats.cycles += _cc")
+            name = callee.name if isinstance(callee, Function) else ""
+            if name in (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE):
+                guard_count += 1
+                if specialize:
+                    if name in (GUARD_LOAD, GUARD_STORE):
+                        emit_guard_access(inst, name)
+                    elif name == GUARD_CALL:
+                        emit_guard_call(inst)
+                    else:
+                        emit_guard_range(inst)
+                    return
+            if not is_math_call(inst):
+                fallback(block, k)
                 return
-            fallback(block, k)
-            return
         t = tag
         tag += 1
-        key = id(inst)
-        if isinstance(inst, BinaryInst):
-            ty = inst.type
-            op = inst.opcode
-            if isinstance(ty, IntType):
-                if isinstance(inst.lhs, ConstantInt) and isinstance(
-                    inst.rhs, ConstantInt
-                ):
-                    folded = fold_int_binop(op, ty, inst.lhs.value, inst.rhs.value)
-                    if folded is not None:
-                        w.line(3, "stats.cycles += _ci")
-                        w.line(3, f"values[{key}] = {folded}")
-                        return
-                symbol = _INT_OP_SYMBOL.get(op)
-                if symbol is None:
-                    # Division/remainder/shift by a *constant* that can
-                    # never fault inlines with fold_int_binop's exact
-                    # expressions (including the float-division quotient
-                    # for sign-mismatched sdiv/srem); a variable or
-                    # faulting divisor keeps the shared fault path.
-                    if isinstance(inst.rhs, ConstantInt):
-                        b = inst.rhs.value
-                        calc = None
-                        if op in ("sdiv", "srem") and b != 0:
-                            cond = "_m < 0" if b > 0 else "_m >= 0"
-                            quot = f"int(_m / ({b})) if {cond} else _m // ({b})"
-                            if op == "sdiv":
-                                calc = [f"_m = {quot}"]
-                            else:
-                                calc = [f"_b = {quot}", f"_m = _m - _b * ({b})"]
-                        elif op in ("udiv", "urem") and b != 0:
-                            ub = b & ty.max_unsigned
-                            sym = "//" if op == "udiv" else "%"
-                            calc = [f"_m = (_m & {ty.max_unsigned}) {sym} {ub}"]
-                        elif op == "shl" and 0 <= b < ty.bits:
-                            calc = [f"_m = _m << {b}"]
-                        elif op == "lshr" and 0 <= b < ty.bits:
-                            calc = [f"_m = (_m & {ty.max_unsigned}) >> {b}"]
-                        elif op == "ashr" and 0 <= b < ty.bits:
-                            calc = [f"_m = _m >> {b}"]
-                        if calc is not None:
-                            lhs = expr(inst.lhs, ns, f"{t}a")
-                            w.line(3, "stats.cycles += _ci")
-                            w.line(3, "try:")
-                            w.line(4, f"_m = int({lhs})")
-                            undef(3, (inst.lhs,), t)
-                            for line in calc:
-                                w.line(3, line)
-                            w.line(3, f"_m = _m & {ty.max_unsigned}")
-                            w.line(
-                                3,
-                                f"values[{key}] = _m - {ty.max_unsigned + 1}"
-                                f" if _m > {ty.max_signed} else _m",
-                            )
-                            return
-                    elif op in (
-                        "sdiv", "srem", "udiv", "urem", "shl", "lshr", "ashr"
-                    ):
-                        # Variable divisor/shift: inline the same
-                        # expressions with fold_int_binop's fault checks
-                        # and int_op's exact error message.
-                        lhs = expr(inst.lhs, ns, f"{t}a")
-                        rhs = expr(inst.rhs, ns, f"{t}b")
-                        w.line(3, "stats.cycles += _ci")
-                        w.line(3, "try:")
-                        w.line(4, f"_a = int({lhs})")
-                        w.line(4, f"_b = int({rhs})")
-                        undef(3, (inst.lhs, inst.rhs), t)
-                        if op in ("sdiv", "srem", "udiv", "urem"):
-                            w.line(3, "if _b == 0:")
-                        else:
-                            w.line(3, f"if not 0 <= _b < {ty.bits}:")
-                        w.line(
-                            4,
-                            f"raise _ierr(f'integer fault: {op} "
-                            "{_a}, {_b} (division by zero or "
-                            "invalid shift)')",
-                        )
-                        if op in ("sdiv", "srem"):
-                            quot = (
-                                "int(_a / _b) if (_a < 0) != (_b < 0)"
-                                " else _a // _b"
-                            )
-                            if op == "sdiv":
-                                w.line(3, f"_m = {quot}")
-                            else:
-                                w.line(3, f"_c = {quot}")
-                                w.line(3, "_m = _a - _c * _b")
-                        elif op == "udiv":
-                            w.line(
-                                3,
-                                f"_m = (_a & {ty.max_unsigned})"
-                                f" // (_b & {ty.max_unsigned})",
-                            )
-                        elif op == "urem":
-                            w.line(
-                                3,
-                                f"_m = (_a & {ty.max_unsigned})"
-                                f" % (_b & {ty.max_unsigned})",
-                            )
-                        elif op == "shl":
-                            w.line(3, "_m = _a << _b")
-                        elif op == "lshr":
-                            w.line(3, f"_m = (_a & {ty.max_unsigned}) >> _b")
-                        else:
-                            w.line(3, "_m = _a >> _b")
-                        w.line(3, f"_m = _m & {ty.max_unsigned}")
-                        w.line(
-                            3,
-                            f"values[{key}] = _m - {ty.max_unsigned + 1}"
-                            f" if _m > {ty.max_signed} else _m",
-                        )
-                        return
-                    fallback(block, k)  # unknown int op: shared fault path
-                    return
-                lhs = expr(inst.lhs, ns, f"{t}a")
-                rhs = expr(inst.rhs, ns, f"{t}b")
-                w.line(3, "stats.cycles += _ci")
-                w.line(3, "try:")
-                w.line(4, f"_m = (int({lhs}) {symbol} int({rhs})) & {ty.max_unsigned}")
-                undef(3, (inst.lhs, inst.rhs), t)
-                w.line(
-                    3,
-                    f"values[{key}] = _m - {ty.max_unsigned + 1}"
-                    f" if _m > {ty.max_signed} else _m",
-                )
-                return
-            if op in ("fadd", "fsub", "fmul"):
-                symbol = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-                lhs = expr(inst.lhs, ns, f"{t}a")
-                rhs = expr(inst.rhs, ns, f"{t}b")
-                w.line(3, "stats.cycles += _ci")
-                w.line(3, "try:")
-                w.line(4, f"values[{key}] = float({lhs}) {symbol} float({rhs})")
-                undef(3, (inst.lhs, inst.rhs), t)
-                return
-            if op == "fdiv":
-                lhs = expr(inst.lhs, ns, f"{t}a")
-                rhs = expr(inst.rhs, ns, f"{t}b")
-                w.line(3, "stats.cycles += _ci")
-                w.line(3, "try:")
-                w.line(4, f"_a = float({lhs})")
-                w.line(4, f"_b = float({rhs})")
-                undef(3, (inst.lhs, inst.rhs), t)
-                w.line(3, "if _b == 0.0:")
-                w.line(
-                    4,
-                    f"values[{key}] = _inf if _a > 0"
-                    " else (-_inf if _a < 0 else _nan)",
-                )
-                w.line(3, "else:")
-                w.line(4, f"values[{key}] = _a / _b")
-                return
-            fallback(block, k)  # frem / unknown float op
-            return
-        if isinstance(inst, ICmpInst):
-            pred = inst.predicate
-            symbol = _ICMP_SIGNED.get(pred)
-            lhs = expr(inst.lhs, ns, f"{t}a")
-            rhs = expr(inst.rhs, ns, f"{t}b")
-            if symbol is not None:
-                compare = f"int({lhs}) {symbol} int({rhs})"
-            else:
-                symbol = _ICMP_UNSIGNED.get(pred)
-                if symbol is None:
-                    fallback(block, k)
-                    return
-                bits = (
-                    inst.lhs.type.bits
-                    if isinstance(inst.lhs.type, IntType)
-                    else 64
-                )
-                mask = (1 << bits) - 1
-                compare = f"(int({lhs}) & {mask}) {symbol} (int({rhs}) & {mask})"
-            w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"values[{key}] = 1 if {compare} else 0")
-            undef(3, (inst.lhs, inst.rhs), t)
-            return
-        if isinstance(inst, FCmpInst):
-            symbol = _FCMP_SYMBOL[inst.predicate]
-            lhs = expr(inst.lhs, ns, f"{t}a")
-            rhs = expr(inst.rhs, ns, f"{t}b")
-            w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"_a = float({lhs})")
-            w.line(4, f"_b = float({rhs})")
-            undef(3, (inst.lhs, inst.rhs), t)
-            w.line(
-                3,
-                f"values[{key}] = 0 if (_a != _a or _b != _b)"
-                f" else (1 if _a {symbol} _b else 0)",
-            )
-            return
-        if isinstance(inst, CastInst):
-            op = inst.opcode
-            value = expr(inst.value, ns, f"{t}v")
-            if op in ("bitcast", "ptrtoint", "inttoptr", "sext"):
-                body = [f"values[{key}] = int({value})"]
-            elif op == "trunc":
-                ty = inst.type
-                body = [
-                    f"_m = int({value}) & {ty.max_unsigned}",
-                    f"values[{key}] = _m - {ty.max_unsigned + 1}"
-                    f" if _m > {ty.max_signed} else _m",
-                ]
-            elif op == "zext":
-                body = [
-                    f"values[{key}] = int({value})"
-                    f" & {inst.value.type.max_unsigned}"
-                ]
-            elif op == "sitofp":
-                body = [f"values[{key}] = float(int({value}))"]
-            elif op == "fptosi":
-                # fastexec's fptosi_op: nan/inf collapse to 0, else
-                # truncate and wrap to the target width (same mask/span
-                # arithmetic as IntType.wrap).
-                ty = inst.type
-                body = [
-                    f"_a = float({value})",
-                    "_m = 0 if (_a != _a or _a == _inf or _a == -_inf)"
-                    f" else int(_a) & {ty.max_unsigned}",
-                    f"values[{key}] = _m - {ty.max_unsigned + 1}"
-                    f" if _m > {ty.max_signed} else _m",
-                ]
-            else:
-                fallback(block, k)  # unknown cast
-                return
-            w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            for line in body:
-                w.line(4, line)
-            undef(3, (inst.value,), t)
-            return
-        if isinstance(inst, GEPInst):
-            const_offset, dynamic, bad_type = _gep_plan(inst)
-            if bad_type is not None:
-                fallback(block, k)  # lazy reference fault, exact wording
-                return
-            operands: List[Value] = [inst.pointer]
-            terms = [f"int({expr(inst.pointer, ns, f'{t}p')})"]
-            if const_offset:
-                terms.append(str(const_offset))
-            for di, (index, stride) in enumerate(dynamic):
-                operands.append(index)
-                term = f"int({expr(index, ns, f'{t}i{di}')})"
-                if stride != 1:
-                    term += f" * {stride}"
-                terms.append(term)
-            w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"values[{key}] = {' + '.join(terms)}")
-            undef(3, tuple(operands), t)
-            return
-        if isinstance(inst, LoadInst):
-            ty = inst.type
-            size = size_of(ty)
-            pointer = expr(inst.pointer, ns, f"{t}p")
-            if isinstance(ty, IntType):
-                decode = [
-                    "_m = _ifb(_v, 'little')",
-                    f"values[{key}] = _m - {ty.max_unsigned + 1}"
-                    f" if _m > {ty.max_signed} else _m",
-                ]
-            elif isinstance(ty, FloatType):
-                ns[f"_up{t}"] = struct.Struct(
-                    "<d" if ty.bits == 64 else "<f"
-                ).unpack
-                decode = [f"values[{key}] = _up{t}(_v)[0]"]
-            elif isinstance(ty, PointerType):
-                decode = [f"values[{key}] = _ifb(_v, 'little')"]
-            else:
-                fallback(block, k)
-                return
-            w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"_a = int({pointer})")
-            undef(3, (inst.pointer,), t)
-            w.line(3, "stats.cycles += _cm")
-            w.line(3, "stats.loads += 1")
-            emit_tier(3)
-            w.line(3, "if interp.access_probe is not None:")
-            w.line(4, f"interp.access_probe(_a, {size}, 'read')")
-            if is_carat:
-                # read_bytes, unrolled: bounds check (delegating to the
-                # real accessor for its exact error), bandwidth
-                # accounting, slice.  An mmap slice decodes the same as
-                # the bytes copy read_bytes returns.
-                w.line(3, f"if _a < 0 or _a + {size} > _pms:")
-                w.line(4, f"_rdb(_a, {size})")
-                w.line(3, f"_pm.bytes_read += {size}")
-                w.line(3, f"_v = _pmd[_a:_a + {size}]")
-            else:
-                w.line(3, f"_v = _rmem(_a, {size}, 'read')")
-            for line in decode:
-                w.line(3, line)
-            return
-        if isinstance(inst, StoreInst):
-            ty = inst.value.type
-            size = size_of(ty)
-            pointer = expr(inst.pointer, ns, f"{t}p")
-            value = expr(inst.value, ns, f"{t}v")
-            if isinstance(ty, IntType):
-                encode = (
-                    f"(int(_v) & {ty.max_unsigned}).to_bytes({size}, 'little')"
-                )
-            elif isinstance(ty, FloatType):
-                ns[f"_pa{t}"] = struct.Struct(
-                    "<d" if ty.bits == 64 else "<f"
-                ).pack
-                encode = f"_pa{t}(float(_v))"
-            elif isinstance(ty, PointerType):
-                encode = f"(int(_v) & {_MASK64}).to_bytes(8, 'little')"
-            else:
-                fallback(block, k)
-                return
-            w.line(3, "stats.cycles += _ci")
-            w.line(3, "try:")
-            w.line(4, f"_a = int({pointer})")
-            w.line(4, f"_v = {value}")
-            undef(3, (inst.pointer, inst.value), t)
-            w.line(3, "stats.cycles += _cm")
-            w.line(3, "stats.stores += 1")
-            emit_tier(3)
-            w.line(3, "if interp.access_probe is not None:")
-            w.line(4, f"interp.access_probe(_a, {size}, 'write')")
-            if is_carat:
-                # write_bytes, unrolled, same shape as the load's
-                # read_bytes; the encoders always produce exactly
-                # ``size`` bytes, so the slice assignment never resizes.
-                w.line(3, f"_b = {encode}")
-                w.line(3, f"if _a < 0 or _a + {size} > _pms:")
-                w.line(4, "_wrb(_a, _b)")
-                w.line(3, f"_pm.bytes_written += {size}")
-                w.line(3, f"_pmd[_a:_a + {size}] = _b")
-            else:
-                w.line(3, f"_wmem(_a, {encode})")
-            return
-        # select (operand-error ordering), alloca (moves SP), tracking
-        # intrinsics, builtins: the block tier's op is already optimal
-        # enough and exactly right.
-        fallback(block, k)
+        if not emit_value_op(w, 3, inst, t, ns, is_carat, has_tier):
+            # frem, select, alloca and the rare fault forms: the block
+            # tier's op already charges and faults exactly right.
+            fallback(block, k)
 
     def emit_edge_inline(src: BasicBlock, dst: BasicBlock, ind: int) -> None:
         nonlocal tag
@@ -1190,7 +738,7 @@ def _build_trace(
         cexpr = expr(term.condition, ns, f"{t}c")
         w.line(3, "try:")
         w.line(4, f"_c = {cexpr}")
-        undef(3, (term.condition,), t)
+        undef(w, 3, (term.condition,), t, ns)
         on_true = term.targets[0] is nxt
         on_false = term.targets[1] is nxt
         if on_true and on_false:
@@ -1224,12 +772,12 @@ def _build_trace(
         return flag
 
     def emit_call_inline(inst: CallInst) -> None:
-        # fastexec's call_op, minus the closure and the entry-ops cell:
-        # same charge order (depth check between the instruction and
-        # call costs), same error states (undefined args raise before
-        # the push), and a directly-slotted frame that is field-for-
-        # field what _FastFrame(...) constructs, without the
-        # constructor chain.
+        # The frame push of the block tier's call op, inlined so the
+        # trace continues inside the callee: same charge order (depth
+        # check between the instruction and call costs), same error
+        # states (undefined args raise before the push), and a
+        # directly-slotted frame that is field-for-field what
+        # _FastFrame(...) constructs, without the constructor chain.
         nonlocal tag
         t = tag
         tag += 1
@@ -1264,15 +812,15 @@ def _build_trace(
             ):
                 arg_e = expr(actual, ns, f"{t}a{j}")
                 w.line(4, f"_nv[{id(formal)}] = {arg_e}")
-            undef(3, tuple(inst.args), t)
+            undef(w, 3, tuple(inst.args), t, ns)
         w.line(3, "interp.frames.append(_nf)")
 
     def emit_return_inline(inst: ReturnInst, call: CallInst) -> None:
-        # fastexec's return_op, minus the closure: inside a trace the
-        # popped frame is never the last (the matching call segment's
-        # caller is below it), so the program-exit arm is statically
-        # dead, and the result slot is the paired call's, known from
-        # the layout walk.
+        # The frame pop of the block tier's return op, inlined: inside a
+        # trace the popped frame is never the last (the matching call
+        # segment's caller is below it), so the program-exit arm is
+        # statically dead, and the result slot is the paired call's,
+        # known from the layout walk.
         nonlocal tag
         t = tag
         tag += 1
@@ -1281,7 +829,7 @@ def _build_trace(
         if rv is not None:
             w.line(3, "try:")
             w.line(4, f"_v = {expr(rv, ns, f'{t}r')}")
-            undef(3, (rv,), t)
+            undef(w, 3, (rv,), t, ns)
         w.line(3, "interp.sp = frame.sp_on_entry")
         w.line(3, "interp.frames.pop()")
         if rv is not None and not call.type.is_void:

@@ -24,6 +24,13 @@ from repro.ir.types import I1, IntType
 from repro.ir.values import ConstantFloat, ConstantInt, Value
 
 
+def _truncated_quotient(a: int, b: int) -> int:
+    """``a / b`` rounded toward zero, in exact integer arithmetic (a float
+    quotient is wrong past 2**53): floor division when the signs agree,
+    ceiling division when they differ."""
+    return -(-a // b) if (a < 0) != (b < 0) else a // b
+
+
 def fold_int_binop(op: str, ty: IntType, a: int, b: int) -> Optional[int]:
     if op == "add":
         return ty.wrap(a + b)
@@ -34,7 +41,7 @@ def fold_int_binop(op: str, ty: IntType, a: int, b: int) -> Optional[int]:
     if op == "sdiv":
         if b == 0:
             return None
-        return ty.wrap(int(a / b) if (a < 0) != (b < 0) else a // b)
+        return ty.wrap(_truncated_quotient(a, b))
     if op == "udiv":
         if b == 0:
             return None
@@ -42,8 +49,7 @@ def fold_int_binop(op: str, ty: IntType, a: int, b: int) -> Optional[int]:
     if op == "srem":
         if b == 0:
             return None
-        quotient = int(a / b) if (a < 0) != (b < 0) else a // b
-        return ty.wrap(a - quotient * b)
+        return ty.wrap(a - _truncated_quotient(a, b) * b)
     if op == "urem":
         if b == 0:
             return None

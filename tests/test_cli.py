@@ -154,6 +154,9 @@ BAD_INPUT = {
     "soak-negative-fast-tier": ["soak", "--fast-kb", "-5"],
     "smp-unaligned-fast-tier": ["smp", "hpccg", "--fast-kb", "7"],
     "smp-unaligned-memory": ["smp", "hpccg", "--memory-kb", "1"],
+    "smp-fast-tier-fills-memory": [
+        "smp", "ep", "--tenants", "2", "--fast-kb", "1048576",
+    ],
     "policy-fast-tier-fills-memory": ["policy", "hpccg", "--fast-kb", "8192"],
 }
 

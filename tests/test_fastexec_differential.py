@@ -13,15 +13,20 @@ targeted cache-invalidation scenarios, and end-to-end runs under an
 aggressive page-moving policy engine and the multi-tenant scheduler.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.errors import ProtectionFault
+from repro.ir import parse_module
+from repro.ir.types import IntType
 from repro.kernel.kernel import Kernel
 from repro.kernel.physmem import PhysicalMemory
 from tests.support import run_carat, run_traditional
+from repro.machine.codegen import GLOBALS, Writer, emit_value_op
 from repro.machine.fastexec import compile_module
 from repro.machine.session import CaratSession, RunConfig
 from repro.runtime import (
@@ -31,6 +36,7 @@ from repro.runtime import (
     RegionSet,
 )
 from repro.runtime.runtime import GuardSiteCell
+from repro.transform.simplify import fold_int_binop
 from repro.workloads import get_workload
 
 MB = 1024 * 1024
@@ -406,3 +412,366 @@ class TestMultiTenantParity:
         assert any(
             r.stats.traces_compiled > 0 for r in trace.tenants.values()
         )
+
+
+# ---------------------------------------------------------------------------
+# Opcode parity matrix: every compiled op form, in a loop hot enough to
+# trace, with edge-case operands the Mini-C fuzzer never produces.
+# ---------------------------------------------------------------------------
+
+#: (x, y) operand pairs, one per loop iteration.  Every y is nonzero at
+#: i8, i32 and i64, so the matrix program itself never faults; the pairs
+#: cover INT_MIN / -1 at each width and quotients beyond 2**53.
+_MATRIX_PAIRS = [
+    (-(1 << 63), -1),
+    (-4611686018427387905, 1),
+    (-4611686018427387905, 3),
+    (-(1 << 31), -1),
+    (-128, -1),
+    (-7, 2),
+    (7, -2),
+    (0, -129),
+    (300, 13),
+    ((1 << 63) - 1, -3),
+    (2147483647, 255),
+    (-1, (1 << 63) - 1),
+]
+
+_INT_OPS = ("add", "sub", "mul", "and", "or", "xor",
+            "sdiv", "srem", "udiv", "urem")
+_SHIFT_OPS = ("shl", "lshr", "ashr")
+_ICMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge",
+                    "ult", "ule", "ugt", "uge")
+_FCMP_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge")
+
+
+class _IRText:
+    """Numbered-SSA IR text builder for the matrix programs."""
+
+    def __init__(self):
+        self.lines = []
+        self.n = 0
+
+    def op(self, text):
+        self.n += 1
+        name = f"%v{self.n}"
+        self.lines.append(f"  {name} = {text}")
+        return name
+
+    def emit(self, text):
+        self.lines.append(f"  {text}")
+
+    def print_int(self, ty, value):
+        if ty != "i64":
+            value = self.op(f"sext {ty} {value} to i64")
+        self.emit(f"call void @print_long(i64 {value})")
+
+    def print_float(self, value):
+        self.emit(f"call void @print_double(f64 {value})")
+
+
+_MATRIX_DECLS = """
+declare i8* @malloc(i64)
+declare void @print_long(i64)
+declare void @print_double(f64)
+declare f64 @sqrt(f64)
+declare f64 @log(f64)
+declare f64 @exp(f64)
+declare f64 @fabs(f64)
+declare f64 @floor(f64)
+"""
+
+
+def _table(ir, values):
+    """Store ``values`` into a fresh heap table; return its i64* name."""
+    raw = ir.op(f"call i8* @malloc(i64 {8 * len(values)})")
+    table = ir.op(f"bitcast i8* {raw} to i64*")
+    for k, value in enumerate(values):
+        slot = ir.op(f"getelementptr i64* {table}, i64 {k}")
+        ir.emit(f"store i64 {value}, i64* {slot}")
+    return table
+
+
+def _matrix_body(ir, x64, y64):
+    """One iteration's worth of every value-op form over (x, y)."""
+    for bits in (8, 32, 64):
+        ty = f"i{bits}"
+        if bits == 64:
+            x, y = x64, y64
+        else:
+            x = ir.op(f"trunc i64 {x64} to {ty}")
+            y = ir.op(f"trunc i64 {y64} to {ty}")
+        for name in _INT_OPS:
+            ir.print_int(ty, ir.op(f"{name} {ty} {x}, {y}"))
+            ir.print_int(ty, ir.op(f"{name} {ty} {x}, -3"))
+            ir.print_int(ty, ir.op(f"{name} {ty} {x}, 7"))
+        ir.print_int(ty, ir.op(f"sdiv {ty} -7, 2"))
+        amount = ir.op(f"and {ty} {y}, {bits - 1}")
+        for name in _SHIFT_OPS:
+            ir.print_int(ty, ir.op(f"{name} {ty} {x}, {amount}"))
+            ir.print_int(ty, ir.op(f"{name} {ty} {x}, 1"))
+            ir.print_int(ty, ir.op(f"{name} {ty} {x}, {bits - 1}"))
+        for pred in _ICMP_PREDICATES:
+            for rhs in (y, "-1"):
+                flag = ir.op(f"icmp {pred} {ty} {x}, {rhs}")
+                ir.print_int("i64", ir.op(f"zext i1 {flag} to i64"))
+        if bits < 64:
+            ir.print_int("i64", ir.op(f"zext {ty} {x} to i64"))
+    fx = ir.op(f"sitofp i64 {x64} to f64")
+    fy = ir.op(f"sitofp i64 {y64} to f64")
+    zero = ir.op(f"fsub f64 {fx}, {fx}")
+    negzero = ir.op(f"fmul f64 {zero}, -1.0")
+    inf = ir.op(f"fdiv f64 {fx}, {zero}")
+    nan = ir.op(f"fmul f64 {inf}, 0.0")
+    for text in (
+        f"fadd f64 {fx}, {fy}", f"fsub f64 {fx}, 0.5", f"fmul f64 {fx}, {fy}",
+        f"fdiv f64 {fx}, {fy}", f"fdiv f64 {fx}, 0.0", f"fdiv f64 {fx}, {negzero}",
+        f"fdiv f64 {fy}, -0.0", f"frem f64 {fx}, {fy}", f"frem f64 {fx}, 0.0",
+    ):
+        ir.print_float(ir.op(text))
+    for pred in _FCMP_PREDICATES:
+        for lhs, rhs in ((fx, fy), (fx, nan), (nan, nan), (fy, "2.0")):
+            flag = ir.op(f"fcmp {pred} f64 {lhs}, {rhs}")
+            ir.print_int("i64", ir.op(f"zext i1 {flag} to i64"))
+    frac = ir.op(f"fdiv f64 {fx}, 3.0")
+    big = ir.op(f"fmul f64 {fx}, 1.0e30")
+    for value in (frac, big, inf, nan, fy):
+        for ty in ("i8", "i32", "i64"):
+            ir.print_int(ty, ir.op(f"fptosi f64 {value} to {ty}"))
+    small = ir.op(f"fdiv f64 {fy}, 1.0e18")
+    for fn in ("sqrt", "log", "exp", "fabs", "floor"):
+        arg = small if fn == "exp" else fx
+        ir.print_float(ir.op(f"call f64 @{fn}(f64 {arg})"))
+    ir.print_float(ir.op(f"call f64 @sqrt(f64 -2.0)"))
+
+
+def _matrix_ir():
+    """The opcode matrix: a phi-counted loop over ``_MATRIX_PAIRS`` whose
+    body evaluates every form, with loads, stores and GEPs through heap
+    tables and a scratch buffer."""
+    ir = _IRText()
+    n = len(_MATRIX_PAIRS)
+    ir.lines.append("define void @main() {")
+    ir.lines.append("entry:")
+    xs = _table(ir, [x for x, _y in _MATRIX_PAIRS])
+    ys = _table(ir, [y for _x, y in _MATRIX_PAIRS])
+    raw = ir.op("call i8* @malloc(i64 64)")
+    ir.emit("br label %loop")
+    ir.lines.append("loop:")
+    ir.emit("%i = phi i64 [0, %entry], [%next, %loop]")
+    x = ir.op(f"load i64* {ir.op(f'getelementptr i64* {xs}, i64 %i')}")
+    y = ir.op(f"load i64* {ir.op(f'getelementptr i64* {ys}, i64 %i')}")
+    ir.print_int("i64", ir.op(f"load i64* {ir.op(f'getelementptr i64* {ys}, i64 2')}"))
+    _matrix_body(ir, x, y)
+    # Loads and stores of every scalar width through the scratch buffer.
+    x8 = ir.op(f"trunc i64 {x} to i8")
+    x32 = ir.op(f"trunc i64 {x} to i32")
+    fx = ir.op(f"sitofp i64 {x} to f64")
+    for ty, value, offset in (
+        ("i8", x8, 0), ("i32", x32, 8), ("i64", x, 16), ("f64", fx, 24),
+    ):
+        slot = ir.op(f"getelementptr i8* {raw}, i64 {offset}")
+        typed = ir.op(f"bitcast i8* {slot} to {ty}*")
+        ir.emit(f"store {ty} {value}, {ty}* {typed}")
+        loaded = ir.op(f"load {ty}* {typed}")
+        if ty == "f64":
+            ir.print_float(loaded)
+        else:
+            ir.print_int(ty, loaded)
+    slot = ir.op(f"getelementptr i8* {raw}, i64 32")
+    cell = ir.op(f"bitcast i8* {slot} to i64**")
+    ir.emit(f"store i64* {ys}, i64** {cell}")
+    again = ir.op(f"load i64** {cell}")
+    slot = ir.op(f"getelementptr i64* {again}, i64 %i")
+    ir.print_int("i64", ir.op(f"load i64* {slot}"))
+    ir.emit("%next = add i64 %i, 1")
+    done = ir.op(f"icmp slt i64 %next, {n}")
+    ir.emit(f"br i1 {done}, label %loop, label %exit")
+    ir.lines.append("exit:")
+    ir.emit("ret void")
+    ir.lines.append("}")
+    return _MATRIX_DECLS + "\n".join(ir.lines) + "\n"
+
+
+#: Faulting forms, each hit on iteration 5 (after the trace compiled):
+#: ``%d`` counts down to 0, ``%w`` up to the width, ``%m`` below zero.
+_FAULT_CASES = [
+    "sdiv i64 %x, %d", "srem i64 %x, %d", "udiv i64 %x, %d",
+    "urem i64 %x, %d", "sdiv i8 %x8, %d8",
+    "shl i64 %x, %w", "lshr i64 %x, %w", "ashr i64 %x, %w",
+    "shl i8 %x8, %w8", "shl i64 %x, %m", "ashr i32 %x32, %m32",
+]
+
+
+def _fault_ir(form):
+    return _MATRIX_DECLS + f"""
+define void @main() {{
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %x = mul i64 %i, -1000003
+  %x8 = trunc i64 %x to i8
+  %x32 = trunc i64 %x to i32
+  %d = sub i64 5, %i
+  %d8 = trunc i64 %d to i8
+  %w = add i64 %i, 59
+  %w8 = trunc i64 %i to i8
+  %m = sub i64 4, %i
+  %m32 = trunc i64 %m to i32
+  %r = {form}
+  %t = add i64 %i, 3
+  call void @print_long(i64 %t)
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, 9
+  br i1 %c, label %loop, label %exit
+exit:
+  ret void
+}}
+"""
+
+
+def _matrix_run(text, mode, engine):
+    """Compile IR text for ``mode`` (unoptimized, so no fold hides a
+    form) and run it, returning the observable outcome — including the
+    exception and the stats at the fault when the program faults."""
+    options = CompileOptions(
+        optimize=False,
+        guards=mode == "carat",
+        tracking=mode == "carat",
+    )
+    binary = compile_carat(parse_module(text), options, module_name="matrix")
+    seen = []
+    config = RunConfig(mode=mode, engine=engine, trace_threshold=2)
+    session = CaratSession(config, setup=seen.append)
+    try:
+        result = session.run(binary)
+    except Exception as exc:  # the fault itself is the observation
+        interp = seen[0]
+        stats = {f: getattr(interp.stats, f) for f in SEMANTIC_FIELDS}
+        return ("fault", type(exc).__name__, str(exc),
+                tuple(interp.output), stats, interp.stats.traces_compiled)
+    stats = {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS}
+    return ("ok", result.exit_code, tuple(result.output), stats,
+            result.stats.traces_compiled)
+
+
+class TestOpcodeMatrix:
+    """Every value-op form the engines compile, under reference, fast and
+    trace, in both addressing modes: identical output, exit code and
+    modeled stats — and, for faulting inputs, the identical exception."""
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_matrix_identical(self, mode):
+        text = _matrix_ir()
+        reference = _matrix_run(text, mode, "reference")
+        fast = _matrix_run(text, mode, "fast")
+        trace = _matrix_run(text, mode, "trace")
+        assert reference[0] == "ok"
+        assert reference[:4] == fast[:4]
+        assert reference[:4] == trace[:4]
+        assert trace[4] > 0  # the loop really ran as a trace
+
+    @pytest.mark.parametrize("form", _FAULT_CASES)
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_faults_identical(self, mode, form):
+        text = _fault_ir(form)
+        reference = _matrix_run(text, mode, "reference")
+        fast = _matrix_run(text, mode, "fast")
+        trace = _matrix_run(text, mode, "trace")
+        assert reference[:2] == ("fault", "InterpError")
+        assert "integer fault" in reference[2]
+        assert reference[:5] == fast[:5]
+        assert reference[:5] == trace[:5]
+        assert trace[5] > 0  # the fault was raised inside a trace
+
+
+# ---------------------------------------------------------------------------
+# Signed division: exact for quotients beyond 2**53, on every engine.
+# ---------------------------------------------------------------------------
+
+_BIG_DIVISION = """
+long big;
+long one;
+long three;
+void main() {
+  long i;
+  big = -4611686018427387905;
+  one = 1;
+  three = 3;
+  for (i = 0; i < 6; i++) {
+    print_long(big / 1);
+    print_long(big % 3);
+    print_long(big / one);
+    print_long(big % three);
+  }
+}
+"""
+
+
+def _exact_signed(a, b):
+    """C semantics from magnitudes alone: truncate toward zero, and the
+    remainder takes the dividend's sign."""
+    q = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        q = -q
+    return q, a - q * b
+
+
+def _template_divide(op, bits, a, b, constant_rhs):
+    """Run the one shared sdiv/srem template on (a, b) directly."""
+    ty = f"i{bits}"
+    rhs = str(b) if constant_rhs else "%y"
+    module = parse_module(
+        f"define {ty} @f({ty} %x, {ty} %y) {{\nentry:\n"
+        f"  %r = {op} {ty} %x, {rhs}\n  ret {ty} %r\n}}\n"
+    )
+    function = module.get_function("f")
+    inst = function.entry.instructions[0]
+    w, ns = Writer(), dict(GLOBALS)
+    assert emit_value_op(w, 1, inst, 0, ns)
+    exec("def op(values, stats, _ci):\n" + w.source(), ns)
+    x, y = function.args
+    values = {id(x): a, id(y): b}
+    ns["op"](values, SimpleNamespace(cycles=0), 1)
+    return values[id(inst)]
+
+
+def _signed_operands(bits):
+    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+    edges = st.sampled_from([lo, lo + 1, -1, 1, hi, -3, 3])
+    value = st.one_of(edges, st.integers(min_value=lo, max_value=hi))
+    return st.tuples(value, value.filter(lambda v: v != 0))
+
+
+class TestSignedDivision:
+    @pytest.mark.parametrize("engine", ["reference", "fast", "trace"])
+    def test_large_quotients_are_exact(self, engine):
+        config = RunConfig(engine=engine, trace_threshold=2)
+        result = CaratSession(config).run(_BIG_DIVISION)
+        assert result.output == ["-4611686018427387905", "-2"] * 12
+        if engine == "trace":
+            assert result.stats.traces_compiled > 0
+
+    @given(st.sampled_from([8, 32, 64]).flatmap(
+        lambda bits: st.tuples(st.just(bits), _signed_operands(bits))
+    ), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_sdiv_srem_match_exact_oracle(self, case, constant_rhs):
+        bits, (a, b) = case
+        ty = IntType(bits)
+        quotient, remainder = _exact_signed(a, b)
+        for op, exact in (("sdiv", quotient), ("srem", remainder)):
+            want = ty.wrap(exact)
+            assert fold_int_binop(op, ty, a, b) == want
+            assert _template_divide(op, bits, a, b, constant_rhs) == want
+
+    @pytest.mark.parametrize("bits", [8, 32, 64])
+    def test_int_min_by_minus_one_wraps(self, bits):
+        ty = IntType(bits)
+        int_min = -(1 << (bits - 1))
+        for constant_rhs in (False, True):
+            assert _template_divide("sdiv", bits, int_min, -1, constant_rhs) == int_min
+            assert _template_divide("srem", bits, int_min, -1, constant_rhs) == 0
+        assert fold_int_binop("sdiv", ty, int_min, -1) == int_min
+        assert fold_int_binop("srem", ty, int_min, -1) == 0
