@@ -17,7 +17,10 @@ The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
 :data:`KNOWN_FACT_BINDINGS`; and the constants of :data:`GLOBALS`.  The
 trace tier inlines them into a superblock whose instantiation binds every
 name once.  The block tier wraps them in a ``def`` behind a prologue that
-binds the names the body reads.
+binds the names the body reads, and shares one compiled stencil among
+all ops of identical text.  So what identifies one op — its operand and
+destination slots, constants and global names — goes into ``ns`` under
+names tagged by ``t``, never into the text.
 
 An emitter branches only on the instruction and on two facts its caller
 may know: the addressing mode (``is_carat``) and whether the kernel has
@@ -282,12 +285,15 @@ class _Op:
             self.line(text, 1)
         undef(self.w, self.ind, operands, self.t, self.ns)
 
-    def wrap(self, key: int, ty: IntType) -> None:
+    def dest(self, inst: Instruction) -> str:
+        """The result slot, named through ``ns`` like every operand, so
+        the text of an op depends on its shape alone."""
+        self.ns[f"_d{self.t}"] = id(inst)
+        return f"values[_d{self.t}]"
+
+    def wrap(self, out: str, ty: IntType) -> None:
         """Store ``_m`` re-signed to ``ty`` (IntType.wrap, inlined)."""
-        self.line(
-            f"values[{key}] = _m - {ty.max_unsigned + 1}"
-            f" if _m > {ty.max_signed} else _m"
-        )
+        self.line(f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m")
 
     def mode(
         self, carat: Sequence[str], paging: Sequence[str], either: Sequence[str]
@@ -325,20 +331,20 @@ class _Op:
 def _int_binary(e: _Op, inst: BinaryInst) -> bool:
     op = inst.opcode
     ty = inst.type
-    key = id(inst)
+    out = e.dest(inst)
     lhs_v, rhs_v = inst.lhs, inst.rhs
     if isinstance(lhs_v, ConstantInt) and isinstance(rhs_v, ConstantInt):
         folded = fold_int_binop(op, ty, lhs_v.value, rhs_v.value)
         if folded is not None:
             e.line("stats.cycles += _ci")
-            e.line(f"values[{key}] = {folded}")
+            e.line(f"{out} = {folded}")
             return True
     mask = ty.max_unsigned
     symbol = _INT_OP_SYMBOL.get(op)
     if symbol is not None:
         lhs, rhs = e.read(lhs_v, "a"), e.read(rhs_v, "b")
         e.head([f"_m = (int({lhs}) {symbol} int({rhs})) & {mask}"], (lhs_v, rhs_v))
-        e.wrap(key, ty)
+        e.wrap(out, ty)
         return True
     # Division, remainder and shifts.  Signed quotients truncate toward
     # zero: for operands of opposite sign that is the exact ceiling
@@ -391,7 +397,7 @@ def _int_binary(e: _Op, inst: BinaryInst) -> bool:
         else:
             e.line("_m = _a >> _b")
     e.line(f"_m = _m & {mask}")
-    e.wrap(key, ty)
+    e.wrap(out, ty)
     return True
 
 
@@ -401,18 +407,18 @@ def _binary(e: _Op, inst: BinaryInst) -> bool:
     op = inst.opcode
     if op == "frem":
         return False
-    key = id(inst)
+    out = e.dest(inst)
     lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
     operands = (inst.lhs, inst.rhs)
     if op != "fdiv":
         symbol = _FLOAT_OP_SYMBOL[op]
-        e.head([f"values[{key}] = float({lhs}) {symbol} float({rhs})"], operands)
+        e.head([f"{out} = float({lhs}) {symbol} float({rhs})"], operands)
         return True
     e.head([f"_a = float({lhs})", f"_b = float({rhs})"], operands)
     e.line("if _b == 0.0:")
-    e.line(f"values[{key}] = _inf if _a > 0 else (-_inf if _a < 0 else _nan)", 1)
+    e.line(f"{out} = _inf if _a > 0 else (-_inf if _a < 0 else _nan)", 1)
     e.line("else:")
-    e.line(f"values[{key}] = _a / _b", 1)
+    e.line(f"{out} = _a / _b", 1)
     return True
 
 
@@ -427,7 +433,7 @@ def _icmp(e: _Op, inst: ICmpInst) -> bool:
         mask = (1 << bits) - 1
         symbol = _ICMP_UNSIGNED[pred]
         compare = f"(int({lhs}) & {mask}) {symbol} (int({rhs}) & {mask})"
-    e.head([f"values[{id(inst)}] = 1 if {compare} else 0"], (inst.lhs, inst.rhs))
+    e.head([f"{e.dest(inst)} = 1 if {compare} else 0"], (inst.lhs, inst.rhs))
     return True
 
 
@@ -437,7 +443,7 @@ def _fcmp(e: _Op, inst: FCmpInst) -> bool:
     e.head([f"_a = float({lhs})", f"_b = float({rhs})"], (inst.lhs, inst.rhs))
     # Ordered compares are false on NaN; x != x is the call-free isnan.
     e.line(
-        f"values[{id(inst)}] = 0 if (_a != _a or _b != _b)"
+        f"{e.dest(inst)} = 0 if (_a != _a or _b != _b)"
         f" else (1 if _a {symbol} _b else 0)"
     )
     return True
@@ -445,21 +451,20 @@ def _fcmp(e: _Op, inst: FCmpInst) -> bool:
 
 def _cast(e: _Op, inst: CastInst) -> bool:
     op = inst.opcode
-    key = id(inst)
+    out = e.dest(inst)
     value = e.read(inst.value, "v")
     ty = inst.type
     if op in ("bitcast", "ptrtoint", "inttoptr", "sext"):
-        body = [f"values[{key}] = int({value})"]
+        body = [f"{out} = int({value})"]
     elif op == "trunc":
         body = [
             f"_m = int({value}) & {ty.max_unsigned}",
-            f"values[{key}] = _m - {ty.max_unsigned + 1}"
-            f" if _m > {ty.max_signed} else _m",
+            f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m",
         ]
     elif op == "zext":
-        body = [f"values[{key}] = int({value}) & {inst.value.type.max_unsigned}"]
+        body = [f"{out} = int({value}) & {inst.value.type.max_unsigned}"]
     elif op == "sitofp":
-        body = [f"values[{key}] = float(int({value}))"]
+        body = [f"{out} = float(int({value}))"]
     else:
         # fptosi: nan and inf collapse to 0; anything else truncates and
         # wraps to the target width.
@@ -467,8 +472,7 @@ def _cast(e: _Op, inst: CastInst) -> bool:
             f"_a = float({value})",
             "_m = 0 if (_a != _a or _a == _inf or _a == -_inf)"
             f" else int(_a) & {ty.max_unsigned}",
-            f"values[{key}] = _m - {ty.max_unsigned + 1}"
-            f" if _m > {ty.max_signed} else _m",
+            f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m",
         ]
     e.head(body, (inst.value,))
     return True
@@ -488,25 +492,24 @@ def _gep(e: _Op, inst: GEPInst) -> bool:
         if stride != 1:
             term += f" * {stride}"
         terms.append(term)
-    e.head([f"values[{id(inst)}] = {' + '.join(terms)}"], operands)
+    e.head([f"{e.dest(inst)} = {' + '.join(terms)}"], operands)
     return True
 
 
 def _load(e: _Op, inst: LoadInst) -> bool:
     ty = inst.type
     size = size_of(ty)
-    key = id(inst)
+    out = e.dest(inst)
     if isinstance(ty, IntType):
         decode = [
             "_m = _ifb(_v, 'little')",
-            f"values[{key}] = _m - {ty.max_unsigned + 1}"
-            f" if _m > {ty.max_signed} else _m",
+            f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m",
         ]
     elif isinstance(ty, FloatType):
         e.ns[f"_up{e.t}"] = struct.Struct("<d" if ty.bits == 64 else "<f").unpack
-        decode = [f"values[{key}] = _up{e.t}(_v)[0]"]
+        decode = [f"{out} = _up{e.t}(_v)[0]"]
     elif isinstance(ty, PointerType):
-        decode = [f"values[{key}] = _ifb(_v, 'little')"]
+        decode = [f"{out} = _ifb(_v, 'little')"]
     else:
         return False
     e.head([f"_a = int({e.read(inst.pointer, 'p')})"], (inst.pointer,))
@@ -587,12 +590,12 @@ def _call(e: _Op, inst: CallInst) -> bool:
     # (a domain error yields nan), then the call cost.
     t = e.t
     e.ns[f"_fn{t}"] = _MATH_BUILTINS[inst.callee.name]
-    key = id(inst)
+    out = e.dest(inst)
     e.head([f"_a = float({e.read(inst.args[0], 'a')})"], inst.args, "stats.calls += 1")
     e.line("try:")
-    e.line(f"values[{key}] = float(_fn{t}(_a))", 1)
+    e.line(f"{out} = float(_fn{t}(_a))", 1)
     e.line("except ValueError:")
-    e.line(f"values[{key}] = _nan", 1)
+    e.line(f"{out} = _nan", 1)
     e.line("stats.cycles += _cc")
     return True
 
@@ -622,7 +625,8 @@ def emit_value_op(
     or write nothing and return False for a form with no template (frem,
     a non-scalar load or store, a GEP through a non-aggregate, and every
     instruction that is not a value op).  ``t`` makes the body's ``ns``
-    names unique; ``is_carat``/``has_tier`` are the facts above."""
+    names unique within one scope; ``is_carat``/``has_tier`` are the
+    facts above."""
     emitter = _EMITTERS.get(type(inst))
     if emitter is None:
         return False

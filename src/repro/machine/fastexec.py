@@ -14,11 +14,14 @@ changing a single observable number:
   not by isinstance at run time.  Every value form (arithmetic,
   compares, casts, GEPs, loads/stores, unary math builtins) is the one
   source template of :mod:`repro.machine.codegen` — the lines the trace
-  tier inlines — wrapped in a ``def`` behind a prologue that binds the
-  names the body reads, so operand reads, wrap arithmetic and NaN checks
-  are inline in the op itself (one ``compile`` per block); guards are
-  generated the same way, while control flow, calls and the rare fault
-  forms stay ordinary closures;
+  tier inlines — so operand reads, wrap arithmetic and NaN checks are
+  inline in the op itself.  Ops are built by copy-and-patch from a
+  process-wide *stencil library* keyed by the op's text: everything that
+  identifies one op (operand and destination slots, constants, its
+  guard site) is a name, so every op of one shape shares one stencil,
+  compiled once, and the op is that stencil applied to its operands;
+  guards are generated the same way, while control flow, calls and the
+  rare fault forms stay ordinary closures;
 * the compiled form is cached on the module (``Module.metadata``) and
   shared by every subsequent run of the same binary;
 * every ``carat.guard.*`` call site gets a numbered
@@ -165,49 +168,40 @@ def _slot_key(value: Value) -> Optional[int]:
 #: Prologue line for each name a block-tier body may read (the facts a
 #: known-fact binding serves are never known here).
 _PROLOGUE = {
-    "stats": "    stats = interp.stats\n",
-    "values": "    values = frame.values\n",
+    "stats": "        stats = interp.stats\n",
+    "values": "        values = frame.values\n",
 }
 _PROLOGUE.update(
-    (name, f"    {name} = interp.{path}\n") for name, path in BINDINGS.items()
+    (name, f"        {name} = interp.{path}\n") for name, path in BINDINGS.items()
 )
 
+#: The stencil library: stencil text -> its maker.  Process-wide and keyed
+#: by the text alone, which holds no id, slot or position — those are the
+#: maker's arguments — so every op of one shape, in any block of any
+#: module, shares one ``compile`` call and one code object.  A maker is
+#: a pure function of its text, so sharing it across modules is safe.
+_STENCILS: Dict[str, Callable[..., Op]] = {}
+_STENCIL_SCOPE: Dict[str, object] = dict(GLOBALS)
 
-class _OpSource:
-    """One block's generated ops, compiled by one ``compile`` call.  Each
-    op is ``def _op<n>(interp, frame):`` plus a prologue binding the names
-    its body mentions; ``n`` also keeps the bodies' constants apart in the
-    shared scope."""
 
-    def __init__(self) -> None:
-        self.lines: List[str] = []
-        self.scope: Dict[str, object] = dict(GLOBALS)
-        self.count = 0
-
-    def add(self, w: Writer, ns: Dict[str, object]) -> str:
-        """Queue body lines written at indent 1; returns the op's name."""
-        name = f"_op{self.count}"
-        self.count += 1
-        body = w.source()
-        self.lines.append(f"def {name}(interp, frame):\n")
-        self.lines += [line for var, line in _PROLOGUE.items() if var in body]
-        self.lines.append(body)
-        self.scope.update(ns)
-        return name
-
-    def template(self, inst: Instruction) -> Optional[str]:
-        """Queue ``inst``'s shared template, or return ``None`` when its
-        form has none.  Module-shared code knows neither the addressing
-        mode nor the tiering, so both stay run-time tests."""
-        w = Writer()
-        ns: Dict[str, object] = {}
-        if not emit_value_op(w, 1, inst, self.count, ns):
-            return None
-        return self.add(w, ns)
-
-    def compile(self) -> Dict[str, object]:
-        exec(compile("".join(self.lines), "<fastexec>", "exec"), self.scope)
-        return self.scope
+def _stencil_op(w: Writer, ns: Dict[str, object]) -> Op:
+    """The op for a body written at indent 2 with the fixed tag 0: its
+    stencil ``_mk(<ns names>)`` returns ``_op(interp, frame)``, a prologue
+    binding the names the body reads plus the body, and the op is the
+    stencil applied to this instruction's ``ns`` values (copy-and-patch:
+    the operands become closure cells)."""
+    body = w.source()
+    text = "".join([
+        f"def _mk({', '.join(ns)}):\n    def _op(interp, frame):\n",
+        *(line for var, line in _PROLOGUE.items() if var in body),
+        body,
+        "    return _op\n",
+    ])
+    make = _STENCILS.get(text)
+    if make is None:
+        exec(compile(text, "<stencil>", "exec"), _STENCIL_SCOPE)
+        make = _STENCILS[text] = _STENCIL_SCOPE.pop("_mk")
+    return make(*ns.values())
 
 
 # ----------------------------------------------------------------------
@@ -534,39 +528,39 @@ def _compile_unreachable(inst: UnreachableInst) -> Op:
 # ----------------------------------------------------------------------
 
 
-def _compile_guard(inst: CallInst, name: str, site: int, source: _OpSource) -> str:
+def _compile_guard(inst: CallInst, name: str, site: int) -> Op:
     """A ``carat.guard.*`` site: the generic runtime check through the
     site's region-cache cell (the trace tier specializes its own)."""
     args = inst.args
     ns: Dict[str, object] = {}
-    t = source.count
-    reads = [f"_s = int({expr(args[0 if name == GUARD_CALL else 1], ns, f'{t}s')})"]
+    reads = [f"_s = int({expr(args[0 if name == GUARD_CALL else 1], ns, '0s')})"]
     if name == GUARD_CALL:
         check = "guard_call(interp.sp, _s"
     else:
-        reads.insert(0, f"_a = int({expr(args[0], ns, f'{t}a')})")
+        reads.insert(0, f"_a = int({expr(args[0], ns, '0a')})")
         if name != GUARD_RANGE:
             access = "'read'" if name == GUARD_LOAD else "'write'"
             check = f"guard_access(_a, _s, {access}"
         elif len(args) > 2:
-            flag = expr(args[2], ns, f"{t}f")
+            flag = expr(args[2], ns, "0f")
             reads.append(f"_c = 'write' if int({flag}) else 'read'")
             check = "guard_range(_a, _s, _c"
         else:
             check = "guard_range(_a, _s, 'read'"
+    ns["_q0"] = site
     w = Writer()
-    w.line(1, "stats.cycles += _ci")
-    w.line(1, "runtime = interp.process.runtime")
-    w.line(1, "if runtime is None:")
-    w.line(2, "return")
-    w.line(1, "try:")
+    w.line(2, "stats.cycles += _ci")
+    w.line(2, "runtime = interp.process.runtime")
+    w.line(2, "if runtime is None:")
+    w.line(3, "return")
+    w.line(2, "try:")
     for text in reads:
-        w.line(2, text)
-    undef(w, 1, args[: len(reads)], t, ns)
-    w.line(1, f"_gc = runtime.{check}, _cells[{site}])")
-    w.line(1, "stats.guard_cycles += _gc")
-    w.line(1, "stats.cycles += _gc")
-    return source.add(w, ns)
+        w.line(3, text)
+    undef(w, 2, args[: len(reads)], 0, ns)
+    w.line(2, f"_gc = runtime.{check}, _cells[_q0])")
+    w.line(2, "stats.guard_cycles += _gc")
+    w.line(2, "stats.cycles += _gc")
+    return _stencil_op(w, ns)
 
 
 def _compile_intrinsic(inst: CallInst, name: str, code: "ModuleCode") -> Op:
@@ -575,7 +569,7 @@ def _compile_intrinsic(inst: CallInst, name: str, code: "ModuleCode") -> Op:
     Guard sites get a numbered memoization cell for the region cache."""
     args = inst.args
     if name in (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE):
-        return _compile_guard(inst, name, code.new_guard_site(inst), code._source)
+        return _compile_guard(inst, name, code.new_guard_site(inst))
     if name in (TRACK_ALLOC, TRACK_FREE, TRACK_ESCAPE):
         getters = tuple(_operand(a) for a in args)
         if name == TRACK_ALLOC:
@@ -718,18 +712,11 @@ class ModuleCode:
                 continue
             self.compiled_functions += 1
             for block in function.blocks:
-                self._source = _OpSource()
-                ops = [
+                self.ops_by_block[id(block)] = [
                     (self._compile(inst), inst.is_terminator)
                     for inst in block.instructions
                 ]
-                scope = self._source.compile()
-                self.ops_by_block[id(block)] = [
-                    (scope[op] if isinstance(op, str) else op, is_terminator)
-                    for op, is_terminator in ops
-                ]
                 self.compiled_blocks += 1
-        self._source = None
 
     def new_guard_site(self, inst: Instruction) -> int:
         site = self.guard_sites
@@ -737,10 +724,12 @@ class ModuleCode:
         self.guard_site_of[id(inst)] = site
         return site
 
-    def _compile(self, inst: Instruction) -> Union[Op, str]:
-        op = self._source.template(inst)
-        if op is not None:
-            return op
+    def _compile(self, inst: Instruction) -> Op:
+        # Module-shared code knows neither the addressing mode nor the
+        # tiering, so the template leaves both as run-time tests.
+        w, ns = Writer(), {}
+        if emit_value_op(w, 2, inst, 0, ns):
+            return _stencil_op(w, ns)
         if isinstance(inst, (BinaryInst, GEPInst, LoadInst, StoreInst)):
             return _fallback_op(inst)
         if isinstance(inst, SelectInst):

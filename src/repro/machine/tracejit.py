@@ -1108,13 +1108,12 @@ class TraceInterpreter(FastInterpreter):
         )
         tcode = self._code.trace_codes.get(key, _UNBUILT)
         if tcode is _UNBUILT:
-            try:
-                tcode = _build_trace(
-                    self._code, rec.chain, specialize, mech_name,
-                    self.is_carat, has_tier, end,
-                )
-            except Exception:
-                tcode = None
+            # A chain the compiler cannot linearize comes back as None;
+            # an exception is a compiler bug and propagates.
+            tcode = _build_trace(
+                self._code, rec.chain, specialize, mech_name,
+                self.is_carat, has_tier, end,
+            )
             self._code.trace_codes[key] = tcode  # None caches the reject
         if tcode is None:
             self._strike(anchor_key)

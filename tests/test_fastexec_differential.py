@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.carat.pipeline import CompileOptions, compile_carat
+from repro.carat.pipeline import CompileOptions, compile_baseline, compile_carat
 from repro.errors import ProtectionFault
 from repro.ir import parse_module
 from repro.ir.types import IntType
@@ -27,6 +27,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.physmem import PhysicalMemory
 from tests.support import run_carat, run_traditional
 from repro.machine.codegen import GLOBALS, Writer, emit_value_op
+from repro.machine import fastexec
 from repro.machine.fastexec import compile_module
 from repro.machine.session import CaratSession, RunConfig
 from repro.runtime import (
@@ -37,7 +38,7 @@ from repro.runtime import (
 )
 from repro.runtime.runtime import GuardSiteCell
 from repro.transform.simplify import fold_int_binop
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 MB = 1024 * 1024
 
@@ -305,6 +306,72 @@ class TestDispatchCache:
         workload = get_workload("ep", "tiny")
         with pytest.raises(ValueError, match="unknown engine"):
             run_carat(workload.source, name="ep", engine="warp")
+
+    # -- the stencil library: one compile per op shape, not per op ------
+
+    @staticmethod
+    def _two_adds(c_entry, c_next):
+        """``add i64 <slot>, <const>`` in two blocks: one shape, with a
+        different operand slot, constant and destination in each."""
+        module = parse_module(
+            "define i64 @f(i64 %x, i64 %y) {\nentry:\n"
+            f"  %a = add i64 %x, {c_entry}\n  br label %next\n"
+            f"next:\n  %b = add i64 %y, {c_next}\n  ret i64 %b\n}}\n"
+        )
+        function = module.get_function("f")
+        code, _ = compile_module(module)
+        ops = [code.ops_by_block[id(block)][0][0] for block in function.blocks]
+        return function, ops
+
+    def test_same_shape_ops_share_one_stencil(self):
+        interp = SimpleNamespace(stats=SimpleNamespace(cycles=0), _cost_instruction=1)
+        codes = set()
+        for c_entry, c_next in ((5, 9), (-7, 1000)):
+            function, ops = self._two_adds(c_entry, c_next)
+            codes.update(op.__code__ for op in ops)
+            x, y = function.args
+            frame = SimpleNamespace(values={id(x): 40, id(y): 2})
+            for op in ops:
+                op(interp, frame)
+            a, b = (block.instructions[0] for block in function.blocks)
+            assert frame.values[id(a)] == 40 + c_entry
+            assert frame.values[id(b)] == 2 + c_next
+        # Two blocks of two modules: four ops, one code object.
+        assert len(codes) == 1
+
+    def test_recompiling_a_program_adds_no_stencils(self, monkeypatch):
+        # Any id() or position that leaked into a stencil's text would
+        # make the second module's ops miss the library.
+        source = get_workload("hpccg", "tiny").source
+        compile_module(compile_carat(source, CompileOptions()).module)
+        size = len(fastexec._STENCILS)
+        compiles = []
+
+        def counting_compile(*args, **kwargs):
+            compiles.append(args)
+            return compile(*args, **kwargs)
+
+        monkeypatch.setattr(fastexec, "compile", counting_compile, raising=False)
+        code, was_cached = compile_module(compile_carat(source, CompileOptions()).module)
+        assert not was_cached and code.compiled_blocks > 0
+        assert len(fastexec._STENCILS) == size
+        assert compiles == []
+
+    def test_stencil_library_size_over_all_workloads(self, monkeypatch):
+        # 25 workloads x carat/traditional at tiny scale fold into 93
+        # stencils; the bound is 4x that, far below one stencil per op.
+        monkeypatch.setattr(fastexec, "_STENCILS", {})
+        blocks = 0
+        for name in workload_names():
+            source = get_workload(name, "tiny").source
+            for binary in (
+                compile_carat(source, CompileOptions(), module_name=name),
+                compile_baseline(source, module_name=name),
+            ):
+                blocks += compile_module(binary.module)[0].compiled_blocks
+        size = len(fastexec._STENCILS)
+        print(f"stencil library: {size} stencils for {blocks} blocks")
+        assert 0 < size <= 4 * 93
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ import pytest
 from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.kernel import PAGE_SIZE, Kernel
 from tests.support import run_carat
-from repro.machine.session import RunConfig
+from repro.machine import tracejit
+from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry.metrics import run_snapshot
 
 #: A nested hot loop over heap memory — the bread-and-butter promotion
@@ -195,6 +196,18 @@ class TestAbortsAndBlacklist:
         # recorded.
         assert result.stats.traces_compiled == 0
         assert len(result.interpreter._trace_blacklist) > 0
+
+    def test_trace_compiler_bug_propagates(self, monkeypatch):
+        # Only a chain the compiler cannot linearize is a reject (None);
+        # an exception from the compiler must fail the run, not quietly
+        # switch the trace tier off.
+        def broken(*args, **kwargs):
+            raise RuntimeError("trace compiler bug")
+
+        monkeypatch.setattr(tracejit, "_build_trace", broken)
+        session = CaratSession(RunConfig(engine="trace", trace_threshold=2))
+        with pytest.raises(RuntimeError, match="trace compiler bug"):
+            session.run(HOT_SOURCE)
 
     def test_recursion_keeps_parity(self):
         reference = run_carat(RECURSIVE_SOURCE, engine="reference")
