@@ -8,7 +8,7 @@ LICM's safety checks, and the AC/DC redundancy analysis.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.cfg import reverse_post_order
 from repro.ir.module import BasicBlock, Function
@@ -119,10 +119,14 @@ class DominatorTree:
     def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
         return a is not b and self.dominates(a, b)
 
-    def dominance_frontier(self) -> Dict[BasicBlock, Set[BasicBlock]]:
-        """Dominance frontiers for every reachable block (Cooper et al. §4)."""
-        frontier: Dict[BasicBlock, Set[BasicBlock]] = {
-            block: set() for block in self._idom
+    def dominance_frontier(self) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
+        """Dominance frontiers for every reachable block (Cooper et al. §4).
+
+        Each frontier is an insertion-ordered dict used as a set: blocks
+        hash by identity, so a ``set`` would iterate in address order and
+        make phi placement differ between compiles of the same source."""
+        frontier: Dict[BasicBlock, Dict[BasicBlock, None]] = {
+            block: {} for block in self._idom
         }
         for block in self._idom:
             preds = [p for p in block.predecessors() if p in self._idom]
@@ -132,7 +136,7 @@ class DominatorTree:
             for pred in preds:
                 runner: Optional[BasicBlock] = pred
                 while runner is not None and runner is not block_idom:
-                    frontier[runner].add(block)
+                    frontier[runner][block] = None
                     runner = self._idom.get(runner)
         return frontier
 

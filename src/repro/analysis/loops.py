@@ -10,7 +10,7 @@ guards into ("the pre-header of that loop", Section 4.1.1).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.analysis.dominators import DominatorTree
 from repro.ir.builder import IRBuilder
@@ -21,7 +21,10 @@ from repro.ir.module import BasicBlock, Function
 class Loop:
     def __init__(self, header: BasicBlock) -> None:
         self.header = header
-        self.blocks: Set[BasicBlock] = {header}
+        # An insertion-ordered dict used as a set: blocks hash by
+        # identity, so a ``set`` would iterate in address order and make
+        # hoisting order differ between compiles of the same source.
+        self.blocks: Dict[BasicBlock, None] = {header: None}
         self.latches: List[BasicBlock] = []
         self.parent: Optional["Loop"] = None
         self.subloops: List["Loop"] = []
@@ -121,7 +124,7 @@ class LoopInfo:
             block = stack.pop()
             if block in loop.blocks:
                 continue
-            loop.blocks.add(block)
+            loop.blocks[block] = None
             stack.extend(block.predecessors())
 
     @staticmethod
@@ -206,7 +209,7 @@ class LoopInfo:
         # the outside predecessors *and* the header (i.e. enclosing loops).
         enclosing = loop.parent
         while enclosing is not None:
-            enclosing.blocks.add(pre)
+            enclosing.blocks[pre] = None
             enclosing = enclosing.parent
         if loop.parent is not None:
             self._loop_of[pre] = loop.parent

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import struct
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import InterpError
 from repro.ir.instructions import (
@@ -200,8 +200,26 @@ def expr(value: Value, ns: Dict[str, object], tag: str) -> str:
     return f"_g{tag}(interp, values)"
 
 
-def undef(w: Writer, ind: int, operands: Sequence[Value], t: int, ns) -> None:
-    """Close an operand-reading ``try:`` with the undefined-value path."""
+def operand_reads(
+    w: Writer, ind: int, reads: Sequence[str], operands: Sequence[Value], t: int,
+    ns, defined: Optional[Set[int]] = None,
+) -> None:
+    """Write the operand-reading lines ``reads`` at ``ind`` inside a
+    ``try:`` whose KeyError takes the undefined-value path — or bare,
+    when every operand is a scalar constant or a slot in ``defined``, the
+    ids the caller knows were written earlier in the same frame (so the
+    read cannot miss)."""
+    if defined is not None and all(
+        isinstance(v, (ConstantInt, ConstantFloat, ConstantNull, UndefValue))
+        or (isinstance(v, (Argument, Instruction)) and id(v) in defined)
+        for v in operands
+    ):
+        for text in reads:
+            w.line(ind, text)
+        return
+    w.line(ind, "try:")
+    for text in reads:
+        w.line(ind + 1, text)
     ns[f"_v{t}"] = tuple(operands)
     w.line(ind, "except KeyError:")
     w.line(ind + 1, f"_raise_undefined(interp, values, *_v{t})")
@@ -254,17 +272,19 @@ def is_math_call(inst: Instruction) -> bool:
 
 
 class _Op:
-    """One emission: the writer, indent, name tag and facts in effect."""
+    """One emission: the writer, indent, name tag, facts in effect and
+    the slots known to be defined (see :func:`operand_reads`)."""
 
-    __slots__ = ("w", "ind", "t", "ns", "is_carat", "has_tier")
+    __slots__ = ("w", "ind", "t", "ns", "is_carat", "has_tier", "defined")
 
-    def __init__(self, w, ind, t, ns, is_carat, has_tier) -> None:
+    def __init__(self, w, ind, t, ns, is_carat, has_tier, defined) -> None:
         self.w = w
         self.ind = ind
         self.t = t
         self.ns = ns
         self.is_carat = is_carat
         self.has_tier = has_tier
+        self.defined = defined
 
     def line(self, text: str, depth: int = 0) -> None:
         self.w.lines.append("    " * (self.ind + depth) + text)
@@ -280,10 +300,7 @@ class _Op:
         self.line("stats.cycles += _ci")
         for text in pre:
             self.line(text)
-        self.line("try:")
-        for text in reads:
-            self.line(text, 1)
-        undef(self.w, self.ind, operands, self.t, self.ns)
+        operand_reads(self.w, self.ind, reads, operands, self.t, self.ns, self.defined)
 
     def dest(self, inst: Instruction) -> str:
         """The result slot, named through ``ns`` like every operand, so
@@ -620,14 +637,15 @@ def emit_value_op(
     ns: Dict[str, object],
     is_carat: Optional[bool] = None,
     has_tier: Optional[bool] = None,
+    defined: Optional[Set[int]] = None,
 ) -> bool:
     """Write ``inst``'s body into ``w`` at indent ``ind`` and return True;
     or write nothing and return False for a form with no template (frem,
     a non-scalar load or store, a GEP through a non-aggregate, and every
     instruction that is not a value op).  ``t`` makes the body's ``ns``
     names unique within one scope; ``is_carat``/``has_tier`` are the
-    facts above."""
+    facts above; ``defined`` is passed to :func:`operand_reads`."""
     emitter = _EMITTERS.get(type(inst))
     if emitter is None:
         return False
-    return emitter(_Op(w, ind, t, ns, is_carat, has_tier), inst)
+    return emitter(_Op(w, ind, t, ns, is_carat, has_tier, defined), inst)

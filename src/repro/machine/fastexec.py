@@ -89,8 +89,8 @@ from repro.machine.codegen import (
     emit_value_op,
     expr,
     gep_plan,
+    operand_reads,
     reject,
-    undef,
 )
 from repro.machine.interp import ExitProgram, Interpreter, _Frame
 from repro.runtime.runtime import GuardSiteCell
@@ -553,10 +553,7 @@ def _compile_guard(inst: CallInst, name: str, site: int) -> Op:
     w.line(2, "runtime = interp.process.runtime")
     w.line(2, "if runtime is None:")
     w.line(3, "return")
-    w.line(2, "try:")
-    for text in reads:
-        w.line(3, text)
-    undef(w, 2, args[: len(reads)], 0, ns)
+    operand_reads(w, 2, reads, args[: len(reads)], 0, ns)
     w.line(2, f"_gc = runtime.{check}, _cells[_q0])")
     w.line(2, "stats.guard_cycles += _gc")
     w.line(2, "stats.cycles += _gc")

@@ -72,12 +72,19 @@ Compiled trace code is cached on the module
 recorded chain plus the specialization variant, and *instantiated* per
 interpreter — specialization cells, cost constants, and runtime bindings
 are per-tenant, so multi-tenant schedulers sharing one binary get
-per-process generations and isolation for free.
+per-process generations and isolation for free.  Trace text names every
+slot, block and constant through the build-time namespace, so it depends
+on the trace's shape alone, and :data:`_LIBRARY` compiles each text once
+per process (copy-and-patch): any module, session or tenant with the same
+shape reuses the code object and binds its own operands.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import hashlib
+import marshal
+import zlib
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.carat.guard_opt import guard_covered, guard_tag
 from repro.carat.intrinsics import (
@@ -107,7 +114,7 @@ from repro.machine.codegen import (
     emit_value_op,
     expr,
     is_math_call,
-    undef,
+    operand_reads,
 )
 from repro.machine.fastexec import (
     _Edge,
@@ -212,17 +219,22 @@ class _Recorder:
         self.chain: List[Tuple[int, BasicBlock]] = [(0, anchor)]
 
 
+#: The process-wide trace code library: 16-byte BLAKE2b digest of a trace
+#: source -> its code object, marshalled and compressed (live code objects
+#: and source-text keys would cost several times the memory).
+_LIBRARY: Dict[bytes, bytes] = {}
+
+
 class _TraceCode:
-    """The compiled form of one superblock variant: generated source, its
-    code object, and the build-time namespace (operand getters, edge
-    closures, fallback ops — all interpreter-independent).  Cached in
+    """The compiled form of one superblock variant: its code object, from
+    the library, and the build-time namespace (slot ids, edge closures,
+    fallback ops — all interpreter-independent).  Cached in
     :attr:`ModuleCode.trace_codes`; :meth:`instantiate` binds the
     per-interpreter state (cost constants, guard cells, runtime, fresh
     specialization cells) and returns the executable closure."""
 
     __slots__ = (
-        "source", "code_obj", "ns", "n_spec", "n_blocks", "n_guards",
-        "specialize",
+        "code_obj", "ns", "n_spec", "n_blocks", "n_guards", "specialize",
     )
 
     def __init__(
@@ -234,13 +246,18 @@ class _TraceCode:
         n_guards: int,
         specialize: bool,
     ) -> None:
-        self.source = source
         self.ns = ns
         self.n_spec = n_spec
         self.n_blocks = n_blocks
         self.n_guards = n_guards
         self.specialize = specialize
-        self.code_obj = compile(source, "<tracejit>", "exec")
+        key = hashlib.blake2b(source.encode(), digest_size=16).digest()
+        blob = _LIBRARY.get(key)
+        if blob is None:
+            self.code_obj = compile(source, "<tracejit>", "exec")
+            _LIBRARY[key] = zlib.compress(marshal.dumps(self.code_obj))
+        else:
+            self.code_obj = marshal.loads(zlib.decompress(blob))
 
     def instantiate(self, interp: "TraceInterpreter"):
         scope: Dict[str, object] = dict(GLOBALS)
@@ -477,6 +494,14 @@ def _build_trace(
     spec_count = 0
     guard_count = 0
     available: Dict[tuple, int] = {}
+    # Per inlined frame, the slots this iteration has already written
+    # there: a read of one cannot miss, so it needs no undefined-value
+    # handler.  Phis assigned by the previous iteration's closing edge
+    # are deliberately absent.
+    defined: List[Set[int]] = [set()]
+
+    def reads(ind: int, lines: List[str], operands, t: int) -> None:
+        operand_reads(w, ind, lines, operands, t, ns, defined[-1])
 
     if mech_name == "mpx":
         mc = " and _mech._bound is _sc.region"
@@ -530,19 +555,13 @@ def _build_trace(
             w.line(3, "if _sc.gen == _regions.version and not _windows:")
             emit_hit(4)
             w.line(3, "else:")
-            w.line(4, "try:")
-            w.line(5, f"_a = int({addr_e})")
-            w.line(5, f"_s = int({size_e})")
-            undef(w, 4, (inst.args[0], inst.args[1]), t, ns)
+            reads(4, [f"_a = int({addr_e})", f"_s = int({size_e})"], inst.args[:2], t)
             w.line(4, f"_gc = _rt.guard_access(_a, _s, '{access}', _cells[{site}])")
             w.line(4, "stats.guard_cycles += _gc")
             w.line(4, "stats.cycles += _gc")
             available.setdefault(tg, jdom)
             return
-        w.line(3, "try:")
-        w.line(4, f"_a = int({addr_e})")
-        w.line(4, f"_s = int({size_e})")
-        undef(w, 3, (inst.args[0], inst.args[1]), t, ns)
+        reads(3, [f"_a = int({addr_e})", f"_s = int({size_e})"], inst.args[:2], t)
         if jdom is not None:
             # Predictor-dependent mechanisms keep the bounds test (it is
             # what makes the hit provably steady) but share the
@@ -598,9 +617,7 @@ def _build_trace(
             w.line(4, "stats.cycles += _gc")
             available.setdefault(tg, jdom)
             return
-        w.line(3, "try:")
-        w.line(4, f"_s = int({size_e})")
-        undef(w, 3, (inst.args[0],), t, ns)
+        reads(3, [f"_s = int({size_e})"], inst.args[:1], t)
         w.line(3, "_a = interp.sp - _s")
         if jdom is not None:
             j = jdom
@@ -637,20 +654,16 @@ def _build_trace(
         addr_e = expr(args[0], ns, f"{t}a")
         len_e = expr(args[1], ns, f"{t}n")
         w.line(3, "stats.cycles += _ci")
-        w.line(3, "try:")
-        w.line(4, f"_a = int({addr_e})")
-        w.line(4, f"_s = int({len_e})")
+        lines = [f"_a = int({addr_e})", f"_s = int({len_e})"]
         if len(args) > 2 and not isinstance(args[2], ConstantInt):
             flag_e = expr(args[2], ns, f"{t}f")
-            w.line(4, f"_c = 'write' if int({flag_e}) else 'read'")
+            lines.append(f"_c = 'write' if int({flag_e}) else 'read'")
             acc = "_c"
-            undef(w, 3, (args[0], args[1], args[2]), t, ns)
+        elif len(args) > 2:
+            acc = "'write'" if args[2].value else "'read'"
         else:
-            if len(args) > 2:
-                acc = "'write'" if args[2].value else "'read'"
-            else:
-                acc = "'read'"
-            undef(w, 3, (args[0], args[1]), t, ns)
+            acc = "'read'"
+        reads(3, lines, args[: len(lines)], t)
         j = spec_count
         spec_count += 1
         w.line(3, f"_sc = _spec{j}")
@@ -692,7 +705,11 @@ def _build_trace(
                 return
         t = tag
         tag += 1
-        if not emit_value_op(w, 3, inst, t, ns, is_carat, has_tier):
+        if emit_value_op(w, 3, inst, t, ns, is_carat, has_tier, defined[-1]):
+            # A template writes its result whenever it completes (a
+            # builtin call op, say, may not).
+            defined[-1].add(id(inst))
+        else:
             # frem, select, alloca and the rare fault forms: the block
             # tier's op already charges and faults exactly right.
             fallback(block, k)
@@ -701,25 +718,21 @@ def _build_trace(
         nonlocal tag
         t = tag
         tag += 1
-        moves = [(id(phi), phi.incoming_for_block(src)) for phi in dst.phis()]
-        if moves:
-            exprs = [
-                expr(val, ns, f"{t}h{k2}") for k2, (_pid, val) in enumerate(moves)
-            ]
-            w.line(ind, "try:")
-            for k2, e in enumerate(exprs):
-                w.line(ind + 1, f"_hv{k2} = {e}")
-            ns[f"_pv{t}"] = tuple(val for _pid, val in moves)
-            w.line(ind, "except KeyError:")
-            w.line(ind + 1, f"_raise_undefined(interp, values, *_pv{t})")
-            nmv = len(moves)
+        phis = dst.phis()
+        if phis:
+            vals = [phi.incoming_for_block(src) for phi in phis]
+            lines = [f"_hv{k2} = {expr(v, ns, f'{t}h{k2}')}" for k2, v in enumerate(vals)]
+            reads(ind, lines, vals, t)
+            nmv = len(phis)
             if nmv > 1:
                 w.line(ind, f"stats.cycles += _ci * {nmv}")
             else:
                 w.line(ind, "stats.cycles += _ci")
             w.line(ind, f"stats.instructions += {nmv}")
-            for k2, (pid, _val) in enumerate(moves):
-                w.line(ind, f"values[{pid}] = _hv{k2}")
+            for k2, phi in enumerate(phis):
+                ns[f"_d{t}h{k2}"] = id(phi)
+                w.line(ind, f"values[_d{t}h{k2}] = _hv{k2}")
+                defined[-1].add(id(phi))
         w.line(ind, f"frame.prev_block = {bref(src)}")
         w.line(ind, f"frame.block = {bref(dst)}")
         w.line(ind, f"frame.ops = _ops{bref(dst)[4:]}")
@@ -735,10 +748,7 @@ def _build_trace(
             return None
         t = tag
         tag += 1
-        cexpr = expr(term.condition, ns, f"{t}c")
-        w.line(3, "try:")
-        w.line(4, f"_c = {cexpr}")
-        undef(w, 3, (term.condition,), t, ns)
+        reads(3, [f"_c = {expr(term.condition, ns, f'{t}c')}"], (term.condition,), t)
         on_true = term.targets[0] is nxt
         on_false = term.targets[1] is nxt
         if on_true and on_false:
@@ -806,14 +816,14 @@ def _build_trace(
         w.line(3, "_nf.prev_block = None")
         w.line(3, f"_nf.ops = _ops{eb[4:]}")
         if inst.args:
-            w.line(3, "try:")
-            for j, (formal, actual) in enumerate(
-                zip(callee.args, inst.args)
-            ):
-                arg_e = expr(actual, ns, f"{t}a{j}")
-                w.line(4, f"_nv[{id(formal)}] = {arg_e}")
-            undef(w, 3, tuple(inst.args), t, ns)
+            lines = []
+            for j, (formal, actual) in enumerate(zip(callee.args, inst.args)):
+                ns[f"_d{t}a{j}"] = id(formal)
+                lines.append(f"_nv[_d{t}a{j}] = {expr(actual, ns, f'{t}a{j}')}")
+            reads(3, lines, inst.args, t)
         w.line(3, "interp.frames.append(_nf)")
+        # The callee frame starts with only its formals set.
+        defined.append({id(formal) for formal in callee.args[: len(inst.args)]})
 
     def emit_return_inline(inst: ReturnInst, call: CallInst) -> None:
         # The frame pop of the block tier's return op, inlined: inside a
@@ -827,13 +837,14 @@ def _build_trace(
         w.line(3, "stats.cycles += _ci")
         rv = inst.return_value
         if rv is not None:
-            w.line(3, "try:")
-            w.line(4, f"_v = {expr(rv, ns, f'{t}r')}")
-            undef(w, 3, (rv,), t, ns)
+            reads(3, [f"_v = {expr(rv, ns, f'{t}r')}"], (rv,), t)
         w.line(3, "interp.sp = frame.sp_on_entry")
         w.line(3, "interp.frames.pop()")
+        defined.pop()
         if rv is not None and not call.type.is_void:
-            w.line(3, f"interp.frames[-1].values[{id(call)}] = _v")
+            ns[f"_d{t}"] = id(call)
+            w.line(3, f"interp.frames[-1].values[_d{t}] = _v")
+            defined[-1].add(id(call))
 
     w.line(0, "def trace(interp, frame, steps, max_steps):")
     w.line(1, "stats = interp.stats")

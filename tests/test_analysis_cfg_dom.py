@@ -92,9 +92,9 @@ class TestDominators:
     def test_frontiers_diamond(self, module):
         fn, entry, left, right, join = diamond(module)
         df = DominatorTree.compute(fn).dominance_frontier()
-        assert df[left] == {join}
-        assert df[right] == {join}
-        assert df[entry] == set()
+        assert set(df[left]) == {join}
+        assert set(df[right]) == {join}
+        assert set(df[entry]) == set()
 
     def test_frontier_loop_header(self, module):
         fn, parts = build_count_loop(module)

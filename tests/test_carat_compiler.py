@@ -38,7 +38,9 @@ from repro.ir import (
     verify_module,
 )
 from repro.ir.instructions import CallInst
+from repro.ir.printer import print_module
 from repro.ir.types import I64, VOID, ptr
+from repro.workloads import get_workload, workload_names
 from tests.conftest import LINKED_LIST_SOURCE, SUM_SOURCE, build_count_loop
 
 
@@ -357,3 +359,18 @@ class TestPipeline:
         binary = compile_carat(SUM_SOURCE)
         assert binary.metadata["guards_total"] == binary.guard_table.total
         assert binary.metadata["module"] == binary.module.name
+
+    @pytest.mark.parametrize("pipeline", [compile_carat, compile_baseline])
+    def test_same_source_compiles_to_same_module(self, pipeline):
+        # Blocks hash by identity; iterating a set of them would tie phi
+        # placement, hoisting order and the guard optimizer's loop walks
+        # to object addresses, so two compiles in one process could
+        # print (and sign) different modules.
+        for name in workload_names():
+            workload = get_workload(name, "tiny")
+            if workload.suite == "service":
+                continue  # the paper's programs only
+            first = pipeline(workload.source)
+            second = pipeline(workload.source)
+            assert print_module(first.module) == print_module(second.module), name
+            assert first.signature.digest == second.signature.digest, name

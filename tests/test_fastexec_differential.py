@@ -698,7 +698,7 @@ exit:
 """
 
 
-def _matrix_run(text, mode, engine):
+def _matrix_run(text, mode, engine, verify=True):
     """Compile IR text for ``mode`` (unoptimized, so no fold hides a
     form) and run it, returning the observable outcome — including the
     exception and the stats at the fault when the program faults."""
@@ -706,6 +706,7 @@ def _matrix_run(text, mode, engine):
         optimize=False,
         guards=mode == "carat",
         tracking=mode == "carat",
+        verify=verify,
     )
     binary = compile_carat(parse_module(text), options, module_name="matrix")
     seen = []
@@ -751,6 +752,80 @@ class TestOpcodeMatrix:
         assert reference[:5] == fast[:5]
         assert reference[:5] == trace[:5]
         assert trace[5] > 0  # the fault was raised inside a trace
+
+
+def _undefined_ir(last_limit):
+    """IR the verifier would reject: in ``@g``'s loop, ``%u`` reads
+    ``%v``, which is defined later in the loop body, so the read sees
+    the previous iteration's value.  ``@g`` skips the read on its first
+    iteration (``%j > %lim``) except in the last call, ``@g(9,
+    last_limit)``: by then the loop header is a trace anchor, and the
+    trace, entered from ``@g``'s entry, reads ``%v`` before this frame
+    ever defined it."""
+    return _MATRIX_DECLS + f"""
+define void @g(i64 %n, i64 %lim) {{
+entry:
+  br label %loop
+loop:
+  %j = phi i64 [0, %entry], [%jn, %latch]
+  %f = icmp sgt i64 %j, %lim
+  br i1 %f, label %use, label %latch
+use:
+  %u = add i64 %v, %j
+  call void @print_long(i64 %u)
+  br label %latch
+latch:
+  %v = mul i64 %j, 10
+  %jn = add i64 %j, 1
+  %c = icmp slt i64 %jn, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  ret void
+}}
+
+define void @main() {{
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  call void @g(i64 9, i64 0)
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, 4
+  br i1 %c, label %loop, label %exit
+exit:
+  call void @g(i64 9, i64 {last_limit})
+  ret void
+}}
+"""
+
+
+class TestUndefinedOperand:
+    """A use its definition does not dominate (only unverified IR has
+    one): every engine reads the stale slot the same way, and a trace
+    reading a slot its frame never wrote raises the reference's error."""
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_stale_read_identical(self, mode):
+        text = _undefined_ir(0)
+        reference = _matrix_run(text, mode, "reference", verify=False)
+        assert reference[0] == "ok"
+        assert reference[2][:2] == ("1", "12")  # %v of the iteration before
+        assert reference[:4] == _matrix_run(text, mode, "fast", verify=False)[:4]
+        trace = _matrix_run(text, mode, "trace", verify=False)
+        assert reference[:4] == trace[:4]
+        assert trace[4] > 0
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_undefined_read_identical(self, mode):
+        text = _undefined_ir(-1)
+        reference = _matrix_run(text, mode, "reference", verify=False)
+        assert reference[:3] == (
+            "fault", "InterpError", "use of undefined value %v in @g"
+        )
+        assert reference[:5] == _matrix_run(text, mode, "fast", verify=False)[:5]
+        trace = _matrix_run(text, mode, "trace", verify=False)
+        assert reference[:5] == trace[:5]
+        assert trace[5] > 0  # raised inside a trace
 
 
 # ---------------------------------------------------------------------------
