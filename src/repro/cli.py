@@ -698,11 +698,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         if args.engine == "trace":
             stats = result.stats
+            share = stats.trace_instructions / max(stats.instructions, 1)
+            aborts = ", ".join(
+                f"{reason} {count}"
+                for reason, count in stats.trace_aborts.items()
+            )
             print(
                 f"-- traces       : {stats.traces_compiled} compiled, "
+                f"{share:.0%} of instructions in traces, "
                 f"{stats.trace_exits} side exits, "
                 f"{stats.trace_respecializations} respecializations, "
-                f"{stats.guard_checks_elided} guard checks elided",
+                f"{stats.guard_checks_elided} guard checks elided, "
+                f"aborts: {aborts}",
                 file=sys.stderr,
             )
         if result.process.runtime is not None:

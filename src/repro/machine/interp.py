@@ -126,6 +126,15 @@ class InterpStats:
     trace_exits: int = 0
     trace_respecializations: int = 0
     guard_checks_elided: int = 0
+    #: Guest instructions retired inside compiled traces (the rest ran
+    #: in the block tier), and aborted trace recordings by reason:
+    #: ``depth`` (calls nested past the inline cap), ``length`` (chain
+    #: past the block cap), ``reject`` (a chain the compiler cannot
+    #: lay out).  Together they say why a run is not fast.
+    trace_instructions: int = 0
+    trace_aborts: Dict[str, int] = field(
+        default_factory=lambda: {"depth": 0, "length": 0, "reject": 0}
+    )
 
     def hot_tier_share(self) -> float:
         """Fraction of tier-accounted accesses served by the fast tier."""

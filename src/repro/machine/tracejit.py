@@ -32,13 +32,23 @@ changing a single observable number:
   counts them), with frame state — ``block``/``ops``/``index`` — kept
   consistent at every instruction boundary so faults, retries, register
   snapshots and world-stop patching all keep working unchanged;
-* hot side-exit targets compile into **linear side traces**: exits bump
-  the target's hotness (the dispatch loop's notification never sees
-  them), and a recording started at an exit target may finish the
-  moment it reaches *any* already-traced block, compiling a one-shot
-  run of the off-trace path that hands straight back to the trace it
-  re-joins — so workloads whose hot loop branches on data (an
-  accept/reject split) stay in compiled code on both arms;
+* recordings **join** compiled code instead of unrolling it: one that
+  reaches a block with an installed trace in the anchor's own frame
+  finishes there as a **linear trace**, a one-shot run that hands
+  straight to the trace it joins, and one that reaches an inner loop's
+  trace inside a callee ends at that loop's header, at that call depth
+  — the nested-loop rule of trace trees, so an outer loop calls its
+  inner loop's trace rather than unrolling a data-dependent trip count.
+  Inside a callee only *loop* traces are joined: joining a helper's
+  return trace there would cut the caller's loop into a linear trace.
+  Exits bump their target's hotness (the dispatch loop's notification
+  never sees them), so hot off-trace arms record and join back too —
+  workloads whose hot loop branches on data (an accept/reject split)
+  stay in compiled code on both arms;
+* a recording whose anchor frame **returns** closes as a **return
+  trace**, ending in the block tier's return op — so a hot function
+  with no loop of its own (a request handler) runs compiled from its
+  hot block to its return;
 * ``carat.guard.*`` sites are **parameter-specialized** à la a
   branch-free translator: the trace bakes a per-site cell holding the
   resolved region's ``base``/``end`` and the mechanism's steady-state
@@ -65,18 +75,20 @@ trace tier must produce bit-identical program output, memory, and exit
 codes to *both* other engines, and semantically identical stats.  The
 only fields that may differ are the engine-descriptive counters
 (``dispatch_cache_*``, ``region_cache_*``, ``traces_compiled``,
-``trace_exits``, ``trace_respecializations``, ``guard_checks_elided``).
+``trace_exits``, ``trace_respecializations``, ``guard_checks_elided``,
+``trace_instructions``, ``trace_aborts``).
 
 Compiled trace code is cached on the module
 (:attr:`~repro.machine.fastexec.ModuleCode.trace_codes`) keyed by the
-recorded chain plus the specialization variant, and *instantiated* per
-interpreter — specialization cells, cost constants, and runtime bindings
-are per-tenant, so multi-tenant schedulers sharing one binary get
-per-process generations and isolation for free.  Trace text names every
-slot, block and constant through the build-time namespace, so it depends
-on the trace's shape alone, and :data:`_LIBRARY` compiles each text once
-per process (copy-and-patch): any module, session or tenant with the same
-shape reuses the code object and binds its own operands.
+recorded chain, where it ends, and the specialization variant, and
+*instantiated* per interpreter — specialization cells, cost constants,
+and runtime bindings are per-tenant, so multi-tenant schedulers sharing
+one binary get per-process generations and isolation for free.  Trace
+text names every slot, block and constant through the build-time
+namespace, so it depends on the trace's shape alone, and
+:data:`_LIBRARY` compiles each text once per process (copy-and-patch):
+any module, session or tenant with the same shape reuses the code object
+and binds its own operands.
 """
 
 from __future__ import annotations
@@ -200,22 +212,15 @@ class _Recorder:
     """An in-flight superblock recording: the anchor and the blocks
     entered since, in order, each with its frame depth *relative to the
     anchor frame* (0 = the anchor's own frame, 1 = a callee it pushed,
-    ...).  Lives for one loop iteration.
+    ...).  Lives until the path loops back to the anchor, joins an
+    installed trace, or leaves the anchor frame through its return."""
 
-    ``from_exit`` marks a recording whose anchor is a side-exit target:
-    it may finish as a *linear* side trace the moment it reaches any
-    block with an installed trace (typically its parent's anchor),
-    instead of having to loop back to its own anchor."""
+    __slots__ = ("frame", "anchor", "chain", "base_len")
 
-    __slots__ = ("frame", "anchor", "chain", "base_len", "from_exit")
-
-    def __init__(
-        self, frame, anchor: BasicBlock, base_len: int, from_exit: bool
-    ) -> None:
+    def __init__(self, frame, anchor: BasicBlock, base_len: int) -> None:
         self.frame = frame
         self.anchor = anchor
         self.base_len = base_len
-        self.from_exit = from_exit
         self.chain: List[Tuple[int, BasicBlock]] = [(0, anchor)]
 
 
@@ -296,7 +301,11 @@ _MAX_INLINE_DEPTH = 8
 _LAYOUT_OP_BUDGET = 5000
 
 
-def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
+def _layout(
+    chain: List[Tuple[int, BasicBlock]],
+    end: Optional[BasicBlock],
+    end_depth: int,
+):
     """Replay a recorded ``(depth, block)`` chain as a *static* walk from
     the anchor, linearizing it into emission segments.
 
@@ -305,20 +314,29 @@ def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
     (branch; ``data`` is ``(inst, on_trace_target)``), a ``"call"``
     (defined non-carat callee: the trace runs the block tier's call op,
     which pushes a real frame, then continues *inside* the callee's
-    entry block), or a ``"return"`` (depth > 0 only: the block tier's
-    return op pops the frame and the walk resumes in the caller right
-    after the call).  Calls and returns consume no chain entries —
-    recording only observes branch terminators, and a callee's entry is
-    statically known from the call — so single-block callees inline for
-    free.  Branches consume the next entry, which must sit at the
-    walker's depth and be a target of the branch; when the chain is
-    exhausted the closing branch must re-enter the anchor at depth 0 —
-    or, for a *linear* side trace (``end`` is not ``None``), land on
-    ``end``, the already-traced block the recording finished at.
-    Any mismatch — a return at depth 0, mid-block terminators, phis or
-    unreachables in a body, depth or target disagreement, recursion past
-    :data:`_MAX_INLINE_DEPTH` — returns ``None`` (the chain is not a
-    static path; the caller strikes the anchor)."""
+    entry block), or a ``"return"`` (the block tier's return op pops the
+    frame; at depth > 0 ``data`` is ``(inst, paired_call)`` and the walk
+    resumes in the caller right after the call).  Calls and returns
+    consume no chain entries — recording only observes branch
+    terminators, and a callee's entry is statically known from the call
+    — so single-block callees inline for free.  Branches consume the
+    next entry, which must sit at the walker's depth and be a target of
+    the branch.  Once the chain is used up, the walk must close the way
+    the recording did:
+
+    * a *loop* trace (``end`` is ``None``, ``end_depth`` 0) re-enters
+      the anchor at depth 0;
+    * a *linear* trace (``end`` set) enters ``end``, the block whose
+      installed trace the recording joined, at depth ``end_depth``;
+    * a *return* trace (``end_depth`` -1) leaves the anchor frame
+      through a return at depth 0, the last segment (``data`` is
+      ``None``).
+
+    Any mismatch — a return at depth 0 anywhere else, mid-block
+    terminators, phis or unreachables in a body, depth or target
+    disagreement, recursion past :data:`_MAX_INLINE_DEPTH` — returns
+    ``None`` (the chain is not a static path; the caller strikes the
+    anchor)."""
     anchor = chain[0][1]
     final = anchor if end is None else end
     if chain[0][0] != 0:
@@ -362,8 +380,13 @@ def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
             k = block.first_non_phi_index()
             continue
         if isinstance(inst, ReturnInst):
-            if not stack or k != len(insts) - 1:
+            if k != len(insts) - 1:
                 return None
+            if not stack:
+                if end_depth != -1 or cursor < len(chain):
+                    return None
+                segments.append((block, start, k, "return", None))
+                return segments
             # The paired call rides along: the return's result lands in
             # the caller slot of the call that pushed this frame, which
             # the walk knows statically.
@@ -379,13 +402,13 @@ def _layout(chain: List[Tuple[int, BasicBlock]], end: Optional[BasicBlock]):
             if want_depth != depth:
                 return None
         else:
-            if depth != 0:
+            if depth != end_depth:
                 return None
             target = final
         if not any(t is target for t in inst.targets):
             return None
         segments.append((block, start, k, "term", (inst, target)))
-        if cursor >= len(chain) and target is final and depth == 0:
+        if cursor >= len(chain) and target is final and depth == end_depth:
             return segments
         block = target
         k = target.first_non_phi_index()
@@ -442,17 +465,23 @@ def _build_trace(
     is_carat: bool,
     has_tier: bool,
     end: Optional[BasicBlock] = None,
+    end_depth: int = 0,
 ) -> Optional[_TraceCode]:
     """Compile one recorded chain into a :class:`_TraceCode`, or ``None``
     if the chain is not linearizable.
 
-    With ``end`` set the result is a *linear side trace*: a one-shot run
-    of the chain that finishes by entering ``end`` — a block that
-    already has an installed trace — and returning to the dispatch loop,
-    which chains straight into that trace.  Side traces compile the hot
-    off-trace paths of a parent trace (its side-exit targets), so
-    workloads with data-dependent branches stay in compiled code instead
-    of bridging each divergence through the block tier.
+    With ``end`` set the result is a *linear trace*: a one-shot run of
+    the chain that finishes by entering ``end`` at call depth
+    ``end_depth`` — a block that already has an installed trace — and
+    returning to the dispatch loop, which chains straight into that
+    trace.  Linear traces compile the hot off-trace paths of a parent
+    trace (its side-exit targets) and the stretch of an outer loop up to
+    an inner loop's trace, so data-dependent branches and trip counts
+    stay in compiled code instead of bridging through the block tier.
+    With ``end_depth`` -1 the result is a *return trace*: its last
+    segment runs the block tier's return op verbatim (the frame pop, the
+    caller's result slot, and the program exit when ``main`` returns),
+    then hands back to the dispatch loop in the caller.
 
     The generated source inlines the shared per-instruction templates
     (:func:`~repro.machine.codegen.emit_value_op`, the lines the block
@@ -473,7 +502,7 @@ def _build_trace(
     faults, CoW retries, and register snapshots see the same frame state
     the block tier would show.
     """
-    segments = _layout(chain, end)
+    segments = _layout(chain, end, end_depth)
     if segments is None:
         return None
 
@@ -851,11 +880,11 @@ def _build_trace(
     w.line(1, "values = frame.values")
     w.line(1, "while True:")
     ci_line = "    " * 3 + "stats.cycles += _ci"
-    for si, (block, start, end, kind, data) in enumerate(segments):
+    for si, (block, start, stop, kind, data) in enumerate(segments):
         insts = block.instructions
         w.line(2, "try:")
         mark = len(w.lines)
-        for k in range(start, end):
+        for k in range(start, stop):
             inst = insts[k]
             w.line(3, f"frame.index = {k + 1}")
             emit_op(block, k, inst)
@@ -870,15 +899,15 @@ def _build_trace(
         # guard), which stay in place; ticks and pauses run at segment
         # boundaries, where the batched total is the exact total.
         n_ci = 0
-        if end > start:
+        if stop > start:
             body = w.lines[mark:]
             n_ci = body.count(ci_line)
-            if n_ci == end - start and n_ci > 1:
+            if n_ci == stop - start and n_ci > 1:
                 w.lines[mark:] = [ln for ln in body if ln != ci_line]
                 w.lines.insert(mark, "    " * 3 + f"stats.cycles += {n_ci} * _ci")
             else:
                 n_ci = 0
-        w.line(3, f"frame.index = {end + 1}")
+        w.line(3, f"frame.index = {stop + 1}")
         exit_flag = None
         if kind == "term":
             term, target = data
@@ -896,6 +925,8 @@ def _build_trace(
                     del available[tg]
         elif kind == "call":
             emit_call_inline(data)
+        elif data is None:
+            fallback(block, stop)
         else:
             emit_return_inline(*data)
         w.line(2, "except BaseException:")
@@ -908,10 +939,11 @@ def _build_trace(
             w.line(4, f"stats.cycles -= ({n_ci} - _done) * _ci")
         w.line(3, f"stats.instructions += frame.index - 1 - {start}")
         w.line(3, "raise")
-        nops = end + 1 - start
+        nops = stop + 1 - start
         w.line(2, f"steps += {nops}")
         w.line(2, f"stats.instructions += {nops}")
-        if kind != "term":
+        last = si == len(segments) - 1
+        if kind != "term" and not last:
             # The frame just changed (push on call, pop on return):
             # rebind the locals every inlined template reads, and forget
             # guard availability — the stack pointer moved and the slot
@@ -934,13 +966,16 @@ def _build_trace(
             w.line(3, "if _tracer is not None and _tracer.fine:")
             w.line(4, f"_tracer.instant('trace.exit', 'trace', _e{si})")
             w.line(3, "return steps")
-        w.line(2, "if steps >= max_steps:")
-        w.line(3, "return steps")
-    if end is not None:
-        # Linear side trace: the closing edge just entered ``end`` (its
-        # phis assigned, index at first_non_phi) — hand control back so
-        # the dispatch loop chains into the trace installed there.
-        w.line(2, "return steps")
+        if last and (end is not None or end_depth < 0):
+            # A linear trace's closing edge just entered ``end`` (its
+            # phis assigned, index at first_non_phi); a return trace's
+            # return just popped the anchor frame.  Either way hand
+            # control back: the dispatch loop chains into the trace
+            # installed at ``end``, or resumes the caller mid-block.
+            w.line(2, "return steps")
+        else:
+            w.line(2, "if steps >= max_steps:")
+            w.line(3, "return steps")
 
     return _TraceCode(
         w.source(), ns, spec_count, len(chain), guard_count, specialize
@@ -963,10 +998,13 @@ class TraceInterpreter(FastInterpreter):
     installed.  From then on, entering the anchor at a safepoint runs
     the compiled superblock until it side-exits, pauses at the step
     quota, or faults back to the block tier.  Side exits bump the
-    hotness of the block they land on; at the threshold that block
-    anchors a recording that may finish as a *linear* side trace the
-    moment it re-reaches any traced block, so hot off-trace arms get
-    compiled too and chain straight back into the loop trace.
+    hotness of the block they land on, so hot off-trace arms anchor
+    recordings too.  A recording also finishes as a *linear* trace when
+    it reaches an installed trace it may join (any, in the anchor's own
+    frame; a loop trace, inside a callee), and as a *return* trace when
+    the anchor frame returns — so a hot request handler compiles from
+    its hot block to its return, and an outer loop hands its inner
+    loop's iterations to that loop's trace.
 
     Compiled trace *code* is shared across interpreters of the same
     module (``ModuleCode.trace_codes``); the per-interpreter
@@ -999,6 +1037,9 @@ class TraceInterpreter(FastInterpreter):
         super().__init__(process, kernel, max_call_depth, stack_range, thread_id)
         self._hot: Dict[int, int] = {}
         self._traces: Dict[int, object] = {}
+        #: Anchors whose installed trace is a loop trace: the only ones a
+        #: recording may join from inside a callee.
+        self._loops: Set[int] = set()
         self._trace_blacklist: set = set()
         self._trace_aborts: Dict[int, int] = {}
         self._recorder: Optional[_Recorder] = None
@@ -1020,75 +1061,83 @@ class TraceInterpreter(FastInterpreter):
 
     # -- promotion / recording ------------------------------------------
 
-    def _note_hot_entry(self, frame, from_exit: bool = False) -> None:
+    def _note_hot_entry(self, frame) -> None:
         key = id(frame.block)
         if key in self._trace_blacklist:
             return
         count = self._hot.get(key, 0) + 1
         if count >= self.trace_threshold:
             self._hot[key] = 0
-            self._recorder = _Recorder(
-                frame, frame.block, len(self.frames), from_exit
-            )
+            self._recorder = _Recorder(frame, frame.block, len(self.frames))
         else:
             self._hot[key] = count
 
     def _note_recorded_entry(self, frame):
         """One branch-entered block while recording; returns the
-        installed trace closure when the recording just closed, else
-        ``None``.
+        installed trace closure to run now, else ``None``.
 
         Entries are recorded with their frame depth relative to the
         anchor frame: calls push frames without notifying (call ops are
         not terminators), so a callee's interior branches arrive at
         depth > 0 and the layout walker re-derives the call/return
-        structure statically.  A negative depth means the anchor frame
-        returned (the path escaped the loop); depth 0 with a different
-        frame means the stack sank and re-grew through foreign calls.
-        Both abort — as does recursion past the inline cap, which would
-        otherwise unroll without bound."""
+        structure statically.  The recording closes in one of three ways:
+
+        * back at the anchor, at depth 0: a *loop* trace;
+        * at a block with an installed trace it may join — any trace at
+          depth 0, only a *loop* trace at depth > 0: a *linear* trace
+          ending there, at that depth, and the joined trace runs now;
+        * with the anchor frame gone from the stack (it returned; the
+          stack may since have re-grown through other calls): a
+          *return* trace.  The chain is complete — nothing after the
+          return was recorded.
+
+        It aborts on recursion past the inline cap, which would
+        otherwise unroll without bound, and on a chain past
+        ``trace_max_blocks``."""
         rec = self._recorder
-        depth = len(self.frames) - rec.base_len
-        if depth < 0 or depth > _MAX_INLINE_DEPTH:
-            self._abort_recording()
+        frames = self.frames
+        base = rec.base_len
+        if len(frames) < base or frames[base - 1] is not rec.frame:
+            self._recorder = None
+            self._finish_trace(rec, end_depth=-1)
             return None
-        if depth == 0:
-            if frame is not rec.frame:
-                self._abort_recording()
-                return None
-            if frame.block is rec.anchor:
-                self._recorder = None
-                return self._finish_trace(rec)
-            if rec.from_exit:
-                fn_end = self._traces.get(id(frame.block))
-                if fn_end is not None:
-                    # A side-exit recording reached an already-traced
-                    # block: finish as a linear side trace ending there,
-                    # and chain into that block's trace right now (the
-                    # new trace is anchored at the exit target, not
-                    # here).
-                    self._recorder = None
-                    self._finish_trace(rec, end=frame.block)
-                    return fn_end
+        depth = len(frames) - base
+        if depth > _MAX_INLINE_DEPTH:
+            self._abort_recording("depth")
+            return None
+        block = frame.block
+        if depth == 0 and block is rec.anchor:
+            self._recorder = None
+            return self._finish_trace(rec)
+        joined = self._traces.get(id(block))
+        if joined is not None and (depth == 0 or id(block) in self._loops):
+            self._recorder = None
+            self._finish_trace(rec, block, depth)
+            return joined
         if len(rec.chain) >= self.trace_max_blocks:
-            self._abort_recording()
+            self._abort_recording("length")
             return None
-        rec.chain.append((depth, frame.block))
+        rec.chain.append((depth, block))
         return None
 
-    def _abort_recording(self) -> None:
+    def _abort_recording(self, reason: str) -> None:
         rec = self._recorder
         self._recorder = None
-        if rec is not None:
-            self._strike(id(rec.anchor))
+        self._strike(id(rec.anchor), reason)
 
-    def _strike(self, key: int) -> None:
+    def _strike(self, key: int, reason: str) -> None:
+        self.stats.trace_aborts[reason] += 1
         count = self._trace_aborts.get(key, 0) + 1
         self._trace_aborts[key] = count
         if count >= _ABORT_LIMIT:
             self._trace_blacklist.add(key)
 
-    def _finish_trace(self, rec: _Recorder, end: Optional[BasicBlock] = None):
+    def _finish_trace(
+        self,
+        rec: _Recorder,
+        end: Optional[BasicBlock] = None,
+        end_depth: int = 0,
+    ):
         runtime = self.process.runtime
         tracer = runtime.tracer if runtime is not None else None
         # Specialization bakes per-site region parameters; it must sit
@@ -1116,6 +1165,7 @@ class TraceInterpreter(FastInterpreter):
             self.is_carat,
             has_tier,
             0 if end is None else id(end),
+            end_depth,
         )
         tcode = self._code.trace_codes.get(key, _UNBUILT)
         if tcode is _UNBUILT:
@@ -1123,14 +1173,16 @@ class TraceInterpreter(FastInterpreter):
             # an exception is a compiler bug and propagates.
             tcode = _build_trace(
                 self._code, rec.chain, specialize, mech_name,
-                self.is_carat, has_tier, end,
+                self.is_carat, has_tier, end, end_depth,
             )
             self._code.trace_codes[key] = tcode  # None caches the reject
         if tcode is None:
-            self._strike(anchor_key)
+            self._strike(anchor_key, "reject")
             return None
         fn = tcode.instantiate(self)
         self._traces[anchor_key] = fn
+        if end is None and end_depth == 0:
+            self._loops.add(anchor_key)
         self.stats.traces_compiled += 1
         if tracer is not None:
             tracer.instant(
@@ -1143,6 +1195,7 @@ class TraceInterpreter(FastInterpreter):
                     "specialized": tcode.specialize,
                     "inline_depth": max(d for d, _b in rec.chain),
                     "linear": end is not None,
+                    "end_depth": end_depth,
                 },
             )
         return fn
@@ -1201,32 +1254,34 @@ class TraceInterpreter(FastInterpreter):
                             self._note_hot_entry(frame)
                     if fn is not None:
                         try:
-                            while (
-                                fn is not None
-                                and steps < max_steps
-                                and frames
-                                and frames[-1] is frame
-                            ):
-                                steps = fn(self, frame, steps, max_steps)
+                            while fn is not None and steps < max_steps:
+                                depth = len(frames)
+                                entered = stats.instructions
+                                try:
+                                    steps = fn(self, frame, steps, max_steps)
+                                finally:
+                                    stats.trace_instructions += (
+                                        stats.instructions - entered
+                                    )
+                                if len(frames) > depth:
+                                    # The trace stopped inside a callee,
+                                    # at a block entry: a linear trace
+                                    # that joined an inner loop's trace,
+                                    # or a side exit there.
+                                    frame = frames[-1]
+                                elif frames[-1] is not frame:
+                                    break  # a return trace: caller mid-block
                                 fn = traces.get(id(frame.block))
                                 if (
                                     fn is None
                                     and steps < max_steps
                                     and self._recorder is None
-                                    and frames
-                                    and frames[-1] is frame
                                 ):
-                                    # A depth-0 side exit to an untraced
-                                    # block: exits bypass the terminator
+                                    # Exits bypass the terminator
                                     # notification above, so bump the
                                     # target's hotness here or the exit
-                                    # path can never promote.  At the
-                                    # threshold this starts a recording
-                                    # that may finish as a linear side
-                                    # trace back into compiled code.
-                                    self._note_hot_entry(
-                                        frame, from_exit=True
-                                    )
+                                    # path can never promote.
+                                    self._note_hot_entry(frame)
                         except ExitProgram as exit_request:
                             self.exit_code = exit_request.code
                             frames.clear()

@@ -41,6 +41,15 @@ def test_run_carat_mode(source_file, capsys):
     assert "guards" in captured.err
 
 
+def test_run_trace_engine_reports_coverage(source_file, capsys):
+    code = main(["run", source_file, "--engine", "trace", "--stats"])
+    err = capsys.readouterr().err
+    assert code == 0
+    line = next(ln for ln in err.splitlines() if ln.startswith("-- traces"))
+    assert "% of instructions in traces" in line
+    assert "aborts: depth 0, length 0, reject 0" in line
+
+
 def test_run_all_modes_agree(source_file, capsys):
     outputs = []
     for mode in ("carat", "baseline", "traditional"):

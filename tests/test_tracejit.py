@@ -3,10 +3,14 @@
 The differential suite (``test_fastexec_differential``,
 ``test_fault_campaign``, ``test_multiproc``) proves the trace engine is
 observably the reference engine; this file tests the tier's own
-machinery — promotion thresholds, side exits, recording aborts and the
-blacklist, guard respecialization on region-generation bumps, the new
-counters, and per-interpreter isolation of compiled traces.
+machinery — promotion thresholds, side exits, return traces and the join
+rule, recording aborts and the blacklist, guard respecialization on
+region-generation bumps, the counters, and per-interpreter isolation of
+compiled traces.
 """
+
+import sys
+import traceback
 
 import pytest
 
@@ -14,9 +18,12 @@ from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.kernel import PAGE_SIZE, Kernel
 from tests.support import run_carat
 from repro.machine import tracejit
+from repro.machine.interp import ExitProgram
 from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry.metrics import run_snapshot
 from repro.workloads import get_workload, workload_names
+from repro.workloads.service import service_source
+from tests.test_fastexec_differential import SEMANTIC_FIELDS
 
 #: A nested hot loop over heap memory — the bread-and-butter promotion
 #: case: the inner loop's back-edge target gets hot and its body (loads,
@@ -73,8 +80,9 @@ void main() {
 """
 CALLY_OUTPUT = ["100"]
 
-#: Deep recursion in the loop body: recording hits the inline depth cap
-#: on every attempt, so no trace compiles and the anchors blacklist.
+#: Deep recursion in the loop body: every recording that starts above
+#: the base case hits the inline depth cap, so those anchors blacklist;
+#: only the base case, which returns at once, compiles (a return trace).
 RECURSIVE_SOURCE = """
 long down(long n) {
   long r;
@@ -91,6 +99,100 @@ void main() {
 }
 """
 RECURSIVE_OUTPUT = ["2000"]
+
+
+def _calls(template, count):
+    """``count`` straight-line copies of ``template`` (``{k}`` = copy
+    number): a caller with no branch of its own, so the callee's hot
+    blocks promote through the block tier rather than a caller's trace."""
+    return "\n".join("  " + template.format(k=k) for k in range(count))
+
+
+#: A hot callee with no loop, returning a value into the caller's slot:
+#: its join block anchors a recording that ends in the return.
+VALUE_SOURCE = """
+long pick(long x) {
+  long y;
+  if (x % 3 == 0) { y = x * 2; } else { y = x + 7; }
+  return y * 3 + 1;
+}
+void main() {
+  long acc;
+  acc = 0;
+  CALLS
+  print_long(acc);
+}
+""".replace("  CALLS", _calls("acc = acc + pick({k});", 12))
+
+#: The same shape with a void callee: the return writes no slot.
+VOID_SOURCE = """
+long total;
+long count;
+void bump(long x) {
+  if (x % 2 == 0) { total = total + x; } else { total = total - 1; }
+  count = count + 1;
+}
+void main() {
+  CALLS
+  print_long(total);
+  print_long(count);
+}
+""".replace("  CALLS", _calls("bump({k});", 12))
+
+#: ``main`` recursing into itself past the inline cap: the recordings
+#: anchored at the call block abort on depth, the nested returns compile
+#: a return trace at the join block, and the outermost ``main`` leaves
+#: the program through it (exit code 40 + 20).
+MAIN_SOURCE = """
+long level;
+long main() {
+  long r;
+  level = level + 1;
+  if (level < 20) { r = main(); } else { r = 40; }
+  return r + 1;
+}
+"""
+
+#: The last call divides by zero inside the callee's return trace.
+FAULT_SOURCE = """
+long frac(long x, long d) {
+  long y;
+  if (x % 2 == 0) { y = x; } else { y = x + 1; }
+  return y / d;
+}
+void main() {
+  long acc;
+  acc = 0;
+  CALLS
+  acc = acc + frac(7, 0);
+  print_long(acc);
+}
+""".replace("  CALLS", _calls("acc = acc + frac({k}, 1);", 6))
+
+#: The ep shape: a loop calls a branchy leaf helper whose return trace
+#: already exists (the warm-up calls compile it).  The loop must still
+#: compile as a loop trace that inlines the helper, not stop at it.
+EP_SOURCE = """
+long state;
+long next(long bound) {
+  state = (state * 1103515245 + 12345) % 2147483648;
+  if (state < 0) { state = -state; }
+  return state % bound;
+}
+void main() {
+  long acc;
+  long i;
+  long u;
+  state = 271828;
+  acc = 0;
+  CALLS
+  for (i = 0; i < 200; i++) {
+    u = next(1000);
+    if (u < 500) { acc = acc + u; } else { acc = acc - 1; }
+  }
+  print_long(acc);
+}
+""".replace("  CALLS", _calls("acc = acc + next(10);", 4))
 
 
 def _run(source, engine="trace", threshold=2, max_blocks=24, **kwargs):
@@ -192,11 +294,26 @@ class TestAbortsAndBlacklist:
     def test_deep_recursion_aborts_and_blacklists(self):
         result = _run(RECURSIVE_SOURCE)
         assert result.output == RECURSIVE_OUTPUT
-        # Every recording attempt blows the inline depth cap: no trace
-        # ever compiles and after repeated aborts the anchors stop being
-        # recorded.
-        assert result.stats.traces_compiled == 0
-        assert len(result.interpreter._trace_blacklist) > 0
+        # Recordings anchored above the base case blow the inline depth
+        # cap, and after repeated aborts those anchors stop being
+        # recorded: the loop in main and the recursive call's block.
+        assert result.stats.trace_aborts["depth"] > 0
+        interp = result.interpreter
+        blocks = {
+            id(block): block
+            for function in interp.module.functions.values()
+            for block in function.blocks
+        }
+        blacklisted = {blocks[key].parent.name for key in interp._trace_blacklist}
+        assert blacklisted == {"down", "main"}
+        # Whatever did compile (the base case's return) stays within
+        # the inline cap.
+        for key, tcode in interp._code.trace_codes.items():
+            if tcode is not None:
+                assert all(
+                    depth <= tracejit._MAX_INLINE_DEPTH
+                    for depth, _block in key[1]
+                )
 
     def test_trace_compiler_bug_propagates(self, monkeypatch):
         # Only a chain the compiler cannot linearize is a reject (None);
@@ -216,6 +333,230 @@ class TestAbortsAndBlacklist:
         assert trace.output == reference.output
         assert trace.stats.cycles == reference.stats.cycles
         assert trace.stats.instructions == reference.stats.instructions
+
+
+# ---------------------------------------------------------------------------
+# Return traces and the join rule
+# ---------------------------------------------------------------------------
+
+
+def _outcome(source, engine, setup=None):
+    """Run ``source`` at ``trace_threshold=2``: the observable outcome
+    (exit code, output, modeled stats, memory — or, on a fault, the
+    exception and the stats at the fault), the interpreter, and the
+    exception."""
+    seen = []
+
+    def hook(interp):
+        seen.append(interp)
+        if setup is not None:
+            setup(interp)
+
+    session = CaratSession(RunConfig(engine=engine, trace_threshold=2), setup=hook)
+    try:
+        result = session.run(source)
+    except Exception as exc:  # the fault itself is the observation
+        interp = seen[0]
+        stats = {f: getattr(interp.stats, f) for f in SEMANTIC_FIELDS}
+        return (
+            ("fault", type(exc).__name__, str(exc), tuple(interp.output), stats),
+            interp,
+            exc,
+        )
+    stats = {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS}
+    outcome = (
+        "ok", result.exit_code, tuple(result.output), stats,
+        bytes(result.kernel.memory._data),
+    )
+    return outcome, result.interpreter, None
+
+
+def _three_way(source, setup=None):
+    """Assert reference, fast and trace agree; return the trace run's
+    interpreter and exception."""
+    reference, _, _ = _outcome(source, "reference", setup)
+    fast, _, _ = _outcome(source, "fast", setup)
+    trace, interp, exc = _outcome(source, "trace", setup)
+    assert fast == reference
+    assert trace == reference
+    return interp, exc
+
+
+def _kinds(interp):
+    """Every trace the interpreter's module compiled, as ``(anchor
+    function, kind, end depth)``."""
+    blocks = {
+        id(block): block
+        for function in interp.module.functions.values()
+        for block in function.blocks
+    }
+    kinds = set()
+    for key, tcode in interp._code.trace_codes.items():
+        if tcode is None:
+            continue
+        end, end_depth = key[-2:]
+        kind = "return" if end_depth < 0 else "linear" if end else "loop"
+        kinds.add((blocks[key[0]].parent.name, kind, end_depth))
+    return kinds
+
+
+class TestReturnTraces:
+    def test_value_callee_returns_into_caller_slot(self):
+        interp, _ = _three_way(VALUE_SOURCE)
+        assert interp.output == [str(sum(
+            (k * 2 if k % 3 == 0 else k + 7) * 3 + 1 for k in range(12)
+        ))]
+        assert ("pick", "return", -1) in _kinds(interp)
+        assert interp.stats.trace_instructions > 0
+        assert interp.stats.trace_aborts == {"depth": 0, "length": 0, "reject": 0}
+
+    def test_void_callee(self):
+        interp, _ = _three_way(VOID_SOURCE)
+        assert interp.output == [str(sum(range(0, 12, 2)) - 6), "12"]
+        assert ("bump", "return", -1) in _kinds(interp)
+        assert interp.stats.trace_instructions > 0
+
+    def test_main_exits_through_a_return_trace(self, monkeypatch):
+        exits = []
+        instantiate = tracejit._TraceCode.instantiate
+
+        def logged(self, interp):
+            trace = instantiate(self, interp)
+
+            def run(interp, frame, steps, max_steps):
+                try:
+                    return trace(interp, frame, steps, max_steps)
+                except ExitProgram as exc:
+                    exits.append(exc.code)
+                    raise
+
+            return run
+
+        monkeypatch.setattr(tracejit._TraceCode, "instantiate", logged)
+        interp, _ = _three_way(MAIN_SOURCE)
+        assert interp.exit_code == 60
+        assert ("main", "return", -1) in _kinds(interp)
+        assert exits == [60]
+
+    def test_fault_inside_a_return_trace(self):
+        interp, exc = _three_way(FAULT_SOURCE)
+        assert "division by zero" in str(exc)
+        assert ("frac", "return", -1) in _kinds(interp)
+        frames = traceback.extract_tb(exc.__traceback__)
+        assert "<tracejit>" in [frame.filename for frame in frames]
+
+    def test_quota_pause_on_the_return(self):
+        # Drive each run in quota-sized slices and log every pause; a
+        # pause in main (which has no branch) lands exactly on a return.
+        on_traced_return = 0
+        for quota in range(1, 16):
+            logs = {}
+            for engine in ("reference", "fast", "trace"):
+                log = logs[engine] = []
+
+                def setup(interp, log=log, quota=quota):
+                    run_steps = interp.run_steps
+
+                    def sliced(max_steps):
+                        while run_steps(quota) != "done":
+                            top = interp.frames[-1]
+                            log.append((
+                                (interp.stats.instructions, len(interp.frames),
+                                 top.function.name, top.block.name, top.index),
+                                interp.stats.trace_instructions,
+                            ))
+                        return "done"
+
+                    interp.run_steps = sliced
+
+                _outcome(VALUE_SOURCE, engine, setup)
+            states = [state for state, _ in logs["reference"]]
+            assert [state for state, _ in logs["fast"]] == states
+            assert [state for state, _ in logs["trace"]] == states
+            # A pause in main whose slice ran trace instructions: the
+            # return it follows ran in the return trace.
+            on_traced_return += sum(
+                state[2] == "main" and now > before
+                for (state, now), (_, before)
+                in zip(logs["trace"][1:], logs["trace"])
+            )
+        assert on_traced_return > 0
+
+    def test_tick_hook_fires_at_the_return(self):
+        on_traced_return = 0
+        for interval in range(1, 10):
+            logs = {}
+            for engine in ("reference", "fast", "trace"):
+                log = logs[engine] = []
+
+                def setup(interp, log=log, interval=interval):
+                    def hook(interp):
+                        top = interp.frames[-1]
+                        caller = sys._getframe(1).f_code.co_filename
+                        log.append((
+                            (interp.stats.instructions, interp.stats.cycles,
+                             len(interp.frames), top.function.name, top.index),
+                            caller == "<tracejit>",
+                        ))
+
+                    interp.set_tick_interval(interval)
+                    interp.tick_hook = hook
+
+                _outcome(VALUE_SOURCE, engine, setup)
+            states = [state for state, _ in logs["reference"]]
+            assert [state for state, _ in logs["fast"]] == states
+            assert [state for state, _ in logs["trace"]] == states
+            # A hook called from trace code with main on top: the return
+            # trace's tick check, right after its return.
+            on_traced_return += sum(
+                in_trace and state[3] == "main"
+                for state, in_trace in logs["trace"]
+            )
+        assert on_traced_return > 0
+
+
+class TestJoinRule:
+    def test_loop_calling_a_traced_helper_stays_a_loop_trace(self):
+        # Joining the helper's return trace from inside the call would
+        # cut main's loop into a linear trace (ep ran 2x slower so).
+        interp, _ = _three_way(EP_SOURCE)
+        kinds = _kinds(interp)
+        assert ("next", "return", -1) in kinds
+        assert ("main", "loop", 0) in kinds
+        assert not any(
+            kind == "linear" and depth > 0 for _fn, kind, depth in kinds
+        )
+        share = interp.stats.trace_instructions / interp.stats.instructions
+        assert share > 0.8
+
+    def test_outer_loop_joins_the_inner_loop_trace(self, monkeypatch):
+        # The request-server shape: main's loop calls serve(), whose own
+        # loop has a data-dependent trip count.  Main's recording ends
+        # at that loop's header, one call deep, instead of unrolling it.
+        sources = []
+
+        def recording(source, filename, mode):
+            sources.append(source)
+            return compile(source, filename, mode)
+
+        monkeypatch.setattr(tracejit, "_LIBRARY", {})
+        monkeypatch.setattr(tracejit, "compile", recording, raising=False)
+        interp, _ = _three_way(service_source(120))
+        kinds = _kinds(interp)
+        assert ("main", "linear", 1) in kinds
+        assert ("serve", "loop", 0) in kinds
+        assert ("serve", "return", -1) in kinds
+        longest = max(source.count("\n") for source in sources)
+        print(f"longest trace text: {longest} lines")
+        assert longest <= _SERVICE_TEXT_BOUND
+        share = interp.stats.trace_instructions / interp.stats.instructions
+        assert share > 0.8
+
+
+#: Longest trace text the service program may compile to.  Measured:
+#: 1 131 lines (main's linear trace into serve's loop); when main's loop
+#: trace still unrolled serve's blob loop, its texts reached 2 537.
+_SERVICE_TEXT_BOUND = 1500
 
 
 # ---------------------------------------------------------------------------
@@ -343,17 +684,34 @@ class TestCountersSurface:
             == result.stats.guard_checks_elided
             > 0
         )
+        assert (
+            0
+            < interp["trace_instructions"]
+            == result.stats.trace_instructions
+            <= result.stats.instructions
+        )
+        assert interp["trace_aborts"] == result.stats.trace_aborts
 
     def test_to_dict_carries_trace_counters(self):
-        result = _run(HOT_SOURCE)
+        result = _run(RECURSIVE_SOURCE)
         stats = result.stats.to_dict()
         for key in (
             "traces_compiled",
             "trace_exits",
             "trace_respecializations",
             "guard_checks_elided",
+            "trace_instructions",
         ):
             assert key in stats
+        assert stats["trace_aborts"] == result.stats.trace_aborts
+        assert set(stats["trace_aborts"]) == {"depth", "length", "reject"}
+        assert stats["trace_aborts"]["depth"] > 0
+
+    def test_other_engines_keep_coverage_counters_zero(self):
+        for engine in ("reference", "fast"):
+            stats = _run(HOT_SOURCE, engine=engine).stats
+            assert stats.trace_instructions == 0
+            assert set(stats.trace_aborts.values()) == {0}
 
 
 # ---------------------------------------------------------------------------
