@@ -654,7 +654,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import SafetyFault
+    from repro.errors import InterpError, SafetyFault
     from repro.machine.session import CaratSession
     from repro.telemetry import run_snapshot, validate_jsonl
 
@@ -671,6 +671,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for key, value in sorted(violation.to_dict().items()):
             print(f"   {key:16s}: {value}", file=sys.stderr)
         return 3
+    except InterpError as fault:
+        # A guest fault (division by zero, protection fault, exhausted
+        # step budget): the program failed, not the tool.
+        print(f"repro run: {fault}", file=sys.stderr)
+        return 1
     for line in result.output:
         print(line)
     if args.sanitize and result.sanitizer is not None:

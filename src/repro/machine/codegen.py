@@ -26,7 +26,8 @@ An emitter branches only on the instruction and on two facts its caller
 may know: the addressing mode (``is_carat``) and whether the kernel has
 a fast/slow tier boundary (``has_tier``).  ``None`` — what the
 module-shared block tier passes — makes the fact a run-time test in the
-emitted code.
+emitted code.  The trace tier also passes a segment's register map
+(:data:`Regs`; see :func:`expr`), which the block tier never does.
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ from repro.machine.interp import _MATH_BUILTINS
 from repro.transform.simplify import fold_int_binop
 
 _MASK64 = (1 << 64) - 1
+
+#: A trace segment's register map: SSA id -> (the Python local holding
+#: the value the segment computed, its Python type name).
+Regs = Dict[int, Tuple[str, str]]
+#: The Python type name of each scalar constant's value.
+_CONST_TYPES = {
+    ConstantInt: "int", ConstantNull: "int", UndefValue: "int",
+    ConstantFloat: "float",
+}
 
 #: Never-faulting integer and float ops, by infix symbol.
 _INT_OP_SYMBOL = {
@@ -179,36 +189,60 @@ def reject(value: Value):
     return read
 
 
-def expr(value: Value, ns: Dict[str, object], tag: str) -> str:
+def expr(
+    value: Value, ns: Dict[str, object], tag: str,
+    regs: Optional[Regs] = None, conv: str = "",
+) -> str:
     """Source reading ``value`` inside a template (``interp`` and
     ``values`` in scope), storing what it needs in ``ns`` under names
     made unique by ``tag``.  Slot and global reads are raw dict lookups
-    whose KeyError the template routes to :func:`_raise_undefined`."""
-    if isinstance(value, (Argument, Instruction)):
+    whose KeyError the template routes to :func:`_raise_undefined`.
+
+    ``regs`` is a trace segment's register map (``None`` in the block
+    tier): a value in it reads as its local.  ``conv`` (``"int"`` or
+    ``"float"``) wraps the read — unless ``regs`` is given and the
+    Python type is known to be that already (see :func:`_convert`)."""
+    if regs is not None and id(value) in regs:
+        text = regs[id(value)][0]
+    elif isinstance(value, (Argument, Instruction)):
         ns[f"_k{tag}"] = id(value)
-        return f"values[_k{tag}]"
-    if isinstance(value, GlobalVariable):
+        text = f"values[_k{tag}]"
+    elif isinstance(value, GlobalVariable):
         ns[f"_n{tag}"] = value.name
-        return f"_gm[_n{tag}]"
-    if isinstance(value, (ConstantInt, ConstantFloat)):
+        text = f"_gm[_n{tag}]"
+    elif isinstance(value, (ConstantInt, ConstantFloat)):
         ns[f"_c{tag}"] = value.value
-        return f"_c{tag}"
-    if isinstance(value, (ConstantNull, UndefValue)):
+        text = f"_c{tag}"
+    elif isinstance(value, (ConstantNull, UndefValue)):
         ns[f"_c{tag}"] = 0
-        return f"_c{tag}"
-    ns[f"_g{tag}"] = reject(value)
-    return f"_g{tag}(interp, values)"
+        text = f"_c{tag}"
+    else:
+        ns[f"_g{tag}"] = reject(value)
+        text = f"_g{tag}(interp, values)"
+    return _convert(text, value, conv, regs)
+
+
+def _convert(text: str, value: Value, conv: str, regs: Optional[Regs]) -> str:
+    """``text``, a read of ``value``, wrapped in ``conv`` — bare in a
+    trace (``regs`` given) when ``value``'s Python type is known to be
+    ``conv``: a register's (its template's result type), or a scalar
+    constant's."""
+    if conv and regs is not None:
+        reg = regs.get(id(value))
+        if (reg[1] if reg else _CONST_TYPES.get(type(value))) == conv:
+            return text
+    return f"{conv}({text})" if conv else text
 
 
 def operand_reads(
     w: Writer, ind: int, reads: Sequence[str], operands: Sequence[Value], t: int,
     ns, defined: Optional[Set[int]] = None,
-) -> None:
+) -> bool:
     """Write the operand-reading lines ``reads`` at ``ind`` inside a
-    ``try:`` whose KeyError takes the undefined-value path — or bare,
-    when every operand is a scalar constant or a slot in ``defined``, the
-    ids the caller knows were written earlier in the same frame (so the
-    read cannot miss)."""
+    ``try:`` whose KeyError takes the undefined-value path and return
+    True — or bare, returning False, when every operand is a scalar
+    constant or a slot in ``defined``, the ids the caller knows were
+    written earlier in the same frame (so the read cannot miss)."""
     if defined is not None and all(
         isinstance(v, (ConstantInt, ConstantFloat, ConstantNull, UndefValue))
         or (isinstance(v, (Argument, Instruction)) and id(v) in defined)
@@ -216,13 +250,14 @@ def operand_reads(
     ):
         for text in reads:
             w.line(ind, text)
-        return
+        return False
     w.line(ind, "try:")
     for text in reads:
         w.line(ind + 1, text)
     ns[f"_v{t}"] = tuple(operands)
     w.line(ind, "except KeyError:")
     w.line(ind + 1, f"_raise_undefined(interp, values, *_v{t})")
+    return True
 
 
 def gep_plan(inst: GEPInst) -> Tuple[int, List[Tuple[Value, int]], Optional[str]]:
@@ -272,12 +307,17 @@ def is_math_call(inst: Instruction) -> bool:
 
 
 class _Op:
-    """One emission: the writer, indent, name tag, facts in effect and
-    the slots known to be defined (see :func:`operand_reads`)."""
+    """One emission: the writer, indent, name tag, facts in effect, the
+    slots known to be defined (see :func:`operand_reads`) and the trace
+    segment's register map ``regs`` (see :func:`expr`).  ``out`` is the
+    register the result lands in, ``raises`` whether the op can raise."""
 
-    __slots__ = ("w", "ind", "t", "ns", "is_carat", "has_tier", "defined")
+    __slots__ = (
+        "w", "ind", "t", "ns", "is_carat", "has_tier", "defined", "regs",
+        "out", "raises",
+    )
 
-    def __init__(self, w, ind, t, ns, is_carat, has_tier, defined) -> None:
+    def __init__(self, w, ind, t, ns, is_carat, has_tier, defined, regs) -> None:
         self.w = w
         self.ind = ind
         self.t = t
@@ -285,12 +325,15 @@ class _Op:
         self.is_carat = is_carat
         self.has_tier = has_tier
         self.defined = defined
+        self.regs = regs
+        self.out = None
+        self.raises = False
 
     def line(self, text: str, depth: int = 0) -> None:
         self.w.lines.append("    " * (self.ind + depth) + text)
 
-    def read(self, value: Value, suffix: str) -> str:
-        return expr(value, self.ns, f"{self.t}{suffix}")
+    def read(self, value: Value, suffix: str, conv: str = "") -> str:
+        return expr(value, self.ns, f"{self.t}{suffix}", self.regs, conv)
 
     def head(self, reads: Sequence[str], operands: Sequence[Value], *pre: str) -> None:
         """The base charge, then ``reads`` under the undefined-value
@@ -300,13 +343,20 @@ class _Op:
         self.line("stats.cycles += _ci")
         for text in pre:
             self.line(text)
-        operand_reads(self.w, self.ind, reads, operands, self.t, self.ns, self.defined)
+        self.raises |= operand_reads(
+            self.w, self.ind, reads, operands, self.t, self.ns, self.defined
+        )
 
-    def dest(self, inst: Instruction) -> str:
+    def dest(self, inst: Instruction, kind: str = "int") -> str:
         """The result slot, named through ``ns`` like every operand, so
-        the text of an op depends on its shape alone."""
+        the text of an op depends on its shape alone.  In a trace the
+        store writes through to the register ``_r<t>`` too, whose Python
+        type the template fixes as ``kind``."""
         self.ns[f"_d{self.t}"] = id(inst)
-        return f"values[_d{self.t}]"
+        if self.regs is None:
+            return f"values[_d{self.t}]"
+        self.out = (f"_r{self.t}", kind)
+        return f"values[_d{self.t}] = _r{self.t}"
 
     def wrap(self, out: str, ty: IntType) -> None:
         """Store ``_m`` re-signed to ``ty`` (IntType.wrap, inlined)."""
@@ -359,8 +409,8 @@ def _int_binary(e: _Op, inst: BinaryInst) -> bool:
     mask = ty.max_unsigned
     symbol = _INT_OP_SYMBOL.get(op)
     if symbol is not None:
-        lhs, rhs = e.read(lhs_v, "a"), e.read(rhs_v, "b")
-        e.head([f"_m = (int({lhs}) {symbol} int({rhs})) & {mask}"], (lhs_v, rhs_v))
+        lhs, rhs = e.read(lhs_v, "a", "int"), e.read(rhs_v, "b", "int")
+        e.head([f"_m = ({lhs} {symbol} {rhs}) & {mask}"], (lhs_v, rhs_v))
         e.wrap(out, ty)
         return True
     # Division, remainder and shifts.  Signed quotients truncate toward
@@ -370,7 +420,7 @@ def _int_binary(e: _Op, inst: BinaryInst) -> bool:
     b = rhs_v.value if isinstance(rhs_v, ConstantInt) else None
     if b is not None and (b != 0 if division else 0 <= b < ty.bits):
         # A constant that can never fault: no check, constant operands.
-        e.head([f"_m = int({e.read(lhs_v, 'a')})"], (lhs_v,))
+        e.head([f"_m = {e.read(lhs_v, 'a', 'int')}"], (lhs_v,))
         if op in ("sdiv", "srem"):
             cond = "_m < 0" if b > 0 else "_m >= 0"
             quot = f"-(-_m // ({b})) if {cond} else _m // ({b})"
@@ -389,8 +439,9 @@ def _int_binary(e: _Op, inst: BinaryInst) -> bool:
         else:
             e.line(f"_m = _m >> {b}")
     else:
-        lhs, rhs = e.read(lhs_v, "a"), e.read(rhs_v, "b")
-        e.head([f"_a = int({lhs})", f"_b = int({rhs})"], (lhs_v, rhs_v))
+        lhs, rhs = e.read(lhs_v, "a", "int"), e.read(rhs_v, "b", "int")
+        e.head([f"_a = {lhs}", f"_b = {rhs}"], (lhs_v, rhs_v))
+        e.raises = True
         e.line("if _b == 0:" if division else f"if not 0 <= _b < {ty.bits}:")
         e.line(
             f"raise _ierr(f'integer fault: {op} "
@@ -424,14 +475,14 @@ def _binary(e: _Op, inst: BinaryInst) -> bool:
     op = inst.opcode
     if op == "frem":
         return False
-    out = e.dest(inst)
-    lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
+    out = e.dest(inst, "float")
+    lhs, rhs = e.read(inst.lhs, "a", "float"), e.read(inst.rhs, "b", "float")
     operands = (inst.lhs, inst.rhs)
     if op != "fdiv":
         symbol = _FLOAT_OP_SYMBOL[op]
-        e.head([f"{out} = float({lhs}) {symbol} float({rhs})"], operands)
+        e.head([f"{out} = {lhs} {symbol} {rhs}"], operands)
         return True
-    e.head([f"_a = float({lhs})", f"_b = float({rhs})"], operands)
+    e.head([f"_a = {lhs}", f"_b = {rhs}"], operands)
     e.line("if _b == 0.0:")
     e.line(f"{out} = _inf if _a > 0 else (-_inf if _a < 0 else _nan)", 1)
     e.line("else:")
@@ -441,23 +492,23 @@ def _binary(e: _Op, inst: BinaryInst) -> bool:
 
 def _icmp(e: _Op, inst: ICmpInst) -> bool:
     pred = inst.predicate
-    lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
+    lhs, rhs = e.read(inst.lhs, "a", "int"), e.read(inst.rhs, "b", "int")
     symbol = _ICMP_SIGNED.get(pred)
     if symbol is not None:
-        compare = f"int({lhs}) {symbol} int({rhs})"
+        compare = f"{lhs} {symbol} {rhs}"
     else:
         bits = inst.lhs.type.bits if isinstance(inst.lhs.type, IntType) else 64
         mask = (1 << bits) - 1
         symbol = _ICMP_UNSIGNED[pred]
-        compare = f"(int({lhs}) & {mask}) {symbol} (int({rhs}) & {mask})"
+        compare = f"({lhs} & {mask}) {symbol} ({rhs} & {mask})"
     e.head([f"{e.dest(inst)} = 1 if {compare} else 0"], (inst.lhs, inst.rhs))
     return True
 
 
 def _fcmp(e: _Op, inst: FCmpInst) -> bool:
     symbol = _FCMP_SYMBOL[inst.predicate]
-    lhs, rhs = e.read(inst.lhs, "a"), e.read(inst.rhs, "b")
-    e.head([f"_a = float({lhs})", f"_b = float({rhs})"], (inst.lhs, inst.rhs))
+    lhs, rhs = e.read(inst.lhs, "a", "float"), e.read(inst.rhs, "b", "float")
+    e.head([f"_a = {lhs}", f"_b = {rhs}"], (inst.lhs, inst.rhs))
     # Ordered compares are false on NaN; x != x is the call-free isnan.
     e.line(
         f"{e.dest(inst)} = 0 if (_a != _a or _b != _b)"
@@ -468,25 +519,26 @@ def _fcmp(e: _Op, inst: FCmpInst) -> bool:
 
 def _cast(e: _Op, inst: CastInst) -> bool:
     op = inst.opcode
-    out = e.dest(inst)
-    value = e.read(inst.value, "v")
+    out = e.dest(inst, "float" if op == "sitofp" else "int")
+    value = e.read(inst.value, "v", "float" if op == "fptosi" else "int")
     ty = inst.type
     if op in ("bitcast", "ptrtoint", "inttoptr", "sext"):
-        body = [f"{out} = int({value})"]
+        body = [f"{out} = {value}"]
     elif op == "trunc":
         body = [
-            f"_m = int({value}) & {ty.max_unsigned}",
+            f"_m = {value} & {ty.max_unsigned}",
             f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m",
         ]
     elif op == "zext":
-        body = [f"{out} = int({value}) & {inst.value.type.max_unsigned}"]
+        body = [f"{out} = {value} & {inst.value.type.max_unsigned}"]
     elif op == "sitofp":
-        body = [f"{out} = float(int({value}))"]
+        body = [f"{out} = float({value})"]
     else:
         # fptosi: nan and inf collapse to 0; anything else truncates and
         # wraps to the target width.
+        e.raises = True
         body = [
-            f"_a = float({value})",
+            f"_a = {value}",
             "_m = 0 if (_a != _a or _a == _inf or _a == -_inf)"
             f" else int(_a) & {ty.max_unsigned}",
             f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m",
@@ -500,12 +552,12 @@ def _gep(e: _Op, inst: GEPInst) -> bool:
     if bad_type is not None:
         return False
     operands: List[Value] = [inst.pointer]
-    terms = [f"int({e.read(inst.pointer, 'p')})"]
+    terms = [e.read(inst.pointer, "p", "int")]
     if const_offset:
         terms.append(str(const_offset))
     for n, (index, stride) in enumerate(dynamic):
         operands.append(index)
-        term = f"int({e.read(index, f'i{n}')})"
+        term = e.read(index, f"i{n}", "int")
         if stride != 1:
             term += f" * {stride}"
         terms.append(term)
@@ -516,7 +568,7 @@ def _gep(e: _Op, inst: GEPInst) -> bool:
 def _load(e: _Op, inst: LoadInst) -> bool:
     ty = inst.type
     size = size_of(ty)
-    out = e.dest(inst)
+    out = e.dest(inst, "float" if isinstance(ty, FloatType) else "int")
     if isinstance(ty, IntType):
         decode = [
             "_m = _ifb(_v, 'little')",
@@ -529,7 +581,8 @@ def _load(e: _Op, inst: LoadInst) -> bool:
         decode = [f"{out} = _ifb(_v, 'little')"]
     else:
         return False
-    e.head([f"_a = int({e.read(inst.pointer, 'p')})"], (inst.pointer,))
+    e.head([f"_a = {e.read(inst.pointer, 'p', 'int')}"], (inst.pointer,))
+    e.raises = True
     e.line("stats.cycles += _cm")
     e.line("stats.loads += 1")
     e.tier()
@@ -562,16 +615,19 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     ty = inst.value.type
     size = size_of(ty)
     if isinstance(ty, IntType):
-        encode = f"(int(_v) & {ty.max_unsigned}).to_bytes({size}, 'little')"
+        v = _convert("_v", inst.value, "int", e.regs)
+        encode = f"({v} & {ty.max_unsigned}).to_bytes({size}, 'little')"
     elif isinstance(ty, FloatType):
         e.ns[f"_pa{e.t}"] = struct.Struct("<d" if ty.bits == 64 else "<f").pack
-        encode = f"_pa{e.t}(float(_v))"
+        encode = f"_pa{e.t}({_convert('_v', inst.value, 'float', e.regs)})"
     elif isinstance(ty, PointerType):
-        encode = f"(int(_v) & {_MASK64}).to_bytes(8, 'little')"
+        v = _convert("_v", inst.value, "int", e.regs)
+        encode = f"({v} & {_MASK64}).to_bytes(8, 'little')"
     else:
         return False
-    pointer, value = e.read(inst.pointer, "p"), e.read(inst.value, "v")
-    e.head([f"_a = int({pointer})", f"_v = {value}"], (inst.pointer, inst.value))
+    pointer, value = e.read(inst.pointer, "p", "int"), e.read(inst.value, "v")
+    e.head([f"_a = {pointer}", f"_v = {value}"], (inst.pointer, inst.value))
+    e.raises = True
     e.line("stats.cycles += _cm")
     e.line("stats.stores += 1")
     e.tier()
@@ -607,8 +663,10 @@ def _call(e: _Op, inst: CallInst) -> bool:
     # (a domain error yields nan), then the call cost.
     t = e.t
     e.ns[f"_fn{t}"] = _MATH_BUILTINS[inst.callee.name]
-    out = e.dest(inst)
-    e.head([f"_a = float({e.read(inst.args[0], 'a')})"], inst.args, "stats.calls += 1")
+    out = e.dest(inst, "float")
+    arg = e.read(inst.args[0], "a", "float")
+    e.head([f"_a = {arg}"], inst.args, "stats.calls += 1")
+    e.raises = True
     e.line("try:")
     e.line(f"{out} = float(_fn{t}(_a))", 1)
     e.line("except ValueError:")
@@ -638,14 +696,22 @@ def emit_value_op(
     is_carat: Optional[bool] = None,
     has_tier: Optional[bool] = None,
     defined: Optional[Set[int]] = None,
-) -> bool:
-    """Write ``inst``'s body into ``w`` at indent ``ind`` and return True;
-    or write nothing and return False for a form with no template (frem,
-    a non-scalar load or store, a GEP through a non-aggregate, and every
-    instruction that is not a value op).  ``t`` makes the body's ``ns``
-    names unique within one scope; ``is_carat``/``has_tier`` are the
-    facts above; ``defined`` is passed to :func:`operand_reads`."""
+    regs: Optional[Regs] = None,
+) -> Optional[bool]:
+    """Write ``inst``'s body into ``w`` at indent ``ind`` and return
+    whether it can raise or call out; or write nothing and return
+    ``None`` for a form with no template (frem, a non-scalar load or
+    store, a GEP through a non-aggregate, and every instruction that is
+    not a value op).  ``t`` makes the body's ``ns`` names unique within
+    one scope; ``is_carat``/``has_tier`` are the facts above; ``defined``
+    is passed to :func:`operand_reads`; a trace segment's register map
+    ``regs`` gains the result's register (see :func:`expr`)."""
     emitter = _EMITTERS.get(type(inst))
     if emitter is None:
-        return False
-    return emitter(_Op(w, ind, t, ns, is_carat, has_tier, defined), inst)
+        return None
+    op = _Op(w, ind, t, ns, is_carat, has_tier, defined, regs)
+    if not emitter(op, inst):
+        return None
+    if op.out is not None:
+        regs[id(inst)] = op.out
+    return op.raises

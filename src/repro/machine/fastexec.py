@@ -725,7 +725,7 @@ class ModuleCode:
         # Module-shared code knows neither the addressing mode nor the
         # tiering, so the template leaves both as run-time tests.
         w, ns = Writer(), {}
-        if emit_value_op(w, 2, inst, 0, ns):
+        if emit_value_op(w, 2, inst, 0, ns) is not None:
             return _stencil_op(w, ns)
         if isinstance(inst, (BinaryInst, GEPInst, LoadInst, StoreInst)):
             return _fallback_op(inst)

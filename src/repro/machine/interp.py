@@ -217,7 +217,10 @@ class Interpreter:
         self._next_tick = self.tick_interval
         #: Access telemetry probe: called as (address, size, access) for
         #: every load/store when installed (the policy engine's heat
-        #: tracker).  ``None`` keeps the hot path unchanged.
+        #: tracker).  ``None`` keeps the hot path unchanged.  Contract: a
+        #: probe only observes — it writes no frame slot, because the
+        #: trace tier keeps values it computed in Python locals across
+        #: the call.
         self.access_probe: Optional[Callable[[int, int, str], None]] = None
         #: Attached :class:`~repro.telemetry.CycleProfiler` (set by its
         #: ``attach``).  The reference engine is profiled by wrapping

@@ -143,6 +143,11 @@ class RunConfig:
                 f"unknown trace detail {self.trace_detail!r} "
                 f"(choose from {TRACE_DETAILS})"
             )
+        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+            raise ValueError(
+                f"max_steps must be a positive instruction count, "
+                f"not {self.max_steps!r}"
+            )
         if not isinstance(self.quantum, int) or self.quantum < 1:
             raise ValueError(
                 f"quantum must be a positive instruction count, "

@@ -27,10 +27,22 @@ changing a single observable number:
   batched per block segment, with a fault reconciler that restores the
   exact per-op totals on any raise (the cost model never sees the
   difference);
+* within a segment, template results are **registers**: the store
+  writes through to a Python local (``values[_d<t>] = _r<t> = ...``) and
+  later reads use the local, without an ``int()``/``float()`` wrapper
+  when the type is known.  The map is cleared at every *invalidation
+  point* — segment start (a tick hook may have patched any slot), after
+  a fallback op, at an inlined call or return; mid-segment, only the
+  guard slow path, ``_respec`` and the access probe run foreign code,
+  and none writes a frame slot.  ``frame.index`` is stored only before
+  an op that can raise or call out (loads, stores, guards, fallbacks,
+  calls, checked div/rem/shift, ``fptosi``, math builtins, reads under
+  the undefined-value handler, side-exiting branches): everything that
+  reads it runs after such a store;
 * conditional branches keep both arms: the off-trace arm is a **side
   exit** that re-enters the block tier mid-loop (``trace_exits``
   counts them), with frame state — ``block``/``ops``/``index`` — kept
-  consistent at every instruction boundary so faults, retries, register
+  consistent wherever it can be observed, so faults, retries, register
   snapshots and world-stop patching all keep working unchanged;
 * recordings **join** compiled code instead of unrolling it: one that
   reaches a block with an installed trace in the anchor's own frame
@@ -121,6 +133,7 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.machine.codegen import (
     GLOBALS,
+    Regs,
     Writer,
     bind,
     emit_value_op,
@@ -269,21 +282,15 @@ class _TraceCode:
         scope.update(self.ns)
         scope.update(bind(interp))
         scope["_respec"] = _respecialize
-        runtime = interp.process.runtime
-        if runtime is not None:
-            scope["_rt"] = runtime
-            scope["_rs"] = runtime.stats
-            scope["_regions"] = runtime.regions
-            scope["_windows"] = runtime._move_windows
-            scope["_mech"] = runtime.guard
-            scope["_tracer"] = runtime.tracer
-        else:
-            scope["_rt"] = None
-            scope["_rs"] = None
-            scope["_regions"] = None
-            scope["_windows"] = ()
-            scope["_mech"] = None
-            scope["_tracer"] = None
+        rt = interp.process.runtime
+        scope.update(
+            _rt=rt,
+            _rs=rt and rt.stats,
+            _regions=rt and rt.regions,
+            _windows=rt._move_windows if rt is not None else (),
+            _mech=rt and rt.guard,
+            _tracer=rt and rt.tracer,
+        )
         for j in range(self.n_spec):
             scope[f"_spec{j}"] = _SpecCell()
         exec(self.code_obj, scope)
@@ -498,9 +505,9 @@ def _build_trace(
     guard availability is cleared at those boundaries (the stack pointer
     and the live slot dict both change).  The ``except BaseException``
     reconciler re-derives how many ops of the segment completed from
-    ``frame.index`` — which is kept current before every op precisely so
-    faults, CoW retries, and register snapshots see the same frame state
-    the block tier would show.
+    ``frame.index`` — stored before every op that can raise or call out,
+    so faults, CoW retries and register snapshots see the same frame
+    state the block tier would show.
     """
     segments = _layout(chain, end, end_depth)
     if segments is None:
@@ -528,9 +535,12 @@ def _build_trace(
     # handler.  Phis assigned by the previous iteration's closing edge
     # are deliberately absent.
     defined: List[Set[int]] = [set()]
+    # The segment's register map (codegen.Regs): reset at every segment
+    # start, after every fallback op, and at inlined calls and returns.
+    regs: Regs = {}
 
-    def reads(ind: int, lines: List[str], operands, t: int) -> None:
-        operand_reads(w, ind, lines, operands, t, ns, defined[-1])
+    def reads(ind: int, lines: List[str], operands, t: int) -> bool:
+        return operand_reads(w, ind, lines, operands, t, ns, defined[-1])
 
     if mech_name == "mpx":
         mc = " and _mech._bound is _sc.region"
@@ -547,6 +557,7 @@ def _build_trace(
         tag += 1
         ns[f"_op{t}"] = code.ops_by_block[id(block)][k][0]
         w.line(3, f"_op{t}(interp, frame)")
+        regs.clear()
 
     def emit_hit(ind: int) -> None:
         # The steady-state hit: replicate exactly what the generic path
@@ -563,51 +574,69 @@ def _build_trace(
         w.line(ind, "stats.cycles += _gc")
         w.line(ind, "stats.guard_checks_elided += 1")
 
-    def emit_guard_access(inst: CallInst, name: str) -> None:
+    def emit_guard(inst: CallInst, name: str) -> None:
+        # A load, store or call guard: the specialized bounds check
+        # against a per-site cell, or — dominated on this path by a
+        # covering guard — against the dominator's cell.
         nonlocal tag, spec_count
         t = tag
         tag += 1
         site = code.guard_site_of[id(inst)]
-        access = "read" if name == GUARD_LOAD else "write"
-        addr_e = expr(inst.args[0], ns, f"{t}a")
-        size_e = expr(inst.args[1], ns, f"{t}s")
         tg = _trace_guard_tag(inst)
         jdom = _covering_index(available, tg) if tg is not None else None
+        if name == GUARD_CALL:
+            access, operands = "write", inst.args[:1]
+            lines = [
+                f"_s = {expr(inst.args[0], ns, f'{t}s', regs, 'int')}",
+                "_a = interp.sp - _s",
+            ]
+            call = f"_rt.guard_call(interp.sp, _s, _cells[{site}])"
+            # A zero-size frame probes exactly the stack pointer, which
+            # can sit one past the region the dominator validated —
+            # find() would miss there, so never elide it blindly.
+            if tg is not None and tg[1] < 1:
+                jdom = None
+        else:
+            access = "read" if name == GUARD_LOAD else "write"
+            operands = inst.args[:2]
+            lines = [
+                f"_a = {expr(inst.args[0], ns, f'{t}a', regs, 'int')}",
+                f"_s = {expr(inst.args[1], ns, f'{t}s', regs, 'int')}",
+            ]
+            call = f"_rt.guard_access(_a, _s, '{access}', _cells[{site}])"
         w.line(3, "stats.cycles += _ci")
-        if jdom is not None and mech_name == "binary_search":
+        elide = jdom is not None and mech_name == "binary_search"
+        if elide:
             # Full elision: the dominating guard ran this iteration on
             # the same (unredefined) address with a covering size and
             # permission, under this generation; binary search charges
             # by region count alone, so neither the operands nor the
             # bounds need re-checking.
-            w.line(3, f"_sc = _spec{jdom}")
-            w.line(3, "if _sc.gen == _regions.version and not _windows:")
-            emit_hit(4)
-            w.line(3, "else:")
-            reads(4, [f"_a = int({addr_e})", f"_s = int({size_e})"], inst.args[:2], t)
-            w.line(4, f"_gc = _rt.guard_access(_a, _s, '{access}', _cells[{site}])")
-            w.line(4, "stats.guard_cycles += _gc")
-            w.line(4, "stats.cycles += _gc")
-            available.setdefault(tg, jdom)
-            return
-        reads(3, [f"_a = int({addr_e})", f"_s = int({size_e})"], inst.args[:2], t)
-        if jdom is not None:
-            # Predictor-dependent mechanisms keep the bounds test (it is
-            # what makes the hit provably steady) but share the
-            # dominator's cell, inheriting its re-specializations.
             j = jdom
+            w.line(3, f"_sc = _spec{j}")
+            w.line(3, "if _sc.gen == _regions.version and not _windows:")
         else:
-            j = spec_count
-            spec_count += 1
-        w.line(3, f"_sc = _spec{j}")
-        w.line(
-            3,
-            "if _sc.gen == _regions.version and not _windows"
-            f" and _sc.base <= _a < _sc.end and _a + _s <= _sc.end{mc}:",
-        )
+            reads(3, lines, operands, t)
+            # Predictor-dependent mechanisms keep the bounds test of a
+            # dominated guard (it is what makes the hit provably steady)
+            # but share the dominator's cell, inheriting its
+            # re-specializations.
+            if jdom is not None:
+                j = jdom
+            else:
+                j = spec_count
+                spec_count += 1
+            w.line(3, f"_sc = _spec{j}")
+            w.line(
+                3,
+                "if _sc.gen == _regions.version and not _windows"
+                f" and _sc.base <= _a < _sc.end and _a + _s <= _sc.end{mc}:",
+            )
         emit_hit(4)
         w.line(3, "else:")
-        w.line(4, f"_gc = _rt.guard_access(_a, _s, '{access}', _cells[{site}])")
+        if elide:
+            reads(4, lines, operands, t)
+        w.line(4, f"_gc = {call}")
         w.line(4, "stats.guard_cycles += _gc")
         w.line(4, "stats.cycles += _gc")
         if jdom is None:
@@ -620,73 +649,19 @@ def _build_trace(
         if tg is not None:
             available.setdefault(tg, j)
 
-    def emit_guard_call(inst: CallInst) -> None:
-        nonlocal tag, spec_count
-        t = tag
-        tag += 1
-        site = code.guard_site_of[id(inst)]
-        size_e = expr(inst.args[0], ns, f"{t}s")
-        tg = _trace_guard_tag(inst)
-        # A zero-size frame probes exactly the stack pointer, which can
-        # sit one past the region the dominator validated — find() would
-        # miss there, so never elide it blindly.
-        if tg is not None and tg[1] < 1:
-            jdom = None
-        else:
-            jdom = _covering_index(available, tg) if tg is not None else None
-        w.line(3, "stats.cycles += _ci")
-        if jdom is not None and mech_name == "binary_search":
-            size_lit = inst.args[0].value  # tag requires a constant
-            w.line(3, f"_sc = _spec{jdom}")
-            w.line(3, "if _sc.gen == _regions.version and not _windows:")
-            emit_hit(4)
-            w.line(3, "else:")
-            w.line(4, f"_gc = _rt.guard_call(interp.sp, {size_lit}, _cells[{site}])")
-            w.line(4, "stats.guard_cycles += _gc")
-            w.line(4, "stats.cycles += _gc")
-            available.setdefault(tg, jdom)
-            return
-        reads(3, [f"_s = int({size_e})"], inst.args[:1], t)
-        w.line(3, "_a = interp.sp - _s")
-        if jdom is not None:
-            j = jdom
-        else:
-            j = spec_count
-            spec_count += 1
-        w.line(3, f"_sc = _spec{j}")
-        w.line(
-            3,
-            "if _sc.gen == _regions.version and not _windows"
-            f" and _sc.base <= _a < _sc.end and _a + _s <= _sc.end{mc}:",
-        )
-        emit_hit(4)
-        w.line(3, "else:")
-        w.line(4, f"_gc = _rt.guard_call(interp.sp, _s, _cells[{site}])")
-        w.line(4, "stats.guard_cycles += _gc")
-        w.line(4, "stats.cycles += _gc")
-        if jdom is None:
-            w.line(4, "if _sc.gen != _regions.version:")
-            w.line(
-                5,
-                f"_respec(_sc, _cells[{site}], _regions, _mech, "
-                f"'write', stats, _tracer)",
-            )
-        if tg is not None:
-            available.setdefault(tg, j)
-
     def emit_guard_range(inst: CallInst) -> None:
         nonlocal tag, spec_count
         t = tag
         tag += 1
         site = code.guard_site_of[id(inst)]
         args = inst.args
-        addr_e = expr(args[0], ns, f"{t}a")
-        len_e = expr(args[1], ns, f"{t}n")
+        addr_e = expr(args[0], ns, f"{t}a", regs, "int")
+        len_e = expr(args[1], ns, f"{t}n", regs, "int")
         w.line(3, "stats.cycles += _ci")
-        lines = [f"_a = int({addr_e})", f"_s = int({len_e})"]
+        lines = [f"_a = {addr_e}", f"_s = {len_e}"]
         if len(args) > 2 and not isinstance(args[2], ConstantInt):
-            flag_e = expr(args[2], ns, f"{t}f")
-            lines.append(f"_c = 'write' if int({flag_e}) else 'read'")
+            flag_e = expr(args[2], ns, f"{t}f", regs, "int")
+            lines.append(f"_c = 'write' if {flag_e} else 'read'")
             acc = "_c"
         elif len(args) > 2:
             acc = "'write'" if args[2].value else "'read'"
@@ -714,7 +689,8 @@ def _build_trace(
             f"{acc}, stats, _tracer)",
         )
 
-    def emit_op(block: BasicBlock, k: int, inst: Instruction) -> None:
+    def emit_op(block: BasicBlock, k: int, inst: Instruction) -> bool:
+        """Emit one body op; True if it can raise or call out."""
         nonlocal tag, guard_count
         if isinstance(inst, CallInst):
             callee = inst.callee
@@ -722,36 +698,43 @@ def _build_trace(
             if name in (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE):
                 guard_count += 1
                 if specialize:
-                    if name in (GUARD_LOAD, GUARD_STORE):
-                        emit_guard_access(inst, name)
-                    elif name == GUARD_CALL:
-                        emit_guard_call(inst)
-                    else:
+                    if name == GUARD_RANGE:
                         emit_guard_range(inst)
-                    return
+                    else:
+                        emit_guard(inst, name)
+                    return True
             if not is_math_call(inst):
                 fallback(block, k)
-                return
+                return True
         t = tag
         tag += 1
-        if emit_value_op(w, 3, inst, t, ns, is_carat, has_tier, defined[-1]):
-            # A template writes its result whenever it completes (a
-            # builtin call op, say, may not).
-            defined[-1].add(id(inst))
-        else:
+        raises = emit_value_op(
+            w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs
+        )
+        if raises is None:
             # frem, select, alloca and the rare fault forms: the block
             # tier's op already charges and faults exactly right.
             fallback(block, k)
+            return True
+        # A template writes its result whenever it completes (a builtin
+        # call op, say, may not).
+        defined[-1].add(id(inst))
+        return raises
 
-    def emit_edge_inline(src: BasicBlock, dst: BasicBlock, ind: int) -> None:
+    def emit_edge_inline(src: BasicBlock, dst: BasicBlock, ind: int) -> bool:
+        # True if a phi read can raise.
         nonlocal tag
         t = tag
         tag += 1
         phis = dst.phis()
+        raises = False
         if phis:
             vals = [phi.incoming_for_block(src) for phi in phis]
-            lines = [f"_hv{k2} = {expr(v, ns, f'{t}h{k2}')}" for k2, v in enumerate(vals)]
-            reads(ind, lines, vals, t)
+            lines = [
+                f"_hv{k2} = {expr(v, ns, f'{t}h{k2}', regs)}"
+                for k2, v in enumerate(vals)
+            ]
+            raises = reads(ind, lines, vals, t)
             nmv = len(phis)
             if nmv > 1:
                 w.line(ind, f"stats.cycles += _ci * {nmv}")
@@ -766,25 +749,26 @@ def _build_trace(
         w.line(ind, f"frame.block = {bref(dst)}")
         w.line(ind, f"frame.ops = _ops{bref(dst)[4:]}")
         w.line(ind, f"frame.index = {dst.first_non_phi_index()}")
+        return raises
 
     def emit_terminator(
         si: int, block: BasicBlock, term: BranchInst, nxt: BasicBlock
-    ) -> Optional[str]:
+    ) -> Tuple[Optional[str], bool]:
+        # The side-exit flag, and whether the branch can raise or call out.
         nonlocal tag
         w.line(3, "stats.cycles += _ci")
         if not term.is_conditional:
-            emit_edge_inline(block, nxt, 3)
-            return None
+            return None, emit_edge_inline(block, nxt, 3)
         t = tag
         tag += 1
-        reads(3, [f"_c = {expr(term.condition, ns, f'{t}c')}"], (term.condition,), t)
+        cond = expr(term.condition, ns, f"{t}c", regs)
+        raises = reads(3, [f"_c = {cond}"], (term.condition,), t)
         on_true = term.targets[0] is nxt
         on_false = term.targets[1] is nxt
         if on_true and on_false:
             # Both arms land on the trace (same block); the condition was
             # still evaluated for error parity, its value is moot.
-            emit_edge_inline(block, nxt, 3)
-            return None
+            return None, emit_edge_inline(block, nxt, 3) or raises
         off_target = term.targets[1] if on_true else term.targets[0]
         ns[f"_x{t}"] = _edge_enter(_Edge(code, block, off_target))
         ns[f"_e{si}"] = {
@@ -794,21 +778,13 @@ def _build_trace(
             "to": off_target.name,
         }
         flag = f"_of{si}"
-        if on_true:
-            w.line(3, "if _c:")
-            emit_edge_inline(block, nxt, 4)
-            w.line(4, f"{flag} = False")
-            w.line(3, "else:")
-            w.line(4, f"_x{t}(interp, frame)")
-            w.line(4, f"{flag} = True")
-        else:
-            w.line(3, "if _c:")
-            w.line(4, f"_x{t}(interp, frame)")
-            w.line(4, f"{flag} = True")
-            w.line(3, "else:")
-            emit_edge_inline(block, nxt, 4)
-            w.line(4, f"{flag} = False")
-        return flag
+        w.line(3, "if _c:" if on_true else "if not _c:")
+        emit_edge_inline(block, nxt, 4)
+        w.line(4, f"{flag} = False")
+        w.line(3, "else:")
+        w.line(4, f"_x{t}(interp, frame)")
+        w.line(4, f"{flag} = True")
+        return flag, True
 
     def emit_call_inline(inst: CallInst) -> None:
         # The frame push of the block tier's call op, inlined so the
@@ -848,9 +824,10 @@ def _build_trace(
             lines = []
             for j, (formal, actual) in enumerate(zip(callee.args, inst.args)):
                 ns[f"_d{t}a{j}"] = id(formal)
-                lines.append(f"_nv[_d{t}a{j}] = {expr(actual, ns, f'{t}a{j}')}")
+                lines.append(f"_nv[_d{t}a{j}] = {expr(actual, ns, f'{t}a{j}', regs)}")
             reads(3, lines, inst.args, t)
         w.line(3, "interp.frames.append(_nf)")
+        regs.clear()
         # The callee frame starts with only its formals set.
         defined.append({id(formal) for formal in callee.args[: len(inst.args)]})
 
@@ -866,7 +843,8 @@ def _build_trace(
         w.line(3, "stats.cycles += _ci")
         rv = inst.return_value
         if rv is not None:
-            reads(3, [f"_v = {expr(rv, ns, f'{t}r')}"], (rv,), t)
+            reads(3, [f"_v = {expr(rv, ns, f'{t}r', regs)}"], (rv,), t)
+        regs.clear()
         w.line(3, "interp.sp = frame.sp_on_entry")
         w.line(3, "interp.frames.pop()")
         defined.pop()
@@ -884,10 +862,16 @@ def _build_trace(
         insts = block.instructions
         w.line(2, "try:")
         mark = len(w.lines)
+        # A tick hook at the segment boundary may have patched any slot.
+        regs.clear()
         for k in range(start, stop):
             inst = insts[k]
-            w.line(3, f"frame.index = {k + 1}")
-            emit_op(block, k, inst)
+            at = len(w.lines)
+            if emit_op(block, k, inst):
+                # Only an op that can raise or call out needs the index
+                # current: the reconciler, faults and anything called
+                # read it there, and nothing else runs mid-segment.
+                w.lines.insert(at, "    " * 3 + f"frame.index = {k + 1}")
             _apply_kills(available, inst)
         # Batch the uniform per-op base charge: every inline op opens
         # with exactly one top-level `stats.cycles += _ci` *before*
@@ -907,28 +891,24 @@ def _build_trace(
                 w.lines.insert(mark, "    " * 3 + f"stats.cycles += {n_ci} * _ci")
             else:
                 n_ci = 0
-        w.line(3, f"frame.index = {stop + 1}")
-        exit_flag = None
+        at = len(w.lines)
+        exit_flag, raises = None, True
         if kind == "term":
             term, target = data
-            exit_flag = emit_terminator(si, block, term, target)
+            exit_flag, raises = emit_terminator(si, block, term, target)
             # The on-trace edge assigned the target's phis: any
             # availability tag keyed on a phi's SSA id refers to the
             # previous iteration's value now.
             for phi in target.phis():
-                pid = id(phi)
-                for tg in [
-                    tg
-                    for tg in available
-                    if tg[0] == "addr" and tg[1] == pid
-                ]:
-                    del available[tg]
+                _apply_kills(available, phi)
         elif kind == "call":
             emit_call_inline(data)
         elif data is None:
             fallback(block, stop)
         else:
             emit_return_inline(*data)
+        if raises:
+            w.lines.insert(at, "    " * 3 + f"frame.index = {stop + 1}")
         w.line(2, "except BaseException:")
         if n_ci:
             # Un-charge the batched base cost of the body ops that never

@@ -167,6 +167,10 @@ BAD_INPUT = {
         "smp", "ep", "--tenants", "2", "--fast-kb", "1048576",
     ],
     "policy-fast-tier-fills-memory": ["policy", "hpccg", "--fast-kb", "8192"],
+    "run-zero-max-steps": ["run", "hpccg", "--max-steps", "0"],
+    "run-negative-max-steps": ["run", "hpccg", "--max-steps", "-1"],
+    "smp-zero-max-steps": ["smp", "hpccg", "--max-steps", "0"],
+    "soak-negative-max-steps": ["soak", "--max-steps", "-1"],
 }
 
 
@@ -178,3 +182,35 @@ def test_bad_input_exits_2_with_one_line(argv, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: ")
     assert "Traceback" not in captured.err
+
+
+DIVIDE_BY_ZERO = """
+long main() {
+  long a = 10;
+  long b = 0;
+  print_long(a / b);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast", "trace"])
+def test_guest_fault_prints_one_line(tmp_path, capsys, engine):
+    source = tmp_path / "div.c"
+    source.write_text(DIVIDE_BY_ZERO)
+    assert main(["run", str(source), "--engine", engine]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "repro run: integer fault: sdiv 10, 0 "
+        "(division by zero or invalid shift)\n"
+    )
+
+
+def test_exhausted_step_budget_prints_one_line(capsys):
+    assert main(["run", "hpccg", "--max-steps", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "repro run: step budget exhausted after 41 instructions in @main\n"
+    )

@@ -871,7 +871,7 @@ def _template_divide(op, bits, a, b, constant_rhs):
     function = module.get_function("f")
     inst = function.entry.instructions[0]
     w, ns = Writer(), dict(GLOBALS)
-    assert emit_value_op(w, 1, inst, 0, ns)
+    assert emit_value_op(w, 1, inst, 0, ns) is not None
     exec("def op(values, stats, _ci):\n" + w.source(), ns)
     x, y = function.args
     values = {id(x): a, id(y): b}

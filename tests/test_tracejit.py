@@ -9,12 +9,14 @@ region-generation bumps, the counters, and per-interpreter isolation of
 compiled traces.
 """
 
+import re
 import sys
 import traceback
 
 import pytest
 
 from repro.carat.pipeline import CompileOptions, compile_carat
+from repro.ir import parse_module
 from repro.kernel import PAGE_SIZE, Kernel
 from tests.support import run_carat
 from repro.machine import tracejit
@@ -23,7 +25,7 @@ from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry.metrics import run_snapshot
 from repro.workloads import get_workload, workload_names
 from repro.workloads.service import service_source
-from tests.test_fastexec_differential import SEMANTIC_FIELDS
+from tests.test_fastexec_differential import _MATRIX_DECLS, SEMANTIC_FIELDS
 
 #: A nested hot loop over heap memory — the bread-and-butter promotion
 #: case: the inner loop's back-edge target gets hot and its body (loads,
@@ -557,6 +559,232 @@ class TestJoinRule:
 #: 1 131 lines (main's linear trace into serve's loop); when main's loop
 #: trace still unrolled serve's blob loop, its texts reached 2 537.
 _SERVICE_TEXT_BOUND = 1500
+
+
+# ---------------------------------------------------------------------------
+# Trace-local registers and elided index stores
+# ---------------------------------------------------------------------------
+
+#: ``t`` is computed in the loop body's block and read in both arms —
+#: later segments of the same trace, behind a tick check.
+LIVE_SLOT_SOURCE = """
+void main() {
+  long i;
+  long t;
+  long acc;
+  acc = 0;
+  for (i = 0; i < 300; i++) {
+    t = i * 5 + 7;
+    if (i % 3 == 0) { acc = acc + t; } else { acc = acc - t * 2; }
+  }
+  print_long(acc);
+}
+"""
+LIVE_SLOT_OUTPUT = [str(sum(
+    i * 5 + 7 if i % 3 == 0 else -2 * (i * 5 + 7) for i in range(300)
+))]
+
+#: Fallback ops (frem, select, alloca) mid-segment, each result feeding
+#: later template ops that also read values computed before them.
+FALLBACK_IR = _MATRIX_DECLS + """
+define void @main() {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %acc = phi f64 [0.0, %entry], [%acc2, %loop]
+  %n = phi i64 [0, %entry], [%n2, %loop]
+  %x = sitofp i64 %i to f64
+  %y = fmul f64 %x, 1.5
+  %r = frem f64 %y, 4.0
+  %s = fadd f64 %r, %y
+  %k = icmp sgt i64 %i, 3
+  %z = select i1 %k, f64 %s, f64 %y
+  %w = fmul f64 %z, %y
+  %acc2 = fadd f64 %acc, %w
+  %p = alloca i64, i64 1
+  %j = mul i64 %i, 3
+  store i64 %j, i64* %p
+  %q = load i64* %p
+  %n2 = add i64 %n, %q
+  %m = add i64 %n2, %j
+  call void @print_long(i64 %m)
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, 12
+  br i1 %c, label %loop, label %exit
+exit:
+  call void @print_double(f64 %acc2)
+  ret void
+}
+"""
+
+#: A hot loop of pure int and float ops whose last iteration faults in
+#: the op ``{fault}``: ``%d`` reaches 0 on iteration 6, long after the
+#: loop compiled, and ``%slot`` then points 2**43 bytes past the table.
+PURE_LOOP_IR = _MATRIX_DECLS + """
+define void @main() {{
+entry:
+  %raw = call i8* @malloc(i64 64)
+  %tab = bitcast i8* %raw to i64*
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %acc = phi i64 [1, %entry], [%acc2, %loop]
+  %f = phi f64 [0.5, %entry], [%f2, %loop]
+  %a = mul i64 %i, 7
+  %b = add i64 %a, %acc
+  %e = xor i64 %b, 12345
+  %fi = sitofp i64 %e to f64
+  %g = fmul f64 %fi, 0.25
+  %h = fsub f64 %g, 3.0
+  %f2 = fadd f64 %f, %h
+  %acc2 = and i64 %e, 65535
+  %d = sub i64 6, %i
+  %zero = icmp eq i64 %d, 0
+  %far = zext i1 %zero to i64
+  %off = shl i64 %far, 40
+  %slot = getelementptr i64* %tab, i64 %off
+  %u = mul i64 %acc2, 3
+  %v = sub i64 %u, %e
+  {fault}
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, 9
+  br i1 %c, label %loop, label %exit
+exit:
+  call void @print_long(i64 %acc2)
+  call void @print_double(f64 %f2)
+  ret void
+}}
+"""
+_PURE_LOOP_FAULTS = {
+    "division": ("%r = sdiv i64 %v, %d", True, "integer fault: sdiv"),
+    "load": ("%r = load i64* %slot", False, ""),
+    "guard": ("%r = load i64* %slot", True, "protection fault: read"),
+}
+
+
+def _ir_outcome(text, engine, guards=True):
+    """Run CARAT-compiled IR text at ``trace_threshold=2``: the outcome,
+    the frame the fault left on top (block and ``index``) and whether the
+    fault passed through trace code."""
+    options = CompileOptions(optimize=False, guards=guards, tracking=True)
+    binary = compile_carat(parse_module(text), options, module_name="ir")
+    seen = []
+    session = CaratSession(
+        RunConfig(engine=engine, trace_threshold=2), setup=seen.append
+    )
+    try:
+        result = session.run(binary)
+    except Exception as exc:  # the fault itself is the observation
+        interp = seen[0]
+        top = interp.frames[-1]
+        frames = traceback.extract_tb(exc.__traceback__)
+        return (
+            ("fault", type(exc).__name__, str(exc),
+             interp.stats.instructions, interp.stats.cycles,
+             {f: getattr(interp.stats, f) for f in SEMANTIC_FIELDS},
+             top.block.name, top.index),
+            "<tracejit>" in [frame.filename for frame in frames],
+        )
+    stats = {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS}
+    return ("ok", tuple(result.output), stats), False
+
+
+def _segment_reads_of_defined_slots(source, ns):
+    """``values[...]`` reads, in ``source``, of a slot the same segment
+    already defined with no invalidation point between: a fallback op,
+    or an inlined call or return."""
+    found = []
+    defined = set()
+    for line in source.splitlines():
+        text = line.strip()
+        if line == "        try:":
+            defined = set()  # a segment starts (behind a tick check)
+        elif text.startswith("_op") or "interp.frames." in text:
+            defined = set()
+        for name in re.findall(r"values\[(_k\w+)\]", text):
+            if ns[name] in defined:
+                found.append(text)
+        target = re.match(r"values\[(_d\w+)\] = ", text)
+        if target is not None:
+            defined.add(ns[target.group(1)])
+    return found
+
+
+class TestRegisters:
+    def test_tick_hook_rewrite_reaches_later_segments(self):
+        # The hook adds 1000 to ``t``'s slot between its definition and
+        # its use: every engine must read the patched value, so no trace
+        # may carry a register for it across the segment boundary.
+        patched = []
+
+        def setup(interp):
+            body = next(
+                block for block in interp.module.functions["main"].blocks
+                if block.name.startswith("for.body")
+            )
+            t = next(inst for inst in body.instructions if inst.opcode == "add")
+
+            def hook(interp):
+                frame = interp.frames[-1]
+                if frame.block.name.startswith("if.") and id(t) in frame.values:
+                    frame.values[id(t)] += 1000
+                    caller = sys._getframe(1).f_code.co_filename
+                    patched.append((type(interp).__name__, caller))
+
+            interp.set_tick_interval(3)
+            interp.tick_hook = hook
+
+        interp, exc = _three_way(LIVE_SLOT_SOURCE, setup)
+        assert exc is None
+        assert interp.output != LIVE_SLOT_OUTPUT  # the rewrites were read
+        assert interp.stats.traces_compiled > 0
+        assert ("TraceInterpreter", "<tracejit>") in patched
+
+    def test_fallback_results_feed_later_ops(self):
+        outcomes = [_ir_outcome(FALLBACK_IR, engine)[0]
+                    for engine in ("reference", "fast", "trace")]
+        assert outcomes[0][0] == "ok"
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
+        assert len(outcomes[0][1]) == 13
+
+    @pytest.mark.parametrize("kind", list(_PURE_LOOP_FAULTS))
+    def test_fault_after_elided_index_stores(self, kind):
+        fault, guards, message = _PURE_LOOP_FAULTS[kind]
+        text = PURE_LOOP_IR.format(fault=fault)
+        reference, _ = _ir_outcome(text, "reference", guards)
+        fast, _ = _ir_outcome(text, "fast", guards)
+        trace, in_trace = _ir_outcome(text, "trace", guards)
+        assert reference[0] == "fault" and message in reference[2]
+        assert fast == reference
+        assert trace == reference
+        assert in_trace  # raised inside a trace
+        assert reference[6] == "loop"  # the faulting frame's block
+
+    def test_no_slot_read_after_its_definition_in_a_segment(self, monkeypatch):
+        texts = []
+        build = tracejit._TraceCode.__init__
+
+        def capture(self, source, ns, *args):
+            texts.append((source, ns))
+            build(self, source, ns, *args)
+
+        monkeypatch.setattr(tracejit._TraceCode, "__init__", capture)
+        for name in ("hpccg", "cg", "ep", "mcf", "lbm"):
+            binary = compile_carat(get_workload(name, "small").source)
+            CaratSession(RunConfig(engine="trace", name=name)).run(binary)
+        assert len(texts) > 20
+        for source, ns in texts:
+            assert _segment_reads_of_defined_slots(source, ns) == []
+        joined = "\n".join(source for source, _ns in texts)
+        # Registers are read, and most conversions are gone.  Without
+        # registers these traces held 536 slot reads, 595 int()/float()
+        # calls and 539 index stores.
+        assert re.search(r"[^.\w]_r\d+\b(?! =)", joined)
+        assert joined.count("values[_k") < 300
+        assert len(re.findall(r"\b(?:int|float)\(", joined)) < 300
+        assert joined.count("frame.index = ") < 500
 
 
 # ---------------------------------------------------------------------------
