@@ -46,6 +46,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.carat.pipeline import CompileOptions, compile_carat
+from repro.errors import ParseError, SemanticError
 from repro.ir.printer import print_module
 from repro.kernel.pagetable import PAGE_SIZE
 from repro.kernel.physmem import PhysicalMemoryError
@@ -271,13 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=16,
         help="--engine trace: back-edge executions before a hot block "
         "anchor is recorded into a superblock (default: 16)",
-    )
-    run.add_argument(
-        "--trace-max-blocks",
-        type=int,
-        default=48,
-        help="--engine trace: superblock length cap, in branch-entered "
-        "blocks (default: 48)",
     )
 
     bench = sub.add_parser(
@@ -571,6 +565,21 @@ def _read_source(path: str) -> str:
     if not file.is_file():
         raise _BadInput(f"no such file: {path}")
     return file.read_text()
+
+
+#: The flags naming a file a run writes at its end: (flag, attribute).
+_OUTPUTS = (("--json", "json_out"), ("--trace-out", "trace_out"))
+
+
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Reject an output path whose directory does not exist before the
+    command runs, rather than failing after the whole run."""
+    for flag, attr in _OUTPUTS:
+        path = getattr(args, attr, None)
+        if path and not Path(path).parent.is_dir():
+            raise _BadInput(
+                f"{flag} {path}: no such directory {Path(path).parent}"
+            )
 
 
 def _workload(args: argparse.Namespace):
@@ -1105,8 +1114,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "workloads": _cmd_workloads,
     }
     try:
+        _check_outputs(args)
         return handlers[args.command](args)
-    except _BadInput as error:
+    except (_BadInput, ParseError, SemanticError) as error:
+        # A Mini-C syntax or type error is bad input too; its message
+        # carries the line:col.
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
 

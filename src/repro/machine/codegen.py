@@ -1,33 +1,47 @@
-"""One code template per value-instruction form, shared by both tiers.
+"""One code template per instruction form, shared by both tiers.
 
 The block tier (:mod:`repro.machine.fastexec`) compiles every
 instruction into its own op; the trace tier
 (:mod:`repro.machine.tracejit`) inlines a whole superblock into one
 closure.  Both must charge the cost model in the reference engine's
-order and compute its exact results, so each value form — integer and
-float binary ops (division, remainder and shifts included), ``icmp``,
-``fcmp``, the casts, GEPs, loads, stores and pure unary math builtins —
-has exactly one emitter here.  :func:`emit_value_op` writes the op's
-body lines into a :class:`Writer` at a given indent: the base charge,
-the operand reads whose ``KeyError`` reaches :func:`_raise_undefined`,
-the wrap arithmetic, and the fault messages.
+order and compute its exact results, so every instruction form has
+exactly one emitter here: the value forms — integer and float binary
+ops (division, remainder, shifts and ``frem`` included), ``icmp``,
+``fcmp``, the casts, GEPs, loads, stores, ``select``, ``alloca`` and
+pure unary math builtins — and the control forms: branch edges with
+their phi parallel copy, conditional and unconditional branches, calls
+of defined functions (the frame push with its argument moves),
+returns, the generic ``carat.guard.*`` check, the tracking intrinsics,
+and the lazy fault forms (a GEP through a non-aggregate, a load or
+store of a non-scalar type).  :func:`emit_op` writes the op's body
+lines into a :class:`Writer` at a given indent: the base charge, the
+operand reads whose ``KeyError`` reaches :func:`_raise_undefined`, the
+wrap arithmetic, and the fault messages.  Only builtin calls and the
+one-line faults (phi, unreachable, indirect call, unknown opcode) have
+no template; the block tier keeps them as closures, which the trace
+tier calls.
 
 The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
 ``stats``; the per-interpreter names of :data:`BINDINGS` and
-:data:`KNOWN_FACT_BINDINGS`; and the constants of :data:`GLOBALS`.  The
-trace tier inlines them into a superblock whose instantiation binds every
-name once.  The block tier wraps them in a ``def`` behind a prologue that
-binds the names the body reads, and shares one compiled stencil among
-all ops of identical text.  So what identifies one op — its operand and
-destination slots, constants and global names — goes into ``ns`` under
+:data:`KNOWN_FACT_BINDINGS`; the constants of :data:`GLOBALS`; and
+``_FF``, the block tier's frame class.  The trace tier inlines them into
+a superblock whose instantiation binds every name once.  The block tier
+wraps them in a ``def`` behind a prologue that binds the names the body
+reads, and shares one compiled stencil among all ops of identical text.
+So what identifies one op — its operand and destination slots,
+constants, global names, blocks and guard site — goes into ``ns`` under
 names tagged by ``t``, never into the text.
 
-An emitter branches only on the instruction and on two facts its caller
+An emitter branches only on the instruction and on facts its caller
 may know: the addressing mode (``is_carat``) and whether the kernel has
-a fast/slow tier boundary (``has_tier``).  ``None`` — what the
-module-shared block tier passes — makes the fact a run-time test in the
-emitted code.  The trace tier also passes a segment's register map
-(:data:`Regs`; see :func:`expr`), which the block tier never does.
+a fast/slow tier boundary (``has_tier``) — ``None``, what the
+module-shared block tier passes, makes the fact a run-time test in the
+emitted code — and, in a trace, the block a branch continues into
+(``nxt``: the other arm becomes a side exit) and the call whose frame a
+return pops (``paired``: without it the return reads
+``frame.result_target`` and keeps the program-exit arm).  The trace tier
+also passes a segment's register map (:data:`Regs`; see :func:`expr`),
+which the block tier never does.
 """
 
 from __future__ import annotations
@@ -37,9 +51,20 @@ import struct
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import InterpError
+from repro.carat.intrinsics import (
+    GUARD_CALL,
+    GUARD_LOAD,
+    GUARD_RANGE,
+    GUARD_STORE,
+    TRACK_ALLOC,
+    TRACK_ESCAPE,
+    TRACK_FREE,
+)
+from repro.errors import InterpError, ProtectionFault
 from repro.ir.instructions import (
+    AllocaInst,
     BinaryInst,
+    BranchInst,
     CallInst,
     CastInst,
     FCmpInst,
@@ -47,9 +72,11 @@ from repro.ir.instructions import (
     ICmpInst,
     Instruction,
     LoadInst,
+    ReturnInst,
+    SelectInst,
     StoreInst,
 )
-from repro.ir.module import Function, GlobalVariable
+from repro.ir.module import BasicBlock, Function, GlobalVariable
 from repro.ir.types import (
     ArrayType,
     FloatType,
@@ -69,7 +96,7 @@ from repro.ir.values import (
     UndefValue,
     Value,
 )
-from repro.machine.interp import _MATH_BUILTINS
+from repro.machine.interp import _MATH_BUILTINS, ExitProgram
 from repro.transform.simplify import fold_int_binop
 
 _MASK64 = (1 << 64) - 1
@@ -122,6 +149,9 @@ GLOBALS: Dict[str, object] = {
     "_inf": math.inf,
     "_nan": math.nan,
     "_ierr": InterpError,
+    "_pfault": ProtectionFault,
+    "_Exit": ExitProgram,
+    "_fmod": math.fmod,
 }
 
 #: Per-interpreter names the emitted bodies read, as attribute paths on
@@ -133,6 +163,7 @@ BINDINGS: Dict[str, str] = {
     "_cc": "_cost_call",
     "_gm": "process.globals_map",
     "_cells": "_guard_cells",
+    "_rt": "process.runtime",
 }
 #: Names only the forms emitted with the addressing mode or the tiering
 #: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores raw
@@ -308,16 +339,22 @@ def is_math_call(inst: Instruction) -> bool:
 
 class _Op:
     """One emission: the writer, indent, name tag, facts in effect, the
-    slots known to be defined (see :func:`operand_reads`) and the trace
-    segment's register map ``regs`` (see :func:`expr`).  ``out`` is the
-    register the result lands in, ``raises`` whether the op can raise."""
+    slots known to be defined (see :func:`operand_reads`), the trace
+    segment's register map ``regs`` (see :func:`expr`), and ``code``,
+    the module's compiled form (its block op lists ``ops_by_block``,
+    guard sites ``guard_site_of`` and side-exit ``edge_op`` maker).
+    ``out`` is the register the result lands in, ``raises`` whether the
+    op can raise or call out."""
 
     __slots__ = (
         "w", "ind", "t", "ns", "is_carat", "has_tier", "defined", "regs",
-        "out", "raises",
+        "code", "nxt", "paired", "out", "raises",
     )
 
-    def __init__(self, w, ind, t, ns, is_carat, has_tier, defined, regs) -> None:
+    def __init__(
+        self, w, ind, t, ns, is_carat=None, has_tier=None, defined=None,
+        regs=None, code=None, nxt=None, paired=None,
+    ) -> None:
         self.w = w
         self.ind = ind
         self.t = t
@@ -326,14 +363,34 @@ class _Op:
         self.has_tier = has_tier
         self.defined = defined
         self.regs = regs
+        self.code = code
+        self.nxt = nxt
+        self.paired = paired
         self.out = None
         self.raises = False
 
     def line(self, text: str, depth: int = 0) -> None:
         self.w.lines.append("    " * (self.ind + depth) + text)
 
+    def lines(self, texts: Sequence[str]) -> None:
+        """Write ``texts``, each carrying its indent relative to the op's."""
+        for text in texts:
+            body = text.lstrip(" ")
+            self.line(body, (len(text) - len(body)) // 4)
+
     def read(self, value: Value, suffix: str, conv: str = "") -> str:
         return expr(value, self.ns, f"{self.t}{suffix}", self.regs, conv)
+
+    def reads(
+        self, lines: Sequence[str], operands: Sequence[Value],
+        depth: int = 0, sub: str = "",
+    ) -> None:
+        """``lines`` under the undefined-value handler (tagged ``sub``)."""
+        if lines:
+            self.raises |= operand_reads(
+                self.w, self.ind + depth, lines, operands, f"{self.t}{sub}",
+                self.ns, self.defined,
+            )
 
     def head(self, reads: Sequence[str], operands: Sequence[Value], *pre: str) -> None:
         """The base charge, then ``reads`` under the undefined-value
@@ -343,9 +400,14 @@ class _Op:
         self.line("stats.cycles += _ci")
         for text in pre:
             self.line(text)
-        self.raises |= operand_reads(
-            self.w, self.ind, reads, operands, self.t, self.ns, self.defined
-        )
+        self.reads(reads, operands)
+
+    def fault(self, message: str) -> bool:
+        """Raise ``message`` (through ``ns``: it names the instruction)."""
+        self.ns[f"_msg{self.t}"] = message
+        self.line(f"raise _ierr(_msg{self.t})")
+        self.raises = True
+        return True
 
     def dest(self, inst: Instruction, kind: str = "int") -> str:
         """The result slot, named through ``ns`` like every operand, so
@@ -369,12 +431,9 @@ class _Op:
         unknown — ``either``: a run-time test between the interpreter's
         own accessors.  Lines carry their relative indent."""
         if self.is_carat is None:
-            lines = either
+            self.lines(either)
         else:
-            lines = carat if self.is_carat else paging
-        for text in lines:
-            body = text.lstrip(" ")
-            self.line(body, (len(text) - len(body)) // 4)
+            self.lines(carat if self.is_carat else paging)
 
     def tier(self) -> None:
         """Tier-cost accounting for the access at ``_a``.  Known tiered:
@@ -473,16 +532,19 @@ def _binary(e: _Op, inst: BinaryInst) -> bool:
     if isinstance(inst.type, IntType):
         return _int_binary(e, inst)
     op = inst.opcode
-    if op == "frem":
-        return False
     out = e.dest(inst, "float")
     lhs, rhs = e.read(inst.lhs, "a", "float"), e.read(inst.rhs, "b", "float")
     operands = (inst.lhs, inst.rhs)
-    if op != "fdiv":
+    if op in _FLOAT_OP_SYMBOL:
         symbol = _FLOAT_OP_SYMBOL[op]
         e.head([f"{out} = {lhs} {symbol} {rhs}"], operands)
         return True
     e.head([f"_a = {lhs}", f"_b = {rhs}"], operands)
+    if op == "frem":
+        # fmod of an infinity raises ValueError, as in the reference.
+        e.raises = True
+        e.line(f"{out} = _fmod(_a, _b) if _b != 0 else _nan")
+        return True
     e.line("if _b == 0.0:")
     e.line(f"{out} = _inf if _a > 0 else (-_inf if _a < 0 else _nan)", 1)
     e.line("else:")
@@ -550,7 +612,9 @@ def _cast(e: _Op, inst: CastInst) -> bool:
 def _gep(e: _Op, inst: GEPInst) -> bool:
     const_offset, dynamic, bad_type = gep_plan(inst)
     if bad_type is not None:
-        return False
+        # The reference's lazy fault: an error only if it executes.
+        e.head([], ())
+        return e.fault(f"gep into non-aggregate {bad_type}")
     operands: List[Value] = [inst.pointer]
     terms = [e.read(inst.pointer, "p", "int")]
     if const_offset:
@@ -565,9 +629,24 @@ def _gep(e: _Op, inst: GEPInst) -> bool:
     return True
 
 
+def _bad_access(e: _Op, inst: Instruction, kind: str, ty: Type) -> bool:
+    """A load or store of a non-scalar type: its reads and memory charge,
+    then the fault."""
+    operands = [inst.pointer] + ([inst.value] if kind == "store" else [])
+    reads = [f"_a = {e.read(inst.pointer, 'p', 'int')}"]
+    if kind == "store":
+        reads.append(f"_v = {e.read(inst.value, 'v')}")
+    e.head(reads, operands)
+    e.line("stats.cycles += _cm")
+    e.line(f"stats.{kind}s += 1")
+    return e.fault(f"cannot {kind} a value of type {ty}")
+
+
 def _load(e: _Op, inst: LoadInst) -> bool:
     ty = inst.type
     size = size_of(ty)
+    if not isinstance(ty, (IntType, FloatType, PointerType)):
+        return _bad_access(e, inst, "load", ty)
     out = e.dest(inst, "float" if isinstance(ty, FloatType) else "int")
     if isinstance(ty, IntType):
         decode = [
@@ -577,10 +656,8 @@ def _load(e: _Op, inst: LoadInst) -> bool:
     elif isinstance(ty, FloatType):
         e.ns[f"_up{e.t}"] = struct.Struct("<d" if ty.bits == 64 else "<f").unpack
         decode = [f"{out} = _up{e.t}(_v)[0]"]
-    elif isinstance(ty, PointerType):
-        decode = [f"{out} = _ifb(_v, 'little')"]
     else:
-        return False
+        decode = [f"{out} = _ifb(_v, 'little')"]
     e.head([f"_a = {e.read(inst.pointer, 'p', 'int')}"], (inst.pointer,))
     e.raises = True
     e.line("stats.cycles += _cm")
@@ -624,7 +701,7 @@ def _store(e: _Op, inst: StoreInst) -> bool:
         v = _convert("_v", inst.value, "int", e.regs)
         encode = f"({v} & {_MASK64}).to_bytes(8, 'little')"
     else:
-        return False
+        return _bad_access(e, inst, "store", ty)
     pointer, value = e.read(inst.pointer, "p", "int"), e.read(inst.value, "v")
     e.head([f"_a = {pointer}", f"_v = {value}"], (inst.pointer, inst.value))
     e.raises = True
@@ -656,9 +733,107 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     return True
 
 
-def _call(e: _Op, inst: CallInst) -> bool:
-    if not is_math_call(inst):
-        return False
+def _select(e: _Op, inst: SelectInst) -> bool:
+    # Only the chosen arm is read, so each arm has its own handler: an
+    # undefined value is reported only if the reference evaluates it.
+    # The result's Python type is its arm's, so the register's is unknown.
+    out = e.dest(inst, "")
+    e.head([f"_c = {e.read(inst.condition, 'c')}"], (inst.condition,))
+    arms = (("if _c:", "t", inst.true_value), ("else:", "f", inst.false_value))
+    for test, sub, value in arms:
+        e.line(test)
+        e.reads([f"{out} = {e.read(value, sub)}"], (value,), 1, sub)
+    return True
+
+
+def _alloca(e: _Op, inst: AllocaInst) -> bool:
+    # The size goes through ``ns``: allocas of any size share one text.
+    t, count = e.t, inst.count
+    stride = stride_of(inst.allocated_type)
+    out = e.dest(inst)
+    if isinstance(count, ConstantInt):
+        e.ns[f"_z{t}"] = stride * max(0, count.value)
+        e.head([], (), f"_s = _z{t}")
+    else:
+        e.ns[f"_z{t}"] = stride
+        e.head([f"_s = _z{t} * max(0, {e.read(count, 'n', 'int')})"], (count,))
+    # 16-byte aligned, growing down; on overflow sp is left untouched so
+    # the kernel can grow the stack and retry the instruction.
+    e.raises = True
+    e.lines([
+        "_a = (interp.sp - _s) & -16",
+        "if _a <= interp.stack_base:",
+        "    raise _pfault(_a, _s, 'stack')",
+        "interp.sp = _a",
+        f"{out} = _a",
+    ])
+    return True
+
+
+def _edge(e: _Op, src: BasicBlock, dst: BasicBlock, depth: int, sub: str) -> None:
+    """Enter ``dst`` from ``src``: the phi parallel copy in the reference
+    order for this edge (every incoming value read, then one instruction
+    charged per phi, then the slots assigned), then the block switch to
+    ``dst``'s op list, which the module pre-creates."""
+    t, ns = f"{e.t}{sub}", e.ns
+    phis = dst.phis()
+    lines = []
+    if phis:
+        vals = [phi.incoming_for_block(src) for phi in phis]
+        e.reads(
+            [f"_h{k} = {e.read(v, f'{sub}h{k}')}" for k, v in enumerate(vals)],
+            vals, depth, sub,
+        )
+        n = len(phis)
+        lines += [
+            f"stats.cycles += _ci * {n}" if n > 1 else "stats.cycles += _ci",
+            f"stats.instructions += {n}",
+        ]
+        for k, phi in enumerate(phis):
+            ns[f"_d{t}h{k}"] = id(phi)
+            lines.append(f"values[_d{t}h{k}] = _h{k}")
+    ns[f"_s{t}"], ns[f"_b{t}"] = src, dst
+    ns[f"_o{t}"] = e.code.ops_by_block[id(dst)]
+    lines += [
+        f"frame.prev_block = _s{t}",
+        f"frame.block = _b{t}",
+        f"frame.ops = _o{t}",
+        f"frame.index = {len(phis)}",
+    ]
+    for text in lines:
+        e.line(text, depth)
+
+
+def _branch(e: _Op, inst: BranchInst) -> bool:
+    # A trace passes the arm it continues on as ``nxt``: that edge is
+    # inlined, and the other becomes a side exit — a call of the edge
+    # op, after which ``_of<t>`` tells the trace to return.
+    src, targets, nxt = inst.parent, inst.targets, e.nxt
+    if not inst.is_conditional:
+        e.head([], ())
+        _edge(e, src, targets[0], 0, "t")
+        return True
+    e.head([f"_c = {e.read(inst.condition, 'c')}"], (inst.condition,))
+    if nxt is not None and all(target is nxt for target in targets):
+        # Both arms land on the trace; the condition was still read for
+        # error parity, its value is moot.
+        _edge(e, src, nxt, 0, "t")
+        return True
+    for test, sub, target in (("if _c:", "t", targets[0]), ("else:", "f", targets[1])):
+        e.line(test)
+        if nxt is None or target is nxt:
+            _edge(e, src, target, 1, sub)
+            if nxt is not None:
+                e.line(f"_of{e.t} = False", 1)
+        else:
+            e.ns[f"_x{e.t}"] = e.code.edge_op(src, target)
+            e.line(f"_x{e.t}(interp, frame)", 1)
+            e.line(f"_of{e.t} = True", 1)
+            e.raises = True
+    return True
+
+
+def _math(e: _Op, inst: CallInst) -> bool:
     # The builtin's charge order: instruction, calls, evaluate, compute
     # (a domain error yields nan), then the call cost.
     t = e.t
@@ -675,6 +850,162 @@ def _call(e: _Op, inst: CallInst) -> bool:
     return True
 
 
+def _push(e: _Op, inst: CallInst) -> bool:
+    # A call of a defined function, in the reference's order: the depth
+    # check between the instruction and call costs, undefined arguments
+    # raising before the push.  The frame is slotted directly, field for
+    # field what ``_FF(callee, interp.sp)`` constructs.
+    t, callee = e.t, inst.callee
+    e.ns[f"_fu{t}"], e.ns[f"_b{t}"] = callee, callee.entry
+    e.ns[f"_res{t}"] = None if inst.type.is_void else inst
+    e.ns[f"_o{t}"] = e.code.ops_by_block[id(callee.entry)]
+    e.raises = True
+    e.head([], (), "stats.calls += 1")
+    e.lines([
+        "if len(interp.frames) >= interp.max_call_depth:",
+        "    raise _ierr(f'call depth exceeded ({interp.max_call_depth})"
+        f" calling @{{_fu{t}.name}}')",
+        "stats.cycles += _cc",
+        "_nf = _FF.__new__(_FF)",
+        f"_nf.function = _fu{t}",
+        f"_nf.block = _b{t}",
+        "_nf.index = 0",
+        "_nv = {}",
+        "_nf.values = _nv",
+        "_nf.sp_on_entry = interp.sp",
+        f"_nf.result_target = _res{t}",
+        "_nf.prev_block = None",
+        f"_nf.ops = _o{t}",
+    ])
+    moves = []
+    for j, (formal, actual) in enumerate(zip(callee.args, inst.args)):
+        e.ns[f"_d{t}a{j}"] = id(formal)
+        moves.append(f"_nv[_d{t}a{j}] = {e.read(actual, f'a{j}')}")
+    e.reads(moves, inst.args)
+    e.line("interp.frames.append(_nf)")
+    return True
+
+
+def _return(e: _Op, inst: ReturnInst) -> bool:
+    # With the paired call known (a trace), the popped frame is never the
+    # last and the result slot is that call's; otherwise the op reads
+    # ``frame.result_target`` and may end the program.
+    rv, call = inst.return_value, e.paired
+    e.raises = True
+    e.head([] if rv is None else [f"_v = {e.read(rv, 'r')}"], (rv,))
+    e.line("interp.sp = frame.sp_on_entry")
+    e.line("interp.frames.pop()")
+    if call is not None:
+        if rv is not None and not call.type.is_void:
+            e.ns[f"_d{e.t}"] = id(call)
+            e.line(f"interp.frames[-1].values[_d{e.t}] = _v")
+    elif rv is None:
+        e.lines(["if not interp.frames:", "    raise _Exit(interp.exit_code)"])
+    else:
+        e.lines([
+            "if not interp.frames:",
+            "    if isinstance(_v, int):",
+            "        interp.exit_code = _v",
+            "    raise _Exit(interp.exit_code)",
+            "if frame.result_target is not None:",
+            "    interp.frames[-1].values[id(frame.result_target)] = _v",
+        ])
+    return True
+
+
+def _runtime_head(e: _Op) -> None:
+    """The charge, then the rest of the intrinsic only with a runtime (a
+    traditional process's intrinsics are inert)."""
+    e.raises = True
+    e.head([], ())
+    e.line("if _rt is not None:")
+    e.ind += 1
+
+
+def _guard(e: _Op, inst: CallInst, name: str) -> bool:
+    # The generic check through the site's region-cache cell; the trace
+    # tier specializes its own unless it cannot bake the parameters.
+    t, args = e.t, inst.args
+    e.ns[f"_q{t}"] = e.code.guard_site_of[id(inst)]
+    reads = [f"_s = {e.read(args[0 if name == GUARD_CALL else 1], 's', 'int')}"]
+    if name == GUARD_CALL:
+        check = "guard_call(interp.sp, _s"
+    else:
+        reads.insert(0, f"_a = {e.read(args[0], 'a', 'int')}")
+        if name != GUARD_RANGE:
+            access = "'read'" if name == GUARD_LOAD else "'write'"
+            check = f"guard_access(_a, _s, {access}"
+        elif len(args) > 2:
+            reads.append(f"_c = 'write' if {e.read(args[2], 'f', 'int')} else 'read'")
+            check = "guard_range(_a, _s, _c"
+        else:
+            check = "guard_range(_a, _s, 'read'"
+    _runtime_head(e)
+    e.reads(reads, args[: len(reads)])
+    e.lines([
+        f"_gc = _rt.{check}, _cells[_q{t}])",
+        "stats.guard_cycles += _gc",
+        "stats.cycles += _gc",
+    ])
+    return True
+
+
+#: Each tracking intrinsic's runtime callback.
+_TRACK_CALLS = {
+    TRACK_ALLOC: "on_alloc(_a, _b, 'heap')",
+    TRACK_FREE: "on_free(_a)",
+    TRACK_ESCAPE: "on_escape(_a)",
+}
+
+
+def _intrinsic(e: _Op, inst: CallInst, name: str) -> bool:
+    # No ``calls`` counter and no call cost: only the tracking cycles the
+    # runtime reports.
+    args = inst.args
+    call = _TRACK_CALLS.get(name)
+    _runtime_head(e)
+    if call is None:
+        e.reads([f"_a = {e.read(a, f'a{j}')}" for j, a in enumerate(args)], args)
+        return e.fault(f"unknown CARAT intrinsic {name!r}")
+    used = args[: 2 if name == TRACK_ALLOC else 1]
+    e.reads([f"_{v} = {e.read(a, v, 'int')}" for v, a in zip("ab", used)], used)
+    e.lines([
+        "_x = _rt.stats",
+        "_g = _x.guard_cycles + _x.tracking_cycles",
+        f"_rt.{call}",
+        "_g = _x.guard_cycles + _x.tracking_cycles - _g",
+        "stats.tracking_cycles += _g",
+        "stats.cycles += _g",
+    ])
+    return True
+
+
+_GUARDS = (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE)
+
+
+def guard_name(inst: Instruction) -> Optional[str]:
+    """The ``carat.guard.*`` intrinsic ``inst`` calls, if any."""
+    if isinstance(inst, CallInst) and isinstance(inst.callee, Function):
+        if inst.callee.name in _GUARDS:
+            return inst.callee.name
+    return None
+
+
+def _call(e: _Op, inst: CallInst) -> bool:
+    # A builtin (frame or runtime work of its own) or an indirect call has
+    # no template.
+    callee = inst.callee
+    if is_math_call(inst):
+        return _math(e, inst)
+    if not isinstance(callee, Function):
+        return False
+    if callee.name in _GUARDS:
+        return _guard(e, inst, callee.name)
+    if callee.name.startswith("carat."):
+        return _intrinsic(e, inst, callee.name)
+    return not callee.is_declaration and _push(e, inst)
+
+
 _EMITTERS = {
     BinaryInst: _binary,
     ICmpInst: _icmp,
@@ -683,11 +1014,15 @@ _EMITTERS = {
     GEPInst: _gep,
     LoadInst: _load,
     StoreInst: _store,
+    SelectInst: _select,
+    AllocaInst: _alloca,
     CallInst: _call,
+    BranchInst: _branch,
+    ReturnInst: _return,
 }
 
 
-def emit_value_op(
+def emit_op(
     w: Writer,
     ind: int,
     inst: Instruction,
@@ -697,21 +1032,32 @@ def emit_value_op(
     has_tier: Optional[bool] = None,
     defined: Optional[Set[int]] = None,
     regs: Optional[Regs] = None,
+    code=None,
+    nxt: Optional[BasicBlock] = None,
+    paired: Optional[CallInst] = None,
 ) -> Optional[bool]:
     """Write ``inst``'s body into ``w`` at indent ``ind`` and return
     whether it can raise or call out; or write nothing and return
-    ``None`` for a form with no template (frem, a non-scalar load or
-    store, a GEP through a non-aggregate, and every instruction that is
-    not a value op).  ``t`` makes the body's ``ns`` names unique within
-    one scope; ``is_carat``/``has_tier`` are the facts above; ``defined``
-    is passed to :func:`operand_reads`; a trace segment's register map
-    ``regs`` gains the result's register (see :func:`expr`)."""
+    ``None`` for a form with no template (a builtin call, and the
+    one-line faults: phi, unreachable, indirect call, unknown opcode).
+    ``t`` makes the body's ``ns`` names unique within one scope;
+    ``is_carat``/``has_tier``/``nxt``/``paired`` are the facts above;
+    ``defined`` is passed to :func:`operand_reads`; a trace segment's
+    register map ``regs`` gains the result's register (see
+    :func:`expr`); ``code`` is the module's compiled form (see
+    :class:`_Op`), which control forms and guards need."""
     emitter = _EMITTERS.get(type(inst))
     if emitter is None:
         return None
-    op = _Op(w, ind, t, ns, is_carat, has_tier, defined, regs)
+    op = _Op(w, ind, t, ns, is_carat, has_tier, defined, regs, code, nxt, paired)
     if not emitter(op, inst):
         return None
     if op.out is not None:
         regs[id(inst)] = op.out
     return op.raises
+
+
+def emit_edge(w: Writer, ind: int, src: BasicBlock, dst: BasicBlock, ns, code) -> None:
+    """The edge ``src`` -> ``dst`` of a branch op alone (tag 0), the op a
+    trace's side exit calls."""
+    _edge(_Op(w, ind, 0, ns, code=code), src, dst, 0, "t")

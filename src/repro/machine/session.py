@@ -86,10 +86,8 @@ class RunConfig:
     #: Cycle cap per pre-copy chunk (``--chunk-budget``); 0 = unchunked.
     chunk_budget: int = 0
     #: Trace-tier tuning (``--engine trace`` only; other engines ignore
-    #: them): back-edge executions before a block anchor is recorded,
-    #: and the superblock length cap in blocks.
+    #: it): back-edge executions before a block anchor is recorded.
     trace_threshold: int = 16
-    trace_max_blocks: int = 48
     #: Soak harness (the ``soak`` subcommand; :mod:`repro.soak`):
     #: simulated requests summed across all tenants (``--requests``),
     #: the epoch horizon the watchdog enforces (``--horizon``), the
@@ -167,11 +165,6 @@ class RunConfig:
             raise ValueError(
                 f"trace_threshold must be a positive execution count, "
                 f"not {self.trace_threshold!r}"
-            )
-        if not isinstance(self.trace_max_blocks, int) or self.trace_max_blocks < 1:
-            raise ValueError(
-                f"trace_max_blocks must be a positive block count, "
-                f"not {self.trace_max_blocks!r}"
             )
         for field_name in (
             "soak_requests", "soak_horizon", "soak_tenants",
@@ -427,10 +420,7 @@ class CaratSession:
         if config.agents:
             self._wire_agents(kernel, interpreter)
         if hasattr(interpreter, "set_trace_tuning"):
-            interpreter.set_trace_tuning(
-                threshold=config.trace_threshold,
-                max_blocks=config.trace_max_blocks,
-            )
+            interpreter.set_trace_tuning(threshold=config.trace_threshold)
         if sanitizer is not None:
             sanitizer.attach_interpreter(interpreter)
         if tracer is not None:

@@ -11,7 +11,7 @@ changing a single observable number:
   until the anchor is re-entered — one superblock, the path a loop
   iteration actually takes;
 * superblocks **span call frames**: a call to a defined function stays
-  on the trace (the call op's body is inlined — a *real* frame is still
+  on the trace (the call template is inlined — a *real* frame is still
   pushed, so snapshots, faults and depth limits see the true stack —
   then the callee's blocks inline right behind it, and its return pops
   back to the caller mid-block), up to a recursion cap — so a loop
@@ -21,8 +21,11 @@ changing a single observable number:
   instruction body is inlined into one generated source (the one
   per-instruction template of :mod:`repro.machine.codegen` that the
   block tier wraps per op, emitted with the trace's known addressing
-  mode and tiering), interior branch edges collapse their phi
-  parallel-copies into direct slot assignments, and ``steps`` /
+  mode, tiering, on-trace branch targets and paired calls — there is no
+  fallback for ``select``, ``alloca`` or ``frem``; only builtin calls
+  and one-line faults call the block tier's op), interior branch edges
+  collapse their phi parallel-copies into direct slot assignments, and
+  ``steps`` /
   ``instructions`` — plus the uniform per-op base cycle charge — are
   batched per block segment, with a fault reconciler that restores the
   exact per-op totals on any raise (the cost model never sees the
@@ -31,17 +34,19 @@ changing a single observable number:
   writes through to a Python local (``values[_d<t>] = _r<t> = ...``) and
   later reads use the local, without an ``int()``/``float()`` wrapper
   when the type is known.  The map is cleared at every *invalidation
-  point* — segment start (a tick hook may have patched any slot), after
-  a fallback op, at an inlined call or return; mid-segment, only the
-  guard slow path, ``_respec`` and the access probe run foreign code,
-  and none writes a frame slot.  ``frame.index`` is stored only before
-  an op that can raise or call out (loads, stores, guards, fallbacks,
-  calls, checked div/rem/shift, ``fptosi``, math builtins, reads under
-  the undefined-value handler, side-exiting branches): everything that
+  point* — segment start (a tick hook may have patched any slot; calls
+  and returns end segments) and after a fallback op; mid-segment, only
+  guards, tracking callbacks, ``_respec`` and the access probe run
+  foreign code, and none writes a frame slot.  ``frame.index`` is stored
+  only before an op that can raise or call out (loads, stores, guards,
+  tracking intrinsics, fallbacks, calls, allocas, ``frem``, checked
+  div/rem/shift, ``fptosi``, math builtins, reads under the
+  undefined-value handler, side-exiting branches): everything that
   reads it runs after such a store;
 * conditional branches keep both arms: the off-trace arm is a **side
-  exit** that re-enters the block tier mid-loop (``trace_exits``
-  counts them), with frame state — ``block``/``ops``/``index`` — kept
+  exit** — a call of the block tier's op for that edge, stenciled from
+  the same edge template — that re-enters the block tier mid-loop
+  (``trace_exits`` counts them), with frame state — ``block``/``ops``/``index`` — kept
   consistent wherever it can be observed, so faults, retries, register
   snapshots and world-stop patching all keep working unchanged;
 * recordings **join** compiled code instead of unrolling it: one that
@@ -58,7 +63,8 @@ changing a single observable number:
   workloads whose hot loop branches on data (an accept/reject split)
   stay in compiled code on both arms;
 * a recording whose anchor frame **returns** closes as a **return
-  trace**, ending in the block tier's return op — so a hot function
+  trace**, ending in the return template as the block tier runs it
+  (no paired call: the program-exit arm stays) — so a hot function
   with no loop of its own (a request handler) runs compiled from its
   hot block to its return;
 * ``carat.guard.*`` sites are **parameter-specialized** à la a
@@ -111,12 +117,7 @@ import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.carat.guard_opt import guard_covered, guard_tag
-from repro.carat.intrinsics import (
-    GUARD_CALL,
-    GUARD_LOAD,
-    GUARD_RANGE,
-    GUARD_STORE,
-)
+from repro.carat.intrinsics import GUARD_CALL, GUARD_LOAD, GUARD_RANGE
 from repro.errors import InterpError
 from repro.ir.instructions import (
     AllocaInst,
@@ -132,22 +133,16 @@ from repro.ir.values import ConstantInt
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.machine.codegen import (
-    GLOBALS,
     Regs,
     Writer,
     bind,
-    emit_value_op,
+    emit_op,
     expr,
+    guard_name,
     is_math_call,
     operand_reads,
 )
-from repro.machine.fastexec import (
-    _Edge,
-    _edge_enter,
-    _FastFrame,
-    FastInterpreter,
-    ModuleCode,
-)
+from repro.machine.fastexec import _STENCIL_SCOPE, FastInterpreter, ModuleCode
 from repro.machine.interp import ExitProgram
 
 #: Guard mechanisms whose steady-state hit cost can be baked into a
@@ -245,8 +240,8 @@ _LIBRARY: Dict[bytes, bytes] = {}
 
 class _TraceCode:
     """The compiled form of one superblock variant: its code object, from
-    the library, and the build-time namespace (slot ids, edge closures,
-    fallback ops — all interpreter-independent).  Cached in
+    the library, and the build-time namespace (slot ids, blocks, side-exit
+    edge ops, fallback ops — all interpreter-independent).  Cached in
     :attr:`ModuleCode.trace_codes`; :meth:`instantiate` binds the
     per-interpreter state (cost constants, guard cells, runtime, fresh
     specialization cells) and returns the executable closure."""
@@ -278,13 +273,12 @@ class _TraceCode:
             self.code_obj = marshal.loads(zlib.decompress(blob))
 
     def instantiate(self, interp: "TraceInterpreter"):
-        scope: Dict[str, object] = dict(GLOBALS)
+        scope: Dict[str, object] = dict(_STENCIL_SCOPE)
         scope.update(self.ns)
         scope.update(bind(interp))
         scope["_respec"] = _respecialize
         rt = interp.process.runtime
         scope.update(
-            _rt=rt,
             _rs=rt and rt.stats,
             _regions=rt and rt.regions,
             _windows=rt._move_windows if rt is not None else (),
@@ -302,6 +296,10 @@ class _TraceCode:
 #: walker re-checks it when replaying the chain statically.
 _MAX_INLINE_DEPTH = 8
 
+#: Longest chain a recording may span before it aborts (counted in
+#: branch-entered blocks; inlined callee entries ride along free).
+_MAX_TRACE_BLOCKS = 48
+
 #: Straight-line instructions the layout walker will visit before
 #: declaring a chain degenerate (chains of single-block callees consume
 #: no recorded entries, so the walk needs its own bound).
@@ -318,12 +316,12 @@ def _layout(
 
     Each segment is ``(block, start, end, kind, data)``: body ops
     ``start..end-1`` followed by the control op at ``end`` — a ``"term"``
-    (branch; ``data`` is ``(inst, on_trace_target)``), a ``"call"``
-    (defined non-carat callee: the trace runs the block tier's call op,
-    which pushes a real frame, then continues *inside* the callee's
-    entry block), or a ``"return"`` (the block tier's return op pops the
-    frame; at depth > 0 ``data`` is ``(inst, paired_call)`` and the walk
-    resumes in the caller right after the call).  Calls and returns
+    (branch; ``data`` is the on-trace target), a ``"call"`` (defined
+    non-carat callee: the call template pushes a real frame, then the
+    trace continues *inside* the callee's entry block), or a
+    ``"return"`` (the return template pops the frame; at depth > 0
+    ``data`` is the paired call and the walk resumes in the caller right
+    after it).  Calls and returns
     consume no chain entries — recording only observes branch
     terminators, and a callee's entry is statically known from the call
     — so single-block callees inline for free.  Branches consume the
@@ -381,7 +379,7 @@ def _layout(
         if isinstance(inst, CallInst):
             if len(stack) >= _MAX_INLINE_DEPTH:
                 return None
-            segments.append((block, start, k, "call", inst))
+            segments.append((block, start, k, "call", None))
             stack.append((block, k + 1, inst))
             block = inst.callee.entry
             k = block.first_non_phi_index()
@@ -397,7 +395,7 @@ def _layout(
             # The paired call rides along: the return's result lands in
             # the caller slot of the call that pushed this frame, which
             # the walk knows statically.
-            segments.append((block, start, k, "return", (inst, stack[-1][2])))
+            segments.append((block, start, k, "return", stack[-1][2]))
             block, k, _call = stack.pop()
             continue
         if not isinstance(inst, BranchInst) or k != len(insts) - 1:
@@ -414,7 +412,7 @@ def _layout(
             target = final
         if not any(t is target for t in inst.targets):
             return None
-        segments.append((block, start, k, "term", (inst, target)))
+        segments.append((block, start, k, "term", target))
         if cursor >= len(chain) and target is final and depth == end_depth:
             return segments
         block = target
@@ -486,21 +484,24 @@ def _build_trace(
     an inner loop's trace, so data-dependent branches and trip counts
     stay in compiled code instead of bridging through the block tier.
     With ``end_depth`` -1 the result is a *return trace*: its last
-    segment runs the block tier's return op verbatim (the frame pop, the
-    caller's result slot, and the program exit when ``main`` returns),
-    then hands back to the dispatch loop in the caller.
+    segment is the return template with no paired call, as the block
+    tier runs it (the frame pop, the caller's result slot from
+    ``frame.result_target``, and the program exit when ``main``
+    returns), then hands back to the dispatch loop in the caller.
 
     The generated source inlines the shared per-instruction templates
-    (:func:`~repro.machine.codegen.emit_value_op`, the lines the block
-    tier wraps per op) minus the per-op dispatch: one ``while True:``
+    (:func:`~repro.machine.codegen.emit_op`, the lines the block tier
+    wraps per op) minus the per-op dispatch: one ``while True:``
     walks the segments :func:`_layout` derives from the chain, each a
     ``try:`` region whose ``steps`` / ``instructions`` are batched at its
     control op.  Tick and pause checks are emitted only after terminator
     segments (branches and returns — the safepoints of both other
     engines), never after calls, so safepoint alignment is preserved
-    exactly.  Call and return segments end in an inlined copy of the
-    block tier's call / return op — the real frame push/pop, with the
-    same charges and error states — after which the generated code
+    exactly.  A branch segment ends in the branch template told its
+    on-trace target, whose other arm calls the block tier's edge op (a
+    side exit); call and return segments end in the call / return
+    template — the real frame push/pop, with the return told its paired
+    call — after which the generated code
     rebinds its ``frame`` / ``values`` locals to ``interp.frames[-1]``;
     guard availability is cleared at those boundaries (the stack pointer
     and the live slot dict both change).  The ``except BaseException``
@@ -515,20 +516,11 @@ def _build_trace(
 
     w = Writer()
     ns: Dict[str, object] = {}
-    block_names: Dict[int, str] = {}
-
-    def bref(block: BasicBlock) -> str:
-        name = block_names.get(id(block))
-        if name is None:
-            name = f"_blk{len(block_names)}"
-            block_names[id(block)] = name
-            ns[name] = block
-            ns["_ops" + name[4:]] = code.ops_by_block[id(block)]
-        return name
 
     tag = 0
     spec_count = 0
     guard_count = 0
+    foreign = False  # a body op of this segment runs runtime code
     available: Dict[tuple, int] = {}
     # Per inlined frame, the slots this iteration has already written
     # there: a read of one cannot miss, so it needs no undefined-value
@@ -536,7 +528,7 @@ def _build_trace(
     # are deliberately absent.
     defined: List[Set[int]] = [set()]
     # The segment's register map (codegen.Regs): reset at every segment
-    # start, after every fallback op, and at inlined calls and returns.
+    # start (calls and returns end one) and after every fallback op.
     regs: Regs = {}
 
     def reads(ind: int, lines: List[str], operands, t: int) -> bool:
@@ -689,169 +681,35 @@ def _build_trace(
             f"{acc}, stats, _tracer)",
         )
 
-    def emit_op(block: BasicBlock, k: int, inst: Instruction) -> bool:
+    def emit_body(block: BasicBlock, k: int, inst: Instruction) -> bool:
         """Emit one body op; True if it can raise or call out."""
-        nonlocal tag, guard_count
-        if isinstance(inst, CallInst):
-            callee = inst.callee
-            name = callee.name if isinstance(callee, Function) else ""
-            if name in (GUARD_LOAD, GUARD_STORE, GUARD_CALL, GUARD_RANGE):
-                guard_count += 1
-                if specialize:
-                    if name == GUARD_RANGE:
-                        emit_guard_range(inst)
-                    else:
-                        emit_guard(inst, name)
-                    return True
-            if not is_math_call(inst):
-                fallback(block, k)
+        nonlocal tag, guard_count, foreign
+        name = guard_name(inst)
+        if name is not None:
+            guard_count += 1
+            if specialize:
+                if name == GUARD_RANGE:
+                    emit_guard_range(inst)
+                else:
+                    emit_guard(inst, name)
                 return True
         t = tag
         tag += 1
-        raises = emit_value_op(
-            w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs
+        raises = emit_op(
+            w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs, code
         )
         if raises is None:
-            # frem, select, alloca and the rare fault forms: the block
-            # tier's op already charges and faults exactly right.
+            # A builtin call or a one-line fault: the block tier's op
+            # already charges and faults exactly right.
             fallback(block, k)
             return True
+        # Runtime code (a tracking callback, a generic guard) may read
+        # the cycle clock: telemetry timestamps must see exact totals.
+        foreign |= isinstance(inst, CallInst) and not is_math_call(inst)
         # A template writes its result whenever it completes (a builtin
         # call op, say, may not).
         defined[-1].add(id(inst))
         return raises
-
-    def emit_edge_inline(src: BasicBlock, dst: BasicBlock, ind: int) -> bool:
-        # True if a phi read can raise.
-        nonlocal tag
-        t = tag
-        tag += 1
-        phis = dst.phis()
-        raises = False
-        if phis:
-            vals = [phi.incoming_for_block(src) for phi in phis]
-            lines = [
-                f"_hv{k2} = {expr(v, ns, f'{t}h{k2}', regs)}"
-                for k2, v in enumerate(vals)
-            ]
-            raises = reads(ind, lines, vals, t)
-            nmv = len(phis)
-            if nmv > 1:
-                w.line(ind, f"stats.cycles += _ci * {nmv}")
-            else:
-                w.line(ind, "stats.cycles += _ci")
-            w.line(ind, f"stats.instructions += {nmv}")
-            for k2, phi in enumerate(phis):
-                ns[f"_d{t}h{k2}"] = id(phi)
-                w.line(ind, f"values[_d{t}h{k2}] = _hv{k2}")
-                defined[-1].add(id(phi))
-        w.line(ind, f"frame.prev_block = {bref(src)}")
-        w.line(ind, f"frame.block = {bref(dst)}")
-        w.line(ind, f"frame.ops = _ops{bref(dst)[4:]}")
-        w.line(ind, f"frame.index = {dst.first_non_phi_index()}")
-        return raises
-
-    def emit_terminator(
-        si: int, block: BasicBlock, term: BranchInst, nxt: BasicBlock
-    ) -> Tuple[Optional[str], bool]:
-        # The side-exit flag, and whether the branch can raise or call out.
-        nonlocal tag
-        w.line(3, "stats.cycles += _ci")
-        if not term.is_conditional:
-            return None, emit_edge_inline(block, nxt, 3)
-        t = tag
-        tag += 1
-        cond = expr(term.condition, ns, f"{t}c", regs)
-        raises = reads(3, [f"_c = {cond}"], (term.condition,), t)
-        on_true = term.targets[0] is nxt
-        on_false = term.targets[1] is nxt
-        if on_true and on_false:
-            # Both arms land on the trace (same block); the condition was
-            # still evaluated for error parity, its value is moot.
-            return None, emit_edge_inline(block, nxt, 3) or raises
-        off_target = term.targets[1] if on_true else term.targets[0]
-        ns[f"_x{t}"] = _edge_enter(_Edge(code, block, off_target))
-        ns[f"_e{si}"] = {
-            "anchor": chain[0][1].name,
-            "function": block.parent.name,
-            "from": block.name,
-            "to": off_target.name,
-        }
-        flag = f"_of{si}"
-        w.line(3, "if _c:" if on_true else "if not _c:")
-        emit_edge_inline(block, nxt, 4)
-        w.line(4, f"{flag} = False")
-        w.line(3, "else:")
-        w.line(4, f"_x{t}(interp, frame)")
-        w.line(4, f"{flag} = True")
-        return flag, True
-
-    def emit_call_inline(inst: CallInst) -> None:
-        # The frame push of the block tier's call op, inlined so the
-        # trace continues inside the callee: same charge order (depth
-        # check between the instruction and call costs), same error
-        # states (undefined args raise before the push), and a
-        # directly-slotted frame that is field-for-field what
-        # _FastFrame(...) constructs, without the constructor chain.
-        nonlocal tag
-        t = tag
-        tag += 1
-        callee = inst.callee
-        ns["_FF"] = _FastFrame
-        ns[f"_fu{t}"] = callee
-        ns[f"_rt{t}"] = inst if not inst.type.is_void else None
-        eb = bref(callee.entry)
-        w.line(3, "stats.cycles += _ci")
-        w.line(3, "stats.calls += 1")
-        w.line(3, "if len(interp.frames) >= interp.max_call_depth:")
-        w.line(
-            4,
-            "raise _ierr(f'call depth exceeded "
-            f"({{interp.max_call_depth}}) calling @{callee.name}')",
-        )
-        w.line(3, "stats.cycles += _cc")
-        w.line(3, "_nf = _FF.__new__(_FF)")
-        w.line(3, f"_nf.function = _fu{t}")
-        w.line(3, f"_nf.block = {eb}")
-        w.line(3, "_nf.index = 0")
-        w.line(3, "_nv = {}")
-        w.line(3, "_nf.values = _nv")
-        w.line(3, "_nf.sp_on_entry = interp.sp")
-        w.line(3, f"_nf.result_target = _rt{t}")
-        w.line(3, "_nf.prev_block = None")
-        w.line(3, f"_nf.ops = _ops{eb[4:]}")
-        if inst.args:
-            lines = []
-            for j, (formal, actual) in enumerate(zip(callee.args, inst.args)):
-                ns[f"_d{t}a{j}"] = id(formal)
-                lines.append(f"_nv[_d{t}a{j}] = {expr(actual, ns, f'{t}a{j}', regs)}")
-            reads(3, lines, inst.args, t)
-        w.line(3, "interp.frames.append(_nf)")
-        regs.clear()
-        # The callee frame starts with only its formals set.
-        defined.append({id(formal) for formal in callee.args[: len(inst.args)]})
-
-    def emit_return_inline(inst: ReturnInst, call: CallInst) -> None:
-        # The frame pop of the block tier's return op, inlined: inside a
-        # trace the popped frame is never the last (the matching call
-        # segment's caller is below it), so the program-exit arm is
-        # statically dead, and the result slot is the paired call's,
-        # known from the layout walk.
-        nonlocal tag
-        t = tag
-        tag += 1
-        w.line(3, "stats.cycles += _ci")
-        rv = inst.return_value
-        if rv is not None:
-            reads(3, [f"_v = {expr(rv, ns, f'{t}r', regs)}"], (rv,), t)
-        regs.clear()
-        w.line(3, "interp.sp = frame.sp_on_entry")
-        w.line(3, "interp.frames.pop()")
-        defined.pop()
-        if rv is not None and not call.type.is_void:
-            ns[f"_d{t}"] = id(call)
-            w.line(3, f"interp.frames[-1].values[_d{t}] = _v")
-            defined[-1].add(id(call))
 
     w.line(0, "def trace(interp, frame, steps, max_steps):")
     w.line(1, "stats = interp.stats")
@@ -864,10 +722,11 @@ def _build_trace(
         mark = len(w.lines)
         # A tick hook at the segment boundary may have patched any slot.
         regs.clear()
+        foreign = False
         for k in range(start, stop):
             inst = insts[k]
             at = len(w.lines)
-            if emit_op(block, k, inst):
+            if emit_body(block, k, inst):
                 # Only an op that can raise or call out needs the index
                 # current: the reconciler, faults and anything called
                 # read it there, and nothing else runs mid-segment.
@@ -876,37 +735,55 @@ def _build_trace(
         # Batch the uniform per-op base charge: every inline op opens
         # with exactly one top-level `stats.cycles += _ci` *before*
         # anything that can raise, so when the count matches the op
-        # count (i.e. no fallback op charged internally), the sum can
-        # be hoisted to the segment top and the fault reconciler below
-        # subtracts the ops that never ran.  Mid-segment observers see
-        # cycles only through the ops' own extra charges (memory, tier,
-        # guard), which stay in place; ticks and pauses run at segment
-        # boundaries, where the batched total is the exact total.
+        # count (i.e. no fallback op charged internally) and no op runs
+        # runtime code, the sum can be hoisted to the segment top and
+        # the fault reconciler below subtracts the ops that never ran.
+        # Mid-segment observers see cycles only through the ops' own
+        # extra charges (memory, tier, guard), which stay in place;
+        # ticks and pauses run at segment boundaries, where the batched
+        # total is the exact total.
         n_ci = 0
         if stop > start:
             body = w.lines[mark:]
             n_ci = body.count(ci_line)
-            if n_ci == stop - start and n_ci > 1:
+            if n_ci == stop - start and n_ci > 1 and not foreign:
                 w.lines[mark:] = [ln for ln in body if ln != ci_line]
                 w.lines.insert(mark, "    " * 3 + f"stats.cycles += {n_ci} * _ci")
             else:
                 n_ci = 0
         at = len(w.lines)
-        exit_flag, raises = None, True
+        inst = insts[stop]
+        t = tag
+        tag += 1
+        raises = emit_op(
+            w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs, code,
+            nxt=data if kind == "term" else None,
+            paired=data if kind == "return" else None,
+        )
+        exit_flag = None
         if kind == "term":
-            term, target = data
-            exit_flag, raises = emit_terminator(si, block, term, target)
+            off = [target for target in inst.targets if target is not data]
+            if inst.is_conditional and off:
+                exit_flag = f"_of{t}"
+                ns[f"_e{si}"] = {
+                    "anchor": chain[0][1].name,
+                    "function": block.parent.name,
+                    "from": block.name,
+                    "to": off[0].name,
+                }
             # The on-trace edge assigned the target's phis: any
             # availability tag keyed on a phi's SSA id refers to the
             # previous iteration's value now.
-            for phi in target.phis():
+            for phi in data.phis():
+                defined[-1].add(id(phi))
                 _apply_kills(available, phi)
         elif kind == "call":
-            emit_call_inline(data)
-        elif data is None:
-            fallback(block, stop)
-        else:
-            emit_return_inline(*data)
+            # The callee frame starts with only its formals set.
+            defined.append({id(f) for f in inst.callee.args[: len(inst.args)]})
+        elif data is not None:
+            defined.pop()
+            if inst.return_value is not None and not data.type.is_void:
+                defined[-1].add(id(data))
         if raises:
             w.lines.insert(at, "    " * 3 + f"frame.index = {stop + 1}")
         w.line(2, "except BaseException:")
@@ -1002,9 +879,6 @@ class TraceInterpreter(FastInterpreter):
 
     #: Block entries before a block is promoted to a trace anchor.
     trace_threshold = 16
-    #: Longest chain a recording may span before it aborts (counted in
-    #: branch-entered blocks; inlined callee entries ride along free).
-    trace_max_blocks = 48
 
     def __init__(
         self,
@@ -1024,20 +898,12 @@ class TraceInterpreter(FastInterpreter):
         self._trace_aborts: Dict[int, int] = {}
         self._recorder: Optional[_Recorder] = None
 
-    def set_trace_tuning(
-        self,
-        threshold: Optional[int] = None,
-        max_blocks: Optional[int] = None,
-    ) -> None:
-        """Override promotion threshold / chain cap (CLI plumbing)."""
+    def set_trace_tuning(self, threshold: Optional[int] = None) -> None:
+        """Override the promotion threshold (CLI plumbing)."""
         if threshold is not None:
             if threshold < 1:
                 raise ValueError("trace threshold must be >= 1")
             self.trace_threshold = threshold
-        if max_blocks is not None:
-            if max_blocks < 1:
-                raise ValueError("trace max blocks must be >= 1")
-            self.trace_max_blocks = max_blocks
 
     # -- promotion / recording ------------------------------------------
 
@@ -1073,7 +939,7 @@ class TraceInterpreter(FastInterpreter):
 
         It aborts on recursion past the inline cap, which would
         otherwise unroll without bound, and on a chain past
-        ``trace_max_blocks``."""
+        :data:`_MAX_TRACE_BLOCKS`."""
         rec = self._recorder
         frames = self.frames
         base = rec.base_len
@@ -1094,7 +960,7 @@ class TraceInterpreter(FastInterpreter):
             self._recorder = None
             self._finish_trace(rec, block, depth)
             return joined
-        if len(rec.chain) >= self.trace_max_blocks:
+        if len(rec.chain) >= _MAX_TRACE_BLOCKS:
             self._abort_recording("length")
             return None
         rec.chain.append((depth, block))

@@ -289,10 +289,7 @@ class Scheduler:
                     kernel.agents.register(agent)
             interpreter = interpreter_class(process, kernel)
             if hasattr(interpreter, "set_trace_tuning"):
-                interpreter.set_trace_tuning(
-                    threshold=config.trace_threshold,
-                    max_blocks=config.trace_max_blocks,
-                )
+                interpreter.set_trace_tuning(threshold=config.trace_threshold)
             if self.sanitizer is not None:
                 self.sanitizer.attach_interpreter(interpreter)
             if self.tracer is not None and process.runtime is not None:

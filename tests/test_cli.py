@@ -171,17 +171,53 @@ BAD_INPUT = {
     "run-negative-max-steps": ["run", "hpccg", "--max-steps", "-1"],
     "smp-zero-max-steps": ["smp", "hpccg", "--max-steps", "0"],
     "soak-negative-max-steps": ["soak", "--max-steps", "-1"],
+    "compile-syntax-error": ["compile", "<syntax-error.c>"],
+    "compile-undeclared-identifier": ["compile", "<undeclared.c>"],
+    "run-syntax-error": ["run", "<syntax-error.c>"],
+    "run-undeclared-identifier": ["run", "<undeclared.c>"],
+    "smp-syntax-error": ["smp", "<syntax-error.c>"],
+    "smp-undeclared-identifier": ["smp", "<undeclared.c>"],
+    "run-json-in-missing-dir": ["run", "ep", "--json", "/no/such/dir/x.json"],
+    "run-trace-out-in-missing-dir": ["run", "ep", "--trace-out", "/no/such/dir/p"],
+    "smp-json-in-missing-dir": ["smp", "ep", "--json", "/no/such/dir/x.json"],
+    "soak-json-in-missing-dir": ["soak", "--json", "/no/such/dir/x.json"],
+}
+
+#: Mini-C sources the argvs above name by placeholder, and the located
+#: message each must report.
+BAD_SOURCES = {
+    "<syntax-error.c>": (
+        "int main() { return 0 }\n", "expected ';', found '}' at 1:23",
+    ),
+    "<undeclared.c>": (
+        "int main() { return y; }\n", "undeclared identifier 'y' (at 1:21)",
+    ),
 }
 
 
 @pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
-def test_bad_input_exits_2_with_one_line(argv, capsys):
+def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path):
+    for placeholder, (text, _message) in BAD_SOURCES.items():
+        (tmp_path / placeholder.strip("<>")).write_text(text)
+    argv = [
+        str(tmp_path / arg.strip("<>")) if arg in BAD_SOURCES else arg
+        for arg in argv
+    ]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"repro {argv[0]}: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("placeholder", list(BAD_SOURCES))
+def test_source_errors_report_their_location(placeholder, capsys, tmp_path):
+    text, message = BAD_SOURCES[placeholder]
+    path = tmp_path / "bad.c"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"repro run: {message}\n"
 
 
 DIVIDE_BY_ZERO = """

@@ -26,7 +26,7 @@ from repro.ir.types import IntType
 from repro.kernel.kernel import Kernel
 from repro.kernel.physmem import PhysicalMemory
 from tests.support import run_carat, run_traditional
-from repro.machine.codegen import GLOBALS, Writer, emit_value_op
+from repro.machine.codegen import GLOBALS, Writer, emit_op
 from repro.machine import fastexec
 from repro.machine.fastexec import compile_module
 from repro.machine.session import CaratSession, RunConfig
@@ -338,6 +338,39 @@ class TestDispatchCache:
             assert frame.values[id(b)] == 2 + c_next
         # Two blocks of two modules: four ops, one code object.
         assert len(codes) == 1
+        # Two latch branches of two modules, each carrying one phi move
+        # on its back edge: one code object too.
+        interp.stats.instructions = 0
+        codes = set()
+        for step in (1, 7):
+            loop, ops = self._latch(step)
+            branch = ops[-1][0]
+            codes.add(branch.__code__)
+            phi, j, c, _br = loop.instructions
+            frame = SimpleNamespace(
+                values={id(j): 40 + step, id(c): 1}, block=loop, prev_block=None
+            )
+            branch(interp, frame)
+            assert frame.values[id(phi)] == 40 + step
+            assert frame.block is loop and frame.prev_block is loop
+            assert frame.ops is ops and frame.index == 1
+        assert interp.stats.instructions == 2  # one phi move per latch
+        assert len(codes) == 1
+
+    @staticmethod
+    def _latch(step):
+        """A loop whose latch branch carries one phi move on its back
+        edge and none on its exit edge; only the step differs."""
+        module = parse_module(
+            "define i64 @f(i64 %n) {\nentry:\n  br label %loop\n"
+            "loop:\n  %i = phi i64 [0, %entry], [%j, %loop]\n"
+            f"  %j = add i64 %i, {step}\n  %c = icmp slt i64 %j, %n\n"
+            "  br i1 %c, label %loop, label %exit\nexit:\n  ret i64 %j\n}\n"
+        )
+        function = module.get_function("f")
+        code, _ = compile_module(module)
+        loop = function.blocks[1]
+        return loop, code.ops_by_block[id(loop)]
 
     def test_recompiling_a_program_adds_no_stencils(self, monkeypatch):
         # Any id() or position that leaked into a stencil's text would
@@ -358,8 +391,10 @@ class TestDispatchCache:
         assert compiles == []
 
     def test_stencil_library_size_over_all_workloads(self, monkeypatch):
-        # 25 workloads x carat/traditional at tiny scale fold into 93
-        # stencils; the bound is 4x that, far below one stencil per op.
+        # 25 workloads x carat/traditional at tiny scale fold into 160
+        # stencils (93 before branches, calls, returns, select and the
+        # tracking intrinsics had templates); the bound is 4x 93, far
+        # below one stencil per op.
         monkeypatch.setattr(fastexec, "_STENCILS", {})
         blocks = 0
         for name in workload_names():
@@ -546,6 +581,32 @@ declare f64 @log(f64)
 declare f64 @exp(f64)
 declare f64 @fabs(f64)
 declare f64 @floor(f64)
+declare void @free(i8*)
+"""
+
+#: The matrix's callees: calls of 0, 1 and 3 arguments, void and
+#: non-void, returning a constant, a slot and nothing; and the global a
+#: phi reads.
+_MATRIX_HELPERS = """
+@g = global i64 77
+
+define i64 @zero() {
+entry:
+  ret i64 42
+}
+
+define i64 @one(i64 %a) {
+entry:
+  %r = mul i64 %a, 3
+  ret i64 %r
+}
+
+define void @three(i64 %a, i64 %b, i64* %p) {
+entry:
+  %s = add i64 %a, %b
+  store i64 %s, i64* %p
+  ret void
+}
 """
 
 
@@ -612,20 +673,63 @@ def _matrix_body(ir, x64, y64):
     ir.print_float(ir.op(f"call f64 @sqrt(f64 -2.0)"))
 
 
+def _matrix_control(ir, x, y):
+    """Every control form over (x, y): selects with slot and constant
+    arms, a static and a dynamic alloca, calls and returns, tracking
+    intrinsics (around malloc and free), and branch edges carrying 0, 1
+    and 3 phi moves with slot, constant and global incoming values on
+    both arms of a conditional branch.  Falls into ``%latch``."""
+    even = ir.op(f"icmp eq i64 {ir.op('and i64 %i, 1')}, 0")
+    big = ir.op(f"icmp sgt i64 {x}, {y}")
+    picked = ir.op(f"select i1 {even}, i64 {x}, i64 -5")
+    ir.print_int("i64", picked)
+    ir.print_int("i64", ir.op(f"select i1 {big}, i64 11, i64 {y}"))
+    static = ir.op("alloca i64, i64 2")
+    dynamic = ir.op(f"alloca i64, i64 {ir.op(f'and i64 {y}, 7')}")
+    low = ir.op(f"ptrtoint i64* {dynamic} to i64")
+    ir.print_int("i64", ir.op(f"sub i64 {ir.op(f'ptrtoint i64* {static} to i64')}, {low}"))
+    ir.print_int("i64", ir.op("call i64 @zero()"))
+    one = ir.op(f"call i64 @one(i64 {x})")
+    ir.emit(f"call void @three(i64 {one}, i64 -4, i64* {static})")
+    ir.emit("call i64 @one(i64 7)")  # the result discarded
+    ir.print_int("i64", ir.op(f"load i64* {static}"))
+    ir.emit(f"call void @free(i8* {ir.op('call i8* @malloc(i64 16)')})")
+    ir.emit(f"br i1 {even}, label %left, label %right")
+    ir.lines.append("left:")
+    ir.emit(f"br i1 {big}, label %single, label %triple")
+    ir.lines.append("right:")
+    ir.emit(f"br i1 {big}, label %triple, label %single")
+    ir.lines.append("single:")
+    ir.emit(f"%q = phi i64 [{x}, %left], [13, %right]")
+    ir.emit("br label %latch")
+    ir.lines.append("triple:")
+    ir.emit(f"%r1 = phi i64 [-2, %left], [{y}, %right]")
+    ir.emit(f"%r2 = phi i64* [@g, %left], [{static}, %right]")
+    ir.emit(f"%r3 = phi i64 [{picked}, %left], [{one}, %right]")
+    ir.print_int("i64", "%r1")
+    ir.print_int("i64", ir.op("load i64* %r2"))
+    ir.emit("br label %latch")
+    ir.lines.append("latch:")
+    ir.emit("%acc = phi i64 [%q, %single], [%r3, %triple]")
+
+
 def _matrix_ir():
     """The opcode matrix: a phi-counted loop over ``_MATRIX_PAIRS`` whose
     body evaluates every form, with loads, stores and GEPs through heap
-    tables and a scratch buffer."""
+    tables and a scratch buffer, then every control form; its back edge
+    carries two phi moves."""
     ir = _IRText()
     n = len(_MATRIX_PAIRS)
-    ir.lines.append("define void @main() {")
+    ir.lines.append("define i64 @main() {")
     ir.lines.append("entry:")
     xs = _table(ir, [x for x, _y in _MATRIX_PAIRS])
     ys = _table(ir, [y for _x, y in _MATRIX_PAIRS])
     raw = ir.op("call i8* @malloc(i64 64)")
     ir.emit("br label %loop")
     ir.lines.append("loop:")
-    ir.emit("%i = phi i64 [0, %entry], [%next, %loop]")
+    ir.emit("%i = phi i64 [0, %entry], [%next, %latch]")
+    ir.emit("%k = phi i64 [5, %entry], [%acc, %latch]")
+    ir.print_int("i64", "%k")
     x = ir.op(f"load i64* {ir.op(f'getelementptr i64* {xs}, i64 %i')}")
     y = ir.op(f"load i64* {ir.op(f'getelementptr i64* {ys}, i64 %i')}")
     ir.print_int("i64", ir.op(f"load i64* {ir.op(f'getelementptr i64* {ys}, i64 2')}"))
@@ -651,13 +755,14 @@ def _matrix_ir():
     again = ir.op(f"load i64** {cell}")
     slot = ir.op(f"getelementptr i64* {again}, i64 %i")
     ir.print_int("i64", ir.op(f"load i64* {slot}"))
+    _matrix_control(ir, x, y)
     ir.emit("%next = add i64 %i, 1")
     done = ir.op(f"icmp slt i64 %next, {n}")
     ir.emit(f"br i1 {done}, label %loop, label %exit")
     ir.lines.append("exit:")
-    ir.emit("ret void")
+    ir.emit(f"ret i64 {ir.op('and i64 %acc, 63')}")  # the exit code
     ir.lines.append("}")
-    return _MATRIX_DECLS + "\n".join(ir.lines) + "\n"
+    return _MATRIX_DECLS + _MATRIX_HELPERS + "\n".join(ir.lines) + "\n"
 
 
 #: Faulting forms, each hit on iteration 5 (after the trace compiled):
@@ -698,10 +803,61 @@ exit:
 """
 
 
-def _matrix_run(text, mode, engine, verify=True):
+#: Control-form faults, each raised after the loop holding it compiled:
+#: a dynamic alloca overflowing the stack, and a call past the depth
+#: limit from inside a loop of the deepest recursive frame.
+_CONTROL_FAULTS = {
+    "stack-overflow": (_MATRIX_DECLS + """
+define void @main() {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %n = mul i64 %i, 4096
+  %p = alloca i64, i64 %n
+  %next = add i64 %i, 1
+  call void @print_long(i64 %next)
+  %c = icmp slt i64 %next, 1000000
+  br i1 %c, label %loop, label %exit
+exit:
+  ret void
+}
+""", "stack"),
+    "call-depth": (_MATRIX_DECLS + """
+define void @leaf() {
+entry:
+  ret void
+}
+
+define void @rec(i64 %d) {
+entry:
+  br label %loop
+loop:
+  %j = phi i64 [0, %entry], [%jn, %loop]
+  call void @leaf()
+  %jn = add i64 %j, 1
+  %c = icmp slt i64 %jn, 3
+  br i1 %c, label %loop, label %done
+done:
+  %d1 = add i64 %d, 1
+  call void @rec(i64 %d1)
+  ret void
+}
+
+define void @main() {
+entry:
+  call void @rec(i64 0)
+  ret void
+}
+""", "call depth exceeded (512) calling @leaf"),
+}
+
+
+def _matrix_run(text, mode, engine, verify=True, **config):
     """Compile IR text for ``mode`` (unoptimized, so no fold hides a
     form) and run it, returning the observable outcome — including the
-    exception and the stats at the fault when the program faults."""
+    exception, the stats and the top frame (block and ``index``) at the
+    fault when the program faults.  ``config`` adds RunConfig fields."""
     options = CompileOptions(
         optimize=False,
         guards=mode == "carat",
@@ -710,15 +866,17 @@ def _matrix_run(text, mode, engine, verify=True):
     )
     binary = compile_carat(parse_module(text), options, module_name="matrix")
     seen = []
-    config = RunConfig(mode=mode, engine=engine, trace_threshold=2)
+    config = RunConfig(mode=mode, engine=engine, trace_threshold=2, **config)
     session = CaratSession(config, setup=seen.append)
     try:
         result = session.run(binary)
     except Exception as exc:  # the fault itself is the observation
         interp = seen[0]
         stats = {f: getattr(interp.stats, f) for f in SEMANTIC_FIELDS}
+        top = interp.frames[-1]
         return ("fault", type(exc).__name__, str(exc),
-                tuple(interp.output), stats, interp.stats.traces_compiled)
+                tuple(interp.output), stats, interp.stats.traces_compiled,
+                (top.function.name, top.block.name, top.index))
     stats = {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS}
     return ("ok", result.exit_code, tuple(result.output), stats,
             result.stats.traces_compiled)
@@ -735,7 +893,7 @@ class TestOpcodeMatrix:
         reference = _matrix_run(text, mode, "reference")
         fast = _matrix_run(text, mode, "fast")
         trace = _matrix_run(text, mode, "trace")
-        assert reference[0] == "ok"
+        assert reference[:2] == ("ok", 13)
         assert reference[:4] == fast[:4]
         assert reference[:4] == trace[:4]
         assert trace[4] > 0  # the loop really ran as a trace
@@ -752,6 +910,46 @@ class TestOpcodeMatrix:
         assert reference[:5] == fast[:5]
         assert reference[:5] == trace[:5]
         assert trace[5] > 0  # the fault was raised inside a trace
+
+    @pytest.mark.parametrize("form", list(_CONTROL_FAULTS))
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_control_faults_identical(self, mode, form):
+        text, message = _CONTROL_FAULTS[form]
+        reference = _matrix_run(text, mode, "reference")
+        fast = _matrix_run(text, mode, "fast")
+        trace = _matrix_run(text, mode, "trace")
+        assert reference[0] == "fault" and message in reference[2]
+        for other in (fast, trace):
+            assert other[:5] == reference[:5]
+            assert other[6] == reference[6]  # the same top frame
+        assert trace[5] > 0
+
+    def test_fine_telemetry_identical(self):
+        # A fine trace records every guard check and tracking callback,
+        # stamped with the cycle clock: traces run the generic guard
+        # template (no specialization under a fine tracer), and every
+        # stamp must be the reference's.
+        streams = []
+        for engine in ("reference", "fast", "trace"):
+            options = CompileOptions(optimize=False)
+            binary = compile_carat(
+                parse_module(_matrix_ir()), options, module_name="matrix"
+            )
+            config = RunConfig(
+                engine=engine, trace_threshold=2, trace=True, trace_detail="fine"
+            )
+            session = CaratSession(config)
+            result = session.run(binary)
+            streams.append([
+                (e.name, e.ph, e.ts, e.args)
+                for e in session.tracer.events
+                if e.cat not in ("trace", "session")
+            ])
+            traces = result.stats.traces_compiled
+        assert traces > 0
+        assert len(streams[0]) > 100
+        assert streams[1] == streams[0]
+        assert streams[2] == streams[0]
 
 
 def _undefined_ir(last_limit):
@@ -871,7 +1069,7 @@ def _template_divide(op, bits, a, b, constant_rhs):
     function = module.get_function("f")
     inst = function.entry.instructions[0]
     w, ns = Writer(), dict(GLOBALS)
-    assert emit_value_op(w, 1, inst, 0, ns) is not None
+    assert emit_op(w, 1, inst, 0, ns) is not None
     exec("def op(values, stats, _ci):\n" + w.source(), ns)
     x, y = function.args
     values = {id(x): a, id(y): b}

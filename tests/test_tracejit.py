@@ -197,12 +197,10 @@ void main() {
 """.replace("  CALLS", _calls("acc = acc + next(10);", 4))
 
 
-def _run(source, engine="trace", threshold=2, max_blocks=24, **kwargs):
+def _run(source, engine="trace", threshold=2, **kwargs):
     def setup(interpreter):
         if hasattr(interpreter, "set_trace_tuning"):
-            interpreter.set_trace_tuning(
-                threshold=threshold, max_blocks=max_blocks
-            )
+            interpreter.set_trace_tuning(threshold=threshold)
 
     return run_carat(source, setup=setup, engine=engine, **kwargs)
 
@@ -247,11 +245,12 @@ class TestPromotion:
         assert result.stats.trace_respecializations == 0
         assert result.stats.guard_checks_elided == 0
 
-    def test_max_blocks_caps_recording(self):
+    def test_max_blocks_caps_recording(self, monkeypatch):
         # A one-block loop still fits in a one-block superblock; the cap
         # only rejects longer chains, so output and parity are unchanged.
-        capped = _run(BRANCHY_SOURCE, max_blocks=1)
-        roomy = _run(BRANCHY_SOURCE, max_blocks=24)
+        roomy = _run(BRANCHY_SOURCE)
+        monkeypatch.setattr(tracejit, "_MAX_TRACE_BLOCKS", 1)
+        capped = _run(BRANCHY_SOURCE)
         assert capped.output == BRANCHY_OUTPUT
         assert roomy.output == BRANCHY_OUTPUT
         assert capped.stats.cycles == roomy.stats.cycles
@@ -880,12 +879,8 @@ class TestTuningValidation:
         interp = result.interpreter
         with pytest.raises(ValueError):
             interp.set_trace_tuning(threshold=0)
-        with pytest.raises(ValueError):
-            interp.set_trace_tuning(max_blocks=0)
 
-    @pytest.mark.parametrize(
-        "field", ["trace_threshold", "trace_max_blocks"]
-    )
+    @pytest.mark.parametrize("field", ["trace_threshold"])
     def test_config_rejects_bad_tuning(self, field):
         with pytest.raises(ValueError, match=field):
             RunConfig(**{field: 0})
