@@ -84,6 +84,9 @@ class MMU:
         offset = vaddr & (PAGE_SIZE - 1)
         cycles = self.costs.tlb_hit
 
+        # codegen._paging inlines this hit's accounting for a hit on the
+        # set's most recent entry: a change to the counters here changes
+        # it too.
         pte = self.dtlb.lookup(vpn)
         if pte is None:
             self.stats.dtlb_misses += 1

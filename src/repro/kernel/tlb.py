@@ -45,12 +45,13 @@ class TLB:
         self.num_sets = entries // ways
         self.ways = ways
         self.capacity = entries
-        # set index -> list of (vpn, pte), LRU first.
-        self._sets: List[List[Tuple[int, PTE]]] = [[] for _ in range(self.num_sets)]
+        #: Set index -> (vpn, pte) entries, most recent last: a hit on the last
+        #: entry leaves LRU order unchanged.  Only ever mutated in place.
+        self.sets: List[List[Tuple[int, PTE]]] = [[] for _ in range(self.num_sets)]
         self.stats = TLBStats()
 
     def _set_for(self, vpn: int) -> List[Tuple[int, PTE]]:
-        return self._sets[vpn % self.num_sets]
+        return self.sets[vpn % self.num_sets]
 
     def lookup(self, vpn: int) -> Optional[PTE]:
         self.stats.lookups += 1
@@ -85,7 +86,7 @@ class TLB:
 
     def invalidate_range(self, vpn_lo: int, vpn_hi: int) -> int:
         count = 0
-        for entries in self._sets:
+        for entries in self.sets:
             kept = [(v, p) for v, p in entries if not vpn_lo <= v < vpn_hi]
             count += len(entries) - len(kept)
             entries[:] = kept
@@ -93,17 +94,17 @@ class TLB:
         return count
 
     def flush(self) -> None:
-        for entries in self._sets:
+        for entries in self.sets:
             self.stats.invalidations += len(entries)
             entries.clear()
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     def entries(self) -> List[Tuple[int, PTE]]:
         """Snapshot of every cached (vpn, pte) pair, for invariant
         checking — consistency against the page table it caches."""
-        return [entry for entries in self._sets for entry in entries]
+        return [entry for entries in self.sets for entry in entries]
 
 
 def intel_l1_dtlb() -> TLB:

@@ -96,6 +96,9 @@ from repro.ir.values import (
     UndefValue,
     Value,
 )
+from repro.kernel.pagetable import (
+    PAGE_SHIFT, PAGE_SIZE, PTE_DIRTY, PTE_PRESENT, PTE_WRITE,
+)
 from repro.machine.interp import _MATH_BUILTINS, ExitProgram
 from repro.transform.simplify import fold_int_binop
 
@@ -166,10 +169,11 @@ BINDINGS: Dict[str, str] = {
     "_rt": "process.runtime",
 }
 #: Names only the forms emitted with the addressing mode or the tiering
-#: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores raw
-#: physical-memory access: the backing buffer is allocated once per
-#: kernel and never reassigned, and the out-of-range path delegates to
-#: the real accessor (``_rdb``/``_wrb``) for its exact error.
+#: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores (and
+#: paging ones past the inline translation) raw physical-memory access:
+#: the backing buffer is allocated once per kernel and never reassigned,
+#: and the out-of-range path delegates to the real accessor
+#: (``_rdb``/``_wrb``) for its exact error.
 KNOWN_FACT_BINDINGS: Dict[str, str] = {
     "_tb": "_tier_boundary",
     "_cft": "costs.fast_tier_access",
@@ -182,15 +186,25 @@ KNOWN_FACT_BINDINGS: Dict[str, str] = {
     "_rmem": "_read_mem",
     "_wmem": "_write_mem",
 }
+#: Names only paging loads and stores read (see :func:`_paging`).
+PAGING_BINDINGS: Dict[str, str] = {
+    "_dts": "process.mmu.dtlb.sets",
+    "_dtn": "process.mmu.dtlb.num_sets",
+    "_dt": "process.mmu.dtlb.stats",
+    "_ms": "process.mmu.stats",
+    "_tlh": "process.mmu.costs.tlb_hit",
+}
 _GETTERS = {
     name: attrgetter(path)
     for name, path in {**BINDINGS, **KNOWN_FACT_BINDINGS}.items()
 }
+_PAGING_GETTERS = {**_GETTERS, **{n: attrgetter(p) for n, p in PAGING_BINDINGS.items()}}
 
 
 def bind(interp) -> Dict[str, object]:
-    """Every binding name, resolved against ``interp``."""
-    return {name: get(interp) for name, get in _GETTERS.items()}
+    """Every binding name, resolved against ``interp`` (paging: with an MMU)."""
+    getters = _GETTERS if interp.process.mmu is None else _PAGING_GETTERS
+    return {name: get(interp) for name, get in getters.items()}
 
 
 class Writer:
@@ -642,6 +656,34 @@ def _bad_access(e: _Op, inst: Instruction, kind: str, ty: Type) -> bool:
     return e.fault(f"cannot {kind} a value of type {ty}")
 
 
+def _paging(size: int, write: bool, access: List[str], slow: str) -> List[str]:
+    """A paging access: MMU.translate's DTLB hit inlined for a hit on the
+    set's most recent entry (one :meth:`TLB.lookup` leaves in place) —
+    count what translate would, set the dirty bit on a store, and run
+    ``access`` at the translated ``_a`` (the counters mirror translate's
+    hit path: change both together).  Anything else takes ``slow``, the
+    MMU call chain, the only path that faults, demand-pages or changes
+    the TLBs."""
+    need = PTE_PRESENT | PTE_WRITE if write else PTE_PRESENT
+    return [
+        f"_n = _a >> {PAGE_SHIFT}",
+        "_s = _dts[_n % _dtn]",
+        f"if (_s and (_e := _s[-1])[0] == _n and (_e := _e[1]).flags & {need}"
+        f" == {need} and _a & {PAGE_SIZE - 1} <= {PAGE_SIZE - size}):",
+        "    _dt.lookups += 1",
+        "    _dt.hits += 1",
+        "    _ms.accesses += 1",
+        "    _ms.translation_cycles += _tlh",
+        "    stats.cycles += _tlh",
+        "    stats.translation_cycles += _tlh",
+        *([f"    _e.flags |= {PTE_DIRTY}"] if write else []),
+        f"    _a = _e.pfn << {PAGE_SHIFT} | _a & {PAGE_SIZE - 1}",
+        *(f"    {text}" for text in access),
+        "else:",
+        f"    {slow}",
+    ]
+
+
 def _load(e: _Op, inst: LoadInst) -> bool:
     ty = inst.type
     size = size_of(ty)
@@ -668,14 +710,16 @@ def _load(e: _Op, inst: LoadInst) -> bool:
     # CARAT: read_bytes, unrolled — bounds check (the real accessor
     # raises the exact error), bandwidth accounting, slice.  An mmap
     # slice decodes the same as the bytes copy read_bytes returns.
+    access = [
+        f"if _a < 0 or _a + {size} > _pms:",
+        f"    _rdb(_a, {size})",
+        f"_pm.bytes_read += {size}",
+        f"_v = _pmd[_a:_a + {size}]",
+    ]
     e.mode(
-        [
-            f"if _a < 0 or _a + {size} > _pms:",
-            f"    _rdb(_a, {size})",
-            f"_pm.bytes_read += {size}",
-            f"_v = _pmd[_a:_a + {size}]",
-        ],
-        [f"_v = _rmem(_a, {size}, 'read')"],
+        access,
+        _paging(size, False, access, f"_v = _rmem(_a, {size}, 'read')")
+        if e.is_carat is False else (),
         [
             "if interp.is_carat:",
             f"    _v = interp.memory.read_bytes(_a, {size})",
@@ -713,15 +757,16 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     # CARAT: write_bytes, unrolled like the load's read_bytes; the
     # encoders always produce exactly ``size`` bytes, so the slice
     # assignment never resizes.
+    access = [
+        f"if _a < 0 or _a + {size} > _pms:",
+        "    _wrb(_a, _b)",
+        f"_pm.bytes_written += {size}",
+        f"_pmd[_a:_a + {size}] = _b",
+    ]
     e.mode(
-        [
-            f"_b = {encode}",
-            f"if _a < 0 or _a + {size} > _pms:",
-            "    _wrb(_a, _b)",
-            f"_pm.bytes_written += {size}",
-            f"_pmd[_a:_a + {size}] = _b",
-        ],
-        [f"_wmem(_a, {encode})"],
+        [f"_b = {encode}", *access],
+        [f"_b = {encode}", *_paging(size, True, access, "_wmem(_a, _b)")]
+        if e.is_carat is False else (),
         [
             f"_b = {encode}",
             "if interp.is_carat:",

@@ -20,6 +20,7 @@ protocol patches (SSA values standing in for the register file).
 from __future__ import annotations
 
 import math
+import struct
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -445,8 +446,6 @@ class Interpreter:
         if isinstance(ty, IntType):
             return ty.wrap(int.from_bytes(raw, "little", signed=False))
         if isinstance(ty, FloatType):
-            import struct
-
             return struct.unpack("<d" if ty.bits == 64 else "<f", raw)[0]
         if isinstance(ty, PointerType):
             return int.from_bytes(raw, "little", signed=False)
@@ -457,8 +456,6 @@ class Interpreter:
         if isinstance(ty, IntType):
             raw = (int(value) & ty.max_unsigned).to_bytes(size, "little")
         elif isinstance(ty, FloatType):
-            import struct
-
             raw = struct.pack("<d" if ty.bits == 64 else "<f", float(value))
         elif isinstance(ty, PointerType):
             raw = (int(value) & ((1 << 64) - 1)).to_bytes(8, "little")

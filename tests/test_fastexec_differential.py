@@ -13,6 +13,7 @@ targeted cache-invalidation scenarios, and end-to-end runs under an
 aggressive page-moving policy engine and the multi-tenant scheduler.
 """
 
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import pytest
@@ -24,6 +25,7 @@ from repro.errors import ProtectionFault
 from repro.ir import parse_module
 from repro.ir.types import IntType
 from repro.kernel.kernel import Kernel
+from repro.kernel.pagetable import PTE
 from repro.kernel.physmem import PhysicalMemory
 from tests.support import run_carat, run_traditional
 from repro.machine.codegen import GLOBALS, Writer, emit_op
@@ -70,9 +72,30 @@ RUNTIME_FIELDS = [
 ]
 
 
+def _modeled(stats, process):
+    """The modeled counters of a run: :data:`SEMANTIC_FIELDS` and, in
+    paging mode, the translation state — the MMU, DTLB and STLB counters,
+    both TLBs' entries in LRU order, and every PTE's flags (its dirty
+    bit)."""
+    modeled = {f: getattr(stats, f) for f in SEMANTIC_FIELDS}
+    mmu = process.mmu
+    if mmu is not None:
+        modeled["mmu"] = asdict(mmu.stats)
+        modeled["dtlb"] = asdict(mmu.dtlb.stats)
+        modeled["stlb"] = asdict(mmu.stlb.stats)
+        modeled["tlb_entries"] = [
+            [(vpn, pte.pfn, pte.flags) for vpn, pte in tlb.entries()]
+            for tlb in (mmu.dtlb, mmu.stlb)
+        ]
+        modeled["pte_flags"] = [
+            (vpn, pte.flags) for vpn, pte in process.page_table.entries()
+        ]
+    return modeled
+
+
 def _snapshot(result):
     """Everything observable about a run, as a comparable value."""
-    semantic = {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS}
+    semantic = _modeled(result.stats, result.process)
     runtime = None
     if result.process.runtime is not None:
         runtime = {
@@ -478,6 +501,96 @@ class TestMidRunMoveParity:
 
 
 # ---------------------------------------------------------------------------
+# Paging translation: compiled paging loads and stores serve DTLB hits on
+# the most recent entry inline, and must see every shootdown and every
+# entry the TLB holds, however it got there.
+# ---------------------------------------------------------------------------
+
+#: A hot loop over four pages of a global array, every access a paging
+#: load or store.
+_HOT_PAGES = """
+long a[2048];
+
+void main() {
+  long s = 0;
+  long r;
+  long i;
+  for (r = 0; r < 8; r++) {
+    for (i = 0; i < 2048; i++) {
+      a[i] = a[i] + i + r;
+      s = s + a[i];
+    }
+  }
+  print_long(s);
+}
+"""
+
+
+def _paging_run(engine, intervene):
+    """Run :data:`_HOT_PAGES` in traditional mode; every 700 instructions
+    ``intervene(kernel, process, vpns, tick)`` gets the mapped pages of
+    ``a``."""
+    ticks = []
+
+    def setup(interp):
+        def hook(interp):
+            process = interp.process
+            base = process.globals_map["a"] >> 12
+            vpns = [
+                vpn for vpn in range(base, base + 5)
+                if process.page_table.lookup(vpn) is not None
+            ]
+            intervene(interp.kernel, process, vpns, len(ticks))
+            ticks.append(vpns)
+
+        interp.set_tick_interval(700)
+        interp.tick_hook = hook
+
+    config = RunConfig(mode="traditional", engine=engine, trace_threshold=2)
+    return CaratSession(config, setup=setup).run(_HOT_PAGES)
+
+
+class TestPagingTranslationParity:
+    def _runs(self, intervene):
+        runs = [
+            _paging_run(engine, intervene)
+            for engine in ("reference", "fast", "trace")
+        ]
+        reference, fast, trace = (_snapshot(r) for r in runs)
+        assert reference == fast
+        assert reference == trace
+        assert runs[2].stats.traces_compiled > 0
+        return runs
+
+    def test_shootdowns_mid_trace(self):
+        def move(kernel, process, vpns, tick):
+            if vpns:
+                kernel.move_page_traditional(
+                    process, vpns[tick % len(vpns)] << 12
+                )
+
+        runs = self._runs(move)
+        for run in runs:
+            assert run.process.pages_moved > 20
+            assert run.process.mmu.dtlb.stats.invalidations > 20
+
+    def test_planted_stale_entry_is_used(self):
+        # A missed shootdown, as FaultInjector.stale_tlb plants one: the
+        # DTLB maps a hot page to the wrong frame, and every engine must
+        # read and write through it alike until it is evicted.
+        def plant(kernel, process, vpns, tick):
+            if tick == 40 and vpns:
+                pte = process.page_table.lookup(vpns[-1])
+                process.mmu.dtlb.insert(
+                    vpns[-1], PTE(pfn=pte.pfn + 1, flags=pte.flags)
+                )
+
+        runs = self._runs(plant)
+        clean = _paging_run("reference", lambda *args: None)
+        assert runs[0].output != clean.output  # the stale frame was used
+
+
+# ---------------------------------------------------------------------------
 # End-to-end: multi-tenant scheduling under all three engines.
 # ---------------------------------------------------------------------------
 
@@ -872,12 +985,12 @@ def _matrix_run(text, mode, engine, verify=True, **config):
         result = session.run(binary)
     except Exception as exc:  # the fault itself is the observation
         interp = seen[0]
-        stats = {f: getattr(interp.stats, f) for f in SEMANTIC_FIELDS}
+        stats = _modeled(interp.stats, interp.process)
         top = interp.frames[-1]
         return ("fault", type(exc).__name__, str(exc),
                 tuple(interp.output), stats, interp.stats.traces_compiled,
                 (top.function.name, top.block.name, top.index))
-    stats = {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS}
+    stats = _modeled(result.stats, result.process)
     return ("ok", result.exit_code, tuple(result.output), stats,
             result.stats.traces_compiled)
 

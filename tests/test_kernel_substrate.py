@@ -1,5 +1,7 @@
 """Kernel substrate: physical memory, frames, heap, page table, TLB, MMU."""
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -323,6 +325,45 @@ class TestMMU:
         mmu.invalidate_page(7)
         mmu.translate(7 << 12)
         assert mmu.stats.pagewalks == 2
+
+    def test_mru_hit_is_what_compiled_paging_accesses_inline(self):
+        # Trace-compiled paging loads and stores (codegen._paging) serve a
+        # DTLB hit on its set's most recent entry without calling
+        # MMU.translate: they bump the counters below and never touch the
+        # TLB lists.  That is exact only while such a hit through
+        # translate leaves every set as it was and counts just this.
+        mmu, pt = self._mmu()
+        for vpn in range(80):
+            pt.map(vpn, vpn + 100)
+        # 16 DTLB sets of 4 ways: 0/16/32 share set 0, 1/17/33/49/65 set 1.
+        pattern = [0, 0, 0, 16, 16, 0, 32, 0, 16, 16, 1, 17, 1, 33, 49, 65, 1, 0] * 3
+        mru = reordered = 0
+        for vpn in pattern:
+            ways = mmu.dtlb.sets[vpn % mmu.dtlb.num_sets]
+            before = (
+                mmu.dtlb.entries(), mmu.stlb.entries(), asdict(mmu.stlb.stats),
+                asdict(mmu.dtlb.stats), asdict(mmu.stats),
+            )
+            is_mru = bool(ways) and ways[-1][0] == vpn
+            hit = any(v == vpn for v, _ in ways)
+            paddr, cycles = mmu.translate((vpn << 12) | 8, "read")
+            assert paddr == ((vpn + 100) << 12) | 8
+            if not is_mru:
+                reordered += hit and mmu.dtlb.entries() != before[0]
+                continue
+            mru += 1
+            dtlb, mmu_stats = dict(before[3]), dict(before[4])
+            dtlb["lookups"] += 1
+            dtlb["hits"] += 1
+            mmu_stats["accesses"] += 1
+            mmu_stats["translation_cycles"] += mmu.costs.tlb_hit
+            assert cycles == mmu.costs.tlb_hit
+            assert (
+                mmu.dtlb.entries(), mmu.stlb.entries(), asdict(mmu.stlb.stats),
+                asdict(mmu.dtlb.stats), asdict(mmu.stats),
+            ) == (*before[:3], dtlb, mmu_stats)
+        assert mru > 10 and reordered > 0  # both kinds of hit
+        assert mmu.dtlb.stats.evictions > 0
 
     def test_mpki_metric(self):
         mmu, pt = self._mmu()
