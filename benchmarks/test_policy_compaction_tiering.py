@@ -85,7 +85,7 @@ def _run_tiering(runs, name):
         nonlocal engine
         interpreter.set_tick_interval(1_000)
         process = interpreter.process
-        heat = HeatTracker(sample_period=1, decay=0.5)
+        heat = HeatTracker(decay=0.5)
         engine = PolicyEngine(
             kernel,
             process,

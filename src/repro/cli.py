@@ -875,7 +875,7 @@ def _cmd_policy(args: argparse.Namespace) -> int:
         if args.scatter:
             scatter_capsule(kernel, process, interpreter=interpreter)
         frag_before = assess_fragmentation(kernel.frames)
-        heat = HeatTracker(sample_period=1, decay=0.5)
+        heat = HeatTracker(decay=0.5)
         compaction = (
             None
             if args.no_compaction

@@ -52,7 +52,7 @@ class CostModel:
     if_tree_mispredict: int = 12
 
     # -- runtime tracking (Figure 7) --------------------------------------------
-    #: Allocation Table insert/remove (red/black tree update).
+    #: Allocation Table insert/remove (the paper's red/black tree update).
     alloc_table_update: int = 40
     #: Recording one escape in the batched buffer.
     escape_record: int = 6

@@ -7,7 +7,7 @@ cycles into :meth:`Kernel.advance_clock`; the kernel calls back into
 :meth:`PolicyEngine.on_clock`, which fires an *epoch* every
 ``epoch_cycles`` of program time.  Each epoch:
 
-1. folds the heat tracker's sample window into decayed scores,
+1. folds the heat tracker's access window into decayed scores,
 2. gives the compaction daemon and tiering balancer a fresh
    :class:`EpochBudget` of ``budget_cycles`` to spend on moves,
 3. records fragmentation, hot-tier share, and spend into

@@ -2,12 +2,11 @@
 
 The interpreter exposes an *access probe* — a callback invoked with
 ``(address, size, access)`` for every load and store a CARAT process
-performs.  :class:`HeatTracker` samples that stream (every Nth access,
-modelling PEBS-style sampled profiling rather than full tracing),
+performs.  :class:`HeatTracker` counts every access in that stream,
 accumulates per-page counts for the current epoch, and folds them into
 exponentially decayed *heat scores* at each epoch boundary:
 
-    score(page) <- score(page) * decay + samples_this_epoch(page)
+    score(page) <- score(page) * decay + accesses_this_epoch(page)
 
 Hot pages have high scores; pages untouched for a few epochs decay to
 (and are pruned at) ~zero.  The tiering balancer consumes the scores to
@@ -27,36 +26,26 @@ PRUNE_BELOW = 1e-3
 
 
 class HeatTracker:
-    """Sampled, decayed per-page access counts."""
+    """Decayed per-page access counts."""
 
-    def __init__(self, sample_period: int = 1, decay: float = 0.5) -> None:
-        if sample_period < 1:
-            raise ValueError("sample period must be >= 1")
+    def __init__(self, decay: float = 0.5) -> None:
         if not (0.0 <= decay < 1.0):
             raise ValueError("decay must be in [0, 1)")
-        self.sample_period = sample_period
         self.decay = decay
         #: page -> decayed heat score (epochs before the current one).
         self.scores: Dict[int, float] = {}
-        #: page -> raw sample count in the current epoch.
+        #: page -> raw access count in the current epoch.
         self.window: Dict[int, int] = {}
         self.accesses_seen = 0
-        self.samples_taken = 0
         self.epochs = 0
-        self._countdown = sample_period
 
     # -- telemetry intake --------------------------------------------------------
 
     def observe(self, address: int, size: int, access: str) -> None:
-        """The interpreter's access probe.  Samples every Nth access and
-        charges the sample to the page containing the *first* byte (a
-        page-straddling access is one sample, like a PEBS record)."""
+        """The interpreter's access probe.  Charges the access to the page
+        containing its *first* byte (a page-straddling access counts once,
+        like a PEBS record)."""
         self.accesses_seen += 1
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._countdown = self.sample_period
-        self.samples_taken += 1
         page = address >> PAGE_SHIFT
         self.window[page] = self.window.get(page, 0) + 1
 

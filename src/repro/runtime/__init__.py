@@ -1,7 +1,7 @@
 """The CARAT runtime: tracking, protection, and patching (Section 4.2).
 
-* :mod:`repro.runtime.rbtree` — the red/black tree under the table
-* :mod:`repro.runtime.allocation_table` — the Allocation Table
+* :mod:`repro.runtime.allocation_table` — the Allocation Table, sorted by
+  address
 * :mod:`repro.runtime.escape_map` — the Allocation-to-Escape Map
 * :mod:`repro.runtime.regions` — regions and guard mechanisms
 * :mod:`repro.runtime.patching` — page-move planning and execution
@@ -19,7 +19,6 @@ from repro.runtime.patching import (
     page_down,
     page_up,
 )
-from repro.runtime.rbtree import RedBlackTree
 from repro.runtime.regions import (
     PERM_EXEC,
     PERM_READ,
@@ -48,7 +47,6 @@ __all__ = [
     "RegisterSnapshot",
     "page_down",
     "page_up",
-    "RedBlackTree",
     "PERM_EXEC",
     "PERM_READ",
     "PERM_RW",

@@ -1,9 +1,14 @@
 """The Allocation Table (Section 4.2, "Tracking").
 
 Keeps every allocation the program makes — heap blocks, stack blocks, and
-static allocations (globals, recorded at load time) — in a red/black tree
-keyed by block address, with the block length as the value.  The table
-answers the queries page movement needs:
+static allocations (globals, recorded at load time) — keyed by block
+address.  The paper's table is a C++ red/black tree; here it is two
+parallel lists sorted by address, searched with :mod:`bisect`, which in
+Python answers the same queries faster at every size the workloads
+reach.  The modeled cost of an update is a constant per event and
+``Runtime.TABLE_ENTRY_BYTES`` still models the tree node, so the host
+structure does not show in any modeled figure.  The table answers the
+queries page movement needs:
 
 * which allocation contains address X (guard diagnostics, escape
   resolution);
@@ -17,11 +22,11 @@ slowly"); escapes are batched separately in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 from repro.errors import ReproError
-from repro.runtime.rbtree import RedBlackTree
 
 
 class AllocationError(ReproError):
@@ -56,21 +61,32 @@ class Allocation:
 
 
 class AllocationTable:
-    """Address-keyed red/black tree of every live allocation."""
+    """Every live allocation, ascending by address.
+
+    ``_keys[i]`` is ``_allocations[i].address``; the separate key list is
+    what :mod:`bisect` searches.
+    """
 
     def __init__(self) -> None:
-        self._tree = RedBlackTree()
+        self._keys: List[int] = []
+        self._allocations: List[Allocation] = []
         #: Statistics for the feasibility figures.
         self.total_allocs = 0
         self.total_frees = 0
         self.peak_count = 0
 
     def __len__(self) -> int:
-        return len(self._tree)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[Allocation]:
-        for _, allocation in self._tree.items():
-            yield allocation
+        return iter(self._allocations)
+
+    def _index(self, address: int) -> int:
+        """Index of the allocation keyed exactly at ``address``, or -1."""
+        index = bisect_left(self._keys, address)
+        if index < len(self._keys) and self._keys[index] == address:
+            return index
+        return -1
 
     # -- updates ---------------------------------------------------------------
 
@@ -84,82 +100,105 @@ class AllocationTable:
                 f"{overlapping[0]!r}"
             )
         allocation = Allocation(address, size, kind)
-        self._tree.insert(address, allocation)
+        index = bisect_left(self._keys, address)
+        self._keys.insert(index, address)
+        self._allocations.insert(index, allocation)
         self.total_allocs += 1
-        self.peak_count = max(self.peak_count, len(self._tree))
+        self.peak_count = max(self.peak_count, len(self._keys))
         return allocation
 
     def remove(self, address: int) -> Allocation:
-        allocation = self._tree.pop(address)
+        allocation = self.remove_if_present(address)
         if allocation is None:
             raise AllocationError(f"no allocation at {address:#x}")
+        return allocation
+
+    def remove_if_present(self, address: int) -> Optional[Allocation]:
+        index = self._index(address)
+        if index < 0:
+            return None
+        del self._keys[index]
+        allocation = self._allocations.pop(index)
         allocation.live = False
         self.total_frees += 1
         return allocation
 
-    def remove_if_present(self, address: int) -> Optional[Allocation]:
-        allocation = self._tree.pop(address)
-        if allocation is not None:
-            allocation.live = False
-            self.total_frees += 1
-        return allocation
-
     def rebase(self, allocation: Allocation, new_address: int) -> None:
-        """Move an allocation's key after page movement relocates it."""
-        removed = self._tree.pop(allocation.address)
-        if removed is not allocation:
-            if removed is not None:
-                self._tree.insert(removed.address, removed)
+        """Move an allocation's key after page movement relocates it.
+
+        Rebasing onto a key another allocation holds raises and leaves the
+        table unchanged: callers that rebase several allocations by one
+        delta order them so each target key is vacated first.
+        """
+        index = self._index(allocation.address)
+        if index < 0 or self._allocations[index] is not allocation:
             raise AllocationError(
                 f"allocation at {allocation.address:#x} is not in the table"
             )
+        occupant = self.at(new_address)
+        if occupant is allocation:
+            return
+        if occupant is not None:
+            raise AllocationError(
+                f"cannot rebase {allocation!r} onto {new_address:#x}: "
+                f"{occupant!r} is there"
+            )
+        del self._keys[index]
+        del self._allocations[index]
         allocation.address = new_address
-        self._tree.insert(new_address, allocation)
+        index = bisect_left(self._keys, new_address)
+        self._keys.insert(index, new_address)
+        self._allocations.insert(index, allocation)
 
     # -- queries ------------------------------------------------------------------
 
     def at(self, address: int) -> Optional[Allocation]:
         """Allocation starting exactly at ``address``."""
-        return self._tree.get(address)
+        index = self._index(address)
+        return self._allocations[index] if index >= 0 else None
 
     def find_containing(self, address: int, size: int = 1) -> Optional[Allocation]:
         """The allocation containing [address, address+size), if any."""
-        found = self._tree.floor_item(address)
-        if found is None:
+        index = bisect_right(self._keys, address) - 1
+        if index < 0:
             return None
-        allocation: Allocation = found[1]
-        if allocation.contains(address, size):
-            return allocation
-        return None
+        allocation = self._allocations[index]
+        return allocation if allocation.contains(address, size) else None
 
     def overlapping(self, lo: int, hi: int) -> List[Allocation]:
         """All allocations intersecting [lo, hi), ascending by address.
 
-        The floor predecessor must be checked too: it may start before
-        ``lo`` but reach into the range.  A floor keyed exactly at ``lo`` is
-        also the range scan's first item, so only a floor strictly below
-        ``lo`` is taken from the floor query; every key in ``[lo, hi)``
-        overlaps the range because sizes are positive.  So the query is
-        O(log n + k) for k results, with no deduplication pass.
+        Every key in ``[lo, hi)`` overlaps the range because sizes are
+        positive, so the answer is one slice of the list, extended by one
+        entry when the predecessor keyed below ``lo`` reaches into the
+        range.
         """
-        result: List[Allocation] = []
-        found = self._tree.floor_item(lo)
-        if found is not None and found[0] < lo and found[1].overlaps(lo, hi):
-            result.append(found[1])
-        result.extend(
-            allocation for _, allocation in self._tree.items_in_range(lo, hi)
-        )
-        return result
+        start = bisect_left(self._keys, lo)
+        stop = bisect_left(self._keys, hi, start)
+        if start and self._allocations[start - 1].overlaps(lo, hi):
+            start -= 1
+        return self._allocations[start:stop]
 
     def live_bytes(self) -> int:
-        return sum(a.size for a in self)
+        return sum(a.size for a in self._allocations)
 
     def check_invariants(self) -> None:
-        self._tree.check_invariants()
-        previous_end = None
-        for allocation in self:
-            if previous_end is not None and allocation.address < previous_end:
-                raise AssertionError(
-                    f"allocations overlap at {allocation.address:#x}"
-                )
-            previous_end = allocation.end
+        """Keys strictly ascending, each key its allocation's address, and
+        no two allocations overlapping; raises AssertionError otherwise."""
+        if len(self._keys) != len(self._allocations):
+            raise AssertionError(
+                f"{len(self._keys)} keys for {len(self._allocations)} allocations"
+            )
+        previous: Optional[Allocation] = None
+        for key, allocation in zip(self._keys, self._allocations):
+            if key != allocation.address:
+                raise AssertionError(f"stale key {key:#x} for {allocation!r}")
+            if previous is not None:
+                if key <= previous.address:
+                    raise AssertionError(f"keys out of order at {key:#x}")
+                if key < previous.end:
+                    raise AssertionError(
+                        f"allocations overlap at {key:#x}: {previous!r}, "
+                        f"{allocation!r}"
+                    )
+            previous = allocation

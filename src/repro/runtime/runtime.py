@@ -137,8 +137,9 @@ class GuardSiteCell:
 class CaratRuntime:
     """The per-process runtime: tracking, guards, and patching backend."""
 
-    #: Per-entry cost (bytes) of an Allocation Table node: key, length,
-    #: kind, two child pointers, parent, color — matching a C++ rb-tree node.
+    #: Modeled per-entry cost (bytes) of an Allocation Table node: key,
+    #: length, kind, two child pointers, parent, color — the paper's C++
+    #: rb-tree node, whatever structure holds the table on the host.
     TABLE_ENTRY_BYTES = 64
 
     def __init__(

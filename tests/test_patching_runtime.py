@@ -141,8 +141,9 @@ class TestExecuteMove:
     # Regression: when the destination range overlaps the source (a short
     # downward compaction slide), the old one-at-a-time rebase could land
     # one allocation's new base on another's not-yet-rebased base, and the
-    # rbtree insert would silently replace that node — the later rebase
-    # then popped the wrong allocation and merged the two escape sets.
+    # table's insert-or-replace silently dropped that allocation (rebase
+    # now raises instead) — the later rebase then popped the wrong
+    # allocation and merged the two escape sets.
     def test_overlapping_move_keeps_allocations_distinct(self, patcher, memory):
         a = patcher.table.add(0x10000, 64)
         b = patcher.table.add(0x11000, 64)

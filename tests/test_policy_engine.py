@@ -166,12 +166,12 @@ class TestFragmentation:
 
 
 class TestHeatTracker:
-    def test_sampling_period(self):
-        heat = HeatTracker(sample_period=4)
+    def test_every_access_counts(self):
+        heat = HeatTracker()
         for _ in range(8):
             heat.observe(0x1000, 8, "read")
         assert heat.accesses_seen == 8
-        assert heat.samples_taken == 2
+        assert heat.window == {0x1000 // PAGE_SIZE: 8}
 
     def test_scores_decay_and_prune(self):
         heat = HeatTracker(decay=0.5)

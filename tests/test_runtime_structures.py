@@ -109,6 +109,19 @@ class TestAllocationTable:
         assert a.address == 0x9000
         t.check_invariants()
 
+    def test_rebase_onto_occupied_key_raises(self):
+        # Regression: rebase used to insert-or-replace at the new key, so
+        # the allocation already keyed there silently left the table.
+        t = AllocationTable()
+        a = t.add(0x1000, 64)
+        b = t.add(0x2000, 64)
+        with pytest.raises(AllocationError):
+            t.rebase(a, 0x2000)
+        assert a.address == 0x1000
+        assert list(t) == [a, b]
+        assert t.at(0x1000) is a and t.at(0x2000) is b
+        t.check_invariants()
+
     def test_stats(self):
         t = AllocationTable()
         t.add(0x1000, 8)

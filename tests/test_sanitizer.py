@@ -122,6 +122,26 @@ class TestFaultInjection:
         assert not report.ok
         assert report.by_rule("escape-shadow")
 
+    def test_stale_table_key_detected(self, carat_run, checker):
+        """An allocation's address changed without ``rebase``: the table
+        still files it under the old key.  The last allocation is moved, so
+        nothing overlaps and only the key check can see it."""
+        kernel, process = carat_run.kernel, carat_run.process
+        assert checker.check_kernel(kernel).ok
+        allocation = list(process.runtime.table)[-1]
+        allocation.address += 8
+        report = checker.check_kernel(kernel)
+        assert report.by_rule("allocation-table")
+
+    def test_overlapping_allocations_detected(self, carat_run, checker):
+        """One allocation grown over its successor in the table."""
+        kernel, process = carat_run.kernel, carat_run.process
+        assert checker.check_kernel(kernel).ok
+        first, second = list(process.runtime.table)[:2]
+        first.size = second.address - first.address + 8
+        report = checker.check_kernel(kernel)
+        assert report.by_rule("allocation-table")
+
     def test_skipped_register_patch_detected(self, carat_run, checker):
         kernel, process = carat_run.kernel, carat_run.process
         snapshot = FaultInjector(kernel).skip_register_patch(process)

@@ -353,7 +353,7 @@ def test_policy_epochs_attributed_to_policy_bucket():
     def setup(interpreter):
         process = interpreter.process
         scatter_capsule(kernel, process, interpreter=interpreter)
-        heat = HeatTracker(sample_period=1, decay=0.5)
+        heat = HeatTracker(decay=0.5)
         engine = PolicyEngine(
             kernel,
             process,
