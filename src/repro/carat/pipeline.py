@@ -50,6 +50,10 @@ class CompileOptions:
     carat_guard_opts: bool = True
     tracking: bool = True
     sign: bool = True
+    #: Verify the compiler's output: the final module, before it is
+    #: signed.  The frontend verifies its own output either way.  Per-pass
+    #: checks are a debugging aid (``optimize_module(verify=True)``), as
+    #: ``opt -verify-each`` is in LLVM, and are not part of a compile.
     verify: bool = True
     toolchain: str = DEFAULT_TOOLCHAIN
 
@@ -100,6 +104,11 @@ def compile_carat(
 ) -> CaratBinary:
     """Compile Mini-C source (or an already-built module) under CARAT.
 
+    The IR is verified at the pipeline's two boundaries: the frontend
+    output (by :func:`compile_source`) and, with ``options.verify``, the
+    final module before it is signed.  A module that fails either check
+    raises :class:`~repro.errors.VerificationError` and is never signed.
+
     With a :class:`~repro.telemetry.Tracer`, every phase (and every pass
     inside the optimization phase) becomes a ``compiler`` span with its
     IR instruction-count delta.
@@ -119,7 +128,7 @@ def compile_carat(
 
     if options.optimize:
         with _phase(tracer, "optimize", module):
-            optimize_module(module, verify=options.verify, tracer=tracer)
+            optimize_module(module, tracer=tracer)
 
     # Tracking is injected before guards so tracking callbacks themselves
     # are never guarded (they are trusted runtime entry points).

@@ -2,8 +2,10 @@
 
 Thin by design — passes are plain callables ``Module -> int`` (returning a
 change count).  The manager records per-pass change counts and optionally
-verifies the module after each pass, which the test suite switches on to
-catch pass bugs at their source.
+verifies the module after each pass (``verify_after_each``, LLVM's
+``opt -verify-each``).  A compile verifies only the pipeline's output;
+the test suite switches per-pass checks on to catch pass bugs at their
+source.
 
 With a :class:`~repro.telemetry.Tracer` attached (``tracer=``), every
 pass becomes a ``compiler`` span carrying its change count and the IR

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.carat import pipeline
 from repro.ir import (
     Function,
     FunctionType,
@@ -12,6 +15,34 @@ from repro.ir import (
     Module,
     ptr,
 )
+from repro.transform.pass_manager import optimize_module
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        "boundary_verify: compile with the production default, which "
+        "verifies only the frontend output and the final module",
+    )
+
+
+def verify_each_pass(monkeypatch) -> None:
+    """Make every ``compile_carat`` verify the module after each
+    optimization pass (LLVM's ``opt -verify-each``), so a pass that breaks
+    the IR fails at that pass, named in the error."""
+    monkeypatch.setattr(
+        pipeline, "optimize_module", functools.partial(optimize_module, verify=True)
+    )
+
+
+@pytest.fixture(autouse=True)
+def _verify_each_pass(request, monkeypatch):
+    """Every compile in the suite verifies after each pass, unless the
+    test is marked ``boundary_verify``.  Tests that run deliberately
+    invalid IR compile it with ``optimize=False, verify=False``, so no
+    pass runs and nothing verifies it."""
+    if request.node.get_closest_marker("boundary_verify") is None:
+        verify_each_pass(monkeypatch)
 
 
 @pytest.fixture

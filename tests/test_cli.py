@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -177,6 +179,12 @@ BAD_INPUT = {
     "run-undeclared-identifier": ["run", "<undeclared.c>"],
     "smp-syntax-error": ["smp", "<syntax-error.c>"],
     "smp-undeclared-identifier": ["smp", "<undeclared.c>"],
+    "compile-not-utf8": ["compile", "<not-utf8.c>"],
+    "run-not-utf8": ["run", "<not-utf8.c>"],
+    "smp-not-utf8": ["smp", "<not-utf8.c>"],
+    "compile-directory": ["compile", "<directory>"],
+    "run-directory": ["run", "<directory>"],
+    "smp-directory": ["smp", "<directory>"],
     "run-json-in-missing-dir": ["run", "ep", "--json", "/no/such/dir/x.json"],
     "run-trace-out-in-missing-dir": ["run", "ep", "--trace-out", "/no/such/dir/p"],
     "smp-json-in-missing-dir": ["smp", "ep", "--json", "/no/such/dir/x.json"],
@@ -195,14 +203,29 @@ BAD_SOURCES = {
 }
 
 
+#: Paths the argvs above name by placeholder that hold no Mini-C text,
+#: and the message each must report ({} is the path).
+BAD_PATHS = {
+    "<not-utf8.c>": "{} is not UTF-8 text (invalid start byte at byte 0)",
+    "<directory>": "{} is a directory, not a Mini-C source file",
+}
+
+
+def _placeholders(tmp_path):
+    """Create every placeholder path under ``tmp_path``; returns
+    placeholder -> path."""
+    paths = {p: str(tmp_path / p.strip("<>")) for p in [*BAD_SOURCES, *BAD_PATHS]}
+    for placeholder, (text, _message) in BAD_SOURCES.items():
+        Path(paths[placeholder]).write_text(text)
+    Path(paths["<not-utf8.c>"]).write_bytes(b"\xff\xfe")
+    Path(paths["<directory>"]).mkdir()
+    return paths
+
+
 @pytest.mark.parametrize("argv", list(BAD_INPUT.values()), ids=list(BAD_INPUT))
 def test_bad_input_exits_2_with_one_line(argv, capsys, tmp_path):
-    for placeholder, (text, _message) in BAD_SOURCES.items():
-        (tmp_path / placeholder.strip("<>")).write_text(text)
-    argv = [
-        str(tmp_path / arg.strip("<>")) if arg in BAD_SOURCES else arg
-        for arg in argv
-    ]
+    paths = _placeholders(tmp_path)
+    argv = [paths.get(arg, arg) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -217,6 +240,14 @@ def test_source_errors_report_their_location(placeholder, capsys, tmp_path):
     path = tmp_path / "bad.c"
     path.write_text(text)
     assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"repro run: {message}\n"
+
+
+@pytest.mark.parametrize("placeholder", list(BAD_PATHS))
+def test_unreadable_sources_name_the_problem(placeholder, capsys, tmp_path):
+    path = _placeholders(tmp_path)[placeholder]
+    assert main(["run", path]) == 2
+    message = BAD_PATHS[placeholder].format(path)
     assert capsys.readouterr().err == f"repro run: {message}\n"
 
 
