@@ -50,9 +50,10 @@ class CompileOptions:
     carat_guard_opts: bool = True
     tracking: bool = True
     sign: bool = True
-    #: Verify the compiler's output: the final module, before it is
-    #: signed.  The frontend verifies its own output either way.  Per-pass
-    #: checks are a debugging aid (``optimize_module(verify=True)``), as
+    #: Verify the compiler's output (the final module, before it is
+    #: signed) and the module the optimizer is handed.  Without it the
+    #: frontend still verifies its own output.  Per-pass checks are a
+    #: debugging aid (``optimize_module(verify=True)``), as
     #: ``opt -verify-each`` is in LLVM, and are not part of a compile.
     verify: bool = True
     toolchain: str = DEFAULT_TOOLCHAIN
@@ -104,23 +105,31 @@ def compile_carat(
 ) -> CaratBinary:
     """Compile Mini-C source (or an already-built module) under CARAT.
 
-    The IR is verified at the pipeline's two boundaries: the frontend
-    output (by :func:`compile_source`) and, with ``options.verify``, the
-    final module before it is signed.  A module that fails either check
-    raises :class:`~repro.errors.VerificationError` and is never signed.
+    With ``options.verify`` the IR is verified at the pipeline's two
+    boundaries: where it enters the optimizer and as the final module,
+    before it is signed.  The entry check stands in for the frontend's own
+    (:func:`compile_source`), which runs only when the optimizer's does
+    not, so a compile from source verifies twice.  A module that fails
+    either check raises :class:`~repro.errors.VerificationError` and is
+    never signed.
 
     With a :class:`~repro.telemetry.Tracer`, every phase (and every pass
     inside the optimization phase) becomes a ``compiler`` span with its
     IR instruction-count delta.
     """
     options = options or CompileOptions()
+    optimizer_verifies = options.optimize and options.verify
     if isinstance(program, str):
         if tracer is not None:
             with tracer.span("phase.frontend", "compiler") as end_args:
-                module = compile_source(program, module_name)
+                module = compile_source(
+                    program, module_name, verify=not optimizer_verifies
+                )
                 end_args["ir_size"] = module_instruction_count(module)
         else:
-            module = compile_source(program, module_name)
+            module = compile_source(
+                program, module_name, verify=not optimizer_verifies
+            )
     else:
         module = program
     with _phase(tracer, "restrictions", module):
@@ -128,7 +137,9 @@ def compile_carat(
 
     if options.optimize:
         with _phase(tracer, "optimize", module):
-            optimize_module(module, tracer=tracer)
+            optimize_module(
+                module, tracer=tracer, verify_input=optimizer_verifies
+            )
 
     # Tracking is injected before guards so tracking callbacks themselves
     # are never guarded (they are trusted runtime entry points).

@@ -564,16 +564,19 @@ def _read_source(path: str) -> str:
     file = Path(path)
     if file.is_dir():
         raise _BadInput(f"{path} is a directory, not a Mini-C source file")
+    if not file.is_file():
+        # A device or a FIFO would read forever or block.
+        if file.exists():
+            raise _BadInput(f"{path} is not a regular file")
+        raise _BadInput(f"no such file: {path}")
     try:
         return file.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise _BadInput(f"no such file: {path}") from None
     except UnicodeDecodeError as error:
         raise _BadInput(
             f"{path} is not UTF-8 text ({error.reason} at byte {error.start})"
         ) from None
     except OSError as error:
-        raise _BadInput(f"cannot read {path}: {error.strerror}") from None
+        raise _BadInput(f"cannot read {path}: {error.strerror or error}") from None
 
 
 #: The flags naming a file a run writes at its end: (flag, attribute).

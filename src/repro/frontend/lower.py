@@ -45,14 +45,18 @@ from repro.ir.values import (
 )
 
 
-def compile_source(source: str, module_name: str = "minic") -> Module:
-    """Front door: Mini-C source text to a verified IR module."""
+def compile_source(
+    source: str, module_name: str = "minic", verify: bool = True
+) -> Module:
+    """Front door: Mini-C source text to an IR module, verified unless the
+    caller verifies it itself (``verify=False``)."""
     program = parse(source)
     info = analyze(program)
     module = Lowering(info, module_name).lower(program)
-    from repro.ir.verifier import verify_module
+    if verify:
+        from repro.ir.verifier import verify_module
 
-    verify_module(module)
+        verify_module(module)
     return module
 
 

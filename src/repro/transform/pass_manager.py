@@ -2,10 +2,11 @@
 
 Thin by design — passes are plain callables ``Module -> int`` (returning a
 change count).  The manager records per-pass change counts and optionally
-verifies the module after each pass (``verify_after_each``, LLVM's
-``opt -verify-each``).  A compile verifies only the pipeline's output;
-the test suite switches per-pass checks on to catch pass bugs at their
-source.
+verifies the module it is handed (``verify_input``, as ``opt`` refuses a
+broken input module) and the module after each pass
+(``verify_after_each``, LLVM's ``opt -verify-each``).  A compile verifies
+the optimizer's input and the final module; the test suite switches
+per-pass checks on to catch pass bugs at their source.
 
 With a :class:`~repro.telemetry.Tracer` attached (``tracer=``), every
 pass becomes a ``compiler`` span carrying its change count and the IR
@@ -41,6 +42,7 @@ class PassResult:
 
 @dataclass
 class PassManager:
+    verify_input: bool = False
     verify_after_each: bool = False
     _passes: List[tuple] = field(default_factory=list)
     results: List[PassResult] = field(default_factory=list)
@@ -54,6 +56,8 @@ class PassManager:
     def run(self, module: Module) -> Dict[str, int]:
         self.results = []
         tracer = self.tracer
+        if self.verify_input:
+            verify_module(module)
         for name, module_pass in self._passes:
             if tracer is not None:
                 size_before = module_instruction_count(module)
@@ -75,14 +79,16 @@ class PassManager:
 
 
 def standard_optimization_pipeline(
-    verify: bool = False, tracer=None
+    verify: bool = False, tracer=None, verify_input: bool = False
 ) -> PassManager:
     """The "general optimizations" pipeline (the -O2 stand-in used as the
     baseline in Figure 3(a)): SSA construction, simplification, DCE, LICM,
     then one more cleanup round."""
     from repro.transform import dce, licm, mem2reg, simplify
 
-    pm = PassManager(verify_after_each=verify, tracer=tracer)
+    pm = PassManager(
+        verify_input=verify_input, verify_after_each=verify, tracer=tracer
+    )
     pm.add("mem2reg", mem2reg.run_on_module)
     pm.add("simplify", simplify.run_on_module)
     pm.add("dce", dce.run_on_module)
@@ -93,7 +99,9 @@ def standard_optimization_pipeline(
 
 
 def optimize_module(
-    module: Module, verify: bool = False, tracer=None
+    module: Module, verify: bool = False, tracer=None, verify_input: bool = False
 ) -> Dict[str, int]:
     """Run the standard pipeline over ``module`` and return change counts."""
-    return standard_optimization_pipeline(verify, tracer=tracer).run(module)
+    return standard_optimization_pipeline(
+        verify, tracer=tracer, verify_input=verify_input
+    ).run(module)

@@ -22,7 +22,7 @@ def pytest_configure(config):
     config.addinivalue_line(
         "markers",
         "boundary_verify: compile with the production default, which "
-        "verifies only the frontend output and the final module",
+        "verifies only the optimizer's input and the final module",
     )
 
 

@@ -1,5 +1,6 @@
 """The command-line interface."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,9 @@ BAD_INPUT = {
     "compile-directory": ["compile", "<directory>"],
     "run-directory": ["run", "<directory>"],
     "smp-directory": ["smp", "<directory>"],
+    "compile-fifo": ["compile", "<fifo>"],
+    "run-fifo": ["run", "<fifo>"],
+    "smp-fifo": ["smp", "<fifo>"],
     "run-json-in-missing-dir": ["run", "ep", "--json", "/no/such/dir/x.json"],
     "run-trace-out-in-missing-dir": ["run", "ep", "--trace-out", "/no/such/dir/p"],
     "smp-json-in-missing-dir": ["smp", "ep", "--json", "/no/such/dir/x.json"],
@@ -208,6 +212,7 @@ BAD_SOURCES = {
 BAD_PATHS = {
     "<not-utf8.c>": "{} is not UTF-8 text (invalid start byte at byte 0)",
     "<directory>": "{} is a directory, not a Mini-C source file",
+    "<fifo>": "{} is not a regular file",
 }
 
 
@@ -219,6 +224,7 @@ def _placeholders(tmp_path):
         Path(paths[placeholder]).write_text(text)
     Path(paths["<not-utf8.c>"]).write_bytes(b"\xff\xfe")
     Path(paths["<directory>"]).mkdir()
+    os.mkfifo(paths["<fifo>"])
     return paths
 
 

@@ -103,9 +103,8 @@ def planted(monkeypatch):
     call to ``sign_module``."""
     standard = pass_manager.standard_optimization_pipeline
 
-    def with_planted_pass(verify=False, tracer=None):
-        pm = standard(verify, tracer=tracer)
-        return pm.add("planted", _plant_undominated_use)
+    def with_planted_pass(*args, **kwargs):
+        return standard(*args, **kwargs).add("planted", _plant_undominated_use)
 
     monkeypatch.setattr(
         pass_manager, "standard_optimization_pipeline", with_planted_pass
@@ -116,6 +115,43 @@ def planted(monkeypatch):
         pipeline, "sign_module", lambda *args: signed.append(args) or sign_module(*args)
     )
     return signed
+
+
+@pytest.mark.boundary_verify
+def test_a_default_compile_verifies_twice(monkeypatch):
+    """Once where the IR enters the optimizer, in place of the frontend's
+    own check, and once before signing."""
+    from repro.frontend.lower import compile_source
+    from repro.ir import verifier
+
+    calls = []
+    verify_module = verifier.verify_module
+
+    def counted(where):
+        return lambda module: calls.append(where) or verify_module(module)
+
+    monkeypatch.setattr(verifier, "verify_module", counted("frontend"))
+    monkeypatch.setattr(pass_manager, "verify_module", counted("optimizer"))
+    monkeypatch.setattr(pipeline, "verify_module", counted("final"))
+    compile_carat(PROGRAM)
+    assert calls == ["optimizer", "final"]
+    calls.clear()
+    compile_source(PROGRAM)
+    assert calls == ["frontend"]
+
+
+@pytest.mark.boundary_verify
+def test_the_optimizer_refuses_a_broken_input_module(monkeypatch):
+    from repro.frontend.lower import compile_source
+    from repro.transform import mem2reg
+
+    module = compile_source(PROGRAM)
+    _plant_undominated_use(module)
+    passes = []
+    monkeypatch.setattr(mem2reg, "run_on_module", passes.append)
+    with pytest.raises(VerificationError, match="not dominated"):
+        compile_carat(module)
+    assert passes == []
 
 
 @pytest.mark.boundary_verify
