@@ -1,7 +1,7 @@
 """Telemetry contract sweep: zero disabled-mode cost, exact profiles.
 
 Two guarantees the telemetry layer makes, checked against **every**
-workload in the suite under **both** engines:
+workload in the suite under **all three** engines:
 
 1. **Nil overhead.**  A run with the tracer and profiler attached is
    cycle-identical (full fingerprint: output, instruction mix, every
@@ -14,8 +14,10 @@ workload in the suite under **both** engines:
    ``InterpStats.cycles`` with drift 0 — not approximately: the buckets
    are differences of the same counters that form the total.  Plain
    workload runs perform no kernel-driven moves, so the ``policy`` and
-   ``patching`` buckets must both be exactly 0, and both engines must
-   produce identical attributions.
+   ``patching`` buckets must both be exactly 0, the function rows sum
+   to ``InterpStats.instructions``, and every engine must produce the
+   reference engine's buckets, function rows and allocation sites — the
+   trace engine with its traces running.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry import PROFILE_CATEGORIES, validate_events
 from repro.workloads import get_workload
 
-ENGINES = ("reference", "fast")
+ENGINES = ("reference", "fast", "trace")
 
 
 def _profiles():
@@ -48,7 +50,7 @@ def _profiles():
 def test_telemetry_contract_suite_sweep():
     rows = []
     payload = {}
-    reference_buckets = {}
+    reference_profiles = {}
     for workload, engine, plain, telem in _profiles():
         profile = telem.profile
         # 1. Nil overhead: full behavioral fingerprint equality.
@@ -65,12 +67,19 @@ def test_telemetry_contract_suite_sweep():
         # Category split agrees with the stats counters it derives from.
         assert profile.buckets["guard"] == telem.stats.guard_cycles
         assert profile.buckets["tracking"] == telem.stats.tracking_cycles
+        instructions = sum(
+            row["instructions"] for row in profile.functions().values()
+        )
+        assert instructions == telem.stats.instructions, f"{workload}/{engine}"
+        attribution = (
+            dict(profile.buckets), profile.functions(), profile.sites()
+        )
         # The trace that rode along is schema-valid.
         assert validate_events(
             [e.to_dict() for e in telem.tracer.events]
         ) == []
         if engine == "reference":
-            reference_buckets[workload] = dict(profile.buckets)
+            reference_profiles[workload] = attribution
             rows.append([
                 workload,
                 telem.cycles,
@@ -86,22 +95,27 @@ def test_telemetry_contract_suite_sweep():
                 "trace_events": len(telem.tracer.events),
             }
         else:
-            # 3. Both engines attribute identically, bucket for bucket.
-            assert dict(profile.buckets) == reference_buckets[workload], (
-                f"{workload}: engines disagree on attribution"
+            # 3. Every engine attributes identically, bucket for bucket,
+            #    function for function and site for site.
+            assert attribution == reference_profiles[workload], (
+                f"{workload}: {engine} disagrees on attribution"
             )
+            if engine == "trace":
+                assert telem.stats.traces_compiled > 0, (
+                    f"{workload}: no trace ran under the profiler"
+                )
 
     assert len(rows) == len(SUITE)
     emit_table(
         "telemetry_overhead",
         f"Telemetry contract ({SCALE}): profiled cycles == plain cycles, "
-        "buckets reconcile with drift 0 on both engines",
+        "buckets reconcile with drift 0 on all three engines",
         ["workload", "cycles", "app", "guard", "tracking", "events", "drift"],
         rows,
         footer=[
             f"categories: {', '.join(PROFILE_CATEGORIES)}",
             "fingerprint(plain) == fingerprint(profiled+traced) for every "
-            "row, under both engines",
+            "row, under all three engines",
         ],
     )
     emit_json("telemetry_overhead", {"scale": SCALE, "workloads": payload})

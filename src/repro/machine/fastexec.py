@@ -297,8 +297,6 @@ class FastInterpreter(Interpreter):
     def run_steps(self, max_steps: int) -> str:
         """Same contract and safepoint semantics as the reference loop —
         only the per-instruction work is the pre-compiled op."""
-        if self.profiler is not None:
-            return self._run_steps_profiled(max_steps)
         steps = 0
         at_safepoint = False
         frames = self.frames
@@ -319,61 +317,6 @@ class FastInterpreter(Interpreter):
             frame.index = index + 1
             try:
                 op(self, frame)
-            except ExitProgram as exit_request:
-                self.exit_code = exit_request.code
-                frames.clear()
-                break
-            steps += 1
-            stats.instructions += 1
-            at_safepoint = is_terminator
-            if is_terminator and stats.instructions >= self._next_tick:
-                self._next_tick = stats.instructions + self.tick_interval
-                if self.tick_hook is not None:
-                    self.tick_hook(self)
-        if not frames:
-            self.finished = True
-            self.kernel.exit_process(self.process, self.exit_code)
-            return "done"
-        return "running"
-
-    def _run_steps_profiled(self, max_steps: int) -> str:
-        """The dispatch loop with per-op cycle-delta capture.
-
-        A mirror of :meth:`run_steps` — the reference engine profiles by
-        wrapping ``_execute``, but here the op call *is* the hot loop, so
-        the profiled variant lives in its own method and the unprofiled
-        loop stays untouched.  The snapshot/account pair brackets exactly
-        the op call (cycles are only ever charged inside ops), and
-        ``account`` runs in a ``finally`` so faulting instructions still
-        reconcile.  No simulated cycles are charged by any of this.
-        """
-        profiler = self.profiler
-        steps = 0
-        at_safepoint = False
-        frames = self.frames
-        stats = self.stats
-        hard_stop = max_steps + 100_000
-        while frames:
-            if steps >= max_steps and (at_safepoint or steps >= hard_stop):
-                break  # pause at a safepoint (or give up on alignment)
-            frame = frames[-1]
-            index = frame.index
-            try:
-                op, is_terminator = frame.ops[index]
-            except IndexError:
-                raise InterpError(
-                    f"fell off block %{frame.block.name} in "
-                    f"@{frame.function.name}"
-                ) from None
-            frame.index = index + 1
-            name = frame.function.name
-            profiler.current_function = name
-            before = profiler.snap(stats)
-            try:
-                try:
-                    op(self, frame)
-                finally:
-                    profiler.account(name, stats, before)
             except ExitProgram as exit_request:
                 self.exit_code = exit_request.code
                 frames.clear()

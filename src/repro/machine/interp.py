@@ -224,10 +224,9 @@ class Interpreter:
         #: the call.
         self.access_probe: Optional[Callable[[int, int, str], None]] = None
         #: Attached :class:`~repro.telemetry.CycleProfiler` (set by its
-        #: ``attach``).  The reference engine is profiled by wrapping
-        #: ``_execute`` on the instance; the fast engine's loop checks
-        #: this attribute and switches to its mirrored profiled loop.
-        #: ``None`` keeps both hot paths byte-identical to pre-telemetry.
+        #: ``attach``, which swaps ``frames`` for a list that reports
+        #: every push and pop — every engine's dispatch loop is the same
+        #: either way).  The trace tier reads it to leave guards generic.
         self.profiler = None
         #: Fast/slow tier boundary for tier-cost accounting.  Addresses
         #: are physical only in CARAT mode, so tier charging is CARAT-only.

@@ -282,9 +282,9 @@ class CaratSession:
 
     The session owns kernel construction and the wiring the CLI used to
     do inline — retry policy, fault injector, degradation manager,
-    sanitizer, tracer, profiler — and preserves the exact attach order
-    of the old ``run_*`` helpers (binary → kernel → sanitizer →
-    load → interpreter → sanitizer → telemetry → setup → run → finish).
+    sanitizer, tracer, profiler — in one attach order (binary → kernel
+    → sanitizer → load → interpreter → sanitizer → tracer → setup →
+    profiler → run → finish).
 
     Pass ``kernel=`` to bring a pre-built kernel (the policy subcommand
     sizes its own tiered machine); the session still layers the
@@ -425,12 +425,12 @@ class CaratSession:
             sanitizer.attach_interpreter(interpreter)
         if tracer is not None:
             self._wire_tracer(tracer, interpreter, process)
-        if profiler is not None:
-            profiler.attach(interpreter)
-
         user_setup = setup if setup is not None else self._setup
         if user_setup is not None:
             user_setup(interpreter)
+        if profiler is not None:
+            # After set-up, so the tick hook it installs is bracketed.
+            profiler.attach(interpreter)
 
         if tracer is not None:
             tracer.begin(

@@ -494,7 +494,8 @@ def _build_trace(
     wraps per op) minus the per-op dispatch: one ``while True:``
     walks the segments :func:`_layout` derives from the chain, each a
     ``try:`` region whose ``steps`` / ``instructions`` are batched at its
-    control op.  Tick and pause checks are emitted only after terminator
+    control op (a call or return counts its body before the push or
+    pop, so the count is exact at every frame switch).  Tick and pause checks are emitted only after terminator
     segments (branches and returns — the safepoints of both other
     engines), never after calls, so safepoint alignment is preserved
     exactly.  A branch segment ends in the branch template told its
@@ -784,8 +785,16 @@ def _build_trace(
             defined.pop()
             if inst.return_value is not None and not data.type.is_void:
                 defined[-1].add(id(data))
+        nops = stop + 1 - start
+        # A call or return switches frames, and at every push and pop
+        # ``instructions`` must count every op retired before it (the
+        # profiler's spans read it there): its body ops are counted just
+        # before the control op, the control op itself after it.
+        split = kind != "term" and nops > 1
         if raises:
             w.lines.insert(at, "    " * 3 + f"frame.index = {stop + 1}")
+        if split:
+            w.lines.insert(at, "    " * 3 + f"stats.instructions += {nops - 1}")
         w.line(2, "except BaseException:")
         if n_ci:
             # Un-charge the batched base cost of the body ops that never
@@ -794,11 +803,13 @@ def _build_trace(
             w.line(3, f"_done = frame.index - {start}")
             w.line(3, f"if _done < {n_ci}:")
             w.line(4, f"stats.cycles -= ({n_ci} - _done) * _ci")
-        w.line(3, f"stats.instructions += frame.index - 1 - {start}")
+        if split:
+            # A raise in the control op comes after its body's count.
+            w.line(3, f"if frame.index <= {stop}:")
+        w.line(3 + split, f"stats.instructions += frame.index - 1 - {start}")
         w.line(3, "raise")
-        nops = stop + 1 - start
         w.line(2, f"steps += {nops}")
-        w.line(2, f"stats.instructions += {nops}")
+        w.line(2, f"stats.instructions += {1 if split else nops}")
         last = si == len(segments) - 1
         if kind != "term" and not last:
             # The frame just changed (push on call, pop on return):
@@ -868,13 +879,10 @@ class TraceInterpreter(FastInterpreter):
     ``instantiate`` binds cost constants, guard cells, and fresh
     specialization cells, so tenants never see each other's generations.
 
-    Limitations, by design: no tracing under an attached profiler (the
-    profiled loop needs per-op cycle attribution, which batching
-    destroys — ``run_steps`` falls back to the inherited profiled block
-    tier), and no exit-ratio demotion (a compiled trace stays installed
-    even if its side exits dominate; the side exits themselves are
-    cheap, and the block tier it lands in is the engine everything else
-    runs on anyway).
+    Limitation, by design: no exit-ratio demotion (a compiled trace
+    stays installed even if its side exits dominate; the side exits
+    themselves are cheap, and the block tier it lands in is the engine
+    everything else runs on anyway).
     """
 
     #: Block entries before a block is promoted to a trace anchor.
@@ -990,15 +998,17 @@ class TraceInterpreter(FastInterpreter):
         # out when there is nothing to bake (no runtime), when the
         # mechanism has no steady-state cost to bake, when a
         # fine-detail tracer expects one instant per guard check (the
-        # specialized hit emits none), or in safety mode — the
-        # specialized hit elides the runtime call that performs the
-        # liveness check, so safety falls back to generic guards.
+        # specialized hit emits none), in safety mode or under a
+        # profiler — the specialized hit elides the runtime call that
+        # performs the liveness check and that the profiler's per-site
+        # attribution wraps, so both fall back to generic guards.
         specialize = (
             runtime is not None
             and runtime.region_cache_enabled
             and runtime.guard.name in _SPECIALIZABLE
             and not (tracer is not None and tracer.fine)
             and runtime.safety is None
+            and self.profiler is None
         )
         mech_name = runtime.guard.name if specialize else ""
         has_tier = self._tier_boundary is not None
@@ -1052,12 +1062,10 @@ class TraceInterpreter(FastInterpreter):
         """The fast dispatch loop plus the trace tier at safepoints.
 
         Identical contract to :meth:`FastInterpreter.run_steps`; the only
-        added work per terminator is one dict probe.  Under a profiler
-        the inherited per-op profiled loop runs instead (traces batch
-        step accounting, which would wreck per-function attribution).
+        added work per terminator is one dict probe.  Traces run under a
+        profiler too: it attributes at frame switches, where the trace's
+        counters are as exact as the block tier's.
         """
-        if self.profiler is not None:
-            return self._run_steps_profiled(max_steps)
         steps = 0
         at_safepoint = False
         frames = self.frames

@@ -17,7 +17,7 @@ This package is the observability substrate every layer reports through:
   buckets the interpreter's simulated-cycle spend (app compute, guards,
   tracking, MMU/TLB, page faults, tiering) per function and per
   allocation site, with buckets summing *exactly* to
-  ``InterpStats.cycles`` on both execution engines;
+  ``InterpStats.cycles`` and identical on all three execution engines;
 * :mod:`repro.telemetry.schema` — the JSONL trace-event schema and a
   dependency-free validator (used by tests and ``repro run --trace-out``).
 

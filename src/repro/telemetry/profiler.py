@@ -6,31 +6,30 @@ run-wide sums.  The :class:`CycleProfiler` turns those counters into an
 attribution: per **category**, per **function**, and — for guard spend —
 per **allocation site**.
 
-The mechanism is delta capture.  Around every executed instruction the
-engine snapshots the six cycle counters and hands the profiler the
-deltas afterwards; the residue ``total - guard - tracking - mmu_tlb -
-page_fault - tier`` is app compute by definition.  Because every bucket
-is a difference of the same counters that form ``InterpStats.cycles``,
-the buckets sum to the total **exactly**, on both engines — that
-reconciliation is asserted by ``benchmarks/test_telemetry_overhead.py``
-for every workload in the suite.
+The mechanism is spans between frame switches, one for all three
+engines.  Every push and pop goes through the interpreter's ``frames``
+list, where the counters are exact, so :meth:`CycleProfiler.attach`
+swaps it for a list whose mutators close the open span (the counters'
+deltas since it opened) into the outgoing function's row and open one
+for the new top frame.  The residue ``total - guard - tracking -
+mmu_tlb - page_fault - tier`` is app compute, so the buckets sum to
+``InterpStats.cycles`` **exactly**; a function's ``instructions`` are
+those retired while its frame was on top, and the rows sum to
+``InterpStats.instructions`` (DESIGN.md states the invariant that keeps
+both engine-independent).
 
-Cycles charged to the interpreter *between* instructions (kernel-driven
-page moves at safepoints, pre-run scatter) cannot be seen by delta
-capture; :meth:`CycleProfiler.finish` sweeps that remainder into the
-``patching`` bucket, except what the policy engine explicitly attributes
-to ``policy`` via :meth:`attribute_external`.  Plain workloads therefore
-show ``patching == policy == 0``.
-
-Attachment is by instance-attribute interposition only — the reference
-engine's ``_execute`` and the runtime's guard/tracking entry points are
-wrapped on the *instances*, the fast engine switches to a mirrored
-profiled loop — so an unprofiled run executes literally the same code as
-before this module existed, and no profiler path ever charges a cycle.
+Spans open only inside ``run_steps`` and close around the tick hook:
+cycles charged outside execution (moves at safepoints, pre-run scatter)
+are swept by :meth:`CycleProfiler.finish` into ``patching``, less what
+the policy engine claims for ``policy`` via :meth:`attribute_external`.
+Everything :meth:`attach` installs is an instance attribute, so an
+unprofiled run executes exactly the code it would without this module,
+and no profiler path ever charges a cycle.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 #: Bucket order (fixed — reports and tests index by name, not position).
@@ -48,9 +47,36 @@ PROFILE_CATEGORIES = (
 #: Index layout of the per-function accumulator rows.
 _APP, _GUARD, _TRACK, _MMU, _FAULT, _TIER, _INSTS = range(7)
 
+#: What a span measures: the total (``app`` is its residue), then the
+#: counters of rows ``_GUARD.._INSTS`` in order.
+_COUNTERS = attrgetter(
+    "cycles", "guard_cycles", "tracking_cycles", "translation_cycles",
+    "page_fault_cycles", "tier_cycles", "instructions",
+)
+
+
+class _ProfiledFrames(list):
+    """An interpreter's frame stack that reports every push and pop to
+    its profiler, which switches the open span to the new top frame."""
+
+    __slots__ = ("_switch",)
+
+    def append(self, frame) -> None:
+        list.append(self, frame)
+        self._switch(self)
+
+    def pop(self, index: int = -1):
+        frame = list.pop(self, index)
+        self._switch(self)
+        return frame
+
+    def clear(self) -> None:
+        list.clear(self)
+        self._switch(self)
+
 
 class CycleProfiler:
-    """Delta-capture profiler over ``InterpStats``' cycle counters."""
+    """Span profiler over ``InterpStats``' cycle counters."""
 
     def __init__(self, pid: int = 0) -> None:
         #: Owning tenant's PID (the trace events' ``pid`` lane convention):
@@ -58,7 +84,8 @@ class CycleProfiler:
         #: stamps it, so every bucket in ``to_dict`` names its owner.
         #: Single-process runs leave it at 0.
         self.pid = pid
-        #: category -> cycles (instruction-attributed + external).
+        #: category -> cycles, filled by :meth:`finish` from the function
+        #: rows plus external attribution.
         self.buckets: Dict[str, int] = {c: 0 for c in PROFILE_CATEGORIES}
         #: function name -> 7-slot accumulator row (see _APP.._INSTS).
         self._functions: Dict[str, List[int]] = {}
@@ -66,92 +93,93 @@ class CycleProfiler:
         self._alloc_sites: Dict[int, str] = {}
         #: site label -> [guard checks, guard cycles].
         self._sites: Dict[str, List[int]] = {}
+        #: The function whose span opened last (labels allocation sites).
         self.current_function: Optional[str] = None
         self.instructions = 0
-        #: Sum of instruction-attributed cycles (for the finish sweep).
-        self._accounted = 0
+        #: The open span: its function's row and the counters at its
+        #: start, or ``None`` between spans.
+        self._row: Optional[List[int]] = None
+        self._mark = None
+        self._stats = None
         self._finished = False
         self.total_cycles = 0
 
     # ------------------------------------------------------------------
-    # Per-instruction delta capture (both engines call these)
+    # Spans
     # ------------------------------------------------------------------
 
-    @staticmethod
-    def snap(stats):
-        """Snapshot the six cycle counters before an instruction."""
-        return (
-            stats.cycles,
-            stats.guard_cycles,
-            stats.tracking_cycles,
-            stats.translation_cycles,
-            stats.page_fault_cycles,
-            stats.tier_cycles,
-        )
-
-    def account(self, function_name: str, stats, snap) -> None:
-        """Attribute one instruction's cycle deltas.  Called in a
-        ``finally`` so faulting instructions still reconcile."""
-        total = stats.cycles - snap[0]
-        guard = stats.guard_cycles - snap[1]
-        track = stats.tracking_cycles - snap[2]
-        mmu = stats.translation_cycles - snap[3]
-        fault = stats.page_fault_cycles - snap[4]
-        tier = stats.tier_cycles - snap[5]
-        app = total - guard - track - mmu - fault - tier
-        buckets = self.buckets
-        buckets["app"] += app
-        buckets["guard"] += guard
-        buckets["tracking"] += track
-        buckets["mmu_tlb"] += mmu
-        buckets["page_fault"] += fault
-        buckets["tier"] += tier
-        self._accounted += total
-        self.instructions += 1
-        row = self._functions.get(function_name)
+    def close_span(self) -> None:
+        """Add the open span's counter deltas to its function's row."""
+        row = self._row
         if row is None:
-            row = [0, 0, 0, 0, 0, 0, 0]
-            self._functions[function_name] = row
-        row[_APP] += app
-        row[_GUARD] += guard
-        row[_TRACK] += track
-        row[_MMU] += mmu
-        row[_FAULT] += fault
-        row[_TIER] += tier
-        row[_INSTS] += 1
+            return
+        self._row = None
+        total, *rest = (
+            now - then for now, then in zip(_COUNTERS(self._stats), self._mark)
+        )
+        row[_APP] += total - sum(rest[:-1])
+        for slot, delta in enumerate(rest, _GUARD):
+            row[slot] += delta
+
+    def switch_span(self, frames) -> None:
+        """Close the open span and open one for ``frames``' top function
+        (none when the stack is empty: nothing runs until a push)."""
+        self.close_span()
+        if frames:
+            name = frames[-1].function.name
+            self.current_function = name
+            row = self._functions.get(name)
+            if row is None:
+                row = self._functions[name] = [0] * 7
+            self._row = row
+            self._mark = _COUNTERS(self._stats)
 
     # ------------------------------------------------------------------
     # Attachment
     # ------------------------------------------------------------------
 
     def attach(self, interpreter) -> None:
-        """Interpose on an interpreter (either engine) and its runtime.
+        """Instrument an interpreter (any engine) and its runtime.
 
         Adopts the interpreter's process PID when the profiler was not
         already stamped, so per-tenant profiles label themselves.
+        Attach after any set-up that installs a tick hook: the hook
+        installed here is bracketed, so its cycles stay out of every
+        function row.
 
         Everything installed here is an *instance* attribute shadowing a
         class method — detaching is just never attaching; no class or
         module state is touched, so concurrent unprofiled interpreters
         are unaffected.
         """
-        interpreter.profiler = self  # the fast engine's loop checks this
+        interpreter.profiler = self  # the trace tier reads this
         if not self.pid:
             self.pid = interpreter.process.pid
-        profiler = self
-        execute = interpreter._execute  # bound reference method
+        self._stats = interpreter.stats
+        frames = _ProfiledFrames(interpreter.frames)
+        frames._switch = self.switch_span
+        interpreter.frames = frames
+        run_steps = interpreter.run_steps
 
-        def profiled_execute(frame, inst):
-            name = frame.function.name
-            profiler.current_function = name
-            stats = interpreter.stats
-            before = profiler.snap(stats)
+        def profiled_run_steps(max_steps):
+            self.switch_span(interpreter.frames)
             try:
-                execute(frame, inst)
+                return run_steps(max_steps)
             finally:
-                profiler.account(name, stats, before)
+                self.close_span()
 
-        interpreter._execute = profiled_execute
+        interpreter.run_steps = profiled_run_steps
+        tick_hook = interpreter.tick_hook
+        if tick_hook is not None:
+
+            def profiled_tick_hook(interp):
+                self.close_span()
+                try:
+                    tick_hook(interp)
+                finally:
+                    self.switch_span(interp.frames)
+
+            interpreter.tick_hook = profiled_tick_hook
         runtime = interpreter.process.runtime
         if runtime is not None:
             self._attach_runtime(runtime)
@@ -212,24 +240,28 @@ class CycleProfiler:
     # ------------------------------------------------------------------
 
     def attribute_external(self, category: str, cycles: int) -> None:
-        """Claim interpreter cycles charged outside instruction execution
-        (the policy engine labels its epochs' spend this way)."""
+        """Claim interpreter cycles charged outside every span (the
+        policy engine labels its epochs' spend this way)."""
         if category not in ("policy", "patching"):
             raise ValueError(f"external category must be policy/patching, not {category!r}")
         self.buckets[category] += cycles
-        self._accounted += cycles
 
     def finish(self, stats) -> None:
-        """Close the books: sweep unattributed interpreter cycles (moves
-        charged at safepoints or before the first instruction) into
-        ``patching`` so the buckets sum exactly to ``stats.cycles``."""
+        """Close the books: fold the function rows into the buckets and
+        sweep the cycles no span or external claim saw (moves charged at
+        safepoints or before the first instruction) into ``patching``, so
+        the buckets sum exactly to ``stats.cycles``."""
         if self._finished:
             return
         self._finished = True
+        self.close_span()
         self.total_cycles = stats.cycles
-        remainder = stats.cycles - self._accounted
-        self.buckets["patching"] += remainder
-        self._accounted += remainder
+        buckets = self.buckets
+        for row in self._functions.values():
+            for category, cycles in zip(PROFILE_CATEGORIES, row[:_INSTS]):
+                buckets[category] += cycles
+            self.instructions += row[_INSTS]
+        buckets["patching"] += stats.cycles - sum(buckets.values())
 
     def assert_reconciles(self, stats) -> None:
         """Raise unless the buckets sum exactly to ``stats.cycles``."""

@@ -67,6 +67,43 @@ def test_bench_command(capsys):
     assert "baseline" in out and "carat" in out and "traditional" in out
 
 
+def test_bench_compiles_the_baseline_binary_once(monkeypatch, capsys):
+    # The baseline and traditional machines run the same binary.
+    from repro.machine import session
+
+    compiles = []
+    compile_baseline = session.compile_baseline
+
+    def counting(*args, **kwargs):
+        compiles.append(args)
+        return compile_baseline(*args, **kwargs)
+
+    monkeypatch.setattr(session, "compile_baseline", counting)
+    assert main(["bench", "ep"]) == 0
+    assert len(compiles) == 1
+
+
+def test_bench_output_mismatch_prints_one_line(monkeypatch, capsys):
+    from repro.machine import session
+
+    run = session.CaratSession.run
+
+    def diverging(self, program, **kwargs):
+        result = run(self, program, **kwargs)
+        if self.config.mode == "traditional":
+            result.output.append("9")
+        return result
+
+    monkeypatch.setattr(session.CaratSession, "run", diverging)
+    assert main(["bench", "ep"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "repro bench: ep: the baseline, carat and traditional runs "
+        "printed different output\n"
+    )
+
+
 def test_bench_without_name_lists_targets(capsys):
     assert main(["bench"]) == 0
     out = capsys.readouterr().out
@@ -136,6 +173,19 @@ def test_run_json_carries_reconciled_profile(tmp_path, capsys):
     profile = document["profile"]
     assert profile["schema"] == "carat.profile.v1"
     assert sum(profile["buckets"].values()) == document["interp"]["cycles"]
+
+
+def test_trace_engine_profiles_with_traces_running(tmp_path, capsys):
+    import json
+
+    documents = {}
+    for engine in ("reference", "trace"):
+        out = tmp_path / f"{engine}.json"
+        argv = ["run", "hpccg", "--profile", "--engine", engine, "--json", str(out)]
+        assert main(argv) == 0
+        documents[engine] = json.loads(out.read_text())
+    assert documents["trace"]["interp"]["traces_compiled"] > 0
+    assert documents["trace"]["profile"] == documents["reference"]["profile"]
 
 
 #: One argv per (subcommand, kind of bad input) the CLI must reject with

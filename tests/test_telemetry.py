@@ -2,15 +2,17 @@
 
 Unit coverage of each primitive plus end-to-end checks that a traced /
 profiled session emits a schema-valid event stream and an exactly
-reconciling cycle profile on both engines.  (The per-workload
+reconciling cycle profile on all three engines.  (The per-workload
 reconciliation sweep lives in ``benchmarks/test_telemetry_overhead.py``;
 here we keep to the small conftest programs.)
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import InterpError
 from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry import (
     PROFILE_CATEGORIES,
@@ -231,20 +233,49 @@ class _FakeStats:
         self.translation_cycles = 0
         self.page_fault_cycles = 0
         self.tier_cycles = 0
+        self.instructions = 0
+
+
+def _fake_interpreter(stats):
+    """Just what ``CycleProfiler.attach`` instruments: a frame stack,
+    ``run_steps``, no tick hook and no runtime."""
+    return SimpleNamespace(
+        stats=stats,
+        frames=[],
+        run_steps=None,
+        tick_hook=None,
+        process=SimpleNamespace(pid=1, runtime=None),
+    )
+
+
+def _frame(name):
+    return SimpleNamespace(function=SimpleNamespace(name=name))
 
 
 class TestProfilerUnits:
     def test_delta_capture_splits_app_from_overheads(self):
         profiler = CycleProfiler()
         stats = _FakeStats()
-        before = profiler.snap(stats)
+        interp = _fake_interpreter(stats)
+        profiler.attach(interp)
+        interp.frames.append(_frame("main"))  # opens main's span
         stats.cycles += 10
         stats.guard_cycles += 3
-        profiler.account("main", stats, before)
-        assert profiler.buckets["app"] == 7
+        stats.instructions += 1
+        interp.frames.append(_frame("leaf"))  # closes it, opens leaf's
+        stats.cycles += 4
+        stats.instructions += 2
+        interp.frames.pop()
+        interp.frames.pop()  # an empty stack opens no span
+        stats.cycles += 5  # outside every span
+        profiler.finish(stats)
+        assert profiler.buckets["app"] == 7 + 4
         assert profiler.buckets["guard"] == 3
-        row = profiler.functions()["main"]
-        assert row["cycles"] == 10 and row["instructions"] == 1
+        assert profiler.buckets["patching"] == 5
+        rows = profiler.functions()
+        assert rows["main"]["cycles"] == 10 and rows["main"]["instructions"] == 1
+        assert rows["leaf"]["cycles"] == 4 and rows["leaf"]["instructions"] == 2
+        assert profiler.instructions == stats.instructions
 
     def test_finish_sweeps_remainder_into_patching(self):
         profiler = CycleProfiler()
@@ -270,7 +301,7 @@ class TestProfilerUnits:
             profiler.assert_reconciles(stats)
 
 
-@pytest.mark.parametrize("engine", ["reference", "fast"])
+@pytest.mark.parametrize("engine", ["reference", "fast", "trace"])
 class TestTelemetryEndToEnd:
     def test_trace_is_schema_valid_and_costs_nothing(self, engine):
         plain = CaratSession(RunConfig(engine=engine)).run(SUM_SOURCE)
@@ -319,6 +350,120 @@ class TestTelemetryEndToEnd:
         )
         assert this.profile.buckets == reference.profile.buckets
         assert this.profile.functions() == reference.profile.functions()
+        assert this.profile.sites() == reference.profile.sites()
+
+
+# ---------------------------------------------------------------------------
+# Span attribution edge cases: identical rows on every engine
+# ---------------------------------------------------------------------------
+
+#: The loop's 21st call divides by zero in ``scale``; at threshold 2 the
+#: loop runs as a trace with ``scale`` inlined when it does.
+CALLEE_FAULT_SOURCE = """
+long scale(long x, long d) {
+  return x / d;
+}
+void main() {
+  long i;
+  long acc;
+  acc = 0;
+  for (i = 0; i < 30; i++) {
+    acc = acc + scale(1000, 20 - i);
+  }
+  print_long(acc);
+}
+"""
+
+#: ``main`` recursing into itself: the nested returns compile a return
+#: trace, and the outermost ``main`` leaves the program through its own
+#: ``ret`` (exit code 40 + 20), which is never retired.
+RETURNING_MAIN_SOURCE = """
+long level;
+long twice(long x) {
+  return x + x;
+}
+long main() {
+  long r;
+  level = level + 1;
+  if (level < 20) { r = main(); } else { r = twice(20); }
+  return r + 1;
+}
+"""
+
+
+def _profile_on_every_engine(source, setup=None, fault=None):
+    """Profile ``source`` on the three engines (traces at threshold 2),
+    check each profile reconciles, its function rows sum to
+    ``InterpStats.instructions`` and equal the reference engine's, and
+    return ``{engine: (profile, interpreter)}``."""
+    runs = {}
+    for engine in ("reference", "fast", "trace"):
+        captured = []
+
+        def capture(interpreter):
+            captured.append(interpreter)
+            if setup is not None:
+                setup(interpreter)
+
+        session = CaratSession(
+            RunConfig(engine=engine, profile=True, trace_threshold=2),
+            setup=capture,
+        )
+        if fault is None:
+            session.run(source)
+        else:
+            with pytest.raises(fault):
+                session.run(source)
+        (interpreter,) = captured
+        profile = session.profiler
+        profile.assert_reconciles(interpreter.stats)
+        rows = profile.functions()
+        assert None not in rows
+        instructions = sum(row["instructions"] for row in rows.values())
+        assert instructions == interpreter.stats.instructions, engine
+        runs[engine] = (profile, interpreter)
+    reference = runs["reference"][0]
+    for engine, (profile, _interpreter) in runs.items():
+        assert profile.functions() == reference.functions(), engine
+        assert profile.buckets == reference.buckets, engine
+    assert runs["trace"][1].stats.traces_compiled > 0
+    return runs
+
+
+class TestSpanAttribution:
+    def test_fault_in_a_callee_inside_a_trace(self):
+        runs = _profile_on_every_engine(CALLEE_FAULT_SOURCE, fault=InterpError)
+        profile, interpreter = runs["trace"]
+        assert interpreter.stats.trace_instructions > 0
+        assert set(profile.functions()) == {"main", "scale"}
+
+    def test_main_exits_through_its_return(self):
+        runs = _profile_on_every_engine(RETURNING_MAIN_SOURCE)
+        profile, interpreter = runs["trace"]
+        assert interpreter.exit_code == 60
+        assert interpreter.stats.trace_instructions > 0
+        assert set(profile.functions()) == {"main", "twice"}
+
+    def test_tick_hook_cycles_land_in_patching(self):
+        charged = []
+
+        def setup(interpreter):
+            def charge(interp):
+                interp.stats.cycles += 7
+                charged.append(interp)
+
+            interpreter.set_tick_interval(25)
+            interpreter.tick_hook = charge
+
+        runs = _profile_on_every_engine(LINKED_LIST_SOURCE, setup=setup)
+        for profile, interpreter in runs.values():
+            ticks = sum(1 for interp in charged if interp is interpreter)
+            assert ticks > 0
+            assert profile.buckets["patching"] == 7 * ticks
+            in_functions = sum(
+                row["cycles"] for row in profile.functions().values()
+            )
+            assert in_functions == interpreter.stats.cycles - 7 * ticks
 
 
 def test_trace_export_files(tmp_path):
@@ -334,7 +479,7 @@ def test_trace_export_files(tmp_path):
 
 def test_policy_epochs_attributed_to_policy_bucket():
     # A policy-driven run charges move cycles at epoch safepoints —
-    # outside any instruction, invisible to delta capture.  The policy
+    # inside the tick hook, outside every function's span.  The policy
     # engine claims them for the `policy` bucket and reconciliation
     # still holds exactly.
     from repro.kernel.kernel import Kernel
