@@ -741,6 +741,20 @@ class Kernel:
         self._check_admission(
             process, "allocation-move", allocation.address, allocation.end
         )
+        if destination is not None and (
+            destination < allocation.end
+            and destination + allocation.size > allocation.address
+        ):
+            # A move onto (part of) itself would copy over its own bytes,
+            # and its release step would free the block it now occupies.
+            raise MoveError(
+                f"allocation-move of [{allocation.address:#x}, "
+                f"{allocation.end:#x}) refused: destination "
+                f"{destination:#x} overlaps the allocation",
+                step="admission",
+                lo=allocation.address,
+                hi=allocation.end,
+            )
         return drive_transaction(
             self,
             process,

@@ -57,7 +57,11 @@ from repro.resilience.journal import (
     STEP_RESUME,
 )
 from repro.resilience.retry import InjectedFault, StepTimeout
-from repro.resilience.transaction import MoveTransaction, install_move_metadata
+from repro.resilience.transaction import (
+    MoveTransaction,
+    install_move_metadata,
+    record_page_move,
+)
 
 
 class StaleMove(ReproError):
@@ -464,8 +468,6 @@ class MoveQueue:
 
     def _flip(self, batch: _Batch) -> None:
         """The single stop-the-world tail covering the whole batch."""
-        from repro.kernel.pagetable import PAGE_SHIFT
-
         kernel = self.kernel
         txn = batch.txn
         txn.world_stop(self.thread_count, reuse_existing=True)
@@ -508,22 +510,14 @@ class MoveQueue:
         txn.enter(STEP_RESUME)
         for item, fresh, cost, snapshots in flipped:
             request = item.request
-            runtime = request.process.runtime
-            request.process.pages_moved += fresh.page_count
-            kernel.charge_stat("carat_moves", pid=batch.pid)
-            runtime.stats.moves_serviced += 1
-            runtime.stats.move_cost_accum = runtime.stats.move_cost_accum + cost
-            kernel.notifier.pte_change(
-                request.process.pid, fresh.lo >> PAGE_SHIFT,
-                kernel.clock_cycles, request.reason,
-            )
+            record_page_move(kernel, request.process, fresh, cost, request.reason)
             if snapshots is not None:
                 request.interpreter.apply_snapshots(snapshots)
             if request.heat is not None:
                 request.heat.rebase_range(
                     fresh.lo, fresh.hi, request.destination - fresh.lo
                 )
-            runtime.close_move_window(item.window)
+            request.process.runtime.close_move_window(item.window)
         if txn.initiated_stop:
             batch.requests[0].process.runtime.resume()
         txn.commit()

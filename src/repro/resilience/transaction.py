@@ -341,6 +341,23 @@ def install_move_metadata(txn: MoveTransaction, kernel, process, plan, destinati
         kernel.frames.free_address(plan.lo, source_pages)
 
 
+def record_page_move(kernel, process, plan, cost, reason: str) -> None:
+    """The commit-point bookkeeping of one page move: page and move
+    counters, the runtime's cost ledger, and the MMU-notifier event.
+    Shared by the serial protocol (:func:`execute_page_move`) and the
+    incremental batch driver's flip."""
+    from repro.kernel.pagetable import PAGE_SHIFT
+
+    runtime = process.runtime
+    process.pages_moved += plan.page_count
+    kernel.charge_stat("carat_moves", pid=process.pid)
+    runtime.stats.moves_serviced += 1
+    runtime.stats.move_cost_accum = runtime.stats.move_cost_accum + cost
+    kernel.notifier.pte_change(
+        process.pid, plan.lo >> PAGE_SHIFT, kernel.clock_cycles, reason
+    )
+
+
 def execute_page_move(
     txn: MoveTransaction,
     kernel,
@@ -353,7 +370,7 @@ def execute_page_move(
     reason: str,
 ):
     """One attempt of the full Figure 8 page move (kernel side)."""
-    from repro.kernel.pagetable import PAGE_SHIFT, PAGE_SIZE
+    from repro.kernel.pagetable import PAGE_SIZE
 
     runtime = process.runtime
     journal = txn.journal
@@ -472,13 +489,7 @@ def execute_page_move(
     # Step 12 — the commit point.  Everything after this line is
     # observable; nothing before it is.
     txn.enter(STEP_RESUME)
-    process.pages_moved += plan.page_count
-    kernel.charge_stat("carat_moves", pid=process.pid)
-    runtime.stats.moves_serviced += 1
-    runtime.stats.move_cost_accum = runtime.stats.move_cost_accum + cost
-    kernel.notifier.pte_change(
-        process.pid, plan.lo >> PAGE_SHIFT, kernel.clock_cycles, reason
-    )
+    record_page_move(kernel, process, plan, cost, reason)
     if txn.initiated_stop:
         runtime.resume()
     kernel._trace(12, "completion indicated; threads resume")

@@ -1,17 +1,32 @@
 """Pointer patching for page movement (Figure 8 steps 4-12, Table 3).
 
-When the kernel wants to move a range of physical pages, the runtime:
+When the kernel wants to move a range of physical pages, the runtime
+runs these steps, each written once as a :class:`Patcher` method:
 
 4.  negotiates the final page set — **page expansion**: allocations must
     move whole, so the source range grows until no allocation straddles
-    its boundary;
+    its boundary (:meth:`Patcher.plan_move`, costed by
+    ``_expand_cycles``);
 5-6. queries the Allocation Table for every allocation overlapping the
-    final range;
-7-8. finds all escapes of those allocations and patches each one to the
-    address its pointer will have after the move (pointer *swizzling*);
-9.  patches the register snapshots the threads dumped at the world-stop;
-10. moves the bytes;
-11-12. rebases the Allocation Table / escape map and reports completion.
+    final range (``plan_move`` again);
+7-8. resolves the batched escape records (``_flush_escapes``), finds all
+    escapes of those allocations and patches each one to the address its
+    pointer will have after the move — pointer *swizzling*
+    (``_patch_escapes``);
+9.  patches the register snapshots the threads dumped at the world-stop
+    (``_patch_registers``);
+10. moves the bytes (``_copy``);
+11-12. rebases the Allocation Table / escape map and reports completion
+    (``_rebase``).
+
+The serial move (:meth:`Patcher.execute_move`), the allocation move
+(:meth:`Patcher.move_allocation`) and the incremental move's
+stop-the-world tail (:meth:`IncrementalMove.flip`) all run these step
+methods with the same journal records and fault hooks, in the same
+order.  They differ only in their cost formulas, in whether the copy
+journals the destination's image (the incremental pre-copy already
+did), and in the rebase: an allocation move rebases one allocation and
+leaves the region generation alone.
 
 Every step's cycle cost is accounted separately because Table 3 reports
 exactly this breakdown (Page Expand / Patch Gen & Exec / Register Patch /
@@ -21,7 +36,7 @@ w/o expand" — is the same numbers with the expansion column removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.errors import KernelError, MoveError
@@ -33,6 +48,7 @@ from repro.resilience.journal import (
     STEP_PATCH_REGISTERS,
     STEP_REBASE_TRACKING,
     STEP_RESERVE,
+    MoveJournal,
 )
 from repro.runtime.allocation_table import Allocation, AllocationTable
 from repro.runtime.escape_map import AllocationToEscapeMap
@@ -60,8 +76,6 @@ class MemoryInterface(Protocol):
     def read_u64(self, address: int) -> int: ...
 
     def write_u64(self, address: int, value: int) -> None: ...
-
-    def copy(self, src: int, dst: int, length: int) -> None: ...
 
     def read_bytes(self, address: int, length: int) -> bytes: ...
 
@@ -263,144 +277,39 @@ class Patcher:
         plan: MovePlan,
         destination: int,
         register_snapshots: Optional[List[RegisterSnapshot]] = None,
-        flush_escapes: bool = True,
-        journal=None,
-        fault_hook=None,
+        *,
+        journal: MoveJournal,
+        fault_hook=_no_hook,
     ) -> MoveCost:
         """Patch every escape and register, move the data, rebase the
         tracking structures.  Returns the cycle cost breakdown.
 
-        ``journal`` (a :class:`~repro.resilience.journal.MoveJournal`)
-        makes every mutation undoable; ``fault_hook(step, progress)`` is
-        the transaction's fault surface, fired at each step boundary and
-        after every mid-step item (so torn faults can land between two
-        escapes, two register frames, or the two halves of the copy).
+        ``journal`` makes every mutation undoable; ``fault_hook(step,
+        progress)`` is the transaction's fault surface, fired at each
+        step boundary and after every mid-step item (so torn faults can
+        land between two escapes, two register frames, or the two halves
+        of the copy).
         """
         if destination % PAGE_SIZE:
             raise KernelError("destination must be page-aligned")
-        hook = fault_hook if fault_hook is not None else _no_hook
         self._validate_destination(destination, plan.length)
+        costs = self.costs
         delta = destination - plan.lo
-        cost = MoveCost()
-        cost.page_expand = plan.expand_lookups * self.costs.expand_lookup + len(
-            plan.allocations
-        ) * self.costs.expand_lookup // 4
-
-        # Escape records are batched; a move forces resolution first.
-        # Resolution is not journaled: it is semantically idempotent (a
-        # rolled-back retry re-flushes to a no-op, and the resolved map is
-        # exactly what a batch-limit flush would have produced anyway).
-        hook(STEP_ESCAPE_FLUSH)
-        if flush_escapes:
-            self.escapes.flush(self.table, self.memory.read_u64)
-
-        # Patch escapes (step 7-8): swizzle every pointer into the source
-        # range to its post-move address.
-        hook(STEP_PATCH_ESCAPES)
-        patch_sites = [
-            (allocation, location)
-            for allocation in plan.allocations
-            for location in self.escapes.escapes_of(allocation)
-        ]
-        patched_escapes = 0
-        for index, (allocation, location) in enumerate(patch_sites):
-            current = self.memory.read_u64(location)
-            if allocation.address <= current < allocation.end:
-                if journal is not None:
-                    journal.log_u64(
-                        STEP_PATCH_ESCAPES, self.memory, location, current
-                    )
-                self.memory.write_u64(location, current + delta)
-                patched_escapes += 1
-            # Stale entry (cell was overwritten): skip, drop lazily.
-            hook(STEP_PATCH_ESCAPES, (index + 1, len(patch_sites)))
-        cost.patch_gen_exec = (
-            patched_escapes * self.costs.patch_escape
-            + len(plan.allocations) * 4  # escape-set lookups
+        self._flush_escapes(fault_hook)
+        escapes = self._patch_escapes(plan.allocations, delta, journal, fault_hook)
+        registers = self._patch_registers(
+            register_snapshots, plan.lo, plan.hi, delta, journal, fault_hook
         )
-
-        # Patch registers (step 9).
-        hook(STEP_PATCH_REGISTERS)
-        snapshots = register_snapshots or []
-        patched_registers = 0
-        for index, snapshot in enumerate(snapshots):
-            if journal is not None:
-                journal.log_registers(STEP_PATCH_REGISTERS, snapshot)
-            patched_registers += snapshot.patch(plan.lo, plan.hi, delta)
-            hook(STEP_PATCH_REGISTERS, (index + 1, len(snapshots)))
-        cost.register_patch = patched_registers * self.costs.patch_register
-
-        # Move the bytes (step 10).  Under a journal the copy is split so
-        # a torn fault can land between its halves: the source is read in
-        # full *first* (memmove semantics survive overlapping ranges) and
-        # the destination's prior image is journaled for rollback.
-        hook(STEP_COPY_DATA)
-        if journal is not None:
-            journal.log_image(STEP_COPY_DATA, self.memory, destination, plan.length)
-            image = self.memory.read_bytes(plan.lo, plan.length)
-            half = max(1, plan.length // 2)
-            self.memory.write_bytes(destination, image[:half])
-            hook(STEP_COPY_DATA, (1, 2))
-            self.memory.write_bytes(destination + half, image[half:])
-            hook(STEP_COPY_DATA, (2, 2))
-        else:
-            self.memory.copy(plan.lo, destination, plan.length)
-        cost.alloc_and_move = int(
-            self.costs.move_alloc_fixed + self.costs.move_per_byte * plan.length
+        self._copy(plan.lo, destination, plan.length, journal, fault_hook)
+        self._rebase(plan, delta, journal, fault_hook)
+        return MoveCost(
+            page_expand=self._expand_cycles(plan),
+            patch_gen_exec=escapes * costs.patch_escape + len(plan.allocations) * 4,
+            register_patch=registers * costs.patch_register,
+            alloc_and_move=int(
+                costs.move_alloc_fixed + costs.move_per_byte * plan.length
+            ),
         )
-
-        # Rebase tracking structures (steps 11-12).  When the destination
-        # range overlaps the source, one allocation's new base can equal
-        # another's not-yet-rebased base: rebase in delta-directed order so
-        # the colliding key is always vacated first, and rekey the escape
-        # map as one batch (detach every old key, then install new ones).
-        # The per-allocation undos run newest-first on rollback, which is
-        # the reverse of the delta-directed order — collision-free for the
-        # same reason the forward order is.
-        hook(STEP_REBASE_TRACKING)
-        rekeys: List[Tuple[int, int]] = []
-        ordered = sorted(
-            plan.allocations, key=lambda a: a.address, reverse=delta > 0
-        )
-        for index, allocation in enumerate(ordered):
-            old_address = allocation.address
-            if journal is not None:
-                journal.record(
-                    STEP_REBASE_TRACKING,
-                    f"rebase allocation back to {old_address:#x}",
-                    lambda a=allocation, o=old_address: self.table.rebase(a, o),
-                )
-            self.table.rebase(allocation, old_address + delta)
-            rekeys.append((old_address, allocation.address))
-            hook(STEP_REBASE_TRACKING, (index + 1, len(ordered)))
-        if journal is not None:
-            journal.record(
-                STEP_REBASE_TRACKING,
-                "rekey escape map back to pre-move bases",
-                lambda pairs=[(n, o) for o, n in rekeys]: self.escapes.rekey_all(
-                    pairs
-                ),
-            )
-        self.escapes.rekey_all(rekeys)
-        # Escape cells that themselves lived in the moved range now sit at
-        # new addresses; rewrite their recorded locations.  The undo uses
-        # the *exact* inverse location pairs, not an inverse window — a
-        # window would also drag along stale cells that already sat in the
-        # destination range before the move.
-        if journal is not None:
-            inverse = [
-                (loc + delta, loc)
-                for loc in self.escapes.locations_in_range(plan.lo, plan.hi)
-            ]
-            journal.record(
-                STEP_REBASE_TRACKING,
-                "rewrite escape locations back to the source range",
-                lambda moves=inverse: self.escapes.rewrite_locations(moves),
-            )
-        self.escapes.rewrite_range(plan.lo, plan.hi, delta)
-        if self.regions is not None:
-            self.regions.bump_generation()
-        return cost
 
     # -- allocation granularity (Section 6) ------------------------------------------
 
@@ -409,9 +318,9 @@ class Patcher:
         allocation: Allocation,
         destination: int,
         register_snapshots: Optional[List[RegisterSnapshot]] = None,
-        flush_escapes: bool = True,
-        journal=None,
-        fault_hook=None,
+        *,
+        journal: MoveJournal,
+        fault_hook=_no_hook,
     ) -> MoveCost:
         """Move one *allocation* (not its pages) — the paper's future-work
         design (Section 6): no page-set negotiation, no expansion, and the
@@ -420,85 +329,53 @@ class Patcher:
         disappears.  Returns a cost breakdown with ``page_expand == 0``.
 
         ``journal``/``fault_hook`` work exactly as in :meth:`execute_move`.
+        The kernel refuses a destination that overlaps the allocation.
         """
-        cost = MoveCost()
-        delta = destination - allocation.address
-        if delta == 0:
-            return cost
-        hook = fault_hook if fault_hook is not None else _no_hook
-        hook(STEP_ESCAPE_FLUSH)
-        if flush_escapes:
-            self.escapes.flush(self.table, self.memory.read_u64)
+        costs = self.costs
         lo, hi = allocation.address, allocation.end
-
-        hook(STEP_PATCH_ESCAPES)
-        sites = list(self.escapes.escapes_of(allocation))
-        patched = 0
-        for index, location in enumerate(sites):
-            current = self.memory.read_u64(location)
-            if lo <= current < hi:
-                if journal is not None:
-                    journal.log_u64(STEP_PATCH_ESCAPES, self.memory, location, current)
-                self.memory.write_u64(location, current + delta)
-                patched += 1
-            hook(STEP_PATCH_ESCAPES, (index + 1, len(sites)))
-        cost.patch_gen_exec = patched * self.costs.patch_escape + 4
-
-        hook(STEP_PATCH_REGISTERS)
-        snapshots = register_snapshots or []
-        patched_registers = 0
-        for index, snapshot in enumerate(snapshots):
-            if journal is not None:
-                journal.log_registers(STEP_PATCH_REGISTERS, snapshot)
-            patched_registers += snapshot.patch(lo, hi, delta)
-            hook(STEP_PATCH_REGISTERS, (index + 1, len(snapshots)))
-        cost.register_patch = patched_registers * self.costs.patch_register
-
-        hook(STEP_COPY_DATA)
-        if journal is not None:
-            journal.log_image(STEP_COPY_DATA, self.memory, destination, allocation.size)
-            image = self.memory.read_bytes(lo, allocation.size)
-            half = max(1, allocation.size // 2)
-            self.memory.write_bytes(destination, image[:half])
-            hook(STEP_COPY_DATA, (1, 2))
-            self.memory.write_bytes(destination + half, image[half:])
-            hook(STEP_COPY_DATA, (2, 2))
-        else:
-            self.memory.copy(lo, destination, allocation.size)
-        cost.alloc_and_move = int(
-            self.costs.move_alloc_fixed // 4
-            + self.costs.move_per_byte * allocation.size
+        delta = destination - lo
+        self._flush_escapes(fault_hook)
+        escapes = self._patch_escapes([allocation], delta, journal, fault_hook)
+        registers = self._patch_registers(
+            register_snapshots, lo, hi, delta, journal, fault_hook
         )
+        self._copy(lo, destination, allocation.size, journal, fault_hook)
 
-        hook(STEP_REBASE_TRACKING)
-        old_address = allocation.address
-        if journal is not None:
-            journal.record(
-                STEP_REBASE_TRACKING,
-                f"rebase allocation back to {old_address:#x}",
-                lambda a=allocation, o=old_address: self.table.rebase(a, o),
-            )
-            journal.record(
-                STEP_REBASE_TRACKING,
-                f"rekey escape map back to {old_address:#x}",
-                lambda d=destination, o=old_address: self.escapes.rekey(d, o),
-            )
-            inverse = [
-                (loc + delta, loc)
-                for loc in self.escapes.locations_in_range(lo, hi)
-            ]
-            journal.record(
-                STEP_REBASE_TRACKING,
-                "rewrite escape locations back to the old block",
-                lambda moves=inverse: self.escapes.rewrite_locations(moves),
-            )
+        # One allocation needs no delta-ordered rebase.  Its three undos
+        # are journaled before anything is mutated, and the progress hook
+        # fires after: a torn fault there rolls back all three.
+        fault_hook(STEP_REBASE_TRACKING)
+        journal.record(
+            STEP_REBASE_TRACKING,
+            f"rebase allocation back to {lo:#x}",
+            lambda a=allocation, o=lo: self.table.rebase(a, o),
+        )
+        journal.record(
+            STEP_REBASE_TRACKING,
+            f"rekey escape map back to {lo:#x}",
+            lambda d=destination, o=lo: self.escapes.rekey(d, o),
+        )
+        inverse = [
+            (loc + delta, loc) for loc in self.escapes.locations_in_range(lo, hi)
+        ]
+        journal.record(
+            STEP_REBASE_TRACKING,
+            "rewrite escape locations back to the old block",
+            lambda moves=inverse: self.escapes.rewrite_locations(moves),
+        )
         self.table.rebase(allocation, destination)
-        self.escapes.rekey(old_address, destination)
+        self.escapes.rekey(lo, destination)
         self.escapes.rewrite_range(lo, hi, delta)
-        hook(STEP_REBASE_TRACKING, (1, 1))
+        fault_hook(STEP_REBASE_TRACKING, (1, 1))
         # No generation bump: an allocation-granularity move shuffles bytes
         # *within* registered regions, so cached region geometry stays valid.
-        return cost
+        return MoveCost(
+            patch_gen_exec=escapes * costs.patch_escape + 4,
+            register_patch=registers * costs.patch_register,
+            alloc_and_move=int(
+                costs.move_alloc_fixed // 4 + costs.move_per_byte * allocation.size
+            ),
+        )
 
     # -- incremental movement (the bounded-pause protocol) -----------------------------
 
@@ -506,9 +383,10 @@ class Patcher:
         self,
         plan: MovePlan,
         destination: int,
-        journal=None,
-        fault_hook=None,
-        window=None,
+        *,
+        journal: MoveJournal,
+        window,
+        fault_hook=_no_hook,
     ) -> "IncrementalMove":
         """Start an incremental move: pre-copy and escape scanning run in
         chunks with the world *running* (``precopy_step``), and only the
@@ -520,18 +398,128 @@ class Patcher:
         self._validate_destination(destination, plan.length)
         return IncrementalMove(self, plan, destination, journal, fault_hook, window)
 
-    # -- convenience -----------------------------------------------------------------
+    # -- the protocol's steps, shared by every kind of move ----------------------------
 
-    def move_pages(
-        self,
-        lo: int,
-        hi: int,
-        destination: int,
-        register_snapshots: Optional[List[RegisterSnapshot]] = None,
-    ) -> Tuple[MovePlan, MoveCost]:
-        plan = self.plan_move(lo, hi)
-        cost = self.execute_move(plan, destination, register_snapshots)
-        return plan, cost
+    def _expand_cycles(self, plan: MovePlan) -> int:
+        """Step 4's cost: one lookup per expansion round, a quarter lookup
+        per allocation found."""
+        lookup = self.costs.expand_lookup
+        return plan.expand_lookups * lookup + len(plan.allocations) * lookup // 4
+
+    def _flush_escapes(self, hook) -> None:
+        """Resolve the batched escape records so the patch sees a complete
+        map.  Not journaled: resolution is idempotent (a rolled-back retry
+        re-flushes to a no-op, and the resolved map is exactly what a
+        batch-limit flush would have produced anyway)."""
+        hook(STEP_ESCAPE_FLUSH)
+        self.escapes.flush(self.table, self.memory.read_u64)
+
+    def _patch_escapes(
+        self, allocations, delta: int, journal: MoveJournal, hook
+    ) -> int:
+        """Steps 7-8: swizzle every escape still pointing into one of
+        ``allocations`` to its post-move address.  Returns the number
+        patched."""
+        memory = self.memory
+        hook(STEP_PATCH_ESCAPES)
+        sites = [
+            (allocation, location)
+            for allocation in allocations
+            for location in self.escapes.escapes_of(allocation)
+        ]
+        patched = 0
+        for index, (allocation, location) in enumerate(sites):
+            current = memory.read_u64(location)
+            if allocation.address <= current < allocation.end:
+                journal.log_u64(STEP_PATCH_ESCAPES, memory, location, current)
+                memory.write_u64(location, current + delta)
+                patched += 1
+            # Stale entry (cell was overwritten): skip, drop lazily.
+            hook(STEP_PATCH_ESCAPES, (index + 1, len(sites)))
+        return patched
+
+    def _patch_registers(
+        self, snapshots, lo: int, hi: int, delta: int, journal: MoveJournal, hook
+    ) -> int:
+        """Step 9: patch the register snapshots the threads dumped at the
+        world stop.  Returns the number of registers patched."""
+        hook(STEP_PATCH_REGISTERS)
+        snapshots = snapshots or []
+        patched = 0
+        for index, snapshot in enumerate(snapshots):
+            journal.log_registers(STEP_PATCH_REGISTERS, snapshot)
+            patched += snapshot.patch(lo, hi, delta)
+            hook(STEP_PATCH_REGISTERS, (index + 1, len(snapshots)))
+        return patched
+
+    def _copy(
+        self, source: int, destination: int, length: int, journal: MoveJournal,
+        hook, log_image: bool = True,
+    ) -> None:
+        """Step 10: move the bytes, split in two halves so a torn fault
+        can land between them.  The source is read in full *first*
+        (memmove semantics survive overlapping ranges).  The destination's
+        prior image is journaled for rollback unless the caller already
+        journaled it (``log_image=False``)."""
+        hook(STEP_COPY_DATA)
+        if log_image:
+            journal.log_image(STEP_COPY_DATA, self.memory, destination, length)
+        image = self.memory.read_bytes(source, length)
+        half = max(1, length // 2)
+        self.memory.write_bytes(destination, image[:half])
+        hook(STEP_COPY_DATA, (1, 2))
+        self.memory.write_bytes(destination + half, image[half:])
+        hook(STEP_COPY_DATA, (2, 2))
+
+    def _rebase(self, plan: MovePlan, delta: int, journal: MoveJournal, hook) -> None:
+        """Steps 11-12 for a page move: rebase the Allocation Table and the
+        escape map, then kill every guard cache keyed on the region
+        generation.
+
+        When the destination range overlaps the source, one allocation's
+        new base can equal another's not-yet-rebased base: rebase in
+        delta-directed order so the colliding key is always vacated
+        first, and rekey the escape map as one batch (detach every old
+        key, then install new ones).  The per-allocation undos run
+        newest-first on rollback, which is the reverse of the
+        delta-directed order — collision-free for the same reason the
+        forward order is."""
+        table, escapes = self.table, self.escapes
+        hook(STEP_REBASE_TRACKING)
+        rekeys: List[Tuple[int, int]] = []
+        ordered = sorted(plan.allocations, key=lambda a: a.address, reverse=delta > 0)
+        for index, allocation in enumerate(ordered):
+            old_address = allocation.address
+            journal.record(
+                STEP_REBASE_TRACKING,
+                f"rebase allocation back to {old_address:#x}",
+                lambda a=allocation, o=old_address: table.rebase(a, o),
+            )
+            table.rebase(allocation, old_address + delta)
+            rekeys.append((old_address, allocation.address))
+            hook(STEP_REBASE_TRACKING, (index + 1, len(ordered)))
+        journal.record(
+            STEP_REBASE_TRACKING,
+            "rekey escape map back to pre-move bases",
+            lambda pairs=[(n, o) for o, n in rekeys]: escapes.rekey_all(pairs),
+        )
+        escapes.rekey_all(rekeys)
+        # Escape cells that themselves lived in the moved range now sit at
+        # new addresses; rewrite their recorded locations.  The undo uses
+        # the *exact* inverse location pairs, not an inverse window — a
+        # window would also drag along stale cells that already sat in the
+        # destination range before the move.
+        inverse = [
+            (loc + delta, loc) for loc in escapes.locations_in_range(plan.lo, plan.hi)
+        ]
+        journal.record(
+            STEP_REBASE_TRACKING,
+            "rewrite escape locations back to the source range",
+            lambda moves=inverse: escapes.rewrite_locations(moves),
+        )
+        escapes.rewrite_range(plan.lo, plan.hi, delta)
+        if self.regions is not None:
+            self.regions.bump_generation()
 
 
 class IncrementalMove:
@@ -543,11 +531,11 @@ class IncrementalMove:
     therefore need no stop.  Each chunk does at most ``chunk_budget``
     cycles of escape scanning (patch-candidate generation) and data
     streaming.  The :meth:`flip` runs under the caller's world stop: it
-    re-scans escapes recorded while the window was open, patches escapes
-    and registers against *fresh* machine state, re-copies the whole
-    range (charging cycles only for pages dirtied since the pre-copy),
-    and rebases the tracking structures — exactly the serial tail, minus
-    the bulk copy that already streamed out.
+    re-scans escapes recorded while the window was open, then runs the
+    serial move's step code — patch escapes and registers against
+    *fresh* machine state, re-copy the whole range, rebase the tracking
+    structures — charging only the dirty share of the copy, since the
+    bulk already streamed out.
 
     Every mutation is journaled through the shared transaction journal,
     so a fault at any chunk boundary rolls the whole move back.
@@ -558,15 +546,15 @@ class IncrementalMove:
         patcher: Patcher,
         plan: MovePlan,
         destination: int,
-        journal=None,
-        fault_hook=None,
-        window=None,
+        journal: MoveJournal,
+        fault_hook,
+        window,
     ) -> None:
         self.patcher = patcher
         self.plan = plan
         self.destination = destination
         self.journal = journal
-        self.hook = fault_hook if fault_hook is not None else _no_hook
+        self.hook = fault_hook
         self.window = window
         self.cost = MoveCost()
         #: Cycles the flip itself cost (the stop-the-world share).
@@ -574,8 +562,7 @@ class IncrementalMove:
         self._sites_total: Optional[int] = None
         self._sites_scanned = 0
         self._bytes_copied = 0
-        self._fixed_charged = False
-        self._image_logged = False
+        self._copy_started = False
         self.done_precopy = False
 
     def precopy_step(self, chunk_budget: int) -> Optional[int]:
@@ -593,12 +580,8 @@ class IncrementalMove:
         if self._sites_total is None:
             # First chunk: the negotiation/expansion cost, plus an escape
             # flush so the scan sees a complete map.
-            self.hook(STEP_ESCAPE_FLUSH)
-            self.patcher.escapes.flush(self.patcher.table, memory.read_u64)
-            self.cost.page_expand = (
-                plan.expand_lookups * costs.expand_lookup
-                + len(plan.allocations) * costs.expand_lookup // 4
-            )
+            self.patcher._flush_escapes(self.hook)
+            self.cost.page_expand = self.patcher._expand_cycles(plan)
             spent += self.cost.page_expand
             self._sites_total = sum(
                 len(self.patcher.escapes.escapes_of(allocation))
@@ -622,17 +605,14 @@ class IncrementalMove:
             self.hook(STEP_PATCH_ESCAPES, (self._sites_scanned, self._sites_total))
 
         # Copy phase: stream source bytes into the reserved destination.
-        if not self._image_logged:
-            if self.journal is not None:
-                self.journal.log_image(
-                    STEP_COPY_DATA, memory, self.destination, plan.length
-                )
-            self._image_logged = True
-        if not self._fixed_charged:
-            fixed = int(self.patcher.costs.move_alloc_fixed)
+        if not self._copy_started:
+            self.journal.log_image(
+                STEP_COPY_DATA, memory, self.destination, plan.length
+            )
+            fixed = int(costs.move_alloc_fixed)
             self.cost.alloc_and_move += fixed
             spent += fixed
-            self._fixed_charged = True
+            self._copy_started = True
         per_byte = costs.move_per_byte
         remaining = plan.length - self._bytes_copied
         if remaining > 0:
@@ -666,114 +646,35 @@ class IncrementalMove:
         are in :attr:`flip_cycles`."""
         patcher = self.patcher
         costs = patcher.costs
-        memory = patcher.memory
         plan = fresh_plan
         delta = self.destination - plan.lo
-        journal = self.journal
-        hook = self.hook
-        window = self.window
-        flip_cycles = 0
+        journal, hook = self.journal, self.hook
 
         # Escapes recorded while the world ran re-scan now (the
-        # write-barrier dirty check); resolution itself is idempotent.
-        hook(STEP_ESCAPE_FLUSH)
-        patcher.escapes.flush(patcher.table, memory.read_u64)
-        dirty_escapes = window.dirty_escapes if window is not None else 0
-        rescan = dirty_escapes * max(1, costs.escape_record)
-        self.cost.patch_gen_exec += rescan
-        flip_cycles += rescan
-
-        # Patch escapes against fresh state (the pre-scan was the cost
-        # model; the machine is the authority).
-        hook(STEP_PATCH_ESCAPES)
-        patch_sites = [
-            (allocation, location)
-            for allocation in plan.allocations
-            for location in patcher.escapes.escapes_of(allocation)
-        ]
-        patched_escapes = 0
-        for index, (allocation, location) in enumerate(patch_sites):
-            current = memory.read_u64(location)
-            if allocation.address <= current < allocation.end:
-                if journal is not None:
-                    journal.log_u64(STEP_PATCH_ESCAPES, memory, location, current)
-                memory.write_u64(location, current + delta)
-                patched_escapes += 1
-            hook(STEP_PATCH_ESCAPES, (index + 1, len(patch_sites)))
-        exec_cost = (
-            patched_escapes * costs.patch_escape + len(plan.allocations) * 4
+        # write-barrier dirty check).
+        patcher._flush_escapes(hook)
+        rescan = self.window.dirty_escapes * max(1, costs.escape_record)
+        # Patch against fresh state: the pre-scan was the cost model; the
+        # machine is the authority.
+        escapes = patcher._patch_escapes(plan.allocations, delta, journal, hook)
+        registers = patcher._patch_registers(
+            register_snapshots, plan.lo, plan.hi, delta, journal, hook
         )
-        self.cost.patch_gen_exec += exec_cost
-        flip_cycles += exec_cost
-
-        # Patch registers from snapshots taken at *this* stop.
-        hook(STEP_PATCH_REGISTERS)
-        snapshots = register_snapshots or []
-        patched_registers = 0
-        for index, snapshot in enumerate(snapshots):
-            if journal is not None:
-                journal.log_registers(STEP_PATCH_REGISTERS, snapshot)
-            patched_registers += snapshot.patch(plan.lo, plan.hi, delta)
-            hook(STEP_PATCH_REGISTERS, (index + 1, len(snapshots)))
-        register_cost = patched_registers * costs.patch_register
-        self.cost.register_patch += register_cost
-        flip_cycles += register_cost
-
         # Reconcile the copy.  The escape patches above may have
         # rewritten cells *inside* the source range, and the program may
         # have written it between chunks — physically re-copy the whole
-        # range (memmove semantics; the destination's pre-move image is
-        # already journaled), charging cycles only for the dirty pages.
-        hook(STEP_COPY_DATA)
-        image = memory.read_bytes(plan.lo, plan.length)
-        half = max(1, plan.length // 2)
-        memory.write_bytes(self.destination, image[:half])
-        hook(STEP_COPY_DATA, (1, 2))
-        memory.write_bytes(self.destination + half, image[half:])
-        hook(STEP_COPY_DATA, (2, 2))
-        dirty_pages = len(window.dirty_pages) if window is not None else 0
-        recopy = int(costs.move_per_byte * dirty_pages * PAGE_SIZE)
-        self.cost.alloc_and_move += recopy
-        flip_cycles += recopy
-
-        # Rebase tracking structures — identical to the serial tail.
-        hook(STEP_REBASE_TRACKING)
-        rekeys: List[Tuple[int, int]] = []
-        ordered = sorted(
-            plan.allocations, key=lambda a: a.address, reverse=delta > 0
+        # range (the pre-copy already journaled the destination's image),
+        # charging cycles only for the dirty pages.
+        patcher._copy(
+            plan.lo, self.destination, plan.length, journal, hook, log_image=False
         )
-        for index, allocation in enumerate(ordered):
-            old_address = allocation.address
-            if journal is not None:
-                journal.record(
-                    STEP_REBASE_TRACKING,
-                    f"rebase allocation back to {old_address:#x}",
-                    lambda a=allocation, o=old_address: patcher.table.rebase(a, o),
-                )
-            patcher.table.rebase(allocation, old_address + delta)
-            rekeys.append((old_address, allocation.address))
-            hook(STEP_REBASE_TRACKING, (index + 1, len(ordered)))
-        if journal is not None:
-            journal.record(
-                STEP_REBASE_TRACKING,
-                "rekey escape map back to pre-move bases",
-                lambda pairs=[(n, o) for o, n in rekeys]: patcher.escapes.rekey_all(
-                    pairs
-                ),
-            )
-        patcher.escapes.rekey_all(rekeys)
-        if journal is not None:
-            inverse = [
-                (loc + delta, loc)
-                for loc in patcher.escapes.locations_in_range(plan.lo, plan.hi)
-            ]
-            journal.record(
-                STEP_REBASE_TRACKING,
-                "rewrite escape locations back to the source range",
-                lambda moves=inverse: patcher.escapes.rewrite_locations(moves),
-            )
-        patcher.escapes.rewrite_range(plan.lo, plan.hi, delta)
-        if patcher.regions is not None:
-            patcher.regions.bump_generation()
-        self.flip_cycles = flip_cycles
+        recopy = int(costs.move_per_byte * len(self.window.dirty_pages) * PAGE_SIZE)
+        patcher._rebase(plan, delta, journal, hook)
+
+        patch_cost = rescan + escapes * costs.patch_escape + len(plan.allocations) * 4
+        register_cost = registers * costs.patch_register
+        self.cost.patch_gen_exec += patch_cost
+        self.cost.register_patch += register_cost
+        self.cost.alloc_and_move += recopy
+        self.flip_cycles = patch_cost + register_cost + recopy
         return self.cost

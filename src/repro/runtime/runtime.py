@@ -10,15 +10,19 @@ interface to the kernel:
   region landing zone through a pluggable guard mechanism, raising
   :class:`~repro.errors.ProtectionFault` (the analog of a #GP) on failure
   and accounting every guard's cycles;
-* **mapping** — ``service_move_request`` runs the Figure 8 protocol:
-  world-stop, negotiate, patch, move, resume.
+* **mapping** — ``world_stop``/``resume`` bracket a move, and
+  ``patcher`` (:class:`~repro.runtime.patching.Patcher`) runs its
+  runtime steps: negotiate, patch, copy, rebase.  The kernel drives the
+  whole Figure 8 protocol: ``Kernel.request_page_move`` runs
+  :func:`~repro.resilience.transaction.execute_page_move` as a
+  transaction, which calls ``Patcher.execute_move``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import ProtectionFault, SafetyFault
 from repro.machine.costs import DEFAULT_COSTS, CostModel
@@ -28,9 +32,7 @@ from repro.runtime.patching import (
     PAGE_SIZE,
     MemoryInterface,
     MoveCost,
-    MovePlan,
     Patcher,
-    RegisterSnapshot,
 )
 
 from repro.runtime.regions import (
@@ -536,23 +538,6 @@ class CaratRuntime:
     @property
     def is_stopped(self) -> bool:
         return self._stopped
-
-    def service_move_request(
-        self,
-        lo: int,
-        hi: int,
-        destination: int,
-        register_snapshots: Optional[List[RegisterSnapshot]] = None,
-    ) -> Tuple[MovePlan, MoveCost]:
-        """Steps 4-12 for one move request.  The caller (kernel module) is
-        responsible for the world-stop bracket and for updating the region
-        set afterwards."""
-        plan, cost = self.patcher.move_pages(
-            lo, hi, destination, register_snapshots
-        )
-        self.stats.moves_serviced += 1
-        self.stats.move_cost_accum = self.stats.move_cost_accum + cost
-        return plan, cost
 
     # ------------------------------------------------------------------
     # Introspection (feasibility figures)

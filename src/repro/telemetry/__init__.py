@@ -9,10 +9,10 @@ This package is the observability substrate every layer reports through:
   as JSONL or Chrome ``trace_event`` JSON.  Compiler passes, guard
   checks, Figure-8 protocol steps, policy epochs, and the resilience
   machinery all emit through it when a tracer is attached;
-* :mod:`repro.telemetry.metrics` — counters, gauges, and histograms in
-  a :class:`MetricsRegistry` that also absorbs the per-layer stats
-  dataclasses (``InterpStats``, ``RuntimeStats``, ``KernelStats``,
-  ``EscapeStats``) behind one ``snapshot()``/``to_dict()`` schema;
+* :mod:`repro.telemetry.metrics` — a :class:`MetricsRegistry` that
+  absorbs the per-layer stats dataclasses (``InterpStats``,
+  ``RuntimeStats``, ``KernelStats``, ``EscapeStats``) behind one
+  ``to_dict()`` schema, and the ``carat.run.v1`` run snapshot;
 * :mod:`repro.telemetry.profiler` — a cycle-attributed profiler that
   buckets the interpreter's simulated-cycle spend (app compute, guards,
   tracking, MMU/TLB, page faults, tiering) per function and per
@@ -26,22 +26,13 @@ emitter ever touches ``stats.cycles``, so a run with tracing or
 profiling enabled is cycle-identical to one without.
 """
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    run_snapshot,
-)
+from repro.telemetry.metrics import MetricsRegistry, run_snapshot
 from repro.telemetry.profiler import PROFILE_CATEGORIES, CycleProfiler
 from repro.telemetry.schema import TRACE_SCHEMA, validate_events, validate_jsonl
 from repro.telemetry.tracer import TraceEvent, Tracer
 
 __all__ = [
-    "Counter",
     "CycleProfiler",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "PROFILE_CATEGORIES",
     "TRACE_SCHEMA",

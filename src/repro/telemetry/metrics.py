@@ -1,18 +1,13 @@
-"""The metrics registry: counters, gauges, histograms, one schema.
+"""The metrics registry: every layer's stats under one schema.
 
-Before this layer existed, four ad-hoc stats dataclasses
-(``InterpStats``, ``RuntimeStats``, ``KernelStats``, ``EscapeStats``)
-each had their own shape and only the CLI ``--stats`` printer knew how
-to read them.  The registry gives them one uniform surface:
+Four stats dataclasses (``InterpStats``, ``RuntimeStats``,
+``KernelStats``, ``EscapeStats``) each have their own shape.  The
+registry gives them one uniform surface:
 
-* :class:`Counter` / :class:`Gauge` / :class:`Histogram` — primitives a
-  layer can allocate by name (get-or-create, so emitters never need to
-  coordinate registration);
 * :meth:`MetricsRegistry.absorb` — fold any object with a ``to_dict()``
-  (all four stats dataclasses grow one in this PR) into the registry
-  under a prefix;
-* :meth:`MetricsRegistry.snapshot` — flat ``{dotted.name: value}``
-  mapping, and :meth:`MetricsRegistry.to_dict` — the nested form;
+  (or any dataclass) into the registry under a prefix;
+* :meth:`MetricsRegistry.to_dict` — the nested ``{prefix: section}``
+  form;
 * :func:`run_snapshot` — one call that turns a finished ``RunResult``
   into the ``carat.run.v1`` document benchmarks, the sanitizer report,
   and CI all read.
@@ -21,7 +16,7 @@ to read them.  The registry gives them one uniform surface:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+from typing import Dict
 
 #: Version tag on every run snapshot so downstream readers can detect drift.
 RUN_SNAPSHOT_SCHEMA = "carat.run.v1"
@@ -42,119 +37,11 @@ def _stats_dict(obj) -> dict:
     raise TypeError(f"{type(obj).__name__} has no to_dict() and is not a dataclass")
 
 
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
-        self.value += amount
-
-    def snapshot(self):
-        return self.value
-
-
-class Gauge:
-    """A point-in-time value (may go up or down)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-
-    def add(self, delta) -> None:
-        self.value += delta
-
-    def snapshot(self):
-        return self.value
-
-
-class Histogram:
-    """Power-of-two bucketed distribution of non-negative integers.
-
-    Bucket ``i`` counts observations in ``[2**(i-1), 2**i)`` (bucket 0
-    counts zeros and ones are in bucket 1 — i.e. bucket index is the
-    observation's bit length).  Cheap, dependency-free, and good enough
-    to see orders of magnitude in cycle costs.
-    """
-
-    __slots__ = ("name", "buckets", "count", "total", "min", "max")
-
-    def __init__(self, name: str, max_buckets: int = 64) -> None:
-        self.name = name
-        self.buckets: List[int] = [0] * max_buckets
-        self.count = 0
-        self.total = 0
-        self.min: Optional[int] = None
-        self.max: Optional[int] = None
-
-    def observe(self, value: int) -> None:
-        if value < 0:
-            raise ValueError("histogram observations must be non-negative")
-        index = min(value.bit_length(), len(self.buckets) - 1)
-        self.buckets[index] += 1
-        self.count += 1
-        self.total += value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def snapshot(self) -> dict:
-        highest = max(
-            (i for i, n in enumerate(self.buckets) if n), default=-1
-        )
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "buckets": self.buckets[: highest + 1],
-        }
-
-
 class MetricsRegistry:
-    """Get-or-create registry of named metrics plus absorbed stats."""
+    """Absorbed stats sections, keyed by prefix."""
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
         self._absorbed: Dict[str, dict] = {}
-
-    def _get_or_create(self, name: str, cls):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name)
-            self._metrics[name] = metric
-        elif not isinstance(metric, cls):
-            raise TypeError(
-                f"metric {name!r} already registered as "
-                f"{type(metric).__name__}, not {cls.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        return self._get_or_create(name, Counter)
-
-    def gauge(self, name: str) -> Gauge:
-        return self._get_or_create(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        return self._get_or_create(name, Histogram)
 
     def absorb(self, prefix: str, stats) -> None:
         """Fold a stats object (``to_dict()`` or dataclass) in under
@@ -162,34 +49,12 @@ class MetricsRegistry:
         are point-in-time)."""
         self._absorbed[prefix] = _stats_dict(stats)
 
-    # -- reading ---------------------------------------------------------
-
     def to_dict(self) -> dict:
-        """Nested form: absorbed sections by prefix + a ``metrics``
-        section of live primitives."""
-        out: Dict[str, dict] = {}
-        for prefix, section in sorted(self._absorbed.items()):
-            out[prefix] = dict(section)
-        if self._metrics:
-            out["metrics"] = {
-                name: metric.snapshot()
-                for name, metric in sorted(self._metrics.items())
-            }
-        return out
-
-    def snapshot(self) -> Dict[str, object]:
-        """Flat ``{dotted.name: scalar-or-dict}`` view of everything."""
-        flat: Dict[str, object] = {}
-
-        def _flatten(prefix: str, value) -> None:
-            if isinstance(value, dict):
-                for key, sub in value.items():
-                    _flatten(f"{prefix}.{key}" if prefix else str(key), sub)
-            else:
-                flat[prefix] = value
-
-        _flatten("", self.to_dict())
-        return flat
+        """Nested form: absorbed sections by prefix, sorted."""
+        return {
+            prefix: dict(section)
+            for prefix, section in sorted(self._absorbed.items())
+        }
 
 
 def run_snapshot(result) -> dict:

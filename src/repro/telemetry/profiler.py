@@ -78,12 +78,10 @@ class _ProfiledFrames(list):
 class CycleProfiler:
     """Span profiler over ``InterpStats``' cycle counters."""
 
-    def __init__(self, pid: int = 0) -> None:
-        #: Owning tenant's PID (the trace events' ``pid`` lane convention):
-        #: a multi-tenant scheduler builds one profiler per tenant and
-        #: stamps it, so every bucket in ``to_dict`` names its owner.
-        #: Single-process runs leave it at 0.
-        self.pid = pid
+    def __init__(self) -> None:
+        #: The profiled process's PID (the trace events' ``pid`` lane
+        #: convention), stamped by :meth:`attach`.
+        self.pid = 0
         #: category -> cycles, filled by :meth:`finish` from the function
         #: rows plus external attribution.
         self.buckets: Dict[str, int] = {c: 0 for c in PROFILE_CATEGORIES}
@@ -141,11 +139,9 @@ class CycleProfiler:
     def attach(self, interpreter) -> None:
         """Instrument an interpreter (any engine) and its runtime.
 
-        Adopts the interpreter's process PID when the profiler was not
-        already stamped, so per-tenant profiles label themselves.
-        Attach after any set-up that installs a tick hook: the hook
-        installed here is bracketed, so its cycles stay out of every
-        function row.
+        Stamps the interpreter's process PID on the profile.  Attach
+        after any set-up that installs a tick hook: the hook installed
+        here is bracketed, so its cycles stay out of every function row.
 
         Everything installed here is an *instance* attribute shadowing a
         class method — detaching is just never attaching; no class or
@@ -153,8 +149,7 @@ class CycleProfiler:
         are unaffected.
         """
         interpreter.profiler = self  # the trace tier reads this
-        if not self.pid:
-            self.pid = interpreter.process.pid
+        self.pid = interpreter.process.pid
         self._stats = interpreter.stats
         frames = _ProfiledFrames(interpreter.frames)
         frames._switch = self.switch_span

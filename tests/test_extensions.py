@@ -4,11 +4,11 @@
 import pytest
 
 from repro.carat import compile_carat
-from repro.errors import KernelError, ProtectionFault
+from repro.errors import KernelError, MoveError, ProtectionFault
 from repro.kernel import Kernel
 from repro.kernel.pagetable import PAGE_SIZE
 from repro.machine.interp import Interpreter
-from tests.conftest import LINKED_LIST_SOURCE
+from tests.conftest import LINKED_LIST_SOURCE, machine_fingerprint
 
 
 class TestAllocationGranularityMoves:
@@ -69,6 +69,25 @@ class TestAllocationGranularityMoves:
         # The savings come from expansion + bulk movement, as Table 3's
         # "w/o expand" column projects.
         assert alloc_cost.alloc_and_move < page_cost.alloc_and_move
+        interp.run_steps(10_000_000)
+        assert interp.output == [str(sum(range(40)))]
+
+    def test_move_onto_itself_is_refused_at_admission(self):
+        # Regression: a destination equal to the allocation's own address
+        # used to skip the copy and then free the block in the heap while
+        # the Allocation Table kept it live.
+        kernel, process, interp = self._loaded()
+        victim = process.runtime.worst_case_allocation()
+        before = machine_fingerprint(kernel, process)
+        for destination in (victim.address, victim.address + 8, victim.address - 8):
+            with pytest.raises(MoveError) as info:
+                kernel.request_allocation_move(
+                    process, victim, destination=destination
+                )
+            assert info.value.step == "admission"
+        assert kernel.stats.moves_attempted == 0
+        assert machine_fingerprint(kernel, process) == before
+        assert not process.runtime.is_stopped
         interp.run_steps(10_000_000)
         assert interp.output == [str(sum(range(40)))]
 

@@ -32,6 +32,7 @@ from repro.machine.codegen import GLOBALS, Writer, emit_op
 from repro.machine import fastexec
 from repro.machine.fastexec import compile_module
 from repro.machine.session import CaratSession, RunConfig
+from repro.resilience import MoveJournal
 from repro.runtime import (
     PERM_RW,
     CaratRuntime,
@@ -254,7 +255,7 @@ class TestGuardCacheInvalidation:
         runtime.guard_access(0x4100, 8, "read", cell)
         generation = regions.version
         plan = runtime.patcher.plan_move(0x4000, 0x5000)
-        runtime.patcher.execute_move(plan, 0x9000)
+        runtime.patcher.execute_move(plan, 0x9000, journal=MoveJournal())
         assert regions.version > generation
         runtime.guard_access(0x4100, 8, "read", cell)
         assert runtime.stats.region_cache_invalidations == 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import KernelError, ProtectionFault
 from repro.kernel.physmem import PhysicalMemory
+from repro.resilience import MoveJournal
 from repro.runtime import (
     PAGE_SIZE,
     AllocationTable,
@@ -84,7 +85,7 @@ class TestExecuteMove:
         patcher.escapes.record(0x20000)
 
         plan = patcher.plan_move(0x10000, 0x11000)
-        cost = patcher.execute_move(plan, 0x40000)
+        cost = patcher.execute_move(plan, 0x40000, journal=MoveJournal())
         # Data moved.
         assert memory.read_u64(0x40000) == 0xABCDEF
         # Escape patched.
@@ -106,7 +107,7 @@ class TestExecuteMove:
         # The cell is overwritten with a non-pointer before the move.
         memory.write_u64(0x20000, 7)
         plan = patcher.plan_move(0x10000, 0x11000)
-        patcher.execute_move(plan, 0x40000)
+        patcher.execute_move(plan, 0x40000, journal=MoveJournal())
         assert memory.read_u64(0x20000) == 7  # untouched
 
     def test_internal_pointer_cell_moves_and_patches(self, patcher, memory):
@@ -117,7 +118,7 @@ class TestExecuteMove:
         memory.write_u64(0x10008, 0x10010)  # A.next = B
         patcher.escapes.record(0x10008)
         plan = patcher.plan_move(0x10000, 0x11000)
-        patcher.execute_move(plan, 0x50000)
+        patcher.execute_move(plan, 0x50000, journal=MoveJournal())
         # A.next now lives at 0x50008 and must point to B's new home.
         assert memory.read_u64(0x50008) == 0x50010
         # And the escape map must have followed the cell.
@@ -128,7 +129,7 @@ class TestExecuteMove:
         patcher.table.add(0x10000, 64)
         snap = RegisterSnapshot(0, {"r1": 0x10020, "r2": 0x99999}, {"r1", "r2"})
         plan = patcher.plan_move(0x10000, 0x11000)
-        cost = patcher.execute_move(plan, 0x40000, [snap])
+        cost = patcher.execute_move(plan, 0x40000, [snap], journal=MoveJournal())
         assert snap.slots["r1"] == 0x40020
         assert snap.slots["r2"] == 0x99999
         assert cost.register_patch > 0
@@ -154,7 +155,7 @@ class TestExecuteMove:
         patcher.escapes.flush(patcher.table, memory.read_u64)
 
         plan = patcher.plan_move(0x10000, 0x12000)
-        patcher.execute_move(plan, 0x11000)  # slide up one page: overlap
+        patcher.execute_move(plan, 0x11000, journal=MoveJournal())  # slide up one page: overlap
 
         assert a.address == 0x11000
         assert b.address == 0x12000
@@ -170,7 +171,7 @@ class TestExecuteMove:
         a = patcher.table.add(0x10000, 64)
         b = patcher.table.add(0x11000, 64)
         plan = patcher.plan_move(0x10000, 0x12000)
-        patcher.execute_move(plan, 0x0F000)  # slide down one page
+        patcher.execute_move(plan, 0x0F000, journal=MoveJournal())  # slide down one page
         assert a.address == 0x0F000
         assert b.address == 0x10000
         patcher.table.check_invariants()
@@ -179,7 +180,7 @@ class TestExecuteMove:
         patcher.table.add(0x10000, 8)
         plan = patcher.plan_move(0x10000, 0x11000)
         with pytest.raises(KernelError):
-            patcher.execute_move(plan, 0x40001)
+            patcher.execute_move(plan, 0x40001, journal=MoveJournal())
 
     def test_move_cost_aggregation(self):
         from repro.runtime.patching import MoveCost
@@ -258,13 +259,3 @@ class TestCaratRuntime:
         empty = rt.tracking_footprint_bytes()
         rt.on_alloc(0x10000, 64)
         assert rt.tracking_footprint_bytes() > empty
-
-    def test_service_move_request(self, memory):
-        rt = self._runtime(memory)
-        rt.on_alloc(0x10000, 64)
-        memory.write_u64(0x50000, 0x10008)
-        rt.on_escape(0x50000)
-        plan, cost = rt.service_move_request(0x10000, 0x11000, 0x80000)
-        assert memory.read_u64(0x50000) == 0x80008
-        assert rt.stats.moves_serviced == 1
-        assert rt.stats.move_cost_accum.total == cost.total

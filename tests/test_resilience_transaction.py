@@ -261,7 +261,7 @@ class TestDestinationValidation:
         # Pick a page-aligned hole the frame allocator has NOT handed out.
         hole, _ = kernel.frames.free_runs(None)[-1]
         with pytest.raises(MoveError) as info:
-            patcher.execute_move(plan, hole * PAGE_SIZE)
+            patcher.execute_move(plan, hole * PAGE_SIZE, journal=MoveJournal())
         assert info.value.step == STEP_RESERVE
 
     def test_kernel_rejects_misaligned_or_oob_destination(self):

@@ -16,10 +16,7 @@ from repro.errors import InterpError
 from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry import (
     PROFILE_CATEGORIES,
-    Counter,
     CycleProfiler,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     Tracer,
     run_snapshot,
@@ -154,51 +151,16 @@ class TestSchemaValidation:
 
 
 class TestMetrics:
-    def test_counter_only_goes_up(self):
-        counter = Counter("moves")
-        counter.inc()
-        counter.inc(4)
-        assert counter.snapshot() == 5
-        with pytest.raises(ValueError):
-            counter.inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge("heat")
-        gauge.set(10)
-        gauge.add(-3)
-        assert gauge.snapshot() == 7
-
-    def test_histogram_buckets_by_bit_length(self):
-        hist = Histogram("move_cycles")
-        for value in (0, 1, 1, 5, 300):
-            hist.observe(value)
-        snap = hist.snapshot()
-        assert snap["count"] == 5
-        assert snap["min"] == 0 and snap["max"] == 300
-        assert snap["buckets"][0] == 1  # the zero
-        assert snap["buckets"][1] == 2  # the ones
-        assert snap["buckets"][3] == 1  # 5 has bit_length 3
-        assert snap["buckets"][9] == 1  # 300 has bit_length 9
-        with pytest.raises(ValueError):
-            hist.observe(-1)
-
-    def test_registry_get_or_create_is_idempotent(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-
     def test_registry_absorbs_stats_and_flattens(self):
         registry = MetricsRegistry()
+        registry.absorb("kernel", {"moves": 1})
         registry.absorb("kernel", {"moves": 3, "cost": {"copy": 7}})
-        registry.counter("epochs").inc(2)
-        nested = registry.to_dict()
-        assert nested["kernel"]["moves"] == 3
-        assert nested["metrics"]["epochs"] == 2
-        flat = registry.snapshot()
-        assert flat["kernel.moves"] == 3
-        assert flat["kernel.cost.copy"] == 7
-        assert flat["metrics.epochs"] == 2
+        registry.absorb("interp", {"cycles": 9})
+        # Sections sort by prefix; re-absorbing a prefix overwrites it.
+        assert registry.to_dict() == {
+            "interp": {"cycles": 9},
+            "kernel": {"moves": 3, "cost": {"copy": 7}},
+        }
 
     def test_run_snapshot_document(self):
         config = RunConfig(mode="carat", profile=True)
