@@ -674,15 +674,27 @@ class Kernel:
         destination: Optional[int] = None,
     ) -> None:
         """Admission control, before any work (no world stop, no attempt
-        counted): a range the DegradationManager has quarantined is
-        refused, and so is a range holding CoW-shared pages — shared
-        frames are pinned for everyone except the CoW-break service
-        itself (``reason="cow-break"``), which is *how* a page leaves
-        the share.  A known ``destination`` overlapping a live
+        counted): a source range the process's regions do not fully
+        cover is refused (a page moved away earlier left a hole there,
+        and its old frames are no longer the process's to copy or free),
+        so is a range the DegradationManager has quarantined, and so is
+        a range holding CoW-shared pages — shared frames are pinned for
+        everyone except the CoW-break service itself
+        (``reason="cow-break"``), which is *how* a page leaves the
+        share.  A known ``destination`` overlapping a live
         translation-client lease is refused too: an agent is streaming
         those bytes guard-free, so nothing may land on them (a *source*
         overlapping a lease is fine — the ``quiesce-agents`` step drains
         it mid-protocol)."""
+        hole = process.regions.first_hole(lo, hi)
+        if hole is not None:
+            raise MoveError(
+                f"{operation} of [{lo:#x}, {hi:#x}) refused: source is not "
+                f"mapped by the process (hole at {hole:#x})",
+                step="admission",
+                lo=lo,
+                hi=hi,
+            )
         if self.degradation is not None and not self.degradation.allows(lo, hi):
             raise MoveError(
                 f"{operation} of [{lo:#x}, {hi:#x}) refused: range is "

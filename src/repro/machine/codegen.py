@@ -705,8 +705,8 @@ def _load(e: _Op, inst: LoadInst) -> bool:
     e.line("stats.cycles += _cm")
     e.line("stats.loads += 1")
     e.tier()
-    e.line("if interp.access_probe is not None:")
-    e.line(f"interp.access_probe(_a, {size}, 'read')", 1)
+    e.line("if interp.heat_window is not None:")
+    e.line(f"interp.heat_window[_a >> {PAGE_SHIFT}] += 1", 1)
     # CARAT: read_bytes, unrolled — bounds check (the real accessor
     # raises the exact error), bandwidth accounting, slice.  An mmap
     # slice decodes the same as the bytes copy read_bytes returns.
@@ -752,8 +752,8 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     e.line("stats.cycles += _cm")
     e.line("stats.stores += 1")
     e.tier()
-    e.line("if interp.access_probe is not None:")
-    e.line(f"interp.access_probe(_a, {size}, 'write')", 1)
+    e.line("if interp.heat_window is not None:")
+    e.line(f"interp.heat_window[_a >> {PAGE_SHIFT}] += 1", 1)
     # CARAT: write_bytes, unrolled like the load's read_bytes; the
     # encoders always produce exactly ``size`` bytes, so the slice
     # assignment never resizes.

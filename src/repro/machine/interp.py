@@ -23,7 +23,7 @@ import math
 import struct
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, DefaultDict, Dict, List, Optional, Tuple, Union
 
 from repro.carat.intrinsics import (
     GUARD_CALL,
@@ -77,7 +77,7 @@ from repro.ir.values import (
 )
 from repro.kernel.kernel import Kernel
 from repro.kernel.mmu import PageFault
-from repro.kernel.pagetable import PAGE_SIZE
+from repro.kernel.pagetable import PAGE_SHIFT, PAGE_SIZE
 from repro.kernel.process import Process
 from repro.machine.costs import CostModel
 from repro.runtime.patching import RegisterSnapshot
@@ -216,13 +216,11 @@ class Interpreter:
         self.tick_hook: Optional[Callable[["Interpreter"], None]] = None
         self.tick_interval = 10_000
         self._next_tick = self.tick_interval
-        #: Access telemetry probe: called as (address, size, access) for
-        #: every load/store when installed (the policy engine's heat
-        #: tracker).  ``None`` keeps the hot path unchanged.  Contract: a
-        #: probe only observes — it writes no frame slot, because the
-        #: trace tier keeps values it computed in Python locals across
-        #: the call.
-        self.access_probe: Optional[Callable[[int, int, str], None]] = None
+        #: The policy engine's heat window (page -> accesses this
+        #: epoch), bound by :meth:`~repro.policy.heat.HeatTracker.install`:
+        #: every load and store bumps the page of its first byte, inline
+        #: on all three engines.  ``None`` when no tracker is installed.
+        self.heat_window: Optional[DefaultDict[int, int]] = None
         #: Attached :class:`~repro.telemetry.CycleProfiler` (set by its
         #: ``attach``, which swaps ``frames`` for a list that reports
         #: every push and pop — every engine's dispatch loop is the same
@@ -476,8 +474,8 @@ class Interpreter:
             self.stats.loads += 1
             if self._tier_boundary is not None:
                 self._charge_tier(address)
-            if self.access_probe is not None:
-                self.access_probe(address, size_of(inst.type), "read")
+            if self.heat_window is not None:
+                self.heat_window[address >> PAGE_SHIFT] += 1
             frame.values[id(inst)] = self._load_typed(address, inst.type)
         elif isinstance(inst, StoreInst):
             address = int(self._eval(frame, inst.pointer))
@@ -486,8 +484,8 @@ class Interpreter:
             self.stats.stores += 1
             if self._tier_boundary is not None:
                 self._charge_tier(address)
-            if self.access_probe is not None:
-                self.access_probe(address, size_of(inst.value.type), "write")
+            if self.heat_window is not None:
+                self.heat_window[address >> PAGE_SHIFT] += 1
             self._store_typed(address, inst.value.type, value)
         elif isinstance(inst, GEPInst):
             frame.values[id(inst)] = self._exec_gep(frame, inst)

@@ -36,8 +36,9 @@ changing a single observable number:
   when the type is known.  The map is cleared at every *invalidation
   point* — segment start (a tick hook may have patched any slot; calls
   and returns end segments) and after a fallback op; mid-segment, only
-  guards, tracking callbacks, ``_respec`` and the access probe run
-  foreign code, and none writes a frame slot.  ``frame.index`` is stored
+  generic guards, tracking callbacks and ``_respec`` run foreign code
+  (the heat-window bump of a load or store is inline), and none writes
+  a frame slot.  ``frame.index`` is stored
   only before an op that can raise or call out (loads, stores, guards,
   tracking intrinsics, fallbacks, calls, allocas, ``frem``, checked
   div/rem/shift, ``fptosi``, math builtins, reads under the
@@ -74,7 +75,12 @@ changing a single observable number:
   ``RegionSet.version`` — a page move, CoW break, or any region
   mutation bumps the generation and demotes the site to the generic
   runtime path, which re-specializes after its next allowed pass
-  (``trace_respecializations``);
+  (``trace_respecializations``).  Under MPX the cell also holds the
+  bounds-register reload cost: a valid, in-bounds access whose region
+  is not the one in the register charges it and loads the register
+  inline, exactly as ``MPXGuard.check_known`` would, so code that
+  alternates between regions (globals, heap, stack) stays on the trace.
+  Only the generic path searches, faults or re-specializes;
 * the guard optimizer's coverage lattice
   (:func:`repro.carat.guard_opt.guard_tag` /
   :func:`~repro.carat.guard_opt.guard_covered`) is re-run over the
@@ -163,15 +169,21 @@ class _SpecCell:
     ``gen == -1`` means "not specialized" and every comparison against a
     real ``RegionSet.version`` (which starts at 0 and only grows) fails,
     so the site takes the generic runtime path until it re-specializes.
+    Under MPX, ``costs`` pairs the bounds-register miss charge
+    (:meth:`~repro.runtime.regions.MPXGuard.reload_cycles`) with the hit
+    charge, indexed by whether the register holds ``region``.
     """
 
-    __slots__ = ("gen", "base", "end", "cycles", "leaf", "region", "access")
+    __slots__ = (
+        "gen", "base", "end", "cycles", "costs", "leaf", "region", "access",
+    )
 
     def __init__(self) -> None:
         self.gen = -1
         self.base = 0
         self.end = 0
         self.cycles = 0
+        self.costs = (0, 0)
         self.leaf = -1
         self.region = None
         self.access = "read"
@@ -205,6 +217,8 @@ def _respecialize(spec, cell, regions, mech, access, stats, tracer) -> None:
     spec.base = region.base
     spec.end = region.end
     spec.cycles = cycles
+    if mech.name == "mpx":
+        spec.costs = (mech.reload_cycles(regions), cycles)
     spec.leaf = region.base
     spec.access = access
     spec.gen = cell.gen
@@ -535,9 +549,7 @@ def _build_trace(
     def reads(ind: int, lines: List[str], operands, t: int) -> bool:
         return operand_reads(w, ind, lines, operands, t, ns, defined[-1])
 
-    if mech_name == "mpx":
-        mc = " and _mech._bound is _sc.region"
-    elif mech_name == "if_tree":
+    if mech_name == "if_tree":
         mc = " and (_mech.stride_hint or _mech._last_leaf == _sc.leaf)"
     else:
         mc = ""
@@ -553,15 +565,24 @@ def _build_trace(
         regs.clear()
 
     def emit_hit(ind: int) -> None:
-        # The steady-state hit: replicate exactly what the generic path
+        # The allowed access: replicate exactly what the generic path
         # would have charged and written (guards_executed, guard_cycles
-        # on both stats objects, the if-tree leaf predictor), minus the
-        # call.  `guard_checks_elided` is the only extra write, and it
-        # is an engine-descriptive counter outside the parity set.
+        # on both stats objects, the if-tree leaf predictor, the MPX
+        # bounds register), minus the call.  `guard_checks_elided` is
+        # the only extra write, and it is an engine-descriptive counter
+        # outside the parity set.
         if mech_name == "if_tree":
             w.line(ind, "_mech._last_leaf = _sc.leaf")
         w.line(ind, "_rs.guards_executed += 1")
-        w.line(ind, "_gc = _sc.cycles")
+        if mech_name == "mpx":
+            # A register holding another region costs check_known's
+            # search and reload, as constant as the hit.  Selected, not
+            # branched on: a branch per guard site grows the compile's
+            # peak memory.
+            w.line(ind, "_gc = _sc.costs[_mech._bound is _sc.region]")
+            w.line(ind, "_mech._bound = _sc.region")
+        else:
+            w.line(ind, "_gc = _sc.cycles")
         w.line(ind, "_rs.guard_cycles += _gc")
         w.line(ind, "stats.guard_cycles += _gc")
         w.line(ind, "stats.cycles += _gc")

@@ -7,7 +7,7 @@ this repo has the *mechanism* (:meth:`repro.kernel.kernel.Kernel.request_page_mo
 this package supplies the *policies* that drive it:
 
 * :mod:`repro.policy.heat` — per-page access-heat tracking with decay,
-  fed by the interpreter's access probe;
+  fed by every load and store through the interpreter's heat window;
 * :mod:`repro.policy.fragmentation` — scoring of the frame allocator's
   bitmap (free-run histogram, external-fragmentation index);
 * :mod:`repro.policy.compaction` — a budgeted defragmentation daemon

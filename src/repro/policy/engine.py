@@ -129,8 +129,8 @@ class PolicyEngine:
     # -- wiring ------------------------------------------------------------------
 
     def attach(self, interpreter) -> None:
-        """Hook the engine into an interpreter and its kernel: install
-        the heat tracker's access probe, chain a tick hook that forwards
+        """Hook the engine into an interpreter and its kernel: bind the
+        heat tracker's window, chain a tick hook that forwards
         cycle progress to :meth:`Kernel.advance_clock`, and register as
         the kernel's policy."""
         self.interpreter = interpreter

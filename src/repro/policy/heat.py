@@ -1,10 +1,10 @@
 """Per-page access-heat tracking (the policy engine's telemetry).
 
-The interpreter exposes an *access probe* — a callback invoked with
-``(address, size, access)`` for every load and store a CARAT process
-performs.  :class:`HeatTracker` counts every access in that stream,
-accumulates per-page counts for the current epoch, and folds them into
-exponentially decayed *heat scores* at each epoch boundary:
+:class:`HeatTracker` binds its current-epoch *window* (page -> access
+count) to the interpreter's ``heat_window``, and every load and store a
+CARAT process performs bumps the page of its first byte there, inline in
+each engine's access path — no call per access.  At each epoch boundary
+the tracker folds the window into exponentially decayed *heat scores*:
 
     score(page) <- score(page) * decay + accesses_this_epoch(page)
 
@@ -16,7 +16,8 @@ moves happen at allocation granularity.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from collections import defaultdict
+from typing import DefaultDict, Dict, List, Optional, Tuple
 
 from repro.kernel.pagetable import PAGE_SHIFT
 
@@ -34,33 +35,34 @@ class HeatTracker:
         self.decay = decay
         #: page -> decayed heat score (epochs before the current one).
         self.scores: Dict[int, float] = {}
-        #: page -> raw access count in the current epoch.
-        self.window: Dict[int, int] = {}
-        self.accesses_seen = 0
+        #: page -> raw access count in the current epoch.  The installed
+        #: interpreter bumps this very object, so it is only ever
+        #: mutated in place, never rebound.
+        self.window: DefaultDict[int, int] = defaultdict(int)
+        #: Accesses folded into ``scores`` by past epochs.
+        self._folded = 0
         self.epochs = 0
 
     # -- telemetry intake --------------------------------------------------------
 
+    @property
+    def accesses_seen(self) -> int:
+        """Every access observed so far, past epochs and the live window."""
+        return self._folded + sum(self.window.values())
+
     def observe(self, address: int, size: int, access: str) -> None:
-        """The interpreter's access probe.  Charges the access to the page
-        containing its *first* byte (a page-straddling access counts once,
-        like a PEBS record)."""
-        self.accesses_seen += 1
-        page = address >> PAGE_SHIFT
-        self.window[page] = self.window.get(page, 0) + 1
+        """Count one access by hand, exactly as the interpreter's inline
+        bump does: charged to the page containing its *first* byte (a
+        page-straddling access counts once, like a PEBS record)."""
+        self.window[address >> PAGE_SHIFT] += 1
 
     def install(self, interpreter) -> None:
-        """Attach to an interpreter, chaining any probe already there."""
-        previous = interpreter.access_probe
-        if previous is None:
-            interpreter.access_probe = self.observe
-            return
-
-        def chained(address: int, size: int, access: str) -> None:
-            previous(address, size, access)
-            self.observe(address, size, access)
-
-        interpreter.access_probe = chained
+        """Bind the window to an interpreter's ``heat_window``.  One
+        tracker per interpreter: a second install is refused, since two
+        trackers would split (or double) one access stream."""
+        if interpreter.heat_window is not None:
+            raise ValueError("interpreter already feeds a heat tracker")
+        interpreter.heat_window = self.window
 
     def rebase_range(self, lo: int, hi: int, delta: int) -> None:
         """Rekey heat for pages in ``[lo, hi)`` after those bytes moved
@@ -83,6 +85,7 @@ class HeatTracker:
     def end_epoch(self) -> None:
         """Decay old scores, fold in the current window, prune the cold."""
         self.epochs += 1
+        self._folded += sum(self.window.values())
         decayed: Dict[int, float] = {}
         for page, score in self.scores.items():
             score *= self.decay

@@ -47,6 +47,9 @@ class AllocationToEscapeMap:
     def __init__(self, batch_limit: int = 4096) -> None:
         #: allocation base address -> set of escape locations.
         self._escapes: Dict[int, Set[int]] = {}
+        #: Sum of the sets' sizes, kept current by every mutator so the
+        #: Figure 6 footprint costs O(1) per allocation and flush.
+        self._entries = 0
         #: pending (unresolved) escape locations.
         self._pending: List[int] = []
         self.batch_limit = batch_limit
@@ -82,7 +85,10 @@ class AllocationToEscapeMap:
             if allocation is None:
                 self.stats.stale_dropped += 1
                 continue
-            self._escapes.setdefault(allocation.address, set()).add(location)
+            locations = self._escapes.setdefault(allocation.address, set())
+            if location not in locations:
+                locations.add(location)
+                self._entries += 1
             resolved += 1
         self.stats.resolved += resolved
         return resolved
@@ -126,21 +132,17 @@ class AllocationToEscapeMap:
         pending buffer."""
         per_entry = 16  # hash set entry: pointer + bucket overhead
         per_set = 64  # set header
-        escapes = self._escapes
         return (
             len(self._pending) * 8
-            + per_set * len(escapes)
-            + per_entry * sum(map(len, escapes.values()))
+            + per_set * len(self._escapes)
+            + per_entry * self._entries
         )
 
     # -- maintenance --------------------------------------------------------------------
 
     def rekey(self, old_address: int, new_address: int) -> None:
         """Follow an allocation that was rebased by page movement."""
-        locations = self._escapes.pop(old_address, None)
-        if locations is not None:
-            existing = self._escapes.setdefault(new_address, set())
-            existing.update(locations)
+        self.rekey_all(((old_address, new_address),))
 
     def rekey_all(self, moves: Iterable[Tuple[int, int]]) -> None:
         """Batched :meth:`rekey` for a group move.  All old keys are
@@ -153,10 +155,32 @@ class AllocationToEscapeMap:
         ]
         for new_address, locations in detached:
             if locations is not None:
-                self._escapes.setdefault(new_address, set()).update(locations)
+                existing = self._escapes.setdefault(new_address, set())
+                # Sets merging on one key may share locations.
+                before = len(existing) + len(locations)
+                existing.update(locations)
+                self._entries += len(existing) - before
 
     def drop_allocation(self, address: int) -> None:
-        self._escapes.pop(address, None)
+        locations = self._escapes.pop(address, None)
+        if locations is not None:
+            self._entries -= len(locations)
+
+    def discard(self, address: int, location: int) -> None:
+        """Forget one resolved record of the allocation at ``address``."""
+        locations = self._escapes.get(address)
+        if locations is not None and location in locations:
+            locations.remove(location)
+            self._entries -= 1
+
+    def copy(self) -> "AllocationToEscapeMap":
+        """An independent map holding the same resolved and pending
+        records, with fresh stats."""
+        twin = AllocationToEscapeMap(batch_limit=self.batch_limit)
+        twin._escapes = {base: set(locs) for base, locs in self._escapes.items()}
+        twin._entries = self._entries
+        twin._pending = list(self._pending)
+        return twin
 
     def locations_in_range(self, lo: int, hi: int) -> List[int]:
         """Every recorded location (resolved or pending) in ``[lo, hi)``,
@@ -191,6 +215,7 @@ class AllocationToEscapeMap:
                 if target != loc:
                     rewritten += 1
                 updated.add(target)
+            self._entries += len(updated) - len(locations)
             self._escapes[address] = updated
         for i, loc in enumerate(self._pending):
             target = mapping.get(loc, loc)
@@ -214,6 +239,7 @@ class AllocationToEscapeMap:
                     rewritten += 1
                 else:
                     updated.add(loc)
+            self._entries += len(updated) - len(locations)
             self._escapes[address] = updated
         for i, loc in enumerate(self._pending):
             if lo <= loc < hi:

@@ -173,20 +173,11 @@ class RegionSet:
     def set_range_perms(self, lo: int, hi: int, perms: int) -> None:
         """Give [lo, hi) the permissions ``perms``, splitting and merging
         as needed.  The range must currently be covered by the set."""
-        covered = lo
-        for region in self._regions:
-            if region.end <= lo or hi <= region.base:
-                continue
-            if region.base > covered:
-                raise ValueError(
-                    f"range [{lo:#x}, {hi:#x}) is not fully covered "
-                    f"(hole at {covered:#x})"
-                )
-            covered = max(covered, region.end)
-        if covered < hi:
+        hole = self.first_hole(lo, hi)
+        if hole is not None:
             raise ValueError(
                 f"range [{lo:#x}, {hi:#x}) is not fully covered "
-                f"(hole at {covered:#x})"
+                f"(hole at {hole:#x})"
             )
         self.remove_range(lo, hi)
         self.add(Region(lo, hi - lo, perms))
@@ -213,6 +204,18 @@ class RegionSet:
         return merges
 
     # -- lookup (runtime-driven) -------------------------------------------------
+
+    def first_hole(self, lo: int, hi: int) -> Optional[int]:
+        """The lowest address of ``[lo, hi)`` no region covers, or
+        ``None`` when the regions cover the whole range."""
+        covered = lo
+        for region in self._regions:
+            if region.end <= lo or hi <= region.base:
+                continue
+            if region.base > covered:
+                return covered
+            covered = max(covered, region.end)
+        return covered if covered < hi else None
 
     def find(self, address: int) -> Optional[Region]:
         """Binary search for the region containing ``address``."""
@@ -440,7 +443,7 @@ class MPXGuard(GuardMechanism):
             return GuardOutcome(True, self.costs.mpx_guard, self._bound)
         # Bounds-register miss: fall back to binary search and reload the
         # register with the region that served the access.
-        cycles = self.costs.guard_cost("mpx", len(regions))
+        cycles = self.reload_cycles(regions)
         region = regions.find(address)
         allowed = (
             region is not None
@@ -471,17 +474,27 @@ class MPXGuard(GuardMechanism):
             # Regions are disjoint and both contain ``address``, so the
             # loaded bounds register necessarily holds ``region`` itself.
             return GuardOutcome(True, self.costs.mpx_guard, bound)
-        cycles = self.costs.guard_cost("mpx", len(regions))
+        cycles = self.reload_cycles(regions)
         allowed = address + size <= region.end and region.allows(access)
         if allowed:
             self._bound = region
         return GuardOutcome(allowed, cycles, region)
 
     def steady_cycles(self, regions: RegionSet) -> Optional[int]:
-        # Valid only while the bounds register still holds the region the
-        # specialization captured (a register reload by any interleaved
-        # guard must demote the site back to the generic path).
+        # The hit cost while the bounds register holds the region the
+        # specialization captured.  When it holds another one (an
+        # interleaved guard reloaded it), the allowed access pays
+        # :meth:`reload_cycles` instead and loads the register — the
+        # specialized check charges either without leaving the trace.
         return self.costs.mpx_guard
+
+    def reload_cycles(self, regions: RegionSet) -> int:
+        """Cycle charge of an allowed access whose region is not the one
+        in the bounds register: the software search plus the register
+        load.  :meth:`check` and :meth:`check_known` charge exactly this
+        on a register miss; it is constant per region geometry, so the
+        trace tier bakes it next to :meth:`steady_cycles`."""
+        return self.costs.guard_cost("mpx", len(regions))
 
 
 def make_guard(name: str, costs: CostModel = DEFAULT_COSTS) -> GuardMechanism:

@@ -14,6 +14,7 @@ CARAT run, while actually performing policy moves.
 import pytest
 
 from repro.kernel.kernel import Kernel
+from repro.resilience import DegradationManager
 from tests.support import run_carat
 from repro.policy import (
     CompactionDaemon,
@@ -102,3 +103,76 @@ def test_policy_engine_preserves_semantics(name):
     # policy move was audited at the change request that made it.
     assert plain.sanitizer.ok
     assert moved.sanitizer.ok and moved.sanitizer.checks_run > 0
+
+
+class _RecordingHeat(HeatTracker):
+    """A heat tracker that logs its state at every epoch boundary: the
+    window and access count the epoch closes with, then the scores it
+    folds them into."""
+
+    def __init__(self) -> None:
+        super().__init__(decay=0.5)
+        self.log = []
+
+    def end_epoch(self) -> None:
+        self.log.append((dict(self.window), self.accesses_seen))
+        super().end_epoch()
+        self.log.append((dict(self.scores), self.accesses_seen))
+
+
+def _heat_run(workload, engine_name):
+    """A ``repro policy --scatter`` run (compaction and tiering on a
+    tiered, pre-fragmented machine) on ``engine_name``; returns the
+    result, the engine and the heat tracker."""
+    kernel = Kernel(memory_size=8 * MB, fast_memory=1 * MB)
+    kernel.attach_degradation(DegradationManager())
+    heat = _RecordingHeat()
+    engine = None
+
+    def setup(interpreter):
+        nonlocal engine
+        process = interpreter.process
+        scatter_capsule(kernel, process, interpreter=interpreter)
+        engine = PolicyEngine(
+            kernel,
+            process,
+            epoch_cycles=20_000,
+            heat=heat,
+            compaction=CompactionDaemon(kernel, process),
+            tiering=TieringBalancer(
+                kernel, process, heat, max_allocation_pages=40
+            ),
+        )
+        engine.attach(interpreter)
+
+    result = run_carat(
+        workload.source,
+        kernel=kernel,
+        name=workload.name,
+        heap_size=512 * 1024,
+        stack_size=128 * 1024,
+        setup=setup,
+        engine=engine_name,
+    )
+    return result, engine, heat
+
+
+@pytest.mark.parametrize("name", ["mcf", "hpccg"])
+def test_heat_window_is_identical_on_every_engine(name):
+    # Every engine bumps the heat window inline on each load and store;
+    # the policy reads it only at epoch boundaries, so the window,
+    # scores and access count must agree there, epoch by epoch.
+    workload = get_workload(name, "tiny")
+    runs = {e: _heat_run(workload, e) for e in ("reference", "fast", "trace")}
+    reference, engine, heat = runs["reference"]
+    assert engine.stats.epochs > 1 and engine.stats.total_moves > 0
+    assert heat.accesses_seen == reference.stats.loads + reference.stats.stores
+    for name_ in ("fast", "trace"):
+        result, other_engine, other = runs[name_]
+        assert result.output == reference.output
+        assert other.log == heat.log, name_
+        assert dict(other.window) == dict(heat.window)
+        assert other.scores == heat.scores
+        assert other.accesses_seen == heat.accesses_seen
+        assert other_engine.stats.total_moves == engine.stats.total_moves
+    assert runs["trace"][0].stats.traces_compiled > 0

@@ -200,19 +200,30 @@ class TestHeatTracker:
         assert heat.ranked() == [(7, 3), (2, 1), (9, 1)]
         assert heat.hottest(1) == [(7, 3)]
 
-    def test_install_chains_existing_probe(self):
-        calls = []
-
+    def test_second_install_is_refused(self):
         class FakeInterp:
-            access_probe = None
+            heat_window = None
 
         interp = FakeInterp()
-        interp.access_probe = lambda a, s, k: calls.append((a, s, k))
         heat = HeatTracker()
         heat.install(interp)
-        interp.access_probe(0x2000, 8, "read")
-        assert calls == [(0x2000, 8, "read")]
+        assert interp.heat_window is heat.window
+        interp.heat_window[0x2000 >> PAGE_SHIFT] += 1
         assert heat.accesses_seen == 1
+        for second in (HeatTracker(), heat):
+            with pytest.raises(ValueError, match="already feeds"):
+                second.install(interp)
+        assert interp.heat_window is heat.window
+
+    def test_accesses_seen_spans_epochs_and_moves(self):
+        heat = HeatTracker()
+        for page in (1, 1, 2):
+            heat.observe(page * PAGE_SIZE, 8, "read")
+        heat.end_epoch()
+        heat.observe(3 * PAGE_SIZE, 8, "write")
+        heat.rebase_range(3 * PAGE_SIZE, 4 * PAGE_SIZE, 4 * PAGE_SIZE)
+        assert heat.window == {7: 1}
+        assert heat.accesses_seen == 4
 
     def test_allocation_heat_aggregates_pages(self):
         table = AllocationTable()

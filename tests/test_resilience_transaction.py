@@ -275,6 +275,39 @@ class TestDestinationValidation:
         assert kernel.stats.moves_rolled_back == 2
 
 
+class TestSourceAdmission:
+    def test_source_moved_away_is_refused_before_the_world_stops(self):
+        # The first move leaves a hole at the victim's old page; a second
+        # move from that range used to be admitted, copy the freed frames
+        # and fail only at release-frames with a double free.
+        kernel, process, interp = _loaded()
+        page = _victim_page(process)
+        snaps = interp.register_snapshots()
+        kernel.request_page_move(process, page, 1, register_snapshots=snaps)
+        interp.apply_snapshots(snaps)
+        assert process.regions.first_hole(page, page + PAGE_SIZE) == page
+        stats = kernel.stats
+        attempted, stops = stats.moves_attempted, process.runtime.stats.world_stops
+        for count in (1, 2):
+            with pytest.raises(MoveError, match="not mapped") as refused:
+                kernel.request_page_move(process, page, count)
+            assert refused.value.step == "admission"
+        assert stats.moves_attempted == attempted
+        assert process.runtime.stats.world_stops == stops
+        assert stats.moves_rolled_back == 0
+        interp.run_steps(10_000_000)
+        assert interp.output == [str(sum(range(40)))]
+
+    def test_partly_mapped_source_is_refused(self):
+        kernel, process, interp = _loaded()
+        regions = process.regions
+        top = max(region.end for region in regions)
+        with pytest.raises(MoveError, match=f"hole at {top:#x}") as refused:
+            kernel.request_page_move(process, top - PAGE_SIZE, 2)
+        assert refused.value.step == "admission"
+        assert kernel.stats.moves_attempted == 0
+
+
 class TestTransactionalMoves:
     def test_one_shot_fault_retries_then_commits(self):
         kernel, process, interp = _loaded()

@@ -1,7 +1,7 @@
 """Allocation Table, escape map, regions, guard mechanisms."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ProtectionFault
@@ -242,6 +242,78 @@ class TestEscapeMap:
         # bytes per pending record.
         m.record(0x9000)
         assert m.memory_footprint_bytes() == 64 + 16 * 100 + 8
+
+
+#: Escape-map operations over four 0x100-byte allocations at 0x100..0x400
+#: and eight cells in [0, 0x80): moves and rewrites land on occupied keys
+#: and cells often, so merges and collisions shrink sets.
+_bases = st.sampled_from([0x100, 0x200, 0x300, 0x400, 0x500])
+_cells = st.integers(min_value=0, max_value=7).map(lambda i: i * 0x10)
+_records = st.tuples(
+    st.just("record"), _cells, st.sampled_from([0, 0x100, 0x180, 0x200])
+)
+_escape_ops = st.one_of(
+    _records,
+    _records,
+    _records,
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("drop"), _bases),
+    st.tuples(st.just("rekey"), _bases, _bases),
+    st.tuples(st.just("rekey_all"), st.lists(st.tuples(_bases, _bases), max_size=3)),
+    st.tuples(st.just("rewrite_range"), _cells, _cells, st.sampled_from([-0x10, 0x10, 0x20])),
+    st.tuples(st.just("rewrite_locations"), st.lists(st.tuples(_cells, _cells), max_size=4)),
+    st.tuples(st.just("discard"), _bases, _cells),
+    st.tuples(st.just("copy")),
+)
+
+
+class TestEscapeMapEntryCount:
+    @given(st.lists(_escape_ops, min_size=10, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    # Each mutator's set-shrinking collision, pinned: a shifted cell lands
+    # on one its set already holds; two rewritten cells meet; two
+    # allocations' sets merge on one key.
+    @example([("record", 0x20, 0x100), ("record", 0x30, 0x100), ("flush",),
+              ("rewrite_range", 0x20, 0x30, 0x10)])
+    @example([("record", 0x20, 0x100), ("record", 0x30, 0x100), ("flush",),
+              ("rewrite_locations", [(0x20, 0x40), (0x30, 0x40)])])
+    @example([("record", 0x20, 0x100), ("record", 0x30, 0x200), ("flush",),
+              ("record", 0x20, 0x200), ("flush",), ("rekey", 0x100, 0x200),
+              ("rekey_all", [(0x200, 0x300), (0x300, 0x400)])])
+    def test_running_count_equals_recomputed_sum(self, ops):
+        table = AllocationTable()
+        for base in (0x100, 0x200, 0x300, 0x400):
+            table.add(base, 0x100)
+        memory = {}
+        m = AllocationToEscapeMap()
+        for op, *args in ops:
+            if op == "record":
+                cell, value = args
+                memory[cell] = value
+                m.record(cell)
+            elif op == "flush":
+                m.flush(table, lambda cell: memory.get(cell, 0))
+            elif op == "drop":
+                m.drop_allocation(*args)
+            elif op == "rekey":
+                m.rekey(*args)
+            elif op == "rekey_all":
+                m.rekey_all(args[0])
+            elif op == "rewrite_range":
+                lo, hi, delta = args
+                m.rewrite_range(min(lo, hi), max(lo, hi), delta)
+            elif op == "rewrite_locations":
+                m.rewrite_locations(args[0])
+            elif op == "discard":
+                m.discard(*args)
+            else:
+                m = m.copy()
+            sets = [locations for _, locations in m.resolved_items()]
+            assert m._entries == sum(map(len, sets))
+            assert m.memory_footprint_bytes() == (
+                8 * m.pending_count + 64 * len(sets) + 16 * sum(map(len, sets))
+            )
 
 
 class TestRegions:

@@ -868,6 +868,108 @@ class TestRespecialization:
         )
 
 
+#: A hot loop alternating a heap array and a global array.  Once the
+#: heap array's page moves away from the one region the loader installs,
+#: the two arrays sit in different regions, so the MPX bounds register
+#: holds the wrong one at every other guard: the specialized check must
+#: charge the reload inline, exactly as ``MPXGuard.check_known`` would.
+ALTERNATING_SOURCE = """
+long g[64];
+void main() {
+  long *a = (long*)malloc(64 * 8);
+  long i;
+  long r;
+  long acc;
+  acc = 0;
+  for (i = 0; i < 64; i++) { a[i] = i * 3; g[i] = i; }
+  for (r = 0; r < 40; r++) {
+    for (i = 0; i < 64; i++) {
+      acc = acc + a[(i * 7) % 64] + g[(i * 5) % 64];
+      g[(i * 3) % 64] = acc % 1000;
+    }
+  }
+  print_long(acc);
+  free(a);
+}
+"""
+
+
+class TestBoundsRegisterReload:
+    def _split_run(self, engine):
+        """Run :data:`ALTERNATING_SOURCE` under MPX, moving the heap
+        array's page out of the loader's region early in the hot loop."""
+        kernel = Kernel()
+        moved = []
+
+        def setup(interpreter):
+            interpreter.set_tick_interval(200)
+            if hasattr(interpreter, "set_trace_tuning"):
+                interpreter.set_trace_tuning(threshold=2)
+
+            def hook(interp):
+                if moved or interp.stats.instructions < 2_000:
+                    return
+                moved.append(True)
+                process = interp.process
+                array = next(
+                    x for x in process.runtime.table
+                    if x.kind == "heap" and x.size == 64 * 8
+                )
+                snaps = interp.register_snapshots()
+                kernel.request_page_move(
+                    process,
+                    array.address & ~(PAGE_SIZE - 1),
+                    register_snapshots=snaps,
+                )
+                interp.apply_snapshots(snaps)
+
+            interpreter.tick_hook = hook
+
+        result = run_carat(
+            ALTERNATING_SOURCE, kernel=kernel, setup=setup, engine=engine
+        )
+        assert moved
+        return result
+
+    @staticmethod
+    def _observed(result):
+        runtime = result.process.runtime
+        bound = runtime.guard._bound
+        return (
+            result.exit_code,
+            tuple(result.output),
+            {f: getattr(result.stats, f) for f in SEMANTIC_FIELDS},
+            bytes(result.kernel.memory._data),
+            runtime.stats.guards_executed,
+            runtime.stats.guard_cycles,
+            None if bound is None else (bound.base, bound.length, bound.perms),
+        )
+
+    def test_reloads_keep_three_engine_parity(self):
+        reference = self._split_run("reference")
+        regions = reference.process.regions
+        assert len(regions) >= 2
+        # The register really does reload: the guards cost more than a
+        # run of bounds-register hits would.
+        mpx = reference.process.runtime.costs.mpx_guard
+        executed = reference.process.runtime.stats.guards_executed
+        assert reference.stats.guard_cycles > executed * mpx
+        expected = self._observed(reference)
+        assert self._observed(self._split_run("fast")) == expected
+        trace = self._split_run("trace")
+        assert self._observed(trace) == expected
+        assert trace.stats.traces_compiled > 0
+
+    def test_trace_charges_reloads_without_the_runtime(self):
+        trace = self._split_run("trace")
+        executed = trace.process.runtime.stats.guards_executed
+        # Every guard the trace settles itself counts as elided; the
+        # rest went through the runtime's generic path (first passes,
+        # re-specializations after the move).
+        generic = executed - trace.stats.guard_checks_elided
+        assert 0 < generic * 100 < executed
+
+
 # ---------------------------------------------------------------------------
 # Tuning validation
 # ---------------------------------------------------------------------------
