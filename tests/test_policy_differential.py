@@ -167,10 +167,10 @@ def test_heat_window_is_identical_on_every_engine(name):
     reference, engine, heat = runs["reference"]
     assert engine.stats.epochs > 1 and engine.stats.total_moves > 0
     assert heat.accesses_seen == reference.stats.loads + reference.stats.stores
-    for name_ in ("fast", "trace"):
-        result, other_engine, other = runs[name_]
+    for engine_name in ("fast", "trace"):
+        result, other_engine, other = runs[engine_name]
         assert result.output == reference.output
-        assert other.log == heat.log, name_
+        assert other.log == heat.log, engine_name
         assert dict(other.window) == dict(heat.window)
         assert other.scores == heat.scores
         assert other.accesses_seen == heat.accesses_seen
