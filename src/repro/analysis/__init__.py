@@ -1,15 +1,13 @@
 """Code analyses used by the CARAT compiler pipeline.
 
-* :mod:`repro.analysis.cfg` — orderings, reachability, edge splitting
+* :mod:`repro.analysis.cfg` — reverse post-order, reachability
 * :mod:`repro.analysis.dominators` — dominator tree and frontiers
 * :mod:`repro.analysis.loops` — natural loops and preheader creation
-* :mod:`repro.analysis.dataflow` — GEN/KILL framework; liveness,
-  reaching definitions, available values (AC/DC's core)
+* :mod:`repro.analysis.dataflow` — forward GEN/KILL framework; available
+  values (AC/DC's core)
 * :mod:`repro.analysis.alias` — BasicAA, TBAA, Steensgaard, chained AA
 * :mod:`repro.analysis.points_to` — the Steensgaard solver
 * :mod:`repro.analysis.scev` — scalar evolution and trip counts
-* :mod:`repro.analysis.range_analysis` — integer interval analysis
-* :mod:`repro.analysis.pdg` — control/memory dependences, post-dominators
 """
 
 from repro.analysis.alias import (
@@ -25,19 +23,11 @@ from repro.analysis.cfg import (
     reachable_blocks,
     remove_unreachable_blocks,
     reverse_post_order,
-    split_critical_edges,
 )
-from repro.analysis.dataflow import (
-    AvailableValues,
-    DataflowProblem,
-    LivenessAnalysis,
-    ReachingDefinitions,
-)
+from repro.analysis.dataflow import AvailableValues, DataflowProblem
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import Loop, LoopInfo
-from repro.analysis.pdg import PostDominatorTree, ProgramDependenceGraph
 from repro.analysis.points_to import SteensgaardSolver
-from repro.analysis.range_analysis import Interval, ValueRangeAnalysis
 from repro.analysis.scev import (
     SCEV,
     SCEVAddRec,
@@ -59,19 +49,12 @@ __all__ = [
     "reachable_blocks",
     "remove_unreachable_blocks",
     "reverse_post_order",
-    "split_critical_edges",
     "AvailableValues",
     "DataflowProblem",
-    "LivenessAnalysis",
-    "ReachingDefinitions",
     "DominatorTree",
     "Loop",
     "LoopInfo",
-    "PostDominatorTree",
-    "ProgramDependenceGraph",
     "SteensgaardSolver",
-    "Interval",
-    "ValueRangeAnalysis",
     "SCEV",
     "SCEVAddRec",
     "SCEVConstant",

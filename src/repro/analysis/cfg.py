@@ -1,14 +1,13 @@
 """Control-flow graph utilities.
 
 Blocks already know their successors (via terminators) and predecessors
-(via use lists); this module adds the orderings and reachability queries
-that analyses need: depth-first numbering, reverse post-order, and simple
-edge-level helpers used by SSA construction and LICM.
+(via use lists); this module adds reverse post-order, the reachability
+query SSA construction needs, and unreachable-block removal.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
 
 from repro.ir.module import BasicBlock, Function
 
@@ -46,10 +45,6 @@ def reverse_post_order(fn: Function) -> List[BasicBlock]:
     return list(reversed(post))
 
 
-def post_order(fn: Function) -> List[BasicBlock]:
-    return list(reversed(reverse_post_order(fn)))
-
-
 def reachable_blocks(fn: Function) -> Set[BasicBlock]:
     return set(reverse_post_order(fn))
 
@@ -84,48 +79,3 @@ def remove_unreachable_blocks(fn: Function) -> int:
                 use.user.drop_all_operands()
         fn.blocks.remove(block)
     return len(doomed)
-
-
-def edges(fn: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
-    result = []
-    for block in fn.blocks:
-        for succ in block.successors():
-            result.append((block, succ))
-    return result
-
-
-def block_index_map(fn: Function) -> Dict[BasicBlock, int]:
-    return {block: i for i, block in enumerate(fn.blocks)}
-
-
-def split_critical_edges(fn: Function) -> int:
-    """Insert a fresh block on every critical edge (multi-successor source,
-    multi-predecessor target).  Needed before edge-placed code insertion.
-
-    Returns the number of edges split.
-    """
-    from repro.ir.builder import IRBuilder
-
-    count = 0
-    for block in list(fn.blocks):
-        successors = block.successors()
-        if len(successors) < 2:
-            continue
-        term = block.terminator
-        assert term is not None
-        for succ in successors:
-            if len(succ.predecessors()) < 2:
-                continue
-            middle = fn.add_block(f"split.{block.name}.{succ.name}")
-            builder = IRBuilder(middle)
-            builder.br(succ)
-            # Retarget the branch and fix phis in the old successor.
-            for i, operand in enumerate(term.operands):
-                if operand is succ:
-                    term.set_operand(i, middle)
-            for phi in succ.phis():
-                for j in range(0, phi.num_operands, 2):
-                    if phi.operand(j + 1) is block:
-                        phi.set_operand(j + 1, middle)
-            count += 1
-    return count

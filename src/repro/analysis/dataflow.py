@@ -1,19 +1,19 @@
-"""Iterative dataflow framework plus the stock analyses built on it.
+"""Iterative forward must-dataflow framework and available values.
 
 The framework operates on per-block GEN/KILL sets (classic bit-vector
-style, here with Python frozensets) and iterates to a fixed point in
-reverse post-order (forward) or post-order (backward).  CARAT's AC/DC
-redundancy analysis (Section 4.1.1, Optimization 3) is an *available
-expressions* problem over pointer definitions, so the same machinery
-serves it directly.
+style, here with Python frozensets) and iterates forward in reverse
+post-order to a fixed point, meeting predecessors by intersection.
+CARAT's AC/DC redundancy analysis (Section 4.1.1, Optimization 3) is an
+*available expressions* problem over pointer definitions, so the same
+machinery serves it directly.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Generic, Hashable, List, Set, TypeVar
 
-from repro.analysis.cfg import post_order, reverse_post_order
-from repro.ir.instructions import CallInst, Instruction, LoadInst, PhiInst, StoreInst
+from repro.analysis.cfg import reverse_post_order
+from repro.ir.instructions import Instruction
 from repro.ir.module import BasicBlock, Function
 from repro.ir.values import Value
 
@@ -31,14 +31,12 @@ class BlockFacts(Generic[T]):
 
 
 class DataflowProblem(Generic[T]):
-    """Specification of a GEN/KILL dataflow problem.
+    """Specification of a forward GEN/KILL must-problem:
+    ``IN[i] = ∩ OUT[p]`` over predecessors (empty at the entry),
+    ``OUT[i] = (IN[i] − KILL[i]) ∪ GEN[i]``.
 
-    Subclasses define direction, meet (union or intersection), boundary and
-    initial values, and per-block GEN/KILL sets.
+    Subclasses define the universe and per-block GEN/KILL sets.
     """
-
-    forward: bool = True
-    meet_is_union: bool = True
 
     def __init__(self, fn: Function) -> None:
         self.function = fn
@@ -55,166 +53,45 @@ class DataflowProblem(Generic[T]):
     def kill_set(self, block: BasicBlock) -> FrozenSet[T]:
         raise NotImplementedError
 
-    def boundary_value(self) -> FrozenSet[T]:
-        """IN of the entry (forward) or OUT of exits (backward)."""
-        return frozenset()
-
     # -- solver --------------------------------------------------------------------
 
     def solve(self) -> Dict[BasicBlock, BlockFacts[T]]:
         fn = self.function
-        order = reverse_post_order(fn) if self.forward else post_order(fn)
+        order = reverse_post_order(fn)
         gen = {b: self.gen_set(b) for b in order}
         kill = {b: self.kill_set(b) for b in order}
-        initial = frozenset() if self.meet_is_union else self.universe
-        in_sets: Dict[BasicBlock, FrozenSet[T]] = {b: initial for b in order}
-        out_sets: Dict[BasicBlock, FrozenSet[T]] = {b: initial for b in order}
+        in_sets = dict.fromkeys(order, self.universe)
+        out_sets = dict.fromkeys(order, self.universe)
 
         changed = True
         while changed:
             changed = False
             for block in order:
-                if self.forward:
-                    preds = [p for p in block.predecessors() if p in in_sets]
-                    if block is fn.entry:
-                        meet_input = self.boundary_value()
-                    else:
-                        meet_input = self._meet([out_sets[p] for p in preds])
-                    new_in = meet_input
-                    new_out = (new_in - kill[block]) | gen[block]
-                    if new_in != in_sets[block] or new_out != out_sets[block]:
-                        in_sets[block] = new_in
-                        out_sets[block] = new_out
-                        changed = True
+                if block is fn.entry:
+                    new_in: FrozenSet[T] = frozenset()
                 else:
-                    succs = [s for s in block.successors() if s in out_sets]
-                    if not succs:
-                        meet_input = self.boundary_value()
-                    else:
-                        meet_input = self._meet([in_sets[s] for s in succs])
-                    new_out = meet_input
-                    new_in = (new_out - kill[block]) | gen[block]
-                    if new_in != in_sets[block] or new_out != out_sets[block]:
-                        in_sets[block] = new_in
-                        out_sets[block] = new_out
-                        changed = True
-        return {
-            b: BlockFacts(in_sets[b], out_sets[b]) for b in order
-        }
-
-    def _meet(self, values: List[FrozenSet[T]]) -> FrozenSet[T]:
-        if not values:
-            return frozenset() if self.meet_is_union else self.universe
-        result = values[0]
-        for v in values[1:]:
-            result = (result | v) if self.meet_is_union else (result & v)
-        return result
-
-
-# ---------------------------------------------------------------------------
-# Stock analyses
-# ---------------------------------------------------------------------------
-
-
-class LivenessAnalysis(DataflowProblem[Value]):
-    """Backward may-analysis: which SSA values are live at block boundaries.
-
-    Used by the interpreter's stop-the-world snapshot (the analog of the
-    paper's "dump register state on the stack") to know which "registers"
-    can hold pointers that need patching.
-    """
-
-    forward = False
-    meet_is_union = True
-
-    def compute_universe(self) -> FrozenSet[Value]:
-        values: Set[Value] = set()
-        for inst in self.function.instructions():
-            if not inst.type.is_void:
-                values.add(inst)
-        values.update(self.function.args)
-        return frozenset(values)
-
-    def gen_set(self, block: BasicBlock) -> FrozenSet[Value]:
-        # Upward-exposed uses: used before (re)defined in this block.
-        defined: Set[Value] = set()
-        used: Set[Value] = set()
-        for inst in block.instructions:
-            if isinstance(inst, PhiInst):
-                # Phi uses happen on the incoming edges, not here; treat the
-                # phi itself as a definition only.
-                defined.add(inst)
-                continue
-            for operand in inst.operands:
-                if operand in self.universe and operand not in defined:
-                    used.add(operand)
-            if inst in self.universe:
-                defined.add(inst)
-        # Values used by phis of successors along our edge are live-out of
-        # this block; fold them into GEN of the successor edge by adding them
-        # to our gen set (conservative but sound for liveness queries).
-        for succ in block.successors():
-            for phi in succ.phis():
-                for value, pred in phi.incoming:
-                    if pred is block and value in self.universe:
-                        if value not in defined:
-                            used.add(value)
-        return frozenset(used)
-
-    def kill_set(self, block: BasicBlock) -> FrozenSet[Value]:
-        defined = {
-            inst for inst in block.instructions if inst in self.universe
-        }
-        return frozenset(defined)
-
-    def live_out(self, facts: Dict[BasicBlock, BlockFacts[Value]], block: BasicBlock) -> FrozenSet[Value]:
-        fact = facts.get(block)
-        return fact.out_set if fact else frozenset()
-
-
-class ReachingDefinitions(DataflowProblem[Instruction]):
-    """Forward may-analysis over memory-writing instructions.
-
-    An element is a store or (non-readonly) call; it "reaches" a point if
-    there is a path from it to the point.  This is deliberately coarse — the
-    alias analyses refine which writes can affect which loads.
-    """
-
-    forward = True
-    meet_is_union = True
-
-    def compute_universe(self) -> FrozenSet[Instruction]:
-        writes = {
-            inst
-            for inst in self.function.instructions()
-            if inst.may_write_memory()
-        }
-        return frozenset(writes)
-
-    def gen_set(self, block: BasicBlock) -> FrozenSet[Instruction]:
-        return frozenset(
-            inst for inst in block.instructions if inst in self.universe
-        )
-
-    def kill_set(self, block: BasicBlock) -> FrozenSet[Instruction]:
-        # Without must-alias information no write definitively kills another.
-        return frozenset()
+                    new_in = self.universe
+                    for pred in block.predecessors():
+                        if pred in out_sets:
+                            new_in = new_in & out_sets[pred]
+                new_out = (new_in - kill[block]) | gen[block]
+                if new_in != in_sets[block] or new_out != out_sets[block]:
+                    in_sets[block] = new_in
+                    out_sets[block] = new_out
+                    changed = True
+        return {b: BlockFacts(in_sets[b], out_sets[b]) for b in order}
 
 
 class AvailableValues(DataflowProblem[Value]):
     """Forward must-analysis: pointer-producing values available on *every*
     path to a block.
 
-    This is the dataflow core of CARAT's AC/DC analysis (Optimization 3):
-    ``IN[i] = ∩ OUT[p]``, ``OUT[i] = (IN[i] − KILL[i]) ∪ GEN[i]`` where the
-    elements are pointer definitions.  ``kill_for`` is parameterized so the
-    caller (the guard optimizer) can decide which instructions invalidate
-    previously-checked pointers (e.g. calls that may free memory, or a
-    kernel region change).
+    This is the dataflow core of CARAT's AC/DC analysis (Optimization 3),
+    whose elements are pointer definitions.  ``kills`` is parameterized so
+    the caller (the guard optimizer) can decide which instructions
+    invalidate previously-checked pointers (e.g. calls that may free
+    memory, or a kernel region change).
     """
-
-    forward = True
-    meet_is_union = False
 
     def __init__(
         self,

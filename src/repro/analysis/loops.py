@@ -147,12 +147,6 @@ class LoopInfo:
         loop = self.loop_for(block)
         return loop.depth if loop else 0
 
-    def top_level_loops(self) -> List[Loop]:
-        return [l for l in self.loops if l.parent is None]
-
-    def innermost_loops(self) -> List[Loop]:
-        return [l for l in self.loops if not l.subloops]
-
     # -- transforms -----------------------------------------------------------------
 
     def ensure_preheader(self, loop: Loop) -> BasicBlock:

@@ -11,7 +11,7 @@ pointer values reference the same abstract memory object?
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional
 
 from repro.ir.instructions import (
     AllocaInst,
@@ -24,8 +24,8 @@ from repro.ir.instructions import (
     SelectInst,
     StoreInst,
 )
-from repro.ir.module import Function, GlobalVariable
-from repro.ir.values import Argument, ConstantNull, Value
+from repro.ir.module import Function
+from repro.ir.values import ConstantNull, Value
 
 
 class _Node:
@@ -189,12 +189,3 @@ class SteensgaardSolver:
             # One side has no known pointee; stay conservative.
             return True
         return False
-
-    def points_to_set_size(self) -> int:
-        """Number of distinct pointee equivalence classes (for diagnostics)."""
-        roots: Set[int] = set()
-        for node in self._node_of.values():
-            root = node.find()
-            if root.pointee is not None:
-                roots.add(id(root.pointee.find()))
-        return len(roots)

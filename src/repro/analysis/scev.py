@@ -447,34 +447,6 @@ class ScalarEvolution:
             return None
         return (scev.start, step, n_scev)
 
-    def address_range_in_loop(
-        self, address: Value, loop: Loop
-    ) -> Optional[Tuple[SCEV, SCEV, int]]:
-        """For an address that is an addrec of ``loop``, the (low, high, step)
-        swept over the loop's lifetime, where low/high are loop-invariant
-        SCEVs for the first and last byte addresses touched (exclusive of
-        access size).  Returns None when the trip count or evolution cannot
-        be established."""
-        scev = self.analyze(address)
-        if not isinstance(scev, SCEVAddRec) or scev.loop is not loop:
-            return None
-        step = scev.step.constant_value()
-        if step is None:
-            return None
-        if not self.scev_is_invariant(scev.start, loop):
-            return None
-        trip = self.trip_count(loop)
-        if trip is None:
-            return None
-        n = trip.constant_trip_count()
-        if n is None or n <= 0:
-            return None
-        first = scev.start
-        last = self.add(scev.start, SCEVConstant(step * (n - 1)))
-        if step >= 0:
-            return (first, last, step)
-        return (last, first, step)
-
 
 def _negate_predicate(pred: str) -> str:
     table = {

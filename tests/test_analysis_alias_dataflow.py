@@ -1,4 +1,4 @@
-"""Alias analyses, points-to, dataflow framework, value ranges, PDG."""
+"""Alias analyses, points-to, available values, LICM's writer query."""
 
 import pytest
 
@@ -10,18 +10,16 @@ from repro.analysis.alias import (
     TypeBasedAliasAnalysis,
     underlying_object,
 )
-from repro.analysis.dataflow import AvailableValues, LivenessAnalysis
+from repro.analysis.dataflow import AvailableValues
 from repro.analysis.loops import LoopInfo
-from repro.analysis.pdg import ProgramDependenceGraph
-from repro.analysis.range_analysis import Interval, ValueRangeAnalysis
 from repro.ir import (
-    ConstantInt,
     Function,
     FunctionType,
     IRBuilder,
     Module,
 )
 from repro.ir.types import F64, I8, I64, ptr
+from repro.transform.licm import writers_in_loop
 from tests.conftest import build_count_loop
 
 NO = AliasResult.NO_ALIAS
@@ -136,20 +134,6 @@ class TestChained:
             ChainedAliasAnalysis([])
 
 
-class TestLiveness:
-    def test_loop_liveness(self, module):
-        fn, parts = build_count_loop(module)
-        analysis = LivenessAnalysis(fn)
-        facts = analysis.solve()
-        # The loop bound and base pointer stay live around the back edge.
-        assert fn.args[1] in facts[parts["body"]].out_set  # %n
-        assert fn.args[0] in facts[parts["loop"]].in_set  # %arr
-        # The loaded value is consumed immediately; dead at loop entry.
-        assert parts["v"] not in facts[parts["loop"]].in_set
-        # %i_next is upward-exposed in the body's gen set via the phi edge.
-        assert parts["i"] in facts[parts["loop"]].out_set
-
-
 class TestAvailableValues:
     def test_intersection_at_join(self, module):
         fn = Function("av", FunctionType(I64, [I64]), module, ["x"])
@@ -198,58 +182,8 @@ class TestAvailableValues:
         assert "tok" in facts[join].in_set
 
 
-class TestValueRange:
-    def test_constant(self, module):
-        fn, parts = build_count_loop(module)
-        vra = ValueRangeAnalysis(fn)
-        assert vra.range_of(ConstantInt(I64, 42)) == Interval(42, 42)
-
-    def test_loop_counter_lower_bound(self, module):
-        fn, parts = build_count_loop(module)
-        vra = ValueRangeAnalysis(fn)
-        r = vra.range_of(parts["i"])
-        assert r.lo >= 0  # starts at 0, increments
-
-    def test_interval_ops(self):
-        a = Interval(1, 5)
-        c = Interval(-2, 3)
-        assert a.add(c) == Interval(-1, 8)
-        assert a.sub(c) == Interval(-2, 7)
-        assert a.mul(Interval(2, 2)) == Interval(2, 10)
-        assert a.join(c) == Interval(-2, 5)
-        assert a.meet(c) == Interval(1, 3)
-        assert Interval(5, 6).meet(Interval(7, 8)) is None
-        assert a.widen(Interval(1, 10)).hi == float("inf")
-        assert a.widen(Interval(1, 5)) == a
-
-
 class TestPDG:
-    def test_control_dependence(self, module):
-        fn = Function("cd", FunctionType(I64, [I64]), module, ["x"])
-        entry = fn.add_block("entry")
-        then = fn.add_block("then")
-        join = fn.add_block("join")
-        b = IRBuilder(entry)
-        cond = b.icmp("slt", fn.args[0], b.i64(0))
-        b.cond_br(cond, then, join)
-        b.position_at_end(then)
-        b.br(join)
-        b.position_at_end(join)
-        b.ret(fn.args[0])
-        pdg = ProgramDependenceGraph(fn, ChainedAliasAnalysis.standard(fn))
-        assert entry in pdg.control_dependences(then)
-        assert entry not in pdg.control_dependences(join)
-
-    def test_load_invariance_in_loop(self, module):
-        # A load from an argument pointer with no stores in the loop is
-        # invariant; with an aliasing store, it is not.
-        fn, parts = build_count_loop(module)
-        pdg = ProgramDependenceGraph(fn, ChainedAliasAnalysis.standard(fn))
-        li = LoopInfo.compute(fn)
-        loop = li.loops[0]
-        load = parts["v"]
-        # The load's address (gep of i) varies per iteration: not invariant.
-        assert not pdg.load_is_invariant_in_loop(load, loop)
+    """The writer query LICM asks in place of the paper's PD analysis."""
 
     def test_writers_in_loop(self, module):
         fn, parts = build_count_loop(module)
@@ -257,6 +191,6 @@ class TestPDG:
         b.position_before(parts["i_next"])
         b.store(parts["v"], parts["p"])
         li = LoopInfo.compute(fn)
-        pdg = ProgramDependenceGraph(fn, ChainedAliasAnalysis.standard(fn))
-        writers = pdg.writers_in_loop(li.loops[0], parts["p"], 8)
+        aa = ChainedAliasAnalysis.standard(fn)
+        writers = writers_in_loop(aa, li.loops[0], parts["p"], 8)
         assert len(writers) == 1

@@ -1,4 +1,4 @@
-"""CFG orderings, dominators, dominance frontiers, post-dominators."""
+"""CFG orderings, dominators, dominance frontiers."""
 
 import pytest
 
@@ -6,12 +6,10 @@ from repro.analysis.cfg import (
     reachable_blocks,
     remove_unreachable_blocks,
     reverse_post_order,
-    split_critical_edges,
 )
 from repro.analysis.dominators import DominatorTree
-from repro.analysis.pdg import PostDominatorTree
 from repro.ir import Function, FunctionType, IRBuilder, Module, verify_function
-from repro.ir.types import I64, VOID
+from repro.ir.types import I64
 from tests.conftest import build_count_loop
 
 
@@ -108,41 +106,3 @@ class TestDominators:
         pre = dt.blocks_preorder()
         assert pre[0] is entry
         assert set(dt.children(entry)) == {left, right, join}
-
-
-class TestPostDominators:
-    def test_diamond_postdom(self, module):
-        fn, entry, left, right, join = diamond(module)
-        pdt = PostDominatorTree(fn)
-        assert pdt.post_dominates(join, entry)
-        assert pdt.post_dominates(join, left)
-        assert not pdt.post_dominates(left, entry)
-
-    def test_loop_postdom(self, module):
-        fn, parts = build_count_loop(module)
-        pdt = PostDominatorTree(fn)
-        assert pdt.post_dominates(parts["exit"], parts["entry"])
-        assert pdt.post_dominates(parts["loop"], parts["body"])
-
-
-class TestCriticalEdges:
-    def test_split(self, module):
-        # entry conditionally branches to a shared join (critical edge) and
-        # to its own block.
-        fn = Function("crit", FunctionType(VOID, [I64]), module, ["x"])
-        entry = fn.add_block("entry")
-        middle = fn.add_block("middle")
-        join = fn.add_block("join")
-        b = IRBuilder(entry)
-        cond = b.icmp("eq", fn.args[0], b.i64(0))
-        b.cond_br(cond, join, middle)
-        b.position_at_end(middle)
-        b.br(join)
-        b.position_at_end(join)
-        b.ret()
-        before = len(fn.blocks)
-        split = split_critical_edges(fn)
-        assert split == 1
-        assert len(fn.blocks) == before + 1
-        verify_function(fn)
-        assert len(join.predecessors()) == 2

@@ -267,6 +267,101 @@ class TestLICM:
         # The gep depends on %i: must stay in the loop.
         assert li.loop_for(parts["p"].parent) is not None
 
+    # Each emitter writes one instruction into the loop after the load of
+    # *%q; the flag says whether the load may still be hoisted past it.
+    _CLOBBERS = {
+        "private-alloca-store": (lambda b, fn, slot: b.store(b.i64(1), slot), True),
+        "malloc": (
+            lambda b, fn, slot: b.call(
+                fn.parent.get_function("malloc"), [b.i64(8)]
+            ),
+            True,
+        ),
+        "aliasing-store": (
+            lambda b, fn, slot: b.store(b.i64(1), b.gep(fn.args[0], [fn.args[2]])),
+            False,
+        ),
+        "free": (
+            lambda b, fn, slot: b.call(
+                fn.parent.get_function("free"), [b.bitcast(fn.args[0], ptr(I8))]
+            ),
+            False,
+        ),
+    }
+
+    @pytest.mark.parametrize("clobber", sorted(_CLOBBERS))
+    def test_invariant_load_hoisting(self, module, clobber):
+        emit, hoists = self._CLOBBERS[clobber]
+        Function("malloc", FunctionType(ptr(I8), [I64]), module)
+        Function("free", FunctionType(VOID, [ptr(I8)]), module)
+        fn = Function(
+            "ld", FunctionType(I64, [ptr(I64), I64, I64]), module, ["q", "n", "k"]
+        )
+        b = IRBuilder(fn.add_block("entry"))
+        slot = b.alloca(I64)
+        loaded = []
+
+        def body(b):
+            loaded.append(b.load(fn.args[0]))
+            emit(b, fn, slot)
+
+        _counted_loop(fn, b, fn.args[1], body, "l")
+        b.ret(b.i64(0))
+        verify_function(fn)
+
+        hoist_loop_invariants(fn)
+        verify_function(fn)
+        in_loop = LoopInfo.compute(fn).loop_for(loaded[0].parent) is not None
+        assert in_loop is not hoists
+
+    def test_points_to_solved_once_per_function(self, module, monkeypatch):
+        from repro.analysis.points_to import SteensgaardSolver
+
+        solves = []
+        solve = SteensgaardSolver.solve
+
+        def counting_solve(self):
+            solves.append(self)
+            solve(self)
+
+        monkeypatch.setattr(SteensgaardSolver, "solve", counting_solve)
+        fn = Function("two", FunctionType(I64, [I64, I64]), module, ["n", "k"])
+        b = IRBuilder(fn.add_block("entry"))
+        products = []
+
+        def body(b):
+            products.append(b.mul(fn.args[1], b.i64(7)))
+
+        _counted_loop(fn, b, fn.args[0], body, "a")
+        _counted_loop(fn, b, fn.args[0], body, "b")
+        b.ret(b.i64(0))
+
+        # The first round hoists both products; the second finds nothing.
+        assert hoist_loop_invariants(fn) == 2
+        li = LoopInfo.compute(fn)
+        assert all(li.loop_for(p.parent) is None for p in products)
+        assert len(solves) == 1
+
+
+def _counted_loop(fn, b, n, emit_body, tag):
+    """Emit ``for (i = 0; i < n; i++) { emit_body(b) }`` at ``b`` and leave
+    ``b`` at the end of the loop's exit block."""
+    before = b.block
+    header = fn.add_block(f"header.{tag}")
+    body = fn.add_block(f"body.{tag}")
+    out = fn.add_block(f"out.{tag}")
+    b.br(header)
+    b.position_at_end(header)
+    i = b.phi(I64, f"i.{tag}")
+    b.cond_br(b.icmp("slt", i, n), body, out)
+    b.position_at_end(body)
+    emit_body(b)
+    i_next = b.add(i, b.i64(1))
+    b.br(header)
+    i.add_incoming(b.i64(0), before)
+    i.add_incoming(i_next, body)
+    b.position_at_end(out)
+
 
 class TestPassManager:
     def test_pipeline_reports_counts(self):
