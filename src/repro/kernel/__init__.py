@@ -14,8 +14,8 @@
 from repro.kernel.heap import HeapAllocator, HeapError
 from repro.kernel.kernel import Kernel, KernelStats
 from repro.kernel.loader import (
-    code_segment_size,
     constant_to_bytes,
+    image_geometry,
     layout_globals,
     static_footprint_pages,
     validate_binary,
@@ -39,8 +39,8 @@ __all__ = [
     "HeapError",
     "Kernel",
     "KernelStats",
-    "code_segment_size",
     "constant_to_bytes",
+    "image_geometry",
     "layout_globals",
     "static_footprint_pages",
     "validate_binary",

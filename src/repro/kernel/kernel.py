@@ -24,12 +24,11 @@ from repro.carat.pipeline import CaratBinary
 from repro.carat.signing import DEFAULT_TOOLCHAIN
 from repro.errors import KernelError, MoveError, SegmentationFault
 from repro.kernel.heap import HeapAllocator
+from repro.ir.types import size_of
 from repro.kernel.loader import (
-    code_segment_size,
+    image_geometry,
     layout_globals,
     page_align,
-    page_count,
-    static_footprint_pages,
     validate_binary,
     write_globals,
 )
@@ -285,45 +284,59 @@ class Kernel:
         :class:`~repro.multiproc.ShareManager`) the read-only image —
         globals + code — is deduplicated across tenants running the same
         binary: the capsule splits into a private RWX run (stack + heap)
-        and a shared R-X run mapped by every member.  A write into the
-        shared run protection-faults; the scheduler services it as a
-        CoW break (see :meth:`~repro.multiproc.ShareManager.
-        service_write_fault`)."""
+        and a shared R-X run mapped by every member.  The shared run is
+        keyed on the binary's signed image; the first tenant materializes
+        it (frames + globals written), later tenants just attach and write
+        nothing into it, which is correct because it is read-only for
+        everyone, so its frames always hold pristine initial values.  A
+        write into the shared run protection-faults; the scheduler
+        services it as a CoW break (see :meth:`~repro.multiproc.
+        ShareManager.service_write_fault`)."""
         validate_binary(binary, self.trusted_toolchains)
+        if share and self.shares is None:
+            raise KernelError(
+                "share=True needs a ShareManager (kernel.attach_shares)"
+            )
         module = binary.module
-        code_size = code_segment_size(module)
-        _, globals_size = layout_globals(module, 0)
-        globals_size = page_align(max(1, globals_size))
+        code_size, globals_size = image_geometry(module)
+        image_size = globals_size + code_size
         stack_size = page_align(stack_size)
         heap_size = page_align(heap_size)
+        pid = self._next_pid
 
-        if share:
-            if self.shares is None:
-                raise KernelError(
-                    "share=True needs a ShareManager (kernel.attach_shares)"
-                )
-            return self._load_carat_shared(
-                binary, module, code_size, globals_size,
-                stack_size, heap_size, guard_mechanism,
-            )
-
-        total = stack_size + globals_size + code_size + heap_size
+        # The private run: stack, the image unless it is shared, and the
+        # heap carved from its tail.
+        private_size = stack_size + heap_size + (0 if share else image_size)
         base = self.frames.alloc_address(
-            total // PAGE_SIZE, tier=self.placement_tier
+            private_size // PAGE_SIZE, tier=self.placement_tier
         )
+        regions = RegionSet([Region(base, private_size, PERM_RWX)])
+        image_base = base + stack_size
+        write_image = True
+        if share:
+            key = self.shares.image_key(binary)
+            group = self.shares.lookup(key)
+            write_image = group is None
+            if write_image:
+                pages = image_size // PAGE_SIZE
+                shared_base = self.frames.alloc_address(
+                    pages, tier=self.placement_tier
+                )
+                group = self.shares.register(key, shared_base, pages)
+            self.shares.attach(group, pid)
+            image_base = group.base
+            regions.add(Region(image_base, image_size, PERM_READ | PERM_EXEC))
 
         layout = MemoryLayout(
             stack_base=base,
             stack_size=stack_size,
-            globals_base=base + stack_size,
+            globals_base=image_base,
             globals_size=globals_size,
-            code_base=base + stack_size + globals_size,
+            code_base=image_base + globals_size,
             code_size=code_size,
-            heap_base=base + stack_size + globals_size + code_size,
+            heap_base=base + private_size - heap_size,
             heap_size=heap_size,
         )
-
-        regions = RegionSet([Region(base, total, PERM_RWX)])
         runtime = CaratRuntime(
             self.memory, regions, guard_mechanism=guard_mechanism, costs=self.costs
         )
@@ -332,111 +345,19 @@ class Kernel:
         runtime.patcher.frames = self.frames
 
         globals_map, _ = layout_globals(module, layout.globals_base)
-        write_globals(binary, globals_map, self.memory.write_bytes)
-
-        # Static allocations are recorded at load time (Section 4.1.2).
-        for gv in module.globals.values():
-            from repro.ir.types import size_of
-
-            runtime.on_alloc(globals_map[gv.name], max(1, size_of(gv.value_type)), "global")
-        runtime.on_alloc(layout.stack_base, layout.stack_size, "stack")
-        runtime.on_alloc(layout.code_base, layout.code_size, "code")
-        # Load-time bookkeeping is free for the program.
-        runtime.stats.tracking_events = 0
-        runtime.stats.tracking_cycles = 0
-
-        process = Process(
-            pid=self._next_pid,
-            name=binary.name,
-            mode="carat",
-            binary=binary,
-            layout=layout,
-            globals_map=globals_map,
-            regions=regions,
-            runtime=runtime,
-            heap=HeapAllocator(layout.heap_base, layout.heap_size),
-            static_footprint_pages=static_footprint_pages(binary),
-            initial_pages=total // PAGE_SIZE,
-        )
-        self._next_pid += 1
-        self.processes[process.pid] = process
-        if self.sanitizer is not None:
-            self.sanitizer.on_process_loaded(process)
-        self._sanitize("load-carat")
-        return process
-
-    def _load_carat_shared(
-        self,
-        binary: CaratBinary,
-        module,
-        code_size: int,
-        globals_size: int,
-        stack_size: int,
-        heap_size: int,
-        guard_mechanism: str,
-    ) -> Process:
-        """The ``share=True`` half of :meth:`load_carat`: private
-        stack+heap run, deduplicated globals+code run.
-
-        The shared run is keyed on the binary's signed image; the first
-        tenant materializes it (frames + globals written), later tenants
-        just attach — their loads write *nothing* into the shared range,
-        which is correct because the range is read-only for everyone, so
-        the canonical frames always hold pristine initial values."""
-        assert self.shares is not None
-        private_total = stack_size + heap_size
-        private_base = self.frames.alloc_address(
-            private_total // PAGE_SIZE, tier=self.placement_tier
-        )
-        shared_total = globals_size + code_size
-        shared_pages = shared_total // PAGE_SIZE
-        pid = self._next_pid
-
-        image_key = self.shares.image_key(binary)
-        group = self.shares.lookup(image_key)
-        fresh_image = group is None
-        if group is None:
-            shared_base = self.frames.alloc_address(
-                shared_pages, tier=self.placement_tier
-            )
-            group = self.shares.register(image_key, shared_base, shared_pages)
-        shared_base = group.base
-        self.shares.attach(group, pid)
-
-        layout = MemoryLayout(
-            stack_base=private_base,
-            stack_size=stack_size,
-            globals_base=shared_base,
-            globals_size=globals_size,
-            code_base=shared_base + globals_size,
-            code_size=code_size,
-            heap_base=private_base + stack_size,
-            heap_size=heap_size,
-        )
-
-        regions = RegionSet([
-            Region(private_base, private_total, PERM_RWX),
-            Region(shared_base, shared_total, PERM_READ | PERM_EXEC),
-        ])
-        runtime = CaratRuntime(
-            self.memory, regions, guard_mechanism=guard_mechanism, costs=self.costs
-        )
-        runtime.patcher.frames = self.frames
-
-        globals_map, _ = layout_globals(module, layout.globals_base)
-        if fresh_image:
+        if write_image:
             write_globals(binary, globals_map, self.memory.write_bytes)
 
-        # Every member tracks its own view of the shared image — the
+        # Static allocations are recorded at load time (Section 4.1.2).
+        # Every member of a shared image tracks its own view of it: the
         # Allocation Table is per-process even when the frames are not.
         for gv in module.globals.values():
-            from repro.ir.types import size_of
-
             runtime.on_alloc(
                 globals_map[gv.name], max(1, size_of(gv.value_type)), "global"
             )
         runtime.on_alloc(layout.stack_base, layout.stack_size, "stack")
         runtime.on_alloc(layout.code_base, layout.code_size, "code")
+        # Load-time bookkeeping is free for the program.
         runtime.stats.tracking_events = 0
         runtime.stats.tracking_cycles = 0
 
@@ -450,14 +371,14 @@ class Kernel:
             regions=regions,
             runtime=runtime,
             heap=HeapAllocator(layout.heap_base, layout.heap_size),
-            static_footprint_pages=static_footprint_pages(binary),
-            initial_pages=(private_total + shared_total) // PAGE_SIZE,
+            static_footprint_pages=image_size // PAGE_SIZE,
+            initial_pages=(stack_size + image_size + heap_size) // PAGE_SIZE,
         )
         self._next_pid += 1
         self.processes[pid] = process
         if self.sanitizer is not None:
             self.sanitizer.on_process_loaded(process)
-        self._sanitize("load-carat-shared")
+        self._sanitize("load-carat-shared" if share else "load-carat")
         return process
 
     def load_traditional(
@@ -469,9 +390,7 @@ class Kernel:
         """Load under the paging model: virtual layout, code/globals and
         the top stack page mapped eagerly, everything else demand-paged."""
         module = binary.module
-        code_size = code_segment_size(module)
-        _, globals_size = layout_globals(module, 0)
-        globals_size = page_align(max(1, globals_size))
+        code_size, globals_size = image_geometry(module)
         stack_size = page_align(stack_size)
         heap_size = page_align(heap_size)
 
@@ -497,7 +416,7 @@ class Kernel:
             page_table=page_table,
             mmu=mmu,
             heap=HeapAllocator(layout.heap_base, layout.heap_size),
-            static_footprint_pages=static_footprint_pages(binary),
+            static_footprint_pages=(code_size + globals_size) // PAGE_SIZE,
         )
         self._next_pid += 1
         self.processes[process.pid] = process

@@ -106,18 +106,23 @@ def layout_globals(module: Module, base: int) -> Tuple[Dict[str, int], int]:
     return addresses, cursor - base
 
 
+def image_geometry(module: Module) -> Tuple[int, int]:
+    """A binary's image as every loader lays it out: ``(code bytes,
+    globals bytes)``, each page-aligned.  Code is modeled at
+    :data:`BYTES_PER_INSTRUCTION` per instruction; globals take at least
+    one page, even when there are none."""
+    instructions = sum(1 for _ in module.instructions())
+    _, globals_size = layout_globals(module, 0)
+    return (
+        page_align(max(1, instructions) * BYTES_PER_INSTRUCTION),
+        page_align(max(1, globals_size)),
+    )
+
+
 def static_footprint_pages(binary: CaratBinary) -> int:
     """The paper's "static footprint": pages of all LOAD sections — text
     plus data/bss (globals)."""
-    module = binary.module
-    code_size = code_segment_size(module)
-    _, globals_size = layout_globals(module, 0)
-    return page_count(code_size) + page_count(max(1, globals_size))
-
-
-def code_segment_size(module: Module) -> int:
-    instructions = sum(1 for _ in module.instructions())
-    return page_align(max(1, instructions) * BYTES_PER_INSTRUCTION)
+    return sum(image_geometry(binary.module)) // PAGE_SIZE
 
 
 def write_globals(

@@ -7,10 +7,12 @@ callers — goes through this module:
   (model, guard mechanism, engine, capsule sizes, sanitizing, fault
   injection, telemetry).  ``from_args``/``to_dict``/``from_dict`` give
   the CLI and the benchmark harness one lossless round-trip.
+* :func:`wire_kernel` and :func:`load_capsule` — the one wiring of a
+  kernel and of one capsule on it.  The session and the multi-tenant
+  :class:`~repro.multiproc.Scheduler` both build their runs from them.
 * :class:`CaratSession` — the facade that owns the whole lifecycle:
-  compile (tracing pass deltas), build/wire the kernel (retry policy,
-  fault injector, degradation), load, attach sanitizer/profiler/tracer,
-  run, close the books, export traces.
+  compile (tracing pass deltas), wire the kernel, load the capsule,
+  attach profiler/tracer, run, close the books, export traces.
 """
 
 from __future__ import annotations
@@ -43,10 +45,11 @@ TRACE_DETAILS = ("normal", "fine")
 class RunConfig:
     """Every knob of one run, in one frozen, serializable place.
 
-    Field-by-field this is the union of the old ``run_*`` kwargs, the
-    CLI flags, and the new telemetry switches; ``from_args`` maps an
-    argparse namespace onto it 1:1 and ``to_dict``/``from_dict`` round-
-    trip it losslessly (asserted by ``tests/test_session.py``).
+    Single runs (``repro run``), multi-tenant schedules (``smp``) and
+    the soak (``soak``) all read it; a subcommand exposes the flags it
+    supports.  ``from_args`` maps an argparse namespace onto it 1:1 and
+    ``to_dict``/``from_dict`` round-trip it losslessly (asserted by
+    ``tests/test_session.py``).
     """
 
     mode: str = "carat"
@@ -267,6 +270,98 @@ class RunConfig:
         return cls(**values)
 
 
+def wire_kernel(kernel: Kernel, config: RunConfig) -> Kernel:
+    """Layer ``config``'s kernel-wide services onto ``kernel``: the retry
+    policy, the fault injector, degradation (whenever faults or retries
+    are configured), the asynchronous move queue and the translation-
+    client mediator.  A service already attached is kept, so a caller
+    that pre-builds its kernel (the policy subcommand, the soak) is never
+    clobbered."""
+    if config.max_retries is not None:
+        from repro.resilience import RetryPolicy
+
+        kernel.retry_policy = RetryPolicy(max_attempts=config.max_retries)
+    if config.inject_faults:
+        import random
+
+        from repro.sanitizer import ProtocolFaultInjector, parse_fault_points
+
+        rng = random.Random(config.fault_seed)
+        kernel.attach_fault_injector(
+            ProtocolFaultInjector(
+                parse_fault_points(config.inject_faults, rng), rng
+            )
+        )
+    if config.faulting and kernel.degradation is None:
+        from repro.resilience import DegradationManager
+
+        kernel.attach_degradation(DegradationManager())
+    if config.async_moves and kernel.move_queue is None:
+        from repro.resilience import MoveQueue
+
+        kernel.attach_move_queue(
+            MoveQueue(
+                kernel,
+                batch_size=config.move_batch,
+                chunk_budget=config.chunk_budget,
+            )
+        )
+    if config.agents and kernel.agents is None:
+        from repro.agents import AgentMediator
+
+        kernel.attach_agents(AgentMediator(kernel))
+    return kernel
+
+
+def load_capsule(
+    kernel: Kernel,
+    binary: CaratBinary,
+    config: RunConfig,
+    *,
+    share: bool = False,
+    sanitizer=None,
+    tracer: Optional[Tracer] = None,
+):
+    """Load ``binary`` by ``config.mode`` (``share`` dedups a CARAT
+    image; see :meth:`Kernel.load_carat`) and wire the capsule: safety
+    mode, ``config.agents`` DMA agents streaming its heap (registered
+    with the kernel's mediator, see :func:`wire_kernel`), an interpreter
+    of ``config.engine`` with its trace tuning, the sanitizer's tick
+    check and the runtime's tracer.  Returns the interpreter; its
+    ``process`` is the loaded process."""
+    if config.mode == "traditional":
+        process = kernel.load_traditional(
+            binary, heap_size=config.heap_size, stack_size=config.stack_size
+        )
+    else:
+        process = kernel.load_carat(
+            binary,
+            heap_size=config.heap_size,
+            stack_size=config.stack_size,
+            guard_mechanism=config.guard_mechanism,
+            share=share,
+        )
+    if config.safety and process.runtime is not None:
+        process.runtime.enable_safety()
+    if config.agents:
+        from repro.agents import DmaAgent
+
+        for index in range(config.agents):
+            agent = DmaAgent(
+                name=f"dma{process.pid}.{index}", burst=config.agent_burst
+            )
+            agent.target(process)
+            kernel.agents.register(agent)
+    interpreter = _interpreter_class(config.engine)(process, kernel)
+    if hasattr(interpreter, "set_trace_tuning"):
+        interpreter.set_trace_tuning(threshold=config.trace_threshold)
+    if sanitizer is not None:
+        sanitizer.attach_interpreter(interpreter)
+    if tracer is not None and process.runtime is not None:
+        process.runtime.tracer = tracer
+    return interpreter
+
+
 #: Counters sampled into the trace at every interpreter safepoint.
 def _counter_sample(stats) -> dict:
     return {
@@ -280,11 +375,12 @@ def _counter_sample(stats) -> dict:
 class CaratSession:
     """One configured execution environment; ``run()`` executes programs.
 
-    The session owns kernel construction and the wiring the CLI used to
-    do inline — retry policy, fault injector, degradation manager,
-    sanitizer, tracer, profiler — in one attach order (binary → kernel
-    → sanitizer → load → interpreter → sanitizer → tracer → setup →
-    profiler → run → finish).
+    The session wires the kernel (:func:`wire_kernel`) and the capsule
+    (:func:`load_capsule`) and adds what only a single run has: agents
+    stepped from the safepoint tick, the tracer's clock and counter
+    sampler, the caller's ``setup``, and the profiler.  Attach order:
+    binary → kernel → tracer → sanitizer → capsule → agent tick →
+    tracer sampler → setup → profiler → run → finish.
 
     Pass ``kernel=`` to bring a pre-built kernel (the policy subcommand
     sizes its own tiered machine); the session still layers the
@@ -328,42 +424,6 @@ class CaratSession:
             program, module_name=self.config.name, tracer=tracer
         )
 
-    def _build_kernel(self) -> Kernel:
-        """The kernel plus the config's resilience wiring (mirrors what
-        ``repro run --inject-faults`` used to assemble by hand)."""
-        kernel = self._kernel if self._kernel is not None else Kernel()
-        config = self.config
-        if config.max_retries is not None:
-            from repro.resilience import RetryPolicy
-
-            kernel.retry_policy = RetryPolicy(max_attempts=config.max_retries)
-        if config.inject_faults:
-            import random
-
-            from repro.sanitizer import ProtocolFaultInjector, parse_fault_points
-
-            rng = random.Random(config.fault_seed)
-            kernel.attach_fault_injector(
-                ProtocolFaultInjector(
-                    parse_fault_points(config.inject_faults, rng), rng
-                )
-            )
-        if config.faulting and kernel.degradation is None:
-            from repro.resilience import DegradationManager
-
-            kernel.attach_degradation(DegradationManager())
-        if config.async_moves and kernel.move_queue is None:
-            from repro.resilience import MoveQueue
-
-            kernel.attach_move_queue(
-                MoveQueue(
-                    kernel,
-                    batch_size=config.move_batch,
-                    chunk_budget=config.chunk_budget,
-                )
-            )
-        return kernel
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
@@ -382,49 +442,20 @@ class CaratSession:
         self.profiler = profiler
 
         binary = self._compile(program, options, tracer)
-        kernel = self._build_kernel()
+        kernel = wire_kernel(
+            self._kernel if self._kernel is not None else Kernel(), config
+        )
         if tracer is not None:
             kernel.attach_tracer(tracer)
         sanitizer = _make_sanitizer(config.sanitize, self._sanitizer, kernel)
-
-        if config.mode == "traditional":
-            process = kernel.load_traditional(
-                binary,
-                heap_size=config.heap_size,
-                stack_size=config.stack_size,
-            )
-        else:
-            process = kernel.load_carat(
-                binary,
-                heap_size=config.heap_size,
-                stack_size=config.stack_size,
-                guard_mechanism=config.guard_mechanism,
-            )
-        if config.safety and process.runtime is not None:
-            process.runtime.enable_safety()
-        if config.agents:
-            from repro.agents import AgentMediator, DmaAgent
-
-            mediator = kernel.agents
-            if mediator is None:
-                mediator = AgentMediator(kernel)
-                kernel.attach_agents(mediator)
-            for index in range(config.agents):
-                agent = DmaAgent(
-                    name=f"dma{process.pid}.{index}",
-                    burst=config.agent_burst,
-                )
-                agent.target(process)
-                mediator.register(agent)
-        interpreter = _interpreter_class(config.engine)(process, kernel)
+        interpreter = load_capsule(
+            kernel, binary, config, sanitizer=sanitizer, tracer=tracer
+        )
+        process = interpreter.process
         if config.agents:
             self._wire_agents(kernel, interpreter)
-        if hasattr(interpreter, "set_trace_tuning"):
-            interpreter.set_trace_tuning(threshold=config.trace_threshold)
-        if sanitizer is not None:
-            sanitizer.attach_interpreter(interpreter)
         if tracer is not None:
-            self._wire_tracer(tracer, interpreter, process)
+            self._wire_tracer(tracer, interpreter)
         user_setup = setup if setup is not None else self._setup
         if user_setup is not None:
             user_setup(interpreter)
@@ -468,30 +499,27 @@ class CaratSession:
         The kernel clock only advances when a policy engine is attached;
         a plain run would otherwise never step the translation clients,
         so chain a hook that steps them every ``tick_interval``
-        instructions (under whatever a later ``setup`` installs)."""
+        instructions (under whatever a later ``setup`` installs).  The
+        agents step before the hook beneath (the sanitizer's check), so
+        the check sees what they streamed."""
         mediator = kernel.agents
-        if mediator is None:
-            return
         # Tiny programs finish inside one default tick; give the agents
         # a finer grain so they observably stream during short runs.
         interpreter.set_tick_interval(min(interpreter.tick_interval, 2_000))
         previous = interpreter.tick_hook
 
         def step_agents(interp) -> None:
+            mediator.step()
             if previous is not None:
                 previous(interp)
-            mediator.step()
 
         interpreter.tick_hook = step_agents
 
-    def _wire_tracer(self, tracer: Tracer, interpreter, process) -> None:
-        """Switch the tracer onto the machine clock, point the runtime at
-        it, and chain a safepoint counter sampler *under* any tick hook a
-        later ``setup`` (e.g. the policy engine) installs on top."""
+    def _wire_tracer(self, tracer: Tracer, interpreter) -> None:
+        """Switch the tracer onto the machine clock and chain a safepoint
+        counter sampler *under* any tick hook a later ``setup`` (e.g. the
+        policy engine) installs on top."""
         tracer.set_clock(lambda: interpreter.stats.cycles)
-        runtime = process.runtime
-        if runtime is not None:
-            runtime.tracer = tracer
         previous = interpreter.tick_hook
 
         def sample_counters(interp) -> None:

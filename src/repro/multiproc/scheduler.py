@@ -7,7 +7,9 @@ Each tenant is a full per-PID capsule — its own region set, runtime,
 heap, allocation table, guard-cache generation — so a move in tenant A
 never invalidates a guard cache or TLB in tenant B.  Every quantum runs
 under ``kernel.tenant(pid)``: kernel services and trace events land on
-the owning tenant's stats block and trace lane.
+the owning tenant's stats block and trace lane.  The kernel and every
+tenant are wired by :func:`~repro.machine.session.wire_kernel` and
+:func:`~repro.machine.session.load_capsule`, exactly as a single run is.
 
 Cross-tenant page sharing is opt-in (``share=True``): identical images
 deduplicate through the :class:`~repro.multiproc.shares.ShareManager`,
@@ -31,17 +33,9 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.carat.pipeline import CaratBinary, compile_carat
 from repro.errors import InterpError, ProtectionFault
 from repro.kernel.kernel import Kernel
-from repro.kernel.loader import (
-    code_segment_size,
-    layout_globals,
-    page_align,
-)
-from repro.machine.executor import (
-    RunResult,
-    _interpreter_class,
-    _make_sanitizer,
-)
-from repro.machine.session import RunConfig
+from repro.kernel.loader import image_geometry, page_align
+from repro.machine.executor import RunResult, _make_sanitizer
+from repro.machine.session import RunConfig, load_capsule, wire_kernel
 from repro.multiproc.shares import ShareManager
 from repro.telemetry import Tracer
 
@@ -222,15 +216,16 @@ class Scheduler:
     def _size_memory(self, binaries: Dict[int, CaratBinary]) -> int:
         config = self.config
         per_tenant = page_align(config.stack_size) + page_align(config.heap_size)
-        image_of: Dict[int, int] = {}
-        for binary in binaries.values():
-            code = code_segment_size(binary.module)
-            _, globals_size = layout_globals(binary.module, 0)
-            image_of[id(binary)] = code + page_align(max(1, globals_size))
+        distinct = {id(binary): binary for binary in binaries.values()}
+        image_of = {
+            key: sum(image_geometry(binary.module))
+            for key, binary in distinct.items()
+        }
         if self.share:
+            # One shared image per distinct binary.
             images = sum(image_of.values())
         else:
-            images = sum(image_of[id(b)] for b in binaries.values())
+            images = sum(image_of[id(binary)] for binary in binaries.values())
         need = len(self.specs) * per_tenant + images
         return page_align(need * _MEMORY_SLACK + (8 << 20))
 
@@ -241,59 +236,22 @@ class Scheduler:
         if kernel is None:
             memory = self._memory_size or self._size_memory(binaries)
             kernel = Kernel(memory, fast_memory=self._fast_memory)
-        self.kernel = kernel
+        self.kernel = wire_kernel(kernel, config)
         if config.tracing:
             self.tracer = Tracer(detail=config.trace_detail)
             kernel.attach_tracer(self.tracer)
             self.tracer.set_clock(self._machine_clock)
         if self.share and kernel.shares is None:
             kernel.attach_shares(ShareManager(kernel))
-        if config.async_moves and kernel.move_queue is None:
-            from repro.resilience import MoveQueue
-
-            kernel.attach_move_queue(
-                MoveQueue(
-                    kernel,
-                    batch_size=config.move_batch,
-                    chunk_budget=config.chunk_budget,
-                )
-            )
-        if config.agents and kernel.agents is None:
-            from repro.agents import AgentMediator
-
-            kernel.attach_agents(AgentMediator(kernel))
         self.sanitizer = _make_sanitizer(config.sanitize, None, kernel)
-
-        interpreter_class = _interpreter_class(config.engine)
         for index, spec in enumerate(self.specs):
             binary = binaries[index]
-            process = kernel.load_carat(
-                binary,
-                heap_size=config.heap_size,
-                stack_size=config.stack_size,
-                guard_mechanism=config.guard_mechanism,
-                share=self.share,
+            interpreter = load_capsule(
+                kernel, binary, config, share=self.share,
+                sanitizer=self.sanitizer, tracer=self.tracer,
             )
+            process = interpreter.process
             process.name = spec.name
-            if config.safety and process.runtime is not None:
-                process.runtime.enable_safety()
-            if config.agents:
-                from repro.agents import DmaAgent
-
-                for agent_index in range(config.agents):
-                    agent = DmaAgent(
-                        name=f"dma{process.pid}.{agent_index}",
-                        burst=config.agent_burst,
-                    )
-                    agent.target(process)
-                    kernel.agents.register(agent)
-            interpreter = interpreter_class(process, kernel)
-            if hasattr(interpreter, "set_trace_tuning"):
-                interpreter.set_trace_tuning(threshold=config.trace_threshold)
-            if self.sanitizer is not None:
-                self.sanitizer.attach_interpreter(interpreter)
-            if self.tracer is not None and process.runtime is not None:
-                process.runtime.tracer = self.tracer
             interpreter.start(spec.entry, spec.args)
             self.tenants.append(Tenant(spec, process, interpreter, binary))
         if self.arbiter is not None:

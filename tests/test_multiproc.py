@@ -231,6 +231,30 @@ class TestCowSharing:
             assert tenant.output == solo.output
             assert tenant.exit_code == solo.exit_code
 
+    def test_schedule_honours_fault_and_retry_config(self):
+        """A schedule wires the kernel from its config like a single run
+        does: the injected fault fires in a CoW break, the break retries
+        under the configured policy, and every tenant's output holds."""
+        from repro.workloads import get_workload
+
+        source = get_workload("ep", "tiny").source
+        specs = [TenantSpec(source, name=f"ep{i}") for i in range(4)]
+        plain = _schedule(specs, engine="fast", share=True)
+        config = _config(
+            "fast", inject_faults="copy-data:crash:0", max_retries=2
+        )
+        scheduler = Scheduler(config, specs, share=True)
+        faulted = scheduler.run()
+        kernel = scheduler.kernel
+        assert kernel.retry_policy.max_attempts == 2
+        assert kernel.fault_injector.fired
+        assert kernel.degradation is not None
+        assert kernel.stats.move_retries >= 1
+        assert faulted.dedup["cow_breaks"] == plain.dedup["cow_breaks"] == 4
+        for pid, result in faulted.tenants.items():
+            assert result.output == plain.tenants[pid].output
+            assert result.exit_code == 0
+
     def test_distinct_programs_never_share(self):
         result = _schedule(
             [TenantSpec(PURE_SOURCE), TenantSpec(LINKED_LIST_SOURCE)],
