@@ -7,7 +7,7 @@ machinery the session uses:
 * :data:`ENGINES` / :func:`_interpreter_class` — the selectable
   execution engines;
 * :class:`RunResult` — everything one execution produced;
-* :func:`_make_sanitizer` / :func:`_as_binary` — attach helpers.
+* :func:`_make_sanitizer` — the sanitizer attach helper.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
-from repro.carat.pipeline import CaratBinary, CompileOptions, compile_carat
+from repro.carat.pipeline import CaratBinary
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.machine.fastexec import FastInterpreter
@@ -106,16 +106,6 @@ class RunResult:
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
-
-
-def _as_binary(
-    program: Union[str, CaratBinary],
-    options: Optional[CompileOptions],
-    name: str,
-) -> CaratBinary:
-    if isinstance(program, CaratBinary):
-        return program
-    return compile_carat(program, options, module_name=name)
 
 
 def _make_sanitizer(
