@@ -12,7 +12,9 @@ Alignment is 16 bytes, like glibc.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ReproError
@@ -25,14 +27,13 @@ class HeapError(ReproError):
 ALIGNMENT = 16
 
 
-def _align_up(value: int) -> int:
-    return (value + ALIGNMENT - 1) & ~(ALIGNMENT - 1)
-
-
 @dataclass
 class _FreeBlock:
     address: int
     size: int
+
+
+_address_of = attrgetter("address")
 
 
 class HeapAllocator:
@@ -58,7 +59,7 @@ class HeapAllocator:
         grow the heap region and retry)."""
         if size <= 0:
             size = 1
-        needed = _align_up(size)
+        needed = (size + ALIGNMENT - 1) & -ALIGNMENT
         for i, block in enumerate(self._free):
             if block.address >= (1 << 62):
                 # Non-canonical (swapped-out) space: the bytes are on disk;
@@ -96,14 +97,10 @@ class HeapAllocator:
     def size_of(self, address: int) -> Optional[int]:
         return self._allocated.get(address)
 
-    def owns(self, address: int) -> bool:
-        return self.base <= address < self.end
-
     def _insert_free(self, address: int, size: int) -> None:
-        # Keep the free list address-ordered and coalesce neighbours.
-        index = 0
-        while index < len(self._free) and self._free[index].address < address:
-            index += 1
+        # Keep the free list address-ordered (every mutator does, and
+        # rebase_range re-sorts) and coalesce neighbours.
+        index = bisect_left(self._free, address, key=_address_of)
         self._free.insert(index, _FreeBlock(address, size))
         # Coalesce with successor first, then predecessor.
         if index + 1 < len(self._free):
@@ -149,7 +146,7 @@ class HeapAllocator:
             )
             if inside_hi < end:
                 new_free.append(_FreeBlock(inside_hi, end - inside_hi))
-        new_free.sort(key=lambda b: b.address)
+        new_free.sort(key=_address_of)
         # Coalesce adjacent blocks after the shuffle.
         coalesced: List[_FreeBlock] = []
         for block in new_free:
@@ -189,20 +186,6 @@ class HeapAllocator:
         self.peak_bytes = peak
 
     # -- introspection ----------------------------------------------------------
-
-    def free_bytes(self) -> int:
-        return sum(b.size for b in self._free)
-
-    def fragmentation(self) -> float:
-        """1 - (largest free block / total free bytes); 0 when unfragmented."""
-        total = self.free_bytes()
-        if total == 0:
-            return 0.0
-        largest = max(b.size for b in self._free)
-        return 1.0 - largest / total
-
-    def live_allocations(self) -> Dict[int, int]:
-        return dict(self._allocated)
 
     def free_blocks(self) -> List[Tuple[int, int]]:
         """Snapshot of the free list as (address, size) pairs, ascending."""

@@ -9,8 +9,8 @@ kernel can demand-page, copy-on-write, or kill.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.errors import ReproError
 from repro.kernel.pagetable import PAGE_SHIFT, PAGE_SIZE, PTE, PTE_DIRTY, PageTable
@@ -133,7 +133,3 @@ class MMU:
         return self.dtlb.invalidate_range(vpn_lo, vpn_hi) + self.stlb.invalidate_range(
             vpn_lo, vpn_hi
         )
-
-    def flush_all(self) -> None:
-        self.dtlb.flush()
-        self.stlb.flush()

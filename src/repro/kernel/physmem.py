@@ -1,10 +1,12 @@
 """Physical memory and the page frame allocator.
 
 A flat byte-addressable physical memory (an anonymous ``mmap``) with
-typed accessors, plus a bitmap frame allocator handing out 4 KB frames —
-the kernel substrate both execution models sit on.  In the CARAT model
-the program addresses this memory directly; in the traditional model the
-MMU translates first.
+typed accessors — the 8-byte ones, which the escape flush and the patcher
+use, slice the mapping directly — plus a bitmap frame allocator (one
+``bytearray`` byte per frame) handing out 4 KB frames: the kernel
+substrate both execution models sit on.  In the CARAT model the program
+addresses this memory directly; in the traditional model the MMU
+translates first.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import List, Optional, Tuple
 from repro.errors import OutOfMemoryError, ReproError
 
 PAGE_SIZE = 4096
+_MASK64 = (1 << 64) - 1
 
 #: Tier names for a fast/slow split of physical memory (the policy
 #: engine's tiered-placement substrate).  ``None`` means "untiered".
@@ -126,23 +129,26 @@ class PhysicalMemory:
     def write_int(self, address: int, value: int, size: int) -> None:
         self.write_uint(address, value, size)
 
+    # The 8-byte accessors (the escape flush's and the patcher's) slice
+    # the buffer directly, with read_bytes/write_bytes's check and counts.
     def read_u64(self, address: int) -> int:
-        return self.read_uint(address, 8)
+        if address < 0 or address + 8 > self.size:
+            self._check(address, 8)
+        self.bytes_read += 8
+        return int.from_bytes(self._data[address : address + 8], "little")
 
     def write_u64(self, address: int, value: int) -> None:
-        self.write_uint(address, value, 8)
+        data = (value & _MASK64).to_bytes(8, "little")
+        if address < 0 or address + 8 > self.size:
+            self._check(address, 8)
+        self.bytes_written += 8
+        self._data[address : address + 8] = data
 
     def read_f64(self, address: int) -> float:
         return struct.unpack("<d", self.read_bytes(address, 8))[0]
 
     def write_f64(self, address: int, value: float) -> None:
         self.write_bytes(address, struct.pack("<d", value))
-
-    def read_f32(self, address: int) -> float:
-        return struct.unpack("<f", self.read_bytes(address, 4))[0]
-
-    def write_f32(self, address: int, value: float) -> None:
-        self.write_bytes(address, struct.pack("<f", value))
 
     def read_cstring(self, address: int, limit: int = 1 << 16) -> bytes:
         out = bytearray()
@@ -156,6 +162,10 @@ class PhysicalMemory:
 
 class FrameAllocator:
     """Bitmap allocator over the physical frames.
+
+    The bitmap is a ``bytearray`` holding one byte per frame, 1 when
+    free: run searches, counts and run scans are ``bytearray.find`` and
+    ``count`` calls at C speed, not a Python loop over frames.
 
     ``reserve_low`` frames at the bottom are never handed out (the kernel
     image / firmware hole, and it keeps address 0 unmapped so null pointer
@@ -184,9 +194,8 @@ class FrameAllocator:
                 f"fast tier must span (reserve_low, total_frames), got "
                 f"{fast_frames} of {self.total_frames}"
             )
-        self._free: List[bool] = [True] * self.total_frames
-        for frame in range(min(reserve_low, self.total_frames)):
-            self._free[frame] = False
+        reserved = min(reserve_low, self.total_frames)
+        self._free = bytearray(reserved) + b"\x01" * (self.total_frames - reserved)
         self.reserved_low = reserve_low
         self.fast_frames = fast_frames
         self.allocated_frames = 0
@@ -194,7 +203,7 @@ class FrameAllocator:
 
     @property
     def free_frames(self) -> int:
-        return sum(self._free)
+        return self._free.count(1)
 
     @property
     def usable_frames(self) -> int:
@@ -207,7 +216,7 @@ class FrameAllocator:
         return self.allocated_frames / usable if usable else 0.0
 
     def frame_is_free(self, frame: int) -> bool:
-        return self._free[frame]
+        return self._free[frame] == 1
 
     # -- tiers ------------------------------------------------------------------
 
@@ -234,7 +243,7 @@ class FrameAllocator:
 
     def free_frames_in(self, tier: Optional[str]) -> int:
         lo, hi = self.tier_bounds(tier)
-        return sum(self._free[lo:hi])
+        return self._free.count(1, lo, hi)
 
     # -- allocation -------------------------------------------------------------
 
@@ -257,8 +266,7 @@ class FrameAllocator:
                 + (f" in the {tier} tier" if tier else "")
                 + f"; {self.free_frames_in(tier)} free"
             )
-        for frame in range(start, start + count):
-            self._free[frame] = False
+        self._free[start : start + count] = bytes(count)
         self.allocated_frames += count
         if tier is None:
             self._cursor = start + count
@@ -276,26 +284,18 @@ class FrameAllocator:
         """
         if frame < self.reserved_low or frame + count > self.total_frames:
             return False
-        if not all(self._free[f] for f in range(frame, frame + count)):
+        if self._free.find(0, frame, frame + count) >= 0:
             return False
-        for f in range(frame, frame + count):
-            self._free[f] = False
+        self._free[frame : frame + count] = b"\x00" * count
         self.allocated_frames += count
         return True
 
     def _find_run(
         self, begin: int, count: int, limit: Optional[int] = None
     ) -> Optional[int]:
-        run = 0
         end = self.total_frames if limit is None else min(limit, self.total_frames)
-        for frame in range(begin, end):
-            if self._free[frame]:
-                run += 1
-                if run == count:
-                    return frame - count + 1
-            else:
-                run = 0
-        return None
+        start = self._free.find(b"\x01" * count, begin, end)
+        return None if start < 0 else start
 
     def free(self, frame: int, count: int = 1) -> None:
         for f in range(frame, frame + count):
@@ -323,17 +323,15 @@ class FrameAllocator:
         ``tier`` set, runs are clipped to that tier's frame range.
         """
         lo, hi = self.tier_bounds(tier)
+        free = self._free
         runs: List[Tuple[int, int]] = []
-        start: Optional[int] = None
-        for frame in range(lo, hi):
-            if self._free[frame]:
-                if start is None:
-                    start = frame
-            elif start is not None:
-                runs.append((start, frame - start))
-                start = None
-        if start is not None:
-            runs.append((start, hi - start))
+        start = free.find(1, lo, hi)
+        while start >= 0:
+            end = free.find(0, start, hi)
+            if end < 0:
+                end = hi
+            runs.append((start, end - start))
+            start = free.find(1, end, hi)
         return runs
 
     def largest_free_run(self, tier: Optional[str] = None) -> int:

@@ -16,7 +16,7 @@ patches every escape and register again, and resumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import KernelError, ProtectionFault
 from repro.kernel.kernel import Kernel
@@ -58,10 +58,6 @@ class SwapManager:
         self._store: Dict[int, SwapRecord] = {}
         self.swap_outs = 0
         self.swap_ins = 0
-
-    @property
-    def resident_records(self) -> int:
-        return len(self._store)
 
     # ------------------------------------------------------------------
     # Swap out

@@ -7,8 +7,9 @@ closure.  Both must charge the cost model in the reference engine's
 order and compute its exact results, so every instruction form has
 exactly one emitter here: the value forms — integer and float binary
 ops (division, remainder, shifts and ``frem`` included), ``icmp``,
-``fcmp``, the casts, GEPs, loads, stores, ``select``, ``alloca`` and
-pure unary math builtins — and the control forms: branch edges with
+``fcmp``, the casts, GEPs, loads, stores, ``select``, ``alloca``, the
+pure unary math builtins and the heap builtins (``malloc``, ``calloc``,
+``realloc``, ``free``) — and the control forms: branch edges with
 their phi parallel copy, conditional and unconditional branches, calls
 of defined functions (the frame push with its argument moves),
 returns, the generic ``carat.guard.*`` check, the tracking intrinsics,
@@ -16,10 +17,10 @@ and the lazy fault forms (a GEP through a non-aggregate, a load or
 store of a non-scalar type).  :func:`emit_op` writes the op's body
 lines into a :class:`Writer` at a given indent: the base charge, the
 operand reads whose ``KeyError`` reaches :func:`_raise_undefined`, the
-wrap arithmetic, and the fault messages.  Only builtin calls and the
-one-line faults (phi, unreachable, indirect call, unknown opcode) have
-no template; the block tier keeps them as closures, which the trace
-tier calls.
+wrap arithmetic, and the fault messages.  Only the I/O builtins
+(``print_*``, ``abort``, unknown externals) and the one-line faults
+(phi, unreachable, indirect call, unknown opcode) have no template; the
+block tier keeps them as closures, which the trace tier calls.
 
 The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
 ``stats``; the per-interpreter names of :data:`BINDINGS` and
@@ -167,6 +168,7 @@ BINDINGS: Dict[str, str] = {
     "_gm": "process.globals_map",
     "_cells": "_guard_cells",
     "_rt": "process.runtime",
+    "_hp": "process.heap",
 }
 #: Names only the forms emitted with the addressing mode or the tiering
 #: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores (and
@@ -336,19 +338,45 @@ def gep_plan(inst: GEPInst) -> Tuple[int, List[Tuple[Value, int]], Optional[str]
     return const_offset, dynamic, None
 
 
-def is_math_call(inst: Instruction) -> bool:
-    """A call of a pure unary math builtin — the one call form with a
-    template (every other call is frame or runtime work)."""
+#: The heap builtins: name -> (arity, the body after the argument reads
+#: ``_a``/``_b``, leaving any result in ``_m``).  The heap op runs on the
+#: process heap ``_hp``; calloc and realloc move bytes through the
+#: interpreter's own accessors, in either addressing mode.
+_HEAP_BUILTINS: Dict[str, Tuple[int, List[str]]] = {
+    "malloc": (1, ["_m = _hp.malloc(_a)"]),
+    "calloc": (2, [
+        "_t = _a * _b",
+        "_m = _hp.malloc(max(1, _t))",
+        "interp._memset(_m, 0, _t)",
+    ]),
+    "realloc": (2, [
+        "_m = _hp.malloc(max(1, _b))",
+        "if _a:",
+        "    _n = min(_hp.size_of(_a) or 0, _b)",
+        "    interp._write_mem(_m, interp._read_mem(_a, _n, 'read'))",
+        "    _hp.free(_a)",
+    ]),
+    "free": (1, ["if _a:", "    _hp.free(_a)"]),
+}
+
+
+def builtin_template(inst: Instruction) -> Optional[str]:
+    """The builtin a call runs through a template — a pure unary math
+    function or a heap call of the right shape — or ``None``.  These
+    calls run no runtime code, so they read no clock and write no frame
+    slot but their result's."""
     if not isinstance(inst, CallInst):
-        return False
+        return None
     callee = inst.callee
-    return (
-        isinstance(callee, Function)
-        and callee.is_declaration
-        and callee.name in _MATH_BUILTINS
-        and len(inst.args) == 1
-        and not inst.type.is_void
-    )
+    if not isinstance(callee, Function) or not callee.is_declaration:
+        return None
+    name, void = callee.name, inst.type.is_void
+    if name in _MATH_BUILTINS:
+        return name if len(inst.args) == 1 and not void else None
+    if name in _HEAP_BUILTINS:
+        shaped = len(inst.args) == _HEAP_BUILTINS[name][0]
+        return name if shaped and (name == "free" or not void) else None
+    return None
 
 
 class _Op:
@@ -895,6 +923,20 @@ def _math(e: _Op, inst: CallInst) -> bool:
     return True
 
 
+def _heap(e: _Op, inst: CallInst, name: str) -> bool:
+    # The builtin's charge order, as _math's: instruction, calls, every
+    # argument evaluated, the heap op, the result, then the call cost.
+    args = inst.args
+    reads = [f"_{v} = {e.read(a, v, 'int')}" for v, a in zip("ab", args)]
+    e.head(reads, args, "stats.calls += 1")
+    e.raises = True
+    e.lines(_HEAP_BUILTINS[name][1])
+    if name != "free":
+        e.line(f"{e.dest(inst)} = _m")
+    e.line("stats.cycles += _cc")
+    return True
+
+
 def _push(e: _Op, inst: CallInst) -> bool:
     # A call of a defined function, in the reference's order: the depth
     # check between the instruction and call costs, undefined arguments
@@ -1037,10 +1079,12 @@ def guard_name(inst: Instruction) -> Optional[str]:
 
 
 def _call(e: _Op, inst: CallInst) -> bool:
-    # A builtin (frame or runtime work of its own) or an indirect call has
-    # no template.
+    # An I/O builtin or an indirect call has no template.
     callee = inst.callee
-    if is_math_call(inst):
+    builtin = builtin_template(inst)
+    if builtin in _HEAP_BUILTINS:
+        return _heap(e, inst, builtin)
+    if builtin is not None:
         return _math(e, inst)
     if not isinstance(callee, Function):
         return False
@@ -1083,7 +1127,7 @@ def emit_op(
 ) -> Optional[bool]:
     """Write ``inst``'s body into ``w`` at indent ``ind`` and return
     whether it can raise or call out; or write nothing and return
-    ``None`` for a form with no template (a builtin call, and the
+    ``None`` for a form with no template (an I/O builtin call, and the
     one-line faults: phi, unreachable, indirect call, unknown opcode).
     ``t`` makes the body's ``ns`` names unique within one scope;
     ``is_carat``/``has_tier``/``nxt``/``paired`` are the facts above;

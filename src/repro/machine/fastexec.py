@@ -21,7 +21,7 @@ changing a single observable number:
   identifies one op (operand and destination slots, constants, blocks,
   its guard site) is a name, so every op of one shape shares one
   stencil, compiled once, and the op is that stencil applied to its
-  operands.  Only builtin calls and the one-line faults (phi,
+  operands.  Only the I/O builtin calls and the one-line faults (phi,
   unreachable, indirect call, unknown opcode) stay ordinary closures;
 * the compiled form is cached on the module (``Module.metadata``) and
   shared by every subsequent run of the same binary;
@@ -128,7 +128,7 @@ def _stencil_op(w: Writer, ns: Dict[str, object]) -> Op:
 
 
 def _closure_op(inst: Instruction) -> Op:
-    """The op for a form with no template: a builtin call (the
+    """The op for a form with no template: an I/O builtin call (the
     interpreter's own builtins do the work), or a one-line fault."""
     if isinstance(inst, CallInst) and isinstance(inst.callee, Function):
         name = inst.callee.name

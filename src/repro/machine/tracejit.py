@@ -22,14 +22,13 @@ changing a single observable number:
   per-instruction template of :mod:`repro.machine.codegen` that the
   block tier wraps per op, emitted with the trace's known addressing
   mode, tiering, on-trace branch targets and paired calls — there is no
-  fallback for ``select``, ``alloca`` or ``frem``; only builtin calls
-  and one-line faults call the block tier's op), interior branch edges
-  collapse their phi parallel-copies into direct slot assignments, and
-  ``steps`` /
-  ``instructions`` — plus the uniform per-op base cycle charge — are
-  batched per block segment, with a fault reconciler that restores the
-  exact per-op totals on any raise (the cost model never sees the
-  difference);
+  fallback for ``select``, ``alloca``, ``frem`` or the heap builtins;
+  only I/O builtin calls and one-line faults call the block tier's op),
+  interior branch edges collapse their phi parallel-copies into direct
+  slot assignments, and ``steps`` / ``instructions`` — plus the uniform
+  per-op base cycle charge — are batched per block segment, with a fault
+  reconciler that restores the exact per-op totals on any raise (the
+  cost model never sees the difference);
 * within a segment, template results are **registers**: the store
   writes through to a Python local (``values[_d<t>] = _r<t> = ...``) and
   later reads use the local, without an ``int()``/``float()`` wrapper
@@ -41,7 +40,7 @@ changing a single observable number:
   a frame slot.  ``frame.index`` is stored
   only before an op that can raise or call out (loads, stores, guards,
   tracking intrinsics, fallbacks, calls, allocas, ``frem``, checked
-  div/rem/shift, ``fptosi``, math builtins, reads under the
+  div/rem/shift, ``fptosi``, math and heap builtins, reads under the
   undefined-value handler, side-exiting branches): everything that
   reads it runs after such a store;
 * conditional branches keep both arms: the off-trace arm is a **side
@@ -142,10 +141,10 @@ from repro.machine.codegen import (
     Regs,
     Writer,
     bind,
+    builtin_template,
     emit_op,
     expr,
     guard_name,
-    is_math_call,
     operand_reads,
 )
 from repro.machine.fastexec import _STENCIL_SCOPE, FastInterpreter, ModuleCode
@@ -721,13 +720,13 @@ def _build_trace(
             w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs, code
         )
         if raises is None:
-            # A builtin call or a one-line fault: the block tier's op
+            # An I/O builtin call or a one-line fault: the block tier's op
             # already charges and faults exactly right.
             fallback(block, k)
             return True
         # Runtime code (a tracking callback, a generic guard) may read
         # the cycle clock: telemetry timestamps must see exact totals.
-        foreign |= isinstance(inst, CallInst) and not is_math_call(inst)
+        foreign |= isinstance(inst, CallInst) and not builtin_template(inst)
         # A template writes its result whenever it completes (a builtin
         # call op, say, may not).
         defined[-1].add(id(inst))

@@ -93,18 +93,21 @@ class AllocationTable:
     def add(self, address: int, size: int, kind: str = "heap") -> Allocation:
         if size <= 0:
             raise AllocationError(f"allocation size must be positive, got {size}")
-        overlapping = self.overlapping(address, address + size)
-        if overlapping:
-            raise AllocationError(
-                f"new allocation [{address:#x}, {address + size:#x}) overlaps "
-                f"{overlapping[0]!r}"
-            )
-        allocation = Allocation(address, size, kind)
+        # Only the neighbours either side of the insertion point can
+        # overlap; the lower one is reported first, as overlapping() would.
         index = bisect_left(self._keys, address)
+        end = address + size
+        for clash in self._allocations[max(index - 1, 0) : index + 1]:
+            if clash.address < end and address < clash.address + clash.size:
+                raise AllocationError(
+                    f"new allocation [{address:#x}, {end:#x}) overlaps {clash!r}"
+                )
+        allocation = Allocation(address, size, kind)
         self._keys.insert(index, address)
         self._allocations.insert(index, allocation)
         self.total_allocs += 1
-        self.peak_count = max(self.peak_count, len(self._keys))
+        if len(self._keys) > self.peak_count:
+            self.peak_count = len(self._keys)
         return allocation
 
     def remove(self, address: int) -> Allocation:
@@ -114,10 +117,11 @@ class AllocationTable:
         return allocation
 
     def remove_if_present(self, address: int) -> Optional[Allocation]:
-        index = self._index(address)
-        if index < 0:
+        keys = self._keys
+        index = bisect_left(keys, address)
+        if index == len(keys) or keys[index] != address:
             return None
-        del self._keys[index]
+        del keys[index]
         allocation = self._allocations.pop(index)
         allocation.live = False
         self.total_frees += 1
@@ -158,12 +162,16 @@ class AllocationTable:
         return self._allocations[index] if index >= 0 else None
 
     def find_containing(self, address: int, size: int = 1) -> Optional[Allocation]:
-        """The allocation containing [address, address+size), if any."""
+        """The allocation containing [address, address+size), if any.
+        One bisect: the candidate's key is at most ``address`` by
+        construction, so only its end needs checking."""
         index = bisect_right(self._keys, address) - 1
         if index < 0:
             return None
         allocation = self._allocations[index]
-        return allocation if allocation.contains(address, size) else None
+        if address + size <= allocation.address + allocation.size:
+            return allocation
+        return None
 
     def overlapping(self, lo: int, hi: int) -> List[Allocation]:
         """All allocations intersecting [lo, hi), ascending by address.

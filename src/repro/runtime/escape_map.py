@@ -9,9 +9,11 @@ are cheap to skip at patch time; both choices are reproduced here.
 An escape record is just the address of the 8-byte cell that received a
 pointer store.  Resolution — figuring out *which* allocation the stored
 pointer targets — is deferred to :meth:`flush`, which reads the cell's
-current value through the machine and drops records that no longer hold a
-pointer into any tracked allocation (that is how "destroyed" escapes age
-out).
+current value through the machine (the runtime passes
+:meth:`~repro.kernel.physmem.PhysicalMemory.read_u64`, one bounds-checked
+slice of the backing buffer) and resolves it with one bisect over the
+Allocation Table, dropping records that no longer hold a pointer into any
+tracked allocation (that is how "destroyed" escapes age out).
 """
 
 from __future__ import annotations
@@ -57,17 +59,16 @@ class AllocationToEscapeMap:
 
     # -- recording -------------------------------------------------------------
 
-    def record(self, location: int) -> None:
-        """A pointer was just stored at ``location``.  O(1): batched."""
+    def record(self, location: int) -> bool:
+        """A pointer was just stored at ``location``.  O(1): batched.
+        Returns whether the batch is now full (time to flush)."""
         self._pending.append(location)
         self.stats.recorded += 1
+        return len(self._pending) >= self.batch_limit
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def needs_flush(self) -> bool:
-        return len(self._pending) >= self.batch_limit
 
     # -- resolution --------------------------------------------------------------
 
@@ -79,9 +80,9 @@ class AllocationToEscapeMap:
         self.stats.flushes += 1
         resolved = 0
         pending, self._pending = self._pending, []
+        find = table.find_containing
         for location in pending:
-            target = read_pointer(location)
-            allocation = table.find_containing(target)
+            allocation = find(read_pointer(location))
             if allocation is None:
                 self.stats.stale_dropped += 1
                 continue
@@ -161,10 +162,14 @@ class AllocationToEscapeMap:
                 existing.update(locations)
                 self._entries += len(existing) - before
 
-    def drop_allocation(self, address: int) -> None:
+    def drop_allocation(self, address: int) -> int:
+        """Forget the allocation at ``address``; returns how many escape
+        locations it had."""
         locations = self._escapes.pop(address, None)
-        if locations is not None:
-            self._entries -= len(locations)
+        if locations is None:
+            return 0
+        self._entries -= len(locations)
+        return len(locations)
 
     def discard(self, address: int, location: int) -> None:
         """Forget one resolved record of the allocation at ``address``."""

@@ -21,10 +21,9 @@ can measure mechanisms in isolation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
-from repro.errors import ProtectionFault
 from repro.machine.costs import DEFAULT_COSTS, CostModel
 
 PERM_READ = 0x1
@@ -131,15 +130,6 @@ class RegionSet:
             if region.base == base:
                 self.version += 1
                 return self._regions.pop(i)
-        raise KeyError(f"no region based at {base:#x}")
-
-    def set_perms(self, base: int, perms: int) -> Region:
-        for i, region in enumerate(self._regions):
-            if region.base == base:
-                updated = Region(region.base, region.length, perms)
-                self._regions[i] = updated
-                self.version += 1
-                return updated
         raise KeyError(f"no region based at {base:#x}")
 
     def replace_all(self, regions: List[Region]) -> None:

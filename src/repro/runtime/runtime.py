@@ -235,11 +235,13 @@ class CaratRuntime:
     def on_free(self, address: int) -> Optional[Allocation]:
         self.stats.tracking_events += 1
         self.stats.tracking_cycles += self.costs.alloc_table_update
-        if self.table.find_containing(address) is not None:
+        table = self.table
+        if self.escapes.pending_count and table.find_containing(address) is not None:
             # Attribute pending records before the allocation disappears so
-            # the lifetime histogram (Figure 5) sees them.
-            self.escapes.flush(self.table, self.memory.read_u64)
-        allocation = self.table.remove_if_present(address)
+            # the lifetime histogram (Figure 5) sees them (with none
+            # pending, the flush would do nothing: skip the lookup).
+            self.escapes.flush(table, self.memory.read_u64)
+        allocation = table.remove_if_present(address)
         if allocation is not None and self._move_windows:
             for window in self._move_windows:
                 if window.overlaps(allocation.address, allocation.size):
@@ -247,11 +249,10 @@ class CaratRuntime:
         if allocation is not None:
             if self.safety is not None:
                 self.safety.note_free(allocation)
-            count = self.escapes.escape_count(allocation)
+            count = self.escapes.drop_allocation(allocation.address)
             self._lifetime_escape_counts[count] = (
                 self._lifetime_escape_counts.get(count, 0) + 1
             )
-            self.escapes.drop_allocation(allocation.address)
         tracer = self.tracer
         if tracer is not None and tracer.fine:
             tracer.instant("tracking.free", "tracking", {"address": address})
@@ -274,8 +275,7 @@ class CaratRuntime:
                     window.dirty_escapes += 1
                 if window.overlaps(location, 8):
                     window.mark_write(location, 8)
-        self.escapes.record(location)
-        if self.escapes.needs_flush():
+        if self.escapes.record(location):
             self.flush_escapes()
 
     def flush_escapes(self) -> int:

@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional
 
 from repro.carat.signing import DEFAULT_TOOLCHAIN, toolchain_key
-from repro.errors import SafetyFault
 
 #: Verdict strings carried by :class:`SafetyViolation`.
 KIND_UAF = "use-after-free"
@@ -245,9 +244,6 @@ class SafetyChecker:
         return SafetyViolation(
             kind=KIND_OOB, address=address, size=size, access=access
         )
-
-    def raise_violation(self, violation: SafetyViolation) -> None:
-        raise SafetyFault(violation)
 
     def describe(self) -> str:
         if not self.violations:

@@ -33,9 +33,10 @@ class ShadowedEscapeMap:
 
     # -- mutators: replayed on both copies ------------------------------
 
-    def record(self, location: int) -> None:
-        self._primary.record(location)
+    def record(self, location: int) -> bool:
+        due = self._primary.record(location)
         self.shadow.record(location)
+        return due
 
     def flush(self, table, read_pointer) -> int:
         resolved = self._primary.flush(table, read_pointer)
@@ -51,9 +52,10 @@ class ShadowedEscapeMap:
         self._primary.rekey_all(moves)
         self.shadow.rekey_all(moves)
 
-    def drop_allocation(self, address: int) -> None:
-        self._primary.drop_allocation(address)
+    def drop_allocation(self, address: int) -> int:
+        dropped = self._primary.drop_allocation(address)
         self.shadow.drop_allocation(address)
+        return dropped
 
     def rewrite_range(self, lo: int, hi: int, delta: int) -> int:
         rewritten = self._primary.rewrite_range(lo, hi, delta)

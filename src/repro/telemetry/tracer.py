@@ -103,6 +103,11 @@ class Tracer:
                 f"unknown trace detail {detail!r} (choose from {DETAIL_LEVELS})"
             )
         self.detail = detail
+        #: ``detail == "fine"``: whether per-check and per-callback
+        #: instants are recorded.  Fixed with ``detail`` at construction
+        #: and stored, since every tracking callback and trace exit reads
+        #: it.
+        self.fine = detail == "fine"
         self.max_events = max_events
         self.events: List[TraceEvent] = []
         #: Events discarded after the buffer filled (reported, not silent).
@@ -120,10 +125,6 @@ class Tracer:
         self._depth: Dict[int, int] = {}
 
     # -- clock -----------------------------------------------------------
-
-    @property
-    def fine(self) -> bool:
-        return self.detail == "fine"
 
     def set_clock(self, clock: Optional[Callable[[], int]]) -> None:
         """Attach the timestamp source (e.g. ``lambda: interp.stats.cycles``).

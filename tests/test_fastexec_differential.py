@@ -415,10 +415,10 @@ class TestDispatchCache:
         assert compiles == []
 
     def test_stencil_library_size_over_all_workloads(self, monkeypatch):
-        # 25 workloads x carat/traditional at tiny scale fold into 160
-        # stencils (93 before branches, calls, returns, select and the
-        # tracking intrinsics had templates); the bound is 4x 93, far
-        # below one stencil per op.
+        # 25 workloads x carat/traditional at tiny scale fold into 163
+        # stencils (93 before branches, calls, returns, select, the
+        # tracking intrinsics and the heap builtins had templates); the
+        # bound is 4x 93, far below one stencil per op.
         monkeypatch.setattr(fastexec, "_STENCILS", {})
         blocks = 0
         for name in workload_names():
@@ -1138,6 +1138,140 @@ class TestUndefinedOperand:
         trace = _matrix_run(text, mode, "trace", verify=False)
         assert reference[:5] == trace[:5]
         assert trace[5] > 0  # raised inside a trace
+
+
+# ---------------------------------------------------------------------------
+# The heap builtins: one template each, identical on every engine.
+# ---------------------------------------------------------------------------
+
+_HEAP_DECLS = """
+declare i8* @malloc(i64)
+declare i8* @calloc(i64, i64)
+declare i8* @realloc(i8*, i64)
+declare void @free(i8*)
+declare void @print_long(i64)
+"""
+
+#: calloc of a dirtied block (first fit hands the freed one back),
+#: free(NULL), realloc(NULL, n), a realloc that grows and one that
+#: shrinks, each keeping the prefix; then malloc and free in a hot loop.
+_HEAP_IR = _HEAP_DECLS + """
+define i64 @main() {
+entry:
+  %d = call i8* @malloc(i64 64)
+  %dl = bitcast i8* %d to i64*
+  store i64 -1, i64* %dl
+  call void @free(i8* %d)
+  %z = call i8* @calloc(i64 8, i64 8)
+  %zl = bitcast i8* %z to i64*
+  %zv = load i64* %zl
+  call void @print_long(i64 %zv)
+  call void @free(i8* null)
+  %r = call i8* @realloc(i8* null, i64 16)
+  %rl = bitcast i8* %r to i64*
+  store i64 123, i64* %rl
+  %g = call i8* @realloc(i8* %r, i64 256)
+  %gl = bitcast i8* %g to i64*
+  %gv = load i64* %gl
+  call void @print_long(i64 %gv)
+  %s = call i8* @realloc(i8* %g, i64 8)
+  %sl = bitcast i8* %s to i64*
+  %sv = load i64* %sl
+  call void @print_long(i64 %sv)
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %acc = phi i64 [0, %entry], [%acc2, %loop]
+  %p = call i8* @malloc(i64 24)
+  %pl = bitcast i8* %p to i64*
+  store i64 %i, i64* %pl
+  %pv = load i64* %pl
+  %acc2 = add i64 %acc, %pv
+  call void @free(i8* %p)
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, 40
+  br i1 %c, label %loop, label %exit
+exit:
+  call void @print_long(i64 %acc2)
+  call void @free(i8* %s)
+  call void @free(i8* %z)
+  ret i64 0
+}
+"""
+
+#: Allocates without freeing until the heap runs out, inside a trace.
+_HEAP_EXHAUSTION_IR = _HEAP_DECLS + """
+define void @main() {
+entry:
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %p = call i8* @malloc(i64 1000)
+  %next = add i64 %i, 1
+  br label %loop
+}
+"""
+
+
+def _heap_run(text, mode, engine):
+    """Run ``text`` at trace threshold 2 on a 64 KB heap: the outcome,
+    the modeled and runtime stats, and the trace tier's fallback ops."""
+    options = CompileOptions(
+        optimize=False, guards=mode == "carat", tracking=mode == "carat"
+    )
+    binary = compile_carat(parse_module(text), options, module_name="heap")
+    seen = []
+    config = RunConfig(
+        mode=mode, engine=engine, trace_threshold=2, heap_size=64 * 1024
+    )
+    try:
+        result = CaratSession(config, setup=seen.append).run(binary)
+        outcome = ("ok", result.exit_code)
+    except Exception as exc:  # the fault itself is the observation
+        outcome = ("fault", type(exc).__name__, str(exc))
+    interp = seen[0]
+    runtime = interp.process.runtime
+    observed = (
+        outcome,
+        tuple(interp.output),
+        _modeled(interp.stats, interp.process),
+        None if runtime is None else {
+            # The region-cache counters describe the engine, not the run.
+            k: v for k, v in asdict(runtime.stats).items()
+            if not k.startswith("region_cache")
+        },
+    )
+    code = getattr(interp, "_code", None)
+    fallbacks = code and sum(
+        name.startswith("_op")
+        for trace in code.trace_codes.values()
+        for name in trace.ns
+    )
+    return observed, interp.stats.traces_compiled, fallbacks
+
+
+class TestHeapTemplates:
+    """malloc, calloc, realloc and free are templates on both compiled
+    tiers, charging and computing what the reference's builtin does."""
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_heap_calls_identical(self, mode):
+        reference, _, _ = _heap_run(_HEAP_IR, mode, "reference")
+        assert reference[:2] == (("ok", 0), ("0", "123", "123", "780"))
+        assert _heap_run(_HEAP_IR, mode, "fast")[0] == reference
+        trace, traces, fallbacks = _heap_run(_HEAP_IR, mode, "trace")
+        assert trace == reference
+        assert traces > 0 and fallbacks == 0  # the loop's malloc is inline
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_heap_exhaustion_identical(self, mode):
+        reference, _, _ = _heap_run(_HEAP_EXHAUSTION_IR, mode, "reference")
+        assert reference[0][:2] == ("fault", "HeapError")
+        assert "heap exhausted: need 1008 bytes" in reference[0][2]
+        assert _heap_run(_HEAP_EXHAUSTION_IR, mode, "fast")[0] == reference
+        trace, traces, fallbacks = _heap_run(_HEAP_EXHAUSTION_IR, mode, "trace")
+        assert trace == reference
+        assert traces > 0 and fallbacks == 0
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,31 @@ class TestPhysicalMemory:
         with pytest.raises(PhysicalMemoryError):
             m.write_bytes(-1, b"x")
 
+    def test_u64_accessors_match_the_byte_path(self):
+        # read_u64/write_u64 slice the buffer directly: the same value,
+        # the same 8-byte accounting and the same out-of-range error as
+        # the read_bytes/write_bytes path they bypass.
+        m = PhysicalMemory(PAGE_SIZE)
+        for address, value in [(0, 1), (0x18, -1), (PAGE_SIZE - 8, 1 << 70 | 5)]:
+            written, read = m.bytes_written, m.bytes_read
+            m.write_u64(address, value)
+            assert m.bytes_written == written + 8
+            assert m.read_bytes(address, 8) == (value % (1 << 64)).to_bytes(8, "little")
+            assert m.read_u64(address) == value % (1 << 64)
+            assert m.read_u64(address) == m.read_uint(address, 8)
+            assert m.bytes_read == read + 8 * 4
+        for address in (-1, PAGE_SIZE - 7, PAGE_SIZE, 1 << 62):
+            with pytest.raises(PhysicalMemoryError) as byte_path:
+                m.read_bytes(address, 8)
+            read, written = m.bytes_read, m.bytes_written
+            with pytest.raises(PhysicalMemoryError) as direct:
+                m.read_u64(address)
+            assert str(direct.value) == str(byte_path.value)
+            with pytest.raises(PhysicalMemoryError) as direct:
+                m.write_u64(address, 7)
+            assert str(direct.value) == str(byte_path.value)
+            assert (m.bytes_read, m.bytes_written) == (read, written)
+
     def test_copy_and_fill(self):
         m = PhysicalMemory(MB)
         m.write_bytes(0x100, b"hello")

@@ -6,13 +6,16 @@
   every generic optimization, and the interpreter in one shot;
 * CARAT transparency: for random list/array programs, the instrumented
   binary must produce the baseline's output with zero guard faults;
-* region-set operations vs a page-permission reference model.
+* region-set operations vs a page-permission reference model;
+* the frame allocator's bitmap vs a list-of-bools scan.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import OutOfMemoryError
+from repro.kernel.physmem import PAGE_SIZE, FrameAllocator, PhysicalMemoryError
 from tests.support import run_carat, run_carat_baseline
 from repro.runtime.regions import (
     PERM_READ,
@@ -316,3 +319,124 @@ class TestGlobalInitializerRoundtrip:
         source = f"{decls}\nvoid main() {{\n{prints}\n}}"
         result = run_carat_baseline(source, name="prop")
         assert result.output == [str(v) for v in values]
+
+
+class _BoolFrames:
+    """The frame allocator's contract as a list of bools, scanned frame by
+    frame: first fit within a tier, next fit from a cursor untiered."""
+
+    def __init__(self, total, reserve, fast):
+        self.free = [f >= reserve for f in range(total)]
+        self.reserve, self.fast, self.cursor = reserve, fast, reserve
+
+    def bounds(self, tier):
+        total = len(self.free)
+        return {
+            None: (self.reserve, total),
+            "fast": (self.reserve, self.fast),
+            "slow": (self.fast, total),
+        }[tier]
+
+    def find(self, begin, count, end):
+        for start in range(begin, end - count + 1):
+            if all(self.free[start : start + count]):
+                return start
+        return None
+
+    def alloc(self, count, tier):
+        if tier is None:
+            start = self.find(self.cursor, count, len(self.free))
+            if start is None:
+                start = self.find(self.reserve, count, len(self.free))
+        else:
+            lo, hi = self.bounds(tier)
+            start = self.find(lo, count, hi)
+        if start is not None:
+            self.free[start : start + count] = [False] * count
+            if tier is None:
+                self.cursor = start + count
+        return start
+
+    def runs(self, tier):
+        lo, hi = self.bounds(tier)
+        runs, start = [], None
+        for frame in range(lo, hi + 1):
+            if frame < hi and self.free[frame]:
+                start = frame if start is None else start
+            elif start is not None:
+                runs.append((start, frame - start))
+                start = None
+        return runs
+
+
+class TestFrameAllocatorModel:
+    """Every query of the bitmap allocator equals a list-of-bools scan,
+    after any sequence of tiered and untiered ``alloc``, ``alloc_at``
+    and ``free`` (double frees included)."""
+
+    @given(
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["alloc", "alloc_fast", "alloc_slow",
+                                 "alloc_at", "free"]),
+                st.integers(min_value=0, max_value=47),
+                st.integers(min_value=1, max_value=6),
+            ),
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_list_of_bools(self, tiered, operations):
+        total, reserve, fast = 48, 4, 20
+        frames = FrameAllocator(
+            total * PAGE_SIZE, reserve_low=reserve,
+            fast_frames=fast if tiered else None,
+        )
+        model = _BoolFrames(total, reserve, fast)
+        for op, frame, count in operations:
+            if op.startswith("alloc_") and op != "alloc_at" and not tiered:
+                op = "alloc"
+            if op == "alloc_at":
+                expect = (
+                    reserve <= frame and frame + count <= total
+                    and all(model.free[frame : frame + count])
+                )
+                assert frames.alloc_at(frame, count) == expect
+                if expect:
+                    model.free[frame : frame + count] = [False] * count
+            elif op == "free":
+                span = model.free[frame : frame + count]
+                if frame + count <= total and not any(span):
+                    frames.free(frame, count)
+                    model.free[frame : frame + count] = [True] * count
+                else:
+                    with pytest.raises(PhysicalMemoryError):
+                        frames.free(frame, count)
+                    # A failed release frees the frames before the bad one.
+                    bad = next(
+                        (f for f in range(frame, frame + count)
+                         if f >= total or model.free[f]),
+                    )
+                    model.free[frame:bad] = [True] * (bad - frame)
+            else:
+                tier = {"alloc": None, "alloc_fast": "fast",
+                        "alloc_slow": "slow"}[op]
+                expect = model.alloc(count, tier)
+                if expect is None:
+                    with pytest.raises(OutOfMemoryError):
+                        frames.alloc(count, tier=tier)
+                else:
+                    assert frames.alloc(count, tier=tier) == expect
+            for tier in ([None, "fast", "slow"] if tiered else [None]):
+                runs = model.runs(tier)
+                assert frames.free_runs(tier) == runs
+                assert frames.largest_free_run(tier) == max(
+                    (length for _, length in runs), default=0
+                )
+                assert frames.free_frames_in(tier) == sum(
+                    length for _, length in runs
+                )
+            assert frames.free_frames == model.free.count(True)
+            assert [frames.frame_is_free(f) for f in range(total)] == model.free
+            assert all(type(frames.frame_is_free(f)) is bool for f in range(total))

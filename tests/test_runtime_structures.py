@@ -19,7 +19,9 @@ from repro.runtime import (
     RegionSet,
     make_guard,
 )
+from repro.kernel.physmem import PhysicalMemory
 from repro.runtime.allocation_table import AllocationError
+from repro.runtime.escape_map import EscapeStats
 
 
 class TestAllocationTable:
@@ -184,13 +186,43 @@ class TestEscapeMap:
         assert m.flush(t, memory) == 0
         assert m.stats.stale_dropped == 1
 
+    def test_flush_through_physical_memory(self):
+        # The runtime flushes with PhysicalMemory.read_u64 as the reader:
+        # one 8-byte read per record, resolved against the table, stale
+        # and duplicate records handled and counted as by any reader.
+        memory = PhysicalMemory(16 * 4096)
+        t = AllocationTable()
+        a = t.add(0x1000, 64)
+        b = t.add(0x2000, 16)
+        cells = {
+            0x5000: 0x1000,  # a's base
+            0x5008: 0x103F,  # a's last byte
+            0x5010: 0x1040,  # one past a: stale
+            0x5018: 0x2008,  # inside b
+            0x5020: 0xDEAD0000,  # nothing tracked: stale
+        }
+        for cell, value in cells.items():
+            memory.write_u64(cell, value)
+        m = AllocationToEscapeMap()
+        for cell in [*cells, 0x5000]:  # 0x5000 twice: one resolved entry
+            m.record(cell)
+        read = memory.bytes_read
+        assert m.flush(t, memory.read_u64) == 4
+        assert memory.bytes_read == read + 6 * 8
+        assert m.escapes_of(a) == {0x5000, 0x5008}
+        assert m.escapes_of(b) == {0x5018}
+        assert m.stats == EscapeStats(
+            recorded=6, resolved=4, stale_dropped=2, flushes=1
+        )
+        assert m.pending_count == 0
+        assert m.flush(t, memory.read_u64) == 0  # nothing pending: no flush
+        assert m.stats.flushes == 1
+
     def test_batching_threshold(self):
         m = AllocationToEscapeMap(batch_limit=3)
-        m.record(1)
-        m.record(2)
-        assert not m.needs_flush()
-        m.record(3)
-        assert m.needs_flush()
+        assert not m.record(1)
+        assert not m.record(2)
+        assert m.record(3)
 
     def test_histogram(self):
         t = AllocationTable()

@@ -16,6 +16,7 @@ from repro.ir import (
 )
 from repro.ir.instructions import AllocaInst, LoadInst, PhiInst, StoreInst
 from repro.ir.types import I64, VOID, ptr
+from repro.machine.session import CaratSession, RunConfig
 from repro.transform.dce import eliminate_dead_code, run_on_function as dce_fn
 from repro.transform.licm import hoist_loop_invariants
 from repro.transform.mem2reg import is_promotable, promote_memory_to_registers
@@ -341,6 +342,37 @@ class TestLICM:
         li = LoopInfo.compute(fn)
         assert all(li.loop_for(p.parent) is None for p in products)
         assert len(solves) == 1
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="SteensgaardSolver gives each pointer argument its own "
+        "pointee, so LICM hoists *a past *b = i when a and b alias",
+    )
+    @pytest.mark.parametrize("engine", ["reference", "fast", "trace"])
+    def test_load_not_hoisted_past_store_through_aliasing_argument(self, engine):
+        # f(x, x, 4): every iteration stores i through b and reads it
+        # back through a, so s = 0 + 1 + 2 + 3.  The miscompile reads *a
+        # once before the loop and prints 4 * 100.
+        source = """
+        long f(long *a, long *b, long n) {
+          long s = 0;
+          long i;
+          for (i = 0; i < n; i++) {
+            *b = i;
+            s += *a;
+          }
+          return s;
+        }
+        void main() {
+          long *x = (long*)malloc(8);
+          *x = 100;
+          print_long(f(x, x, 4));
+          free((char*)x);
+        }
+        """
+        config = RunConfig(engine=engine, trace_threshold=2)
+        assert CaratSession(config).run(source).output == ["6"]
 
 
 def _counted_loop(fn, b, n, emit_body, tag):
