@@ -1,8 +1,10 @@
 """Shared machinery for the experiment benchmarks.
 
 Each ``test_*`` file under ``benchmarks/`` regenerates one table or
-figure from the paper.  Results are printed and written under
-``benchmarks/results/`` so EXPERIMENTS.md can cite them.
+figure from the paper.  Tables are printed and written under
+``benchmarks/results/`` so EXPERIMENTS.md can cite them; a benchmark
+with gates also writes one repo-root ``BENCH_<bench>.json`` document
+through :func:`emit_bench` (``benchmarks/tables.txt`` lists both).
 
 All workload executions go through a session-scoped :class:`RunCache`
 keyed by (workload, configuration) — most figures share configurations,
@@ -53,6 +55,12 @@ SUITE = [
 ]
 
 RESULTS_DIR = Path(__file__).parent / "results"
+REPO_ROOT = Path(__file__).parent.parent
+
+#: The envelope of every repo-root ``BENCH_<bench>.json`` document.
+BENCH_SCHEMA = "carat.bench.v1"
+BENCH_KEYS = ("schema", "bench", "config", "metrics", "rows", "verdict")
+METRIC_KEYS = ("value", "unit", "better", "bound")
 
 
 def _compile_options(config: str) -> Optional[CompileOptions]:
@@ -256,14 +264,77 @@ def emit_table(
     return text
 
 
-def emit_json(name: str, payload: dict) -> Path:
-    """Persist one experiment's machine-readable results as
-    ``benchmarks/results/<name>.json`` (pretty-printed, keys kept in
-    insertion order so diffs stay reviewable)."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    return path
+def metric(value, unit: str, better: Optional[str] = None, bound=None) -> dict:
+    """One metric entry, shaped like a ``BENCHMARK.json`` metric.
+
+    ``better`` is ``"higher"``, ``"lower"`` or ``None``.  ``bound`` is the
+    gate: the value must be at least the bound when higher is better and
+    at most the bound when lower is better; ``None`` makes the metric
+    informational.  A strict gate on a count is a bound of 1 on an
+    integer margin; on a float it is :func:`above` or :func:`below`.
+    """
+    return {"value": value, "unit": unit, "better": better, "bound": bound}
+
+
+def above(threshold: float) -> float:
+    """The bound of a strict ``value > threshold`` gate."""
+    return math.nextafter(threshold, math.inf)
+
+
+def below(threshold: float) -> float:
+    """The bound of a strict ``value < threshold`` gate."""
+    return math.nextafter(threshold, -math.inf)
+
+
+def check_bench(doc: dict) -> List[str]:
+    """Every way ``doc`` fails as a passing ``carat.bench.v1`` document:
+    envelope keys, metric fields, each metric past its bound, and a
+    verdict that disagrees with the bounds or is not ``pass``."""
+    if list(doc) != list(BENCH_KEYS):
+        return [f"envelope keys {list(doc)}, want {list(BENCH_KEYS)}"]
+    problems = []
+    if doc["schema"] != BENCH_SCHEMA:
+        problems.append(f"schema {doc['schema']!r}, want {BENCH_SCHEMA!r}")
+    if not isinstance(doc["config"], dict) or not isinstance(doc["rows"], list):
+        problems.append("config must be an object and rows a list")
+    for name, entry in doc["metrics"].items():
+        if list(entry) != list(METRIC_KEYS):
+            problems.append(f"{name}: fields {list(entry)}, want {list(METRIC_KEYS)}")
+            continue
+        value, better, bound = entry["value"], entry["better"], entry["bound"]
+        if better not in ("higher", "lower", None):
+            problems.append(f"{name}: better {better!r}")
+        elif bound is None:
+            continue
+        elif better is None or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool)
+            for v in (value, bound)
+        ):
+            problems.append(f"{name}: a bound needs a direction and numbers")
+        elif not (value >= bound if better == "higher" else value <= bound):
+            problems.append(
+                f"{name} = {value!r} {entry['unit']} is past its bound "
+                f"{bound!r} ({better} is better)"
+            )
+    if doc["verdict"] != ("fail" if problems else "pass"):
+        problems.append(f"verdict {doc['verdict']!r} disagrees with the bounds")
+    return problems
+
+
+def emit_bench(bench: str, config: dict, metrics: dict, rows: list) -> dict:
+    """Write the repo-root ``BENCH_<bench>.json`` document, its verdict
+    set from the bounds, then fail the benchmark naming every metric
+    past its bound (the failing document stays on disk to inspect)."""
+    doc = {
+        "schema": BENCH_SCHEMA, "bench": bench, "config": config,
+        "metrics": metrics, "rows": rows, "verdict": "pass",
+    }
+    if check_bench(doc):
+        doc["verdict"] = "fail"
+    (REPO_ROOT / f"BENCH_{bench}.json").write_text(json.dumps(doc, indent=2) + "\n")
+    problems = check_bench(doc)
+    assert not problems, f"BENCH_{bench}.json: " + "; ".join(problems)
+    return doc
 
 
 def _fmt(value: object) -> str:

@@ -19,20 +19,15 @@ the pause log is cleared after scatter):
   (batching amortizes per-move fixed costs, so the queue should
   relocate *at least* as many pages per cycle spent moving).
 
-Emitted artifacts:
-
-* the repo-root ``BENCH_movepause.json`` — the full frontier;
-* ``benchmarks/results/movepause_frontier.txt`` — the table.
-
-The assertion floor is the CI gate: the best chunked configuration must
-cut p99 pause by at least 5x against serial at equal-or-better move
-throughput, with bit-identical program output.
+Emitted: the repo-root ``BENCH_movepause.json`` (the full frontier)
+and the table ``movepause_frontier.txt``; CI's ``tables`` job diffs
+both.  The gates: the best chunked configuration must cut p99 pause by
+at least 5x against serial at equal-or-better move throughput, every
+chunked configuration must beat serial's p99, and every configuration
+must move pages, with bit-identical program output.
 """
 
-import json
-from pathlib import Path
-
-from harness import emit_table, run_carat
+from harness import emit_bench, emit_table, metric, run_carat
 
 from repro.kernel.kernel import Kernel
 from repro.multiproc.scheduler import percentile
@@ -55,10 +50,8 @@ WORKLOAD = "canneal"
 BATCH_SIZES = [1, 4, 8]
 CHUNK_BUDGETS = [0, 400, 1200]
 
-#: CI gate: the ISSUE's acceptance bar.
+#: The p99 cut the best chunked configuration must reach.
 MIN_P99_CUT = 5.0
-
-REPO_ROOT = Path(__file__).parent.parent
 
 
 def _frontier_run(batch_size=None, chunk_budget=0, engine="reference"):
@@ -137,7 +130,6 @@ def _frontier_run(batch_size=None, chunk_budget=0, engine="reference"):
 
 def test_move_pause_frontier():
     serial, serial_output = _frontier_run()
-    assert serial["pauses"] > 0 and serial["pages_moved"] > 0
 
     sweep = []
     for batch_size in BATCH_SIZES:
@@ -148,7 +140,6 @@ def test_move_pause_frontier():
             assert output == serial_output, (
                 f"mb={batch_size} cb={chunk_budget}: output diverged"
             )
-            assert entry["moves_serviced"] > 0
             entry["p99_cut"] = round(
                 serial["p99_pause"] / entry["p99_pause"], 2
             ) if entry["p99_pause"] else float("inf")
@@ -156,27 +147,6 @@ def test_move_pause_frontier():
 
     chunked = [e for e in sweep if e["chunk_budget"] > 0]
     best = min(chunked, key=lambda e: (e["p99_pause"], -e["pages_per_kilocycle"]))
-
-    aggregate = {
-        "schema": "carat.movepause.v1",
-        "workload": WORKLOAD,
-        "scale": "tiny",
-        "batch_sizes": BATCH_SIZES,
-        "chunk_budgets": CHUNK_BUDGETS,
-        "min_p99_cut": MIN_P99_CUT,
-        "serial": serial,
-        "sweep": sweep,
-        "best": {
-            "batch_size": best["batch_size"],
-            "chunk_budget": best["chunk_budget"],
-            "p99_pause": best["p99_pause"],
-            "p99_cut": best["p99_cut"],
-            "pages_per_kilocycle": best["pages_per_kilocycle"],
-        },
-    }
-    (REPO_ROOT / "BENCH_movepause.json").write_text(
-        json.dumps(aggregate, indent=2) + "\n"
-    )
 
     emit_table(
         "movepause_frontier",
@@ -207,16 +177,35 @@ def test_move_pause_frontier():
     )
 
     # The gates.  p99: the whole point of the incremental protocol.
-    assert best["p99_pause"] * MIN_P99_CUT <= serial["p99_pause"], (
-        f"best chunked p99 {best['p99_pause']} misses the {MIN_P99_CUT}x "
-        f"floor vs serial {serial['p99_pause']}"
+    # Throughput: batching must amortize, not tax -- at least as many
+    # pages relocated per cycle spent in the move subsystem.  And every
+    # chunked configuration improves p99, so the frontier is monotone in
+    # the right direction, not a single lucky point.
+    emit_bench(
+        "movepause",
+        {"workload": WORKLOAD, "scale": "tiny", "batch_sizes": BATCH_SIZES,
+         "chunk_budgets": CHUNK_BUDGETS},
+        {
+            "serial.pauses": metric(serial["pauses"], "pauses", "higher", 1),
+            "serial.p99_pause": metric(serial["p99_pause"], "cycles", "higher", 1),
+            "configurations": metric(len(sweep), "configs", "higher", 9),
+            "pages_moved_min": metric(
+                min(e["pages_moved"] for e in [serial] + sweep),
+                "pages", "higher", 1),
+            "moves_serviced_min": metric(
+                min(e["moves_serviced"] for e in sweep), "moves", "higher", 1),
+            "best.batch_size": metric(best["batch_size"], "moves"),
+            "best.chunk_budget": metric(best["chunk_budget"], "cycles"),
+            "best.p99_pause": metric(best["p99_pause"], "cycles", "lower"),
+            "best.p99_cut": metric(
+                serial["p99_pause"] / best["p99_pause"], "x", "higher",
+                MIN_P99_CUT),
+            "best.throughput_ratio": metric(
+                best["pages_per_kilocycle"] / serial["pages_per_kilocycle"],
+                "x", "higher", 1.0),
+            "chunked.p99_margin_min": metric(
+                min(serial["p99_pause"] - e["p99_pause"] for e in chunked),
+                "cycles", "higher", 1),
+        },
+        [serial] + sweep,
     )
-    # Throughput: batching must amortize, not tax — at least as many
-    # pages relocated per cycle spent in the move subsystem.
-    assert best["pages_per_kilocycle"] >= serial["pages_per_kilocycle"], (
-        "chunked moves relocate fewer pages per move cycle than serial"
-    )
-    # Every chunked configuration improves p99 — the frontier is
-    # monotone in the right direction, not a single lucky point.
-    for entry in chunked:
-        assert entry["p99_pause"] < serial["p99_pause"]

@@ -12,24 +12,15 @@ oracle costs and what it buys:
   (use-after-free and out-of-bounds, read and write) must raise
   :class:`~repro.errors.SafetyFault` on every engine.
 
-Emitted artifacts:
-
-* ``benchmarks/results/safety_<workload>.json`` — one file per
-  workload with per-engine cycles/checks/overhead;
-* the repo-root ``BENCH_safety.json`` — the aggregate: per-workload
-  overheads, the geomean, and the detection-matrix verdict.
-
-The assertion floor doubles as the CI gate: detection must be 4/4 on
-every engine, outputs must be bit-identical with safety on, and the
-geomean cycle overhead must stay under the design ceiling.
+Emitted: the repo-root ``BENCH_safety.json`` (a row per workload and
+engine, and per planted bug and engine) and the table
+``safety_overhead.txt``, both at ``CARAT_BENCH_SCALE=small``; CI's
+``tables`` job diffs both.  The gates: detection must be 4/4 on every
+engine, outputs must be bit-identical with safety on, and the geomean
+cycle overhead must stay under the design ceiling.
 """
 
-import json
-from pathlib import Path
-
-import pytest
-
-from harness import SCALE, emit_json, emit_table, geomean, run_carat
+from harness import SCALE, below, emit_bench, emit_table, geomean, metric, run_carat
 
 from repro.errors import SafetyFault
 from repro.workloads import get_workload
@@ -45,8 +36,6 @@ ENGINES = ["reference", "fast", "trace"]
 #: HMAC recompute, so the modeled geomean must stay well under that.
 MAX_GEOMEAN_OVERHEAD = 2.0
 
-REPO_ROOT = Path(__file__).parent.parent
-
 
 def _pair(source, workload, engine):
     plain = run_carat(source, name=workload, engine=engine)
@@ -61,75 +50,63 @@ def _pair(source, workload, engine):
 
 
 def test_safety_overhead():
-    rows = []
-    per_workload = {}
+    overheads = []
     for workload in WORKLOADS:
         source = get_workload(workload, SCALE).source
-        engines = {}
         for engine in ENGINES:
             plain, checked, safety = _pair(source, workload, engine)
-            overhead = checked.cycles / plain.cycles
-            engines[engine] = {
+            overheads.append({
+                "workload": workload,
+                "engine": engine,
                 "plain_cycles": plain.cycles,
                 "safety_cycles": checked.cycles,
-                "overhead": round(overhead, 4),
+                "overhead": round(checked.cycles / plain.cycles, 4),
                 "checks": safety.checks,
                 "tombstones": len(safety.tombstones),
-            }
-        entry = {"scale": SCALE, "engines": engines}
-        per_workload[workload] = entry
-        emit_json(f"safety_{workload}", {"workload": workload, **entry})
-        ref = engines["reference"]
-        rows.append(
-            (
-                workload,
-                ref["plain_cycles"],
-                ref["safety_cycles"],
-                ref["overhead"],
-                ref["checks"],
-            )
-        )
+            })
 
-    detection = {}
+    detections = []
     for engine in ENGINES:
-        verdicts = {}
         for name, expected in sorted(EXPECTED_KINDS.items()):
             bug = adversarial_workload(name, "tiny")
-            with pytest.raises(SafetyFault) as fault:
+            try:
                 run_carat(bug.source, name=name, engine=engine, safety=True)
-            assert fault.value.violation.kind == expected
-            verdicts[name] = fault.value.violation.kind
-        detection[engine] = verdicts
+                detected = None
+            except SafetyFault as fault:
+                detected = fault.violation.kind
+            detections.append({
+                "bug": name, "engine": engine,
+                "expected": expected, "detected": detected,
+            })
 
-    overheads = [
-        per_workload[w]["engines"]["reference"]["overhead"] for w in WORKLOADS
-    ]
-    aggregate = {
-        "scale": SCALE,
-        "geomean_overhead": round(geomean(overheads), 4),
-        "max_geomean_overhead": MAX_GEOMEAN_OVERHEAD,
-        "detected": sum(len(v) for v in detection.values()),
-        "expected_detections": len(EXPECTED_KINDS) * len(ENGINES),
-        "detection": detection,
-        "workloads": per_workload,
-    }
-    (REPO_ROOT / "BENCH_safety.json").write_text(
-        json.dumps(aggregate, indent=2) + "\n"
-    )
-
+    reference = [r for r in overheads if r["engine"] == "reference"]
+    overhead = round(geomean([r["overhead"] for r in reference]), 4)
+    detected = sum(r["detected"] == r["expected"] for r in detections)
+    expected = len(EXPECTED_KINDS) * len(ENGINES)
     emit_table(
         "safety_overhead",
         f"Safety-mode modeled-cycle overhead ({SCALE} scale, reference "
         "engine; detection matrix on all three)",
         ["benchmark", "plain_cyc", "safety_cyc", "overhead", "checks"],
-        rows,
+        [
+            (r["workload"], r["plain_cycles"], r["safety_cycles"],
+             r["overhead"], r["checks"])
+            for r in reference
+        ],
         footer=[
-            f"geomean overhead {aggregate['geomean_overhead']:.3f}x "
+            f"geomean overhead {overhead:.3f}x "
             f"(ceiling {MAX_GEOMEAN_OVERHEAD}x); detection "
-            f"{aggregate['detected']}/{aggregate['expected_detections']} "
-            "planted bugs across engines"
+            f"{detected}/{expected} planted bugs across engines"
         ],
     )
-
-    assert aggregate["detected"] == aggregate["expected_detections"]
-    assert aggregate["geomean_overhead"] < MAX_GEOMEAN_OVERHEAD
+    emit_bench(
+        "safety",
+        {"scale": SCALE, "workloads": WORKLOADS, "engines": ENGINES,
+         "bugs": sorted(EXPECTED_KINDS)},
+        {
+            "geomean_overhead": metric(
+                overhead, "x", "lower", below(MAX_GEOMEAN_OVERHEAD)),
+            "detections": metric(detected, "bugs", "higher", expected),
+        },
+        overheads + detections,
+    )

@@ -22,7 +22,7 @@ workload in the suite under **all three** engines:
 
 from __future__ import annotations
 
-from harness import SCALE, SUITE, emit_json, emit_table
+from harness import SCALE, SUITE, emit_table
 from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry import PROFILE_CATEGORIES, validate_events
 from repro.workloads import get_workload
@@ -49,7 +49,6 @@ def _profiles():
 
 def test_telemetry_contract_suite_sweep():
     rows = []
-    payload = {}
     reference_profiles = {}
     for workload, engine, plain, telem in _profiles():
         profile = telem.profile
@@ -89,11 +88,6 @@ def test_telemetry_contract_suite_sweep():
                 len(telem.tracer.events),
                 "0",
             ])
-            payload[workload] = {
-                "cycles": telem.cycles,
-                "buckets": dict(profile.buckets),
-                "trace_events": len(telem.tracer.events),
-            }
         else:
             # 3. Every engine attributes identically, bucket for bucket,
             #    function for function and site for site.
@@ -118,4 +112,3 @@ def test_telemetry_contract_suite_sweep():
             "row, under all three engines",
         ],
     )
-    emit_json("telemetry_overhead", {"scale": SCALE, "workloads": payload})

@@ -24,8 +24,6 @@ Tracking intrinsics (mapping, Section 4.1.2):
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.ir.module import Function, Module
 from repro.ir.types import FunctionType, VOID
 
@@ -54,10 +52,6 @@ def declare_intrinsic(module: Module, name: str) -> Function:
     if name not in ALL_INTRINSICS:
         raise ValueError(f"not a CARAT intrinsic: {name!r}")
     return module.get_or_declare(name, FunctionType(VOID, [], vararg=True))
-
-
-def declare_all(module: Module) -> Dict[str, Function]:
-    return {name: declare_intrinsic(module, name) for name in sorted(ALL_INTRINSICS)}
 
 
 def is_guard_call(inst) -> bool:

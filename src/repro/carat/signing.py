@@ -33,11 +33,6 @@ _TOOLCHAIN_KEYS: Dict[str, bytes] = {
 }
 
 
-def register_toolchain(name: str, key: bytes) -> None:
-    """Register a toolchain signing key (e.g. for tests)."""
-    _TOOLCHAIN_KEYS[name] = key
-
-
 def toolchain_key(name: str) -> bytes:
     try:
         return _TOOLCHAIN_KEYS[name]

@@ -63,9 +63,6 @@ class IRBuilder:
         self._block = block
         self._anchor = block.instructions[0] if block.instructions else None
 
-    def append_block(self, name: str = "bb") -> BasicBlock:
-        return self.function.add_block(name)
-
     # -- insertion core ----------------------------------------------------------
 
     def _insert(self, inst: Instruction, name: str = "") -> Instruction:
@@ -135,12 +132,6 @@ class IRBuilder:
 
     def srem(self, lhs: Value, rhs: Value, name: str = "") -> BinaryInst:
         return self.binop("srem", lhs, rhs, name)
-
-    def and_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryInst:
-        return self.binop("and", lhs, rhs, name)
-
-    def or_(self, lhs: Value, rhs: Value, name: str = "") -> BinaryInst:
-        return self.binop("or", lhs, rhs, name)
 
     def xor(self, lhs: Value, rhs: Value, name: str = "") -> BinaryInst:
         return self.binop("xor", lhs, rhs, name)

@@ -163,30 +163,12 @@ class Instruction(Value):
     def is_terminator(self) -> bool:
         return isinstance(self, (BranchInst, ReturnInst, UnreachableInst))
 
-    @property
-    def is_memory_access(self) -> bool:
-        return isinstance(self, (LoadInst, StoreInst))
-
     def may_write_memory(self) -> bool:
         if isinstance(self, StoreInst):
             return True
         if isinstance(self, CallInst):
             return not self.is_readonly_call()
         return False
-
-    def may_read_memory(self) -> bool:
-        if isinstance(self, LoadInst):
-            return True
-        if isinstance(self, CallInst):
-            return True
-        return False
-
-    def has_side_effects(self) -> bool:
-        return (
-            self.may_write_memory()
-            or self.is_terminator
-            or isinstance(self, (CallInst, StoreInst))
-        )
 
     def is_readonly_call(self) -> bool:
         return False
@@ -620,13 +602,6 @@ class PhiInst(Instruction):
         for value, pred in pairs:
             self._append_operand(value)
             self._append_operand(pred)
-
-    def set_incoming_value(self, block: "BasicBlock", value: Value) -> None:
-        for i in range(0, self.num_operands, 2):
-            if self.operand(i + 1) is block:
-                self.set_operand(i, value)
-                return
-        raise IRError(f"phi {self.name!r} has no entry for {block.name!r}")
 
 
 class SelectInst(Instruction):

@@ -212,13 +212,6 @@ class Function(Value):
             self.blocks.insert(self.blocks.index(before), block)
         return block
 
-    def remove_block(self, block: BasicBlock) -> None:
-        if block.num_uses:
-            raise IRError(
-                f"cannot remove block {block.name!r}: it still has predecessors"
-            )
-        self.blocks.remove(block)
-
     def unique_name(self, hint: str) -> str:
         self._name_counter += 1
         return f"{hint}.{self._name_counter}"

@@ -49,10 +49,6 @@ class Type:
         return isinstance(self, (ArrayType, StructType))
 
     @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    @property
     def is_first_class(self) -> bool:
         """True for types a register (SSA value) can hold."""
         return not isinstance(self, (VoidType, FunctionType))

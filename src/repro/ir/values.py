@@ -261,16 +261,6 @@ class Argument(Value):
         self.index = index
 
 
-def const_int(ty: IntType, value: int) -> ConstantInt:
-    return ConstantInt(ty, value)
-
-
-def const_bool(value: bool) -> ConstantInt:
-    from repro.ir.types import I1
-
-    return ConstantInt(I1, 1 if value else 0)
-
-
 def is_constant(value: Value) -> bool:
     return isinstance(value, Constant)
 

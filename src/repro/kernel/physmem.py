@@ -298,12 +298,20 @@ class FrameAllocator:
         return None if start < 0 else start
 
     def free(self, frame: int, count: int = 1) -> None:
-        for f in range(frame, frame + count):
-            if f < 0 or f >= self.total_frames:
-                raise PhysicalMemoryError(f"frame {f} out of range")
-            if self._free[f]:
-                raise PhysicalMemoryError(f"double free of frame {f}")
-            self._free[f] = True
+        """Release a frame run, all or nothing: the first bad frame (out
+        of range, or already free) raises before any frame changes."""
+        if count <= 0:
+            return
+        end = frame + count
+        if frame < 0:
+            raise PhysicalMemoryError(f"frame {frame} out of range")
+        already = self._free.find(1, frame, end)
+        if already >= 0:
+            raise PhysicalMemoryError(f"double free of frame {already}")
+        if end > self.total_frames:
+            bad = max(frame, self.total_frames)
+            raise PhysicalMemoryError(f"frame {bad} out of range")
+        self._free[frame:end] = b"\x01" * count
         self.allocated_frames -= count
 
     def free_address(self, address: int, count: int = 1) -> None:

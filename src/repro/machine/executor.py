@@ -78,11 +78,6 @@ class RunResult:
             return 0.0
         return self.stats.mpki(self.process.mmu.dtlb.stats.misses)
 
-    def tracking_footprint(self) -> int:
-        if self.process.runtime is None:
-            return 0
-        return self.process.runtime.tracking_footprint_bytes()
-
     def fingerprint(self) -> str:
         """Digest of the run's observable behavior: exit code, printed
         output, and every modeled counter.  Two runs of the same program

@@ -294,10 +294,3 @@ class TieringBalancer:
         if stats is not None:
             stats.demotions += 1
         return 1
-
-    # -- reporting ---------------------------------------------------------------
-
-    def fast_tier_bytes_used(self) -> int:
-        lo, hi = self.kernel.frames.tier_bounds("fast")
-        free = self.kernel.frames.free_frames_in("fast")
-        return ((hi - lo) - free) * PAGE_SIZE

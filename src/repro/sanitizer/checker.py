@@ -608,9 +608,6 @@ class InvariantChecker:
     def rule_names(self) -> List[str]:
         return [name for name, _ in self.rules]
 
-    def add_rule(self, name: str, rule: Rule) -> None:
-        self.rules.append((name, rule))
-
     def check_kernel(
         self,
         kernel,

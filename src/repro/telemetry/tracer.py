@@ -230,9 +230,6 @@ class Tracer:
         for event in self.events:
             yield json.dumps(event.to_dict(), sort_keys=True)
 
-    def to_jsonl(self) -> str:
-        return "\n".join(self.jsonl_lines()) + ("\n" if self.events else "")
-
     def write_jsonl(self, path) -> None:
         with open(path, "w") as handle:
             for line in self.jsonl_lines():

@@ -96,6 +96,15 @@ class TestFrameAllocator:
         with pytest.raises(PhysicalMemoryError):
             fa.free(f1)  # double free
 
+    def test_failed_free_changes_nothing(self):
+        fa = FrameAllocator(32 * PAGE_SIZE, reserve_low=4)
+        start = fa.alloc(4)
+        with pytest.raises(PhysicalMemoryError, match="double free of frame 8"):
+            fa.free(start, 6)
+        assert fa.allocated_frames == 4
+        assert fa.allocated_frames + fa.free_frames == fa.usable_frames
+        assert not any(fa.frame_is_free(start + i) for i in range(4))
+
     def test_contiguous_runs(self):
         fa = FrameAllocator(MB, reserve_low=0)
         start = fa.alloc(16)

@@ -1,9 +1,10 @@
-"""Every result table is accounted for in ``benchmarks/tables.txt``.
+"""Every result artifact is accounted for in ``benchmarks/tables.txt``.
 
-CI's ``tables`` job regenerates the tables that list marks ``pinned``
-and fails on any ``git diff``.  A new table that nobody lists would
-escape that gate silently, so each ``benchmarks/results/*.txt`` must be
-on the list: pinned, host-time, or unpinned with a reason.
+CI's ``tables`` job regenerates the artifacts that list marks ``pinned``
+and fails on any ``git diff``.  An artifact that nobody lists would
+escape that gate silently, so each ``benchmarks/results/*.txt`` table
+and each repo-root ``BENCH_*.json`` document must be on the list:
+pinned, host-time, or unpinned with a reason.
 """
 
 from pathlib import Path
@@ -20,28 +21,31 @@ def _entries():
         fields, _, reason = line.partition("#")
         if not fields.strip():
             continue
-        table, benchmark, kind, *scale = fields.split()
-        assert table not in entries, f"line {number}: {table} listed twice"
+        artifact, benchmark, kind, *scale = fields.split()
+        assert artifact not in entries, f"line {number}: {artifact} listed twice"
         assert scale in ([], ["tiny"], ["small"], ["medium"]), f"line {number}: {scale}"
-        entries[table] = (benchmark, kind, reason.strip())
+        entries[artifact] = (benchmark, kind, reason.strip())
     return entries
 
 
 def test_every_result_table_is_listed():
-    tables = {path.name for path in (BENCHMARKS / "results").glob("*.txt")}
+    artifacts = {path.name for path in (BENCHMARKS / "results").glob("*.txt")}
+    artifacts |= {path.name for path in BENCHMARKS.parent.glob("BENCH_*.json")}
     entries = _entries()
-    assert sorted(tables - set(entries)) == [], "tables missing from the list"
-    assert sorted(set(entries) - tables) == [], "listed tables that do not exist"
+    assert sorted(artifacts - set(entries)) == [], "artifacts missing from the list"
+    assert sorted(set(entries) - artifacts) == [], "listed artifacts that do not exist"
 
 
 def test_list_entries_are_well_formed():
-    for table, (benchmark, kind, reason) in _entries().items():
-        assert kind in KINDS, f"{table}: unknown kind {kind!r}"
+    for artifact, (benchmark, kind, reason) in _entries().items():
+        assert kind in KINDS, f"{artifact}: unknown kind {kind!r}"
         source = BENCHMARKS / benchmark
-        assert source.is_file(), f"{table}: no benchmark {benchmark}"
-        stem = table[: -len(".txt")]
-        assert f'"{stem}"' in source.read_text(), (
-            f"{table}: {benchmark} does not write it"
+        assert source.is_file(), f"{artifact}: no benchmark {benchmark}"
+        text = source.read_text()
+        stem = artifact.removeprefix("BENCH_").rsplit(".", 1)[0]
+        writer = "emit_bench(" if artifact.startswith("BENCH_") else "emit_table("
+        assert writer in text and f'"{stem}"' in text, (
+            f"{artifact}: {benchmark} does not write it"
         )
         if kind == "unpinned":
-            assert reason, f"{table}: an unpinned table needs a reason"
+            assert reason, f"{artifact}: an unpinned artifact needs a reason"
