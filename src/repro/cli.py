@@ -48,6 +48,7 @@ from typing import List, Optional, Tuple
 from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.errors import ParseError, SemanticError
 from repro.ir.printer import print_module
+from repro.kernel.heap import HeapError
 from repro.kernel.pagetable import PAGE_SIZE
 from repro.kernel.physmem import PhysicalMemoryError
 
@@ -734,7 +735,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"{share:.0%} of instructions in traces, "
                 f"{stats.trace_exits} side exits, "
                 f"{stats.trace_respecializations} respecializations, "
-                f"{stats.guard_checks_elided} guard checks elided, "
                 f"aborts: {aborts}",
                 file=sys.stderr,
             )
@@ -750,7 +750,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     f"-- guard cache  : {rt.stats.region_cache_hits} hits, "
                     f"{rt.stats.region_cache_misses} misses, "
                     f"{rt.stats.region_cache_invalidations} invalidations "
-                    f"({rt.stats.region_cache_hit_rate():.1%} hit rate)",
+                    f"({rt.stats.region_cache_hit_rate():.1%} hit rate), "
+                    f"{result.stats.guard_checks_elided} guard checks elided",
                     file=sys.stderr,
                 )
             print(
@@ -1140,6 +1141,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # carries the line:col.
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
+    except HeapError as error:
+        # The guest exhausted (or corrupted) its heap: like any guest
+        # fault, the program failed, not the tool.
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -12,9 +12,9 @@ pure unary math builtins and the heap builtins (``malloc``, ``calloc``,
 ``realloc``, ``free``) — and the control forms: branch edges with
 their phi parallel copy, conditional and unconditional branches, calls
 of defined functions (the frame push with its argument moves),
-returns, the generic ``carat.guard.*`` check, the tracking intrinsics,
-and the lazy fault forms (a GEP through a non-aggregate, a load or
-store of a non-scalar type).  :func:`emit_op` writes the op's body
+returns, the ``carat.guard.*`` checks (specialized: see :func:`_guard`),
+the tracking intrinsics, and the lazy fault forms (a GEP through a
+non-aggregate, a load or store of a non-scalar type).  :func:`emit_op` writes the op's body
 lines into a :class:`Writer` at a given indent: the base charge, the
 operand reads whose ``KeyError`` reaches :func:`_raise_undefined`, the
 wrap arithmetic, and the fault messages.  Only the I/O builtins
@@ -23,9 +23,10 @@ wrap arithmetic, and the fault messages.  Only the I/O builtins
 block tier keeps them as closures, which the trace tier calls.
 
 The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
-``stats``; the per-interpreter names of :data:`BINDINGS` and
-:data:`KNOWN_FACT_BINDINGS`; the constants of :data:`GLOBALS`; and
-``_FF``, the block tier's frame class.  The trace tier inlines them into
+``stats``; the per-interpreter names of :data:`BINDINGS`,
+:data:`GUARD_BINDINGS` and :data:`KNOWN_FACT_BINDINGS`; the constants of
+:data:`GLOBALS`; and ``_FF``, the block tier's frame class, and
+``_respec``, the tier's :func:`respecialize`.  The trace tier inlines them into
 a superblock whose instantiation binds every name once.  The block tier
 wraps them in a ``def`` behind a prologue that binds the names the body
 reads, and shares one compiled stencil among all ops of identical text.
@@ -34,21 +35,25 @@ constants, global names, blocks and guard site — goes into ``ns`` under
 names tagged by ``t``, never into the text.
 
 An emitter branches only on the instruction and on facts its caller
-may know: the addressing mode (``is_carat``) and whether the kernel has
-a fast/slow tier boundary (``has_tier``) — ``None``, what the
-module-shared block tier passes, makes the fact a run-time test in the
-emitted code — and, in a trace, the block a branch continues into
+may know: the addressing mode (``is_carat``), whether the kernel has a
+fast/slow tier boundary (``has_tier``) and the guard mechanism whose
+hits a guard site settles itself (``mech``; ``""`` when guards never
+specialize) — ``None``, what the module-shared block tier passes, makes
+the fact a run-time test in the emitted code — and, in a trace, the
+block a branch continues into
 (``nxt``: the other arm becomes a side exit) and the call whose frame a
 return pops (``paired``: without it the return reads
 ``frame.result_target`` and keeps the program-exit arm).  The trace tier
-also passes a segment's register map (:data:`Regs`; see :func:`expr`),
-which the block tier never does.
+also passes a segment's register map (:data:`Regs`; see :func:`expr`)
+and each guard's specialization cell (see :func:`_guard`), which the
+block tier never does.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from functools import lru_cache
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -170,6 +175,16 @@ BINDINGS: Dict[str, str] = {
     "_rt": "process.runtime",
     "_hp": "process.heap",
 }
+#: Names only guard sites read: the runtime's parts (``None`` without a
+#: runtime, whose guards never run), by attribute on the runtime.  The
+#: window list is never reassigned, so a bound one sees every window.
+#: The block tier's guards also read ``_specs``, its spec cells.
+GUARD_BINDINGS: Dict[str, str] = {
+    "_rs": "stats",
+    "_regions": "regions",
+    "_windows": "_move_windows",
+    "_mech": "guard",
+}
 #: Names only the forms emitted with the addressing mode or the tiering
 #: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores (and
 #: paging ones past the inline translation) raw physical-memory access:
@@ -206,7 +221,10 @@ _PAGING_GETTERS = {**_GETTERS, **{n: attrgetter(p) for n, p in PAGING_BINDINGS.i
 def bind(interp) -> Dict[str, object]:
     """Every binding name, resolved against ``interp`` (paging: with an MMU)."""
     getters = _GETTERS if interp.process.mmu is None else _PAGING_GETTERS
-    return {name: get(interp) for name, get in getters.items()}
+    rt = interp.process.runtime
+    scope = {name: get(interp) for name, get in getters.items()}
+    scope.update((name, rt and getattr(rt, a)) for name, a in GUARD_BINDINGS.items())
+    return scope
 
 
 class Writer:
@@ -270,12 +288,12 @@ def expr(
 
 
 def _convert(text: str, value: Value, conv: str, regs: Optional[Regs]) -> str:
-    """``text``, a read of ``value``, wrapped in ``conv`` — bare in a
-    trace (``regs`` given) when ``value``'s Python type is known to be
-    ``conv``: a register's (its template's result type), or a scalar
-    constant's."""
-    if conv and regs is not None:
-        reg = regs.get(id(value))
+    """``text``, a read of ``value``, wrapped in ``conv`` — bare when
+    ``value``'s Python type is known to be ``conv``: a scalar
+    constant's, or in a trace (``regs`` given) a register's (its
+    template's result type)."""
+    if conv:
+        reg = regs.get(id(value)) if regs is not None else None
         if (reg[1] if reg else _CONST_TYPES.get(type(value))) == conv:
             return text
     return f"{conv}({text})" if conv else text
@@ -389,13 +407,13 @@ class _Op:
     op can raise or call out."""
 
     __slots__ = (
-        "w", "ind", "t", "ns", "is_carat", "has_tier", "defined", "regs",
-        "code", "nxt", "paired", "out", "raises",
+        "w", "ind", "t", "ns", "is_carat", "has_tier", "mech", "defined",
+        "regs", "code", "nxt", "paired", "spec", "out", "raises",
     )
 
     def __init__(
-        self, w, ind, t, ns, is_carat=None, has_tier=None, defined=None,
-        regs=None, code=None, nxt=None, paired=None,
+        self, w, ind, t, ns, is_carat=None, has_tier=None, mech=None,
+        defined=None, regs=None, code=None, nxt=None, paired=None, spec=None,
     ) -> None:
         self.w = w
         self.ind = ind
@@ -403,11 +421,13 @@ class _Op:
         self.ns = ns
         self.is_carat = is_carat
         self.has_tier = has_tier
+        self.mech = mech
         self.defined = defined
         self.regs = regs
         self.code = code
         self.nxt = nxt
         self.paired = paired
+        self.spec = spec
         self.out = None
         self.raises = False
 
@@ -1009,31 +1029,189 @@ def _runtime_head(e: _Op) -> None:
     e.ind += 1
 
 
+#: Guard mechanisms whose hit costs a specialized check can bake (see
+#: :meth:`~repro.runtime.regions.GuardMechanism.steady_cycles`).
+SPECIALIZABLE = frozenset({"mpx", "binary_search", "if_tree"})
+
+
+def specializes(interp) -> bool:
+    """Whether ``interp``'s guard sites may run specialized checks: the
+    region cache is on, the mechanism has baked costs, and nothing needs
+    every check to reach the runtime — a fine tracer (one instant per
+    check), safety mode (the liveness scan) or a profiler (its per-site
+    attribution wraps the runtime's guard calls)."""
+    rt = interp.process.runtime
+    return (
+        rt is not None
+        and rt.region_cache_enabled
+        and rt.guard.name in SPECIALIZABLE
+        and not (rt.tracer is not None and rt.tracer.fine)
+        and rt.safety is None
+        and interp.profiler is None
+    )
+
+
+class SpecCell:
+    """One specialized guard site: the resolved check's baked parameters.
+
+    ``gen`` is the region generation the parameters were derived under;
+    ``-1`` means "not specialized": it never equals a real
+    ``RegionSet.version`` (which starts at 0 and only grows), so the site
+    takes the runtime path until it re-specializes.  ``costs`` pairs the
+    charge of a hit whose mechanism predictor state misses ``region``
+    (:meth:`~repro.runtime.regions.GuardMechanism.miss_cycles`) with the
+    steady one; ``base`` is also if-tree's leaf for ``region``.
+    """
+
+    __slots__ = ("gen", "base", "end", "costs", "region", "access")
+
+    def __init__(self) -> None:
+        self.gen = -1
+        self.base = 0
+        self.end = 0
+        self.costs = (0, 0)
+        self.region = None
+        self.access = "read"
+
+
+def respecialize(spec: SpecCell, cell, interp, access: str) -> bool:
+    """Re-derive a site's baked parameters after a generation bump and
+    return whether it is specialized now.
+
+    Called right after an *allowed* pass through the runtime, which
+    filled the site's :class:`~repro.runtime.runtime.GuardSiteCell` with
+    the serving region under the current generation.  The predicate
+    (:func:`specializes`) is read here, not at compile time, because ops
+    outlive the attachment of a profiler, tracer or safety checker.  Any
+    doubt — predicate off, stale cell, foreign RegionSet, permission
+    mismatch — leaves the site unspecialized, which costs speed only."""
+    spec.gen = -1
+    if not specializes(interp):
+        return False
+    rt = interp.process.runtime
+    regions, mech, region = rt.regions, rt.guard, cell.region
+    if (
+        region is None
+        or cell.regions is not regions
+        or cell.gen != regions.version
+        or not region.allows(access)
+    ):
+        return False
+    spec.region = region
+    spec.base = region.base
+    spec.end = region.end
+    spec.costs = (mech.miss_cycles(regions), mech.steady_cycles(regions))
+    spec.access = access
+    spec.gen = cell.gen
+    return True
+
+
+#: A specialized hit's charge for each mechanism, after what
+#: ``check_known`` writes of its predictor state: MPX's bounds register
+#: and if-tree's last leaf select between the site's ``costs``.
+_HIT_CHARGE = {
+    "mpx": [
+        "_gc = _sc.costs[_mech._bound is _sc.region]",
+        "_mech._bound = _sc.region",
+    ],
+    "if_tree": [
+        "_gc = _sc.costs[_mech.stride_hint or _mech._last_leaf == _sc.base]",
+        "_mech._last_leaf = _sc.base",
+    ],
+    "binary_search": ["_gc = _sc.costs[1]"],
+}
+
+
+@lru_cache(maxsize=None)
+def _guard_hit(mech: Optional[str], ind: int) -> Tuple[str, ...]:
+    """The lines, at indent ``ind``, of an allowed access the site's cell
+    settles: exactly what the runtime path would charge and write
+    (``guards_executed``, ``guard_cycles`` on both stats objects, the
+    mechanism's predictor state), minus the call, plus the
+    engine-descriptive ``guard_checks_elided``.  With the mechanism
+    unknown, a run-time test picks its charge."""
+    if mech is None:
+        body = ["_n = _mech.name"]
+        for test, name in (("if", "mpx"), ("elif", "if_tree")):
+            body.append(f"{test} _n == '{name}':")
+            body += [f"    {text}" for text in _HIT_CHARGE[name]]
+        body += ["else:", f"    {_HIT_CHARGE['binary_search'][0]}"]
+    else:
+        body = list(_HIT_CHARGE[mech])
+    body += [
+        "_rs.guards_executed += 1",
+        "_rs.guard_cycles += _gc",
+        "stats.guard_cycles += _gc",
+        "stats.cycles += _gc",
+        "stats.guard_checks_elided += 1",
+    ]
+    return tuple("    " * ind + text for text in body)
+
+
 def _guard(e: _Op, inst: CallInst, name: str) -> bool:
-    # The generic check through the site's region-cache cell; the trace
-    # tier specializes its own unless it cannot bake the parameters.
+    # The runtime check through the site's region-cache cell, behind a
+    # specialized check against the site's spec cell.  ``mech`` "" (a
+    # trace that does not specialize) leaves the runtime check alone.
+    # The block tier's cell is ``_specs[site]``; a trace passes ``spec``:
+    # its cell's name, whether the hit skips the operands (a covering
+    # guard ran on the same address this iteration) and whether the cell
+    # is the site's own, which it re-specializes.
     t, args = e.t, inst.args
     e.ns[f"_q{t}"] = e.code.guard_site_of[id(inst)]
-    reads = [f"_s = {e.read(args[0 if name == GUARD_CALL else 1], 's', 'int')}"]
+    size = args[0 if name == GUARD_CALL else 1]
+    reads = [f"_s = {e.read(size, 's', 'int')}"]
     if name == GUARD_CALL:
-        check = "guard_call(interp.sp, _s"
+        access, call = "'write'", "guard_call(interp.sp, _s"
     else:
         reads.insert(0, f"_a = {e.read(args[0], 'a', 'int')}")
         if name != GUARD_RANGE:
             access = "'read'" if name == GUARD_LOAD else "'write'"
-            check = f"guard_access(_a, _s, {access}"
-        elif len(args) > 2:
+        elif len(args) > 2 and not isinstance(args[2], ConstantInt):
             reads.append(f"_c = 'write' if {e.read(args[2], 'f', 'int')} else 'read'")
-            check = "guard_range(_a, _s, _c"
+            access = "_c"
         else:
-            check = "guard_range(_a, _s, 'read'"
-    _runtime_head(e)
-    e.reads(reads, args[: len(reads)])
-    e.lines([
-        f"_gc = _rt.{check}, _cells[_q{t}])",
+            access = "'write'" if len(args) > 2 and args[2].value else "'read'"
+        check = "guard_range" if name == GUARD_RANGE else "guard_access"
+        call = f"{check}(_a, _s, {access}"
+    operands = args[: len(reads)]
+    runtime = [
+        f"_gc = _rt.{call}, _cells[_q{t}])",
         "stats.guard_cycles += _gc",
         "stats.cycles += _gc",
-    ])
+    ]
+    if not e.mech:
+        _runtime_head(e)
+    else:
+        e.raises = True
+        e.head([], ())
+    if e.mech == "":
+        e.reads(reads, operands)
+        e.lines(runtime)
+        return True
+    cell, elide, own = e.spec or (f"_specs[_q{t}]", False, True)
+    if name == GUARD_CALL:
+        reads.append("_a = interp.sp - _s")
+    test = "_sc.gen == _regions.version and not _windows"
+    sized = isinstance(size, ConstantInt) and size.value > 0
+    if not elide:
+        e.reads(reads, operands)
+        # A non-positive size never hits: MPX's bounds register can
+        # cover an empty access at a neighbouring region's end.
+        if not sized:
+            test = f"0 < _s and {test}"
+        if access == "_c":
+            test += " and _c == _sc.access"
+        test += " and _sc.base <= _a and _a + _s <= _sc.end"
+    e.line(f"_sc = {cell}")
+    e.line(f"if {test}:")
+    e.w.lines.extend(_guard_hit(e.mech, e.ind + 1))
+    e.line("else:")
+    if elide:
+        e.reads(reads, operands, 1)
+    e.lines(f"    {text}" for text in runtime)
+    if own:
+        e.line(f"if {'' if sized else '0 < _s and '}_sc.gen != _regions.version:", 1)
+        e.line(f"_respec(_sc, _cells[_q{t}], interp, {access})", 2)
     return True
 
 
@@ -1119,26 +1297,32 @@ def emit_op(
     ns: Dict[str, object],
     is_carat: Optional[bool] = None,
     has_tier: Optional[bool] = None,
+    mech: Optional[str] = None,
     defined: Optional[Set[int]] = None,
     regs: Optional[Regs] = None,
     code=None,
     nxt: Optional[BasicBlock] = None,
     paired: Optional[CallInst] = None,
+    spec: Optional[Tuple[str, bool, bool]] = None,
 ) -> Optional[bool]:
     """Write ``inst``'s body into ``w`` at indent ``ind`` and return
     whether it can raise or call out; or write nothing and return
     ``None`` for a form with no template (an I/O builtin call, and the
     one-line faults: phi, unreachable, indirect call, unknown opcode).
     ``t`` makes the body's ``ns`` names unique within one scope;
-    ``is_carat``/``has_tier``/``nxt``/``paired`` are the facts above;
-    ``defined`` is passed to :func:`operand_reads`; a trace segment's
-    register map ``regs`` gains the result's register (see
+    ``is_carat``/``has_tier``/``mech``/``nxt``/``paired`` are the facts
+    above; ``defined`` is passed to :func:`operand_reads`; a trace
+    segment's register map ``regs`` gains the result's register (see
     :func:`expr`); ``code`` is the module's compiled form (see
-    :class:`_Op`), which control forms and guards need."""
+    :class:`_Op`), which control forms and guards need; ``spec`` is a
+    trace guard's specialization (see :func:`_guard`)."""
     emitter = _EMITTERS.get(type(inst))
     if emitter is None:
         return None
-    op = _Op(w, ind, t, ns, is_carat, has_tier, defined, regs, code, nxt, paired)
+    op = _Op(
+        w, ind, t, ns, is_carat, has_tier, mech, defined, regs, code, nxt,
+        paired, spec,
+    )
     if not emitter(op, inst):
         return None
     if op.out is not None:

@@ -30,15 +30,24 @@ changing a single observable number:
   epoch-invalidated region cache can memoize the last region *per site*
   (cells live on the interpreter, never in the shared compiled code —
   a cached region is only trusted while the RegionSet identity **and**
-  generation still match).
+  generation still match);
+* beside it, each site has a :class:`~repro.machine.codegen.SpecCell`
+  (``interp._guard_specs``): the guard op settles an access inside the
+  cell's region itself, with the trace tier's specialized check — the
+  same template, with the mechanism a run-time test — and calls the
+  runtime only on a miss, a stale generation or an open move window,
+  then re-specializes the cell if
+  :func:`~repro.machine.codegen.specializes` still holds (no profiler,
+  safety checker or fine tracer).
 
 Parity is a hard contract, enforced by the differential tests: the fast
 engine must produce bit-identical program output, memory, and exit codes
 *and* semantically identical stats.  Every op therefore charges the
 cost model in exactly the order ``Interpreter._execute`` does; the guard
-cache changes wall-clock only, because
+cache and the specialized checks change wall-clock only, because
 :meth:`~repro.runtime.regions.GuardMechanism.check_known` reproduces each
-mechanism's cost/predictor state machine on a hit.
+mechanism's cost/predictor state machine on a hit, and a specialized hit
+charges and writes exactly what ``check_known`` would.
 """
 
 from __future__ import annotations
@@ -58,10 +67,13 @@ from repro.kernel.process import Process
 from repro.machine.codegen import (
     BINDINGS,
     GLOBALS,
+    GUARD_BINDINGS,
+    SpecCell,
     Writer,
     emit_edge,
     emit_op,
     guard_name,
+    respecialize,
 )
 from repro.machine.interp import ExitProgram, Interpreter, _Frame
 from repro.runtime.runtime import GuardSiteCell
@@ -95,6 +107,11 @@ _PROLOGUE = {
 _PROLOGUE.update(
     (name, f"        {name} = interp.{path}\n") for name, path in BINDINGS.items()
 )
+#: A block-tier guard op reads its spec cells and every guard binding,
+#: so one probe (and one entry, after ``_rt``'s) binds them all.
+_PROLOGUE["_specs"] = "        _specs = interp._guard_specs\n" + "".join(
+    f"        {name} = _rt and _rt.{attr}\n" for name, attr in GUARD_BINDINGS.items()
+)
 
 #: The stencil library: stencil text -> its maker.  Process-wide and keyed
 #: by the text alone, which holds no id, slot or position — those are the
@@ -104,7 +121,9 @@ _PROLOGUE.update(
 _STENCILS: Dict[str, Callable[..., Op]] = {}
 #: The names every emitted body may read besides its bindings: the
 #: codegen constants and the frame class a call pushes.
-_STENCIL_SCOPE: Dict[str, object] = dict(GLOBALS, _FF=_FastFrame)
+_STENCIL_SCOPE: Dict[str, object] = dict(
+    GLOBALS, _FF=_FastFrame, _respec=respecialize
+)
 
 
 def _stencil_op(w: Writer, ns: Dict[str, object]) -> Op:
@@ -246,8 +265,9 @@ class FastInterpreter(Interpreter):
     Inherits every slow-path helper (translation, builtins, snapshots,
     retry) from the reference; only the dispatch loop and the frame
     construction differ.  Stats parity is bit-exact for all modeled
-    counters; the ``dispatch_cache_*``/``compiled_blocks`` fields and the
-    runtime's ``region_cache_*`` counters are the only additions.
+    counters; the ``dispatch_cache_*``/``compiled_blocks`` and
+    ``guard_checks_elided`` fields and the runtime's ``region_cache_*``
+    counters are the only additions.
     """
 
     def __init__(
@@ -275,6 +295,8 @@ class FastInterpreter(Interpreter):
         #: shared compiled code: a fresh RegionSet could coincidentally
         #: repeat a stale (generation, geometry) pair across runs.
         self._guard_cells = [GuardSiteCell() for _ in code.guard_site_of]
+        #: Per-site specialized checks, beside the cells they derive from.
+        self._guard_specs = [SpecCell() for _ in code.guard_site_of]
         # Cost-model constants snapshotted for the hot loop.
         self._cost_instruction = self.costs.instruction
         self._cost_memory = self.costs.memory_access

@@ -144,6 +144,13 @@ class RunConfig:
                 f"unknown trace detail {self.trace_detail!r} "
                 f"(choose from {TRACE_DETAILS})"
             )
+        for field_name in ("heap_size", "stack_size"):
+            value = getattr(self, field_name)
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(
+                    f"{field_name} must be a non-negative byte count, "
+                    f"not {value!r}"
+                )
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise ValueError(
                 f"max_steps must be a positive instruction count, "

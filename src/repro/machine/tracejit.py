@@ -35,7 +35,7 @@ changing a single observable number:
   when the type is known.  The map is cleared at every *invalidation
   point* — segment start (a tick hook may have patched any slot; calls
   and returns end segments) and after a fallback op; mid-segment, only
-  generic guards, tracking callbacks and ``_respec`` run foreign code
+  the guards' runtime path, tracking callbacks and ``_respec`` run foreign code
   (the heat-window bump of a load or store is inline), and none writes
   a frame slot.  ``frame.index`` is stored
   only before an op that can raise or call out (loads, stores, guards,
@@ -68,25 +68,29 @@ changing a single observable number:
   with no loop of its own (a request handler) runs compiled from its
   hot block to its return;
 * ``carat.guard.*`` sites are **parameter-specialized** à la a
-  branch-free translator: the trace bakes a per-site cell holding the
-  resolved region's ``base``/``end`` and the mechanism's steady-state
-  hit cost, guarded by one generation check against
-  ``RegionSet.version`` — a page move, CoW break, or any region
-  mutation bumps the generation and demotes the site to the generic
-  runtime path, which re-specializes after its next allowed pass
-  (``trace_respecializations``).  Under MPX the cell also holds the
-  bounds-register reload cost: a valid, in-bounds access whose region
-  is not the one in the register charges it and loads the register
-  inline, exactly as ``MPXGuard.check_known`` would, so code that
-  alternates between regions (globals, heap, stack) stays on the trace.
-  Only the generic path searches, faults or re-specializes;
+  branch-free translator, with the block tier's own check
+  (:func:`repro.machine.codegen._guard`), told the mechanism: the trace
+  bakes a per-site :class:`~repro.machine.codegen.SpecCell` holding the
+  resolved region's ``base``/``end`` and the mechanism's hit costs,
+  guarded by one generation check against ``RegionSet.version`` — a
+  page move, CoW break, or any region mutation bumps the generation and
+  demotes the site to the runtime path, which re-specializes after its
+  next allowed pass (``trace_respecializations``).  The cell pairs the
+  steady hit cost with the one a predictor miss pays (MPX's bounds
+  register holding another region, if-tree's last leaf being another
+  one), selected and updated inline exactly as ``check_known`` would,
+  so code that alternates between regions (globals, heap, stack) stays
+  on the trace.  Only the runtime path searches, faults or
+  re-specializes;
 * the guard optimizer's coverage lattice
   (:func:`repro.carat.guard_opt.guard_tag` /
   :func:`~repro.carat.guard_opt.guard_covered`) is re-run over the
   recorded path at compile time: a guard dominated *on this path* by a
   covering guard (same address value, larger-or-equal constant size,
-  write-covers-read) skips even the specialized bounds check and charges
-  the steady cost directly (``guard_checks_elided``).  Availability is
+  write-covers-read) shares the dominator's cell, and under binary
+  search, which charges by region count alone, skips even the bounds
+  check and its operand reads.  This coverage elision is the trace
+  tier's only guard logic of its own.  Availability is
   intra-iteration only and is killed by any ``alloca`` and by any
   redefinition of the address value (which includes phis at segment
   heads) — the block tier can run arbitrary code between trace
@@ -139,21 +143,17 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.machine.codegen import (
     Regs,
+    SpecCell,
     Writer,
     bind,
     builtin_template,
     emit_op,
-    expr,
     guard_name,
-    operand_reads,
+    respecialize,
+    specializes,
 )
 from repro.machine.fastexec import _STENCIL_SCOPE, FastInterpreter, ModuleCode
 from repro.machine.interp import ExitProgram
-
-#: Guard mechanisms whose steady-state hit cost can be baked into a
-#: specialized check (all three model one — see
-#: :meth:`~repro.runtime.regions.GuardMechanism.steady_cycles`).
-_SPECIALIZABLE = frozenset({"mpx", "binary_search", "if_tree"})
 
 #: Consecutive recording aborts before an anchor is blacklisted.
 _ABORT_LIMIT = 3
@@ -161,72 +161,17 @@ _ABORT_LIMIT = 3
 _UNBUILT = object()
 
 
-class _SpecCell:
-    """One specialized guard site: the resolved check's baked parameters.
-
-    ``gen`` is the region generation the parameters were derived under;
-    ``gen == -1`` means "not specialized" and every comparison against a
-    real ``RegionSet.version`` (which starts at 0 and only grows) fails,
-    so the site takes the generic runtime path until it re-specializes.
-    Under MPX, ``costs`` pairs the bounds-register miss charge
-    (:meth:`~repro.runtime.regions.MPXGuard.reload_cycles`) with the hit
-    charge, indexed by whether the register holds ``region``.
-    """
-
-    __slots__ = (
-        "gen", "base", "end", "cycles", "costs", "leaf", "region", "access",
-    )
-
-    def __init__(self) -> None:
-        self.gen = -1
-        self.base = 0
-        self.end = 0
-        self.cycles = 0
-        self.costs = (0, 0)
-        self.leaf = -1
-        self.region = None
-        self.access = "read"
-
-
-def _respecialize(spec, cell, regions, mech, access, stats, tracer) -> None:
-    """Re-derive a site's baked parameters after a generation bump.
-
-    Called from a trace's generic-guard path right after an *allowed*
-    pass through the runtime: the site's
-    :class:`~repro.runtime.runtime.GuardSiteCell` was just filled with
-    the serving region under the current generation, so a valid cell is
-    the common case.  Any doubt — stale cell, foreign RegionSet,
-    permission mismatch, or a mechanism with no constant hit cost —
-    leaves the site unspecialized (``gen = -1``), which only costs speed,
-    never correctness.
-    """
-    spec.gen = -1
-    region = cell.region
-    if (
-        region is None
-        or cell.regions is not regions
-        or cell.gen != regions.version
-        or not region.allows(access)
-    ):
-        return
-    cycles = mech.steady_cycles(regions)
-    if cycles is None:
-        return
-    spec.region = region
-    spec.base = region.base
-    spec.end = region.end
-    spec.cycles = cycles
-    if mech.name == "mpx":
-        spec.costs = (mech.reload_cycles(regions), cycles)
-    spec.leaf = region.base
-    spec.access = access
-    spec.gen = cell.gen
-    stats.trace_respecializations += 1
-    if tracer is not None:
-        tracer.instant(
-            "trace.respecialize", "trace",
-            {"base": region.base, "end": region.end, "gen": cell.gen},
-        )
+def _respecialize(spec, cell, interp, access) -> None:
+    """:func:`~repro.machine.codegen.respecialize`, counted: a trace's
+    re-specializations are ``trace_respecializations`` and instants."""
+    if respecialize(spec, cell, interp, access):
+        interp.stats.trace_respecializations += 1
+        tracer = interp.process.runtime.tracer
+        if tracer is not None:
+            tracer.instant(
+                "trace.respecialize", "trace",
+                {"base": spec.base, "end": spec.end, "gen": spec.gen},
+            )
 
 
 class _Recorder:
@@ -291,15 +236,9 @@ class _TraceCode:
         scope.update(bind(interp))
         scope["_respec"] = _respecialize
         rt = interp.process.runtime
-        scope.update(
-            _rs=rt and rt.stats,
-            _regions=rt and rt.regions,
-            _windows=rt._move_windows if rt is not None else (),
-            _mech=rt and rt.guard,
-            _tracer=rt and rt.tracer,
-        )
+        scope["_tracer"] = rt and rt.tracer
         for j in range(self.n_spec):
-            scope[f"_spec{j}"] = _SpecCell()
+            scope[f"_spec{j}"] = SpecCell()
         exec(self.code_obj, scope)
         return scope["trace"]
 
@@ -545,14 +484,6 @@ def _build_trace(
     # start (calls and returns end one) and after every fallback op.
     regs: Regs = {}
 
-    def reads(ind: int, lines: List[str], operands, t: int) -> bool:
-        return operand_reads(w, ind, lines, operands, t, ns, defined[-1])
-
-    if mech_name == "if_tree":
-        mc = " and (_mech.stride_hint or _mech._last_leaf == _sc.leaf)"
-    else:
-        mc = ""
-
     def fallback(block: BasicBlock, k: int) -> None:
         # The block tier's compiled op, verbatim: it charges its own
         # costs and handles its own errors, so parity is free.
@@ -563,170 +494,54 @@ def _build_trace(
         w.line(3, f"_op{t}(interp, frame)")
         regs.clear()
 
-    def emit_hit(ind: int) -> None:
-        # The allowed access: replicate exactly what the generic path
-        # would have charged and written (guards_executed, guard_cycles
-        # on both stats objects, the if-tree leaf predictor, the MPX
-        # bounds register), minus the call.  `guard_checks_elided` is
-        # the only extra write, and it is an engine-descriptive counter
-        # outside the parity set.
-        if mech_name == "if_tree":
-            w.line(ind, "_mech._last_leaf = _sc.leaf")
-        w.line(ind, "_rs.guards_executed += 1")
-        if mech_name == "mpx":
-            # A register holding another region costs check_known's
-            # search and reload, as constant as the hit.  Selected, not
-            # branched on: a branch per guard site grows the compile's
-            # peak memory.
-            w.line(ind, "_gc = _sc.costs[_mech._bound is _sc.region]")
-            w.line(ind, "_mech._bound = _sc.region")
-        else:
-            w.line(ind, "_gc = _sc.cycles")
-        w.line(ind, "_rs.guard_cycles += _gc")
-        w.line(ind, "stats.guard_cycles += _gc")
-        w.line(ind, "stats.cycles += _gc")
-        w.line(ind, "stats.guard_checks_elided += 1")
-
-    def emit_guard(inst: CallInst, name: str) -> None:
-        # A load, store or call guard: the specialized bounds check
-        # against a per-site cell, or — dominated on this path by a
-        # covering guard — against the dominator's cell.
-        nonlocal tag, spec_count
-        t = tag
-        tag += 1
-        site = code.guard_site_of[id(inst)]
-        tg = _trace_guard_tag(inst)
+    def guard_spec(inst: CallInst, name: str) -> Tuple[str, bool, bool]:
+        # The elision decision: a guard dominated on this path by a
+        # covering guard shares the dominator's cell (inheriting its
+        # re-specializations) and keeps the bounds test that makes its
+        # hit provably steady — except under binary search, which
+        # charges by region count alone, so the hit skips even the
+        # operands.  Any other guard gets its own cell.
+        nonlocal spec_count
+        tg = _trace_guard_tag(inst) if name != GUARD_RANGE else None
         jdom = _covering_index(available, tg) if tg is not None else None
-        if name == GUARD_CALL:
-            access, operands = "write", inst.args[:1]
-            lines = [
-                f"_s = {expr(inst.args[0], ns, f'{t}s', regs, 'int')}",
-                "_a = interp.sp - _s",
-            ]
-            call = f"_rt.guard_call(interp.sp, _s, _cells[{site}])"
-            # A zero-size frame probes exactly the stack pointer, which
-            # can sit one past the region the dominator validated —
-            # find() would miss there, so never elide it blindly.
-            if tg is not None and tg[1] < 1:
-                jdom = None
-        else:
-            access = "read" if name == GUARD_LOAD else "write"
-            operands = inst.args[:2]
-            lines = [
-                f"_a = {expr(inst.args[0], ns, f'{t}a', regs, 'int')}",
-                f"_s = {expr(inst.args[1], ns, f'{t}s', regs, 'int')}",
-            ]
-            call = f"_rt.guard_access(_a, _s, '{access}', _cells[{site}])"
-        w.line(3, "stats.cycles += _ci")
-        elide = jdom is not None and mech_name == "binary_search"
-        if elide:
-            # Full elision: the dominating guard ran this iteration on
-            # the same (unredefined) address with a covering size and
-            # permission, under this generation; binary search charges
-            # by region count alone, so neither the operands nor the
-            # bounds need re-checking.
-            j = jdom
-            w.line(3, f"_sc = _spec{j}")
-            w.line(3, "if _sc.gen == _regions.version and not _windows:")
-        else:
-            reads(3, lines, operands, t)
-            # Predictor-dependent mechanisms keep the bounds test of a
-            # dominated guard (it is what makes the hit provably steady)
-            # but share the dominator's cell, inheriting its
-            # re-specializations.
-            if jdom is not None:
-                j = jdom
-            else:
-                j = spec_count
-                spec_count += 1
-            w.line(3, f"_sc = _spec{j}")
-            w.line(
-                3,
-                "if _sc.gen == _regions.version and not _windows"
-                f" and _sc.base <= _a < _sc.end and _a + _s <= _sc.end{mc}:",
-            )
-        emit_hit(4)
-        w.line(3, "else:")
-        if elide:
-            reads(4, lines, operands, t)
-        w.line(4, f"_gc = {call}")
-        w.line(4, "stats.guard_cycles += _gc")
-        w.line(4, "stats.cycles += _gc")
+        # A zero-size frame probes exactly the stack pointer, which can
+        # sit one past the region the dominator validated — find()
+        # would miss there, so never elide it blindly.
+        if name == GUARD_CALL and tg is not None and tg[1] < 1:
+            jdom = None
+        j = spec_count if jdom is None else jdom
         if jdom is None:
-            w.line(4, "if _sc.gen != _regions.version:")
-            w.line(
-                5,
-                f"_respec(_sc, _cells[{site}], _regions, _mech, "
-                f"'{access}', stats, _tracer)",
-            )
+            spec_count += 1
         if tg is not None:
             available.setdefault(tg, j)
-
-    def emit_guard_range(inst: CallInst) -> None:
-        nonlocal tag, spec_count
-        t = tag
-        tag += 1
-        site = code.guard_site_of[id(inst)]
-        args = inst.args
-        addr_e = expr(args[0], ns, f"{t}a", regs, "int")
-        len_e = expr(args[1], ns, f"{t}n", regs, "int")
-        w.line(3, "stats.cycles += _ci")
-        lines = [f"_a = {addr_e}", f"_s = {len_e}"]
-        if len(args) > 2 and not isinstance(args[2], ConstantInt):
-            flag_e = expr(args[2], ns, f"{t}f", regs, "int")
-            lines.append(f"_c = 'write' if {flag_e} else 'read'")
-            acc = "_c"
-        elif len(args) > 2:
-            acc = "'write'" if args[2].value else "'read'"
-        else:
-            acc = "'read'"
-        reads(3, lines, args[: len(lines)], t)
-        j = spec_count
-        spec_count += 1
-        w.line(3, f"_sc = _spec{j}")
-        w.line(
-            3,
-            "if 0 < _s and _sc.gen == _regions.version and not _windows"
-            f" and {acc} == _sc.access"
-            f" and _sc.base <= _a < _sc.end and _a + _s <= _sc.end{mc}:",
-        )
-        emit_hit(4)
-        w.line(3, "else:")
-        w.line(4, f"_gc = _rt.guard_range(_a, _s, {acc}, _cells[{site}])")
-        w.line(4, "stats.guard_cycles += _gc")
-        w.line(4, "stats.cycles += _gc")
-        w.line(4, "if 0 < _s and _sc.gen != _regions.version:")
-        w.line(
-            5,
-            f"_respec(_sc, _cells[{site}], _regions, _mech, "
-            f"{acc}, stats, _tracer)",
-        )
+        elide = jdom is not None and mech_name == "binary_search"
+        return f"_spec{j}", elide, jdom is None
 
     def emit_body(block: BasicBlock, k: int, inst: Instruction) -> bool:
         """Emit one body op; True if it can raise or call out."""
         nonlocal tag, guard_count, foreign
         name = guard_name(inst)
+        spec = None
         if name is not None:
             guard_count += 1
             if specialize:
-                if name == GUARD_RANGE:
-                    emit_guard_range(inst)
-                else:
-                    emit_guard(inst, name)
-                return True
+                spec = guard_spec(inst, name)
         t = tag
         tag += 1
         raises = emit_op(
-            w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs, code
+            w, 3, inst, t, ns, is_carat, has_tier, mech_name, defined[-1],
+            regs, code, spec=spec,
         )
         if raises is None:
             # An I/O builtin call or a one-line fault: the block tier's op
             # already charges and faults exactly right.
             fallback(block, k)
             return True
-        # Runtime code (a tracking callback, a generic guard) may read
-        # the cycle clock: telemetry timestamps must see exact totals.
-        foreign |= isinstance(inst, CallInst) and not builtin_template(inst)
+        # Runtime code (a tracking callback, an unspecialized guard) may
+        # read the cycle clock: telemetry timestamps must see exact totals.
+        foreign |= (
+            isinstance(inst, CallInst) and not builtin_template(inst) and not spec
+        )
         # A template writes its result whenever it completes (a builtin
         # call op, say, may not).
         defined[-1].add(id(inst))
@@ -777,8 +592,8 @@ def _build_trace(
         t = tag
         tag += 1
         raises = emit_op(
-            w, 3, inst, t, ns, is_carat, has_tier, defined[-1], regs, code,
-            nxt=data if kind == "term" else None,
+            w, 3, inst, t, ns, is_carat, has_tier, mech_name, defined[-1],
+            regs, code, nxt=data if kind == "term" else None,
             paired=data if kind == "return" else None,
         )
         exit_flag = None
@@ -1014,22 +829,7 @@ class TraceInterpreter(FastInterpreter):
     ):
         runtime = self.process.runtime
         tracer = runtime.tracer if runtime is not None else None
-        # Specialization bakes per-site region parameters; it must sit
-        # out when there is nothing to bake (no runtime), when the
-        # mechanism has no steady-state cost to bake, when a
-        # fine-detail tracer expects one instant per guard check (the
-        # specialized hit emits none), in safety mode or under a
-        # profiler — the specialized hit elides the runtime call that
-        # performs the liveness check and that the profiler's per-site
-        # attribution wraps, so both fall back to generic guards.
-        specialize = (
-            runtime is not None
-            and runtime.region_cache_enabled
-            and runtime.guard.name in _SPECIALIZABLE
-            and not (tracer is not None and tracer.fine)
-            and runtime.safety is None
-            and self.profiler is None
-        )
+        specialize = specializes(self)
         mech_name = runtime.guard.name if specialize else ""
         has_tier = self._tier_boundary is not None
         anchor_key = id(rec.anchor)

@@ -284,8 +284,8 @@ class GuardMechanism:
         """Cycle charge of a *steady-state hit* under the current region
         geometry, or ``None`` if this mechanism has no constant hit cost.
 
-        The trace tier bakes this number into a specialized guard check
-        (BranchFreeTranslator-style): the value is only valid while
+        Both compiled tiers bake this number into a specialized guard
+        check (BranchFreeTranslator-style): the value is only valid while
         ``regions.version`` is unchanged *and* any mechanism predictor
         state matches what the specialization captured — the caller's
         fast-path condition must enforce both, and re-derive the number
@@ -293,6 +293,14 @@ class GuardMechanism:
         would charge on the corresponding hit.
         """
         return None
+
+    def miss_cycles(self, regions: RegionSet) -> Optional[int]:
+        """Cycle charge of an allowed access to a known region when the
+        mechanism's predictor state does not match it (MPX: the bounds
+        register holds another region; if-tree: the last leaf taken was
+        another one).  A specialized check charges this or
+        :meth:`steady_cycles` by that state; the default has no state."""
+        return self.steady_cycles(regions)
 
 
 class BinarySearchGuard(GuardMechanism):
@@ -402,10 +410,13 @@ class IfTreeGuard(GuardMechanism):
         return GuardOutcome(allowed, cycles, region)
 
     def steady_cycles(self, regions: RegionSet) -> Optional[int]:
-        # The constant cost exists only on the predictable path; the
-        # specializer's fast-path condition must check the predictor
-        # (``stride_hint`` or a repeated leaf) before charging this.
+        # The predictable path's cost; a specialized check charges it
+        # only with ``stride_hint`` or a repeated leaf, else
+        # :meth:`miss_cycles`.
         return self.costs.guard_cost("if_tree", len(regions), strided=True)
+
+    def miss_cycles(self, regions: RegionSet) -> Optional[int]:
+        return self.costs.guard_cost("if_tree", len(regions), strided=False)
 
 
 class MPXGuard(GuardMechanism):
@@ -433,7 +444,7 @@ class MPXGuard(GuardMechanism):
             return GuardOutcome(True, self.costs.mpx_guard, self._bound)
         # Bounds-register miss: fall back to binary search and reload the
         # register with the region that served the access.
-        cycles = self.reload_cycles(regions)
+        cycles = self.miss_cycles(regions)
         region = regions.find(address)
         allowed = (
             region is not None
@@ -464,7 +475,7 @@ class MPXGuard(GuardMechanism):
             # Regions are disjoint and both contain ``address``, so the
             # loaded bounds register necessarily holds ``region`` itself.
             return GuardOutcome(True, self.costs.mpx_guard, bound)
-        cycles = self.reload_cycles(regions)
+        cycles = self.miss_cycles(regions)
         allowed = address + size <= region.end and region.allows(access)
         if allowed:
             self._bound = region
@@ -474,16 +485,14 @@ class MPXGuard(GuardMechanism):
         # The hit cost while the bounds register holds the region the
         # specialization captured.  When it holds another one (an
         # interleaved guard reloaded it), the allowed access pays
-        # :meth:`reload_cycles` instead and loads the register — the
-        # specialized check charges either without leaving the trace.
+        # :meth:`miss_cycles` instead and loads the register — the
+        # specialized check charges either without calling the runtime.
         return self.costs.mpx_guard
 
-    def reload_cycles(self, regions: RegionSet) -> int:
-        """Cycle charge of an allowed access whose region is not the one
-        in the bounds register: the software search plus the register
-        load.  :meth:`check` and :meth:`check_known` charge exactly this
-        on a register miss; it is constant per region geometry, so the
-        trace tier bakes it next to :meth:`steady_cycles`."""
+    def miss_cycles(self, regions: RegionSet) -> int:
+        """The software search plus the register load: what
+        :meth:`check` and :meth:`check_known` charge on a register miss,
+        constant per region geometry."""
         return self.costs.guard_cost("mpx", len(regions))
 
 

@@ -53,6 +53,15 @@ def test_run_trace_engine_reports_coverage(source_file, capsys):
     assert "aborts: depth 0, length 0, reject 0" in line
 
 
+def test_run_fast_engine_reports_elided_guards(capsys):
+    code = main(["run", "hpccg", "--engine", "fast", "--stats"])
+    err = capsys.readouterr().err
+    assert code == 0
+    line = next(ln for ln in err.splitlines() if ln.startswith("-- guard cache"))
+    elided = int(line.rsplit(", ", 1)[1].split()[0])
+    assert line.endswith(" guard checks elided") and elided > 0
+
+
 def test_run_all_modes_agree(source_file, capsys):
     outputs = []
     for mode in ("carat", "baseline", "traditional"):
@@ -224,6 +233,9 @@ BAD_INPUT = {
     "run-negative-max-steps": ["run", "hpccg", "--max-steps", "-1"],
     "smp-zero-max-steps": ["smp", "hpccg", "--max-steps", "0"],
     "soak-negative-max-steps": ["soak", "--max-steps", "-1"],
+    "smp-negative-heap": ["smp", "mcf", "--heap-kb", "-4"],
+    "soak-negative-heap": ["soak", "--heap-kb", "-4"],
+    "smp-negative-stack": ["smp", "mcf", "--stack-kb", "-4"],
     "compile-syntax-error": ["compile", "<syntax-error.c>"],
     "compile-undeclared-identifier": ["compile", "<undeclared.c>"],
     "run-syntax-error": ["run", "<syntax-error.c>"],
@@ -328,6 +340,37 @@ def test_guest_fault_prints_one_line(tmp_path, capsys, engine):
         "repro run: integer fault: sdiv 10, 0 "
         "(division by zero or invalid shift)\n"
     )
+
+
+HEAP_HOG = """
+long main() {
+  long i;
+  for (i = 0; i < 1000; i++) {
+    malloc(65536);
+  }
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast", "trace"])
+def test_heap_exhaustion_prints_one_line(tmp_path, capsys, engine):
+    source = tmp_path / "hog.c"
+    source.write_text(HEAP_HOG)
+    assert main(["run", str(source), "--engine", engine]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "repro run: heap exhausted: need 65536 bytes, largest free block is 0\n"
+    )
+
+
+def test_tenant_heap_exhaustion_prints_one_line(capsys):
+    assert main(["smp", "mcf", "--heap-kb", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("repro smp: heap exhausted: ")
 
 
 def test_exhausted_step_budget_prints_one_line(capsys):

@@ -25,7 +25,7 @@ from repro.errors import ProtectionFault
 from repro.ir import parse_module
 from repro.ir.types import IntType
 from repro.kernel.kernel import Kernel
-from repro.kernel.pagetable import PTE
+from repro.kernel.pagetable import PAGE_SIZE, PTE
 from repro.kernel.physmem import PhysicalMemory
 from tests.support import run_carat, run_traditional
 from repro.machine.codegen import GLOBALS, Writer, emit_op
@@ -1363,3 +1363,236 @@ class TestSignedDivision:
             assert _template_divide("srem", bits, int_min, -1, constant_rhs) == 0
         assert fold_int_binop("sdiv", ty, int_min, -1) == int_min
         assert fold_int_binop("srem", ty, int_min, -1) == 0
+
+
+# ---------------------------------------------------------------------------
+# Specialized guards in the block tier: every guard form, settled inline
+# against its site's spec cell, charges what the runtime would.
+# ---------------------------------------------------------------------------
+
+#: Every guard form in one hot loop: load and store guards on a heap and
+#: a global array (the compiler's), a call guard on @touch, and two range
+#: guards over the global array — a constant write flag, and a dynamic
+#: flag and size (zero at k == 0, which the runtime passes early).
+_GUARD_IR = """
+@g = global [64 x i64] zeroinitializer
+declare i8* @malloc(i64)
+declare void @free(i8*)
+declare void @print_long(i64)
+declare void @carat.guard.range(...)
+
+define i64 @touch(i64* %h, i64 %k, i64 %w) {
+entry:
+  %base = ptrtoint [64 x i64]* @g to i64
+  %p = inttoptr i64 %base to i8*
+  %len = mul i64 %k, 8
+  call void @carat.guard.range(i8* %p, i64 %len, i64 %w)
+  call void @carat.guard.range(i8* %p, i64 512, i64 1)
+  %hs = getelementptr i64* %h, i64 %k
+  %hv = load i64* %hs
+  %gs = getelementptr [64 x i64]* @g, i64 0, i64 %k
+  %gv = load i64* %gs
+  %sum = add i64 %hv, %gv
+  store i64 %sum, i64* %gs
+  ret i64 %sum
+}
+
+define i64 @main() {
+entry:
+  %raw = call i8* @malloc(i64 512)
+  %h = bitcast i8* %raw to i64*
+  br label %loop
+loop:
+  %i = phi i64 [0, %entry], [%next, %loop]
+  %acc = phi i64 [0, %entry], [%acc2, %loop]
+  %k = srem i64 %i, 64
+  %w = and i64 %i, 1
+  %hs = getelementptr i64* %h, i64 %k
+  store i64 %i, i64* %hs
+  %r = call i64 @touch(i64* %h, i64 %k, i64 %w)
+  %acc2 = add i64 %acc, %r
+  %next = add i64 %i, 1
+  %c = icmp slt i64 %next, 1200
+  br i1 %c, label %loop, label %exit
+exit:
+  call void @print_long(i64 %acc2)
+  call void @free(i8* %raw)
+  ret i64 0
+}
+"""
+
+
+def _guard_binary():
+    options = CompileOptions(optimize=False)
+    return compile_carat(parse_module(_GUARD_IR), options, module_name="guards")
+
+
+def _move_heap_array(kernel, after=2_000):
+    """A tick hook moving the heap array's page out of the loader's one
+    region once, ``after`` instructions in: from then on the heap and the
+    globals sit in different regions."""
+    moved = []
+
+    def hook(interp):
+        if moved or interp.stats.instructions < after:
+            return
+        moved.append(True)
+        process = interp.process
+        array = next(
+            x for x in process.runtime.table
+            if x.kind == "heap" and x.size == 512
+        )
+        snaps = interp.register_snapshots()
+        kernel.request_page_move(
+            process, array.address & ~(PAGE_SIZE - 1), register_snapshots=snaps
+        )
+        interp.apply_snapshots(snaps)
+
+    return hook, moved
+
+
+def _guard_observed(interp, result):
+    """Output, memory, modeled and runtime stats, and the mechanism's
+    predictor state: MPX's bounds register and if-tree's last leaf."""
+    runtime = interp.process.runtime
+    mech = runtime.guard
+    bound = getattr(mech, "_bound", None)
+    return (
+        result.exit_code,
+        tuple(result.output),
+        _modeled(result.stats, result.process),
+        {f: getattr(runtime.stats, f) for f in RUNTIME_FIELDS},
+        None if bound is None else (bound.base, bound.length, bound.perms),
+        getattr(mech, "_last_leaf", None),
+        bytes(result.kernel.memory._data),
+    )
+
+
+class TestBlockTierGuards:
+    def _run(self, engine, mechanism="mpx", move=False, stride_hint=False,
+             hook=None, **config):
+        kernel = Kernel()
+        seen = []
+        moved = []
+
+        def setup(interp):
+            seen.append(interp)
+            interp.set_tick_interval(200)
+            if stride_hint:
+                interp.process.runtime.guard.stride_hint = True
+            if move:
+                interp.tick_hook, flag = _move_heap_array(kernel)
+                moved.append(flag)
+            elif hook is not None:
+                interp.tick_hook = hook
+
+        config = RunConfig(
+            engine=engine, guard_mechanism=mechanism, trace_threshold=2, **config
+        )
+        result = CaratSession(config, kernel=kernel, setup=setup).run(
+            _guard_binary()
+        )
+        if move:
+            assert moved[0], "the heap array never moved"
+        return seen[0], result
+
+    def _three(self, **kwargs):
+        runs = {e: self._run(e, **kwargs) for e in ("reference", "fast", "trace")}
+        observed = {e: _guard_observed(*run) for e, run in runs.items()}
+        assert observed["fast"] == observed["reference"]
+        assert observed["trace"] == observed["reference"]
+        fast = runs["fast"][1]
+        # The block tier settled guards inline, or this proves nothing.
+        assert fast.stats.guard_checks_elided > 0
+        assert fast.stats.trace_respecializations == 0
+        return runs
+
+    def test_mpx_alternates_after_a_page_move(self):
+        runs = self._three(mechanism="mpx", move=True)
+        interp, result = runs["reference"]
+        assert len(interp.process.regions) >= 2
+        # The bounds register reloads: the guards cost more than a run
+        # of register hits would.
+        rt = interp.process.runtime
+        assert result.stats.guard_cycles > rt.stats.guards_executed * rt.costs.mpx_guard
+
+    @pytest.mark.parametrize("move", [False, True], ids=["one-region", "several"])
+    def test_binary_search(self, move):
+        runs = self._three(mechanism="binary_search", move=move)
+        regions = runs["reference"][0].process.regions
+        assert (len(regions) > 1) == move
+
+    @pytest.mark.parametrize("stride_hint", [False, True])
+    def test_if_tree(self, stride_hint):
+        self._three(mechanism="if_tree", move=True, stride_hint=stride_hint)
+
+    def test_open_move_window_takes_the_runtime_path(self):
+        window = []
+        elided = []
+
+        def hook(interp):
+            n = interp.stats.instructions
+            rt = interp.process.runtime
+            if not window and n >= 2_000:
+                base = interp.process.globals_map["g"]
+                window.append(rt.open_move_window(base, base + 512))
+                elided.append(interp.stats.guard_checks_elided)
+            elif len(window) == 1 and n >= 6_000:
+                elided.append(interp.stats.guard_checks_elided)
+                rt.close_move_window(window.pop())
+                window.append(None)
+
+        runs = {}
+        for engine in ("reference", "fast", "trace"):
+            window.clear()
+            elided.clear()
+            runs[engine] = self._run(engine, hook=hook)
+            assert window == [None]
+            if engine == "fast":
+                # While the window is open, no guard settles inline.
+                assert elided[0] == elided[1] > 0
+        observed = {e: _guard_observed(*run) for e, run in runs.items()}
+        assert observed["fast"] == observed["reference"]
+        assert observed["trace"] == observed["reference"]
+
+    def test_cow_break(self):
+        from repro.multiproc import Scheduler, TenantSpec
+
+        # A shared image's first write breaks CoW, which re-maps the
+        # writer's regions: its live cells must go stale.
+        source = get_workload("mcf", "tiny").source
+
+        def schedule(engine):
+            specs = [TenantSpec(source, name=f"t{i}") for i in range(2)]
+            config = RunConfig(engine=engine, quantum=300, trace_threshold=2)
+            return Scheduler(config, specs, share=True).run()
+
+        reference = schedule("reference")
+        fast = schedule("fast")
+        trace = schedule("trace")
+        assert reference.dedup["cow_breaks"] > 0
+        assert fast.fingerprints() == reference.fingerprints()
+        assert trace.fingerprints() == reference.fingerprints()
+        assert all(
+            t.stats.guard_checks_elided > 0 for t in fast.tenants.values()
+        )
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"safety": True}, {"profile": True}, {"trace": True, "trace_detail": "fine"}],
+        ids=["safety", "profile", "fine-tracer"],
+    )
+    def test_every_guard_reaches_the_runtime(self, config):
+        binary = _guard_binary()
+        plain = CaratSession(RunConfig(engine="fast")).run(binary)
+        assert plain.stats.guard_checks_elided > 0
+        # The module's ops are built and warm; the attachment alone keeps
+        # every cell unspecialized.
+        seen = []
+        result = CaratSession(
+            RunConfig(engine="fast", **config), setup=seen.append
+        ).run(binary)
+        assert result.output == plain.output
+        assert result.stats.guard_checks_elided == 0
+        assert result.process.runtime.stats.guards_executed > 0
+        assert all(spec.gen == -1 for spec in seen[0]._guard_specs)

@@ -50,6 +50,11 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["heap_size", "stack_size"])
+    def test_validation_rejects_negative_sizes(self, field):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(**{field: -4096})
+
     def test_from_args_maps_cli_namespace(self):
         # The exact shape `repro run` produces, including the --guard
         # alias for the guard_mechanism field.
