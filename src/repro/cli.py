@@ -46,7 +46,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from repro.carat.pipeline import CompileOptions, compile_carat
-from repro.errors import ParseError, SemanticError
+from repro.errors import InterpError, ParseError, SemanticError
 from repro.ir.printer import print_module
 from repro.kernel.heap import HeapError
 from repro.kernel.pagetable import PAGE_SIZE
@@ -676,7 +676,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from repro.errors import InterpError, SafetyFault
+    from repro.errors import SafetyFault
     from repro.machine.session import CaratSession
     from repro.telemetry import run_snapshot, validate_jsonl
 
@@ -693,11 +693,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for key, value in sorted(violation.to_dict().items()):
             print(f"   {key:16s}: {value}", file=sys.stderr)
         return 3
-    except InterpError as fault:
-        # A guest fault (division by zero, protection fault, exhausted
-        # step budget): the program failed, not the tool.
-        print(f"repro run: {fault}", file=sys.stderr)
-        return 1
     for line in result.output:
         print(line)
     if args.sanitize and result.sanitizer is not None:
@@ -1141,9 +1136,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # carries the line:col.
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
-    except HeapError as error:
-        # The guest exhausted (or corrupted) its heap: like any guest
-        # fault, the program failed, not the tool.
+    except (InterpError, HeapError) as error:
+        # A guest fault (division by zero, protection fault, exhausted
+        # step budget, an exhausted or corrupted heap) in any command:
+        # the program failed, not the tool.
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 1
 

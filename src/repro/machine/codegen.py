@@ -24,29 +24,31 @@ block tier keeps them as closures, which the trace tier calls.
 
 The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
 ``stats``; the per-interpreter names of :data:`BINDINGS`,
-:data:`GUARD_BINDINGS` and :data:`KNOWN_FACT_BINDINGS`; the constants of
+:data:`GUARD_BINDINGS` and :data:`PAGING_BINDINGS`; the constants of
 :data:`GLOBALS`; and ``_FF``, the block tier's frame class, and
 ``_respec``, the tier's :func:`respecialize`.  The trace tier inlines them into
 a superblock whose instantiation binds every name once.  The block tier
 wraps them in a ``def`` behind a prologue that binds the names the body
-reads, and shares one compiled stencil among all ops of identical text.
+reads, by whole identifier, and shares one compiled stencil among all
+ops of identical text.
 So what identifies one op — its operand and destination slots,
 constants, global names, blocks and guard site — goes into ``ns`` under
 names tagged by ``t``, never into the text.
 
 An emitter branches only on the instruction and on facts its caller
-may know: the addressing mode (``is_carat``), whether the kernel has a
-fast/slow tier boundary (``has_tier``) and the guard mechanism whose
-hits a guard site settles itself (``mech``; ``""`` when guards never
-specialize) — ``None``, what the module-shared block tier passes, makes
-the fact a run-time test in the emitted code — and, in a trace, the
-block a branch continues into
-(``nxt``: the other arm becomes a side exit) and the call whose frame a
-return pops (``paired``: without it the return reads
-``frame.result_target`` and keeps the program-exit arm).  The trace tier
-also passes a segment's register map (:data:`Regs`; see :func:`expr`)
-and each guard's specialization cell (see :func:`_guard`), which the
-block tier never does.
+knows, each a bool or a name and never a run-time test: the addressing
+mode (``is_carat``), whether the kernel has a fast/slow tier boundary
+(``has_tier``) and the guard mechanism whose hits a guard site settles
+itself (``mech``; ``""`` when guards never specialize).  Both tiers know
+all three: the block tier compiles one copy of a module per set of them
+(see :func:`~repro.machine.fastexec.compile_module`).  In a trace the
+emitter also knows the block a branch continues into (``nxt``: the
+other arm becomes a side exit) and the call whose frame a return pops
+(``paired``: without it the return reads ``frame.result_target`` and
+keeps the program-exit arm).  The trace tier passes a segment's register
+map (:data:`Regs`; see :func:`expr`), which also marks an emission as a
+trace's, and each guard's specialization cell (see :func:`_guard`),
+which the block tier never does.
 """
 
 from __future__ import annotations
@@ -165,7 +167,12 @@ GLOBALS: Dict[str, object] = {
 
 #: Per-interpreter names the emitted bodies read, as attribute paths on
 #: the interpreter.  Move transactions patch ``_gm`` in place, so a bound
-#: reference always sees the current global addresses.
+#: reference always sees the current global addresses.  Only tiered
+#: accesses read ``_tb``/``_cft``/``_cst``.  ``_pm``/``_pmd``/``_pms``
+#: give CARAT loads and stores (and paging ones past a trace's inline
+#: translation) raw physical-memory access: the backing buffer is
+#: allocated once per kernel and never reassigned, and the out-of-range
+#: path calls the real accessor on ``_pm`` for its exact error.
 BINDINGS: Dict[str, str] = {
     "_ci": "_cost_instruction",
     "_cm": "_cost_memory",
@@ -174,6 +181,12 @@ BINDINGS: Dict[str, str] = {
     "_cells": "_guard_cells",
     "_rt": "process.runtime",
     "_hp": "process.heap",
+    "_tb": "_tier_boundary",
+    "_cft": "costs.fast_tier_access",
+    "_cst": "costs.slow_tier_access",
+    "_pm": "memory",
+    "_pmd": "memory._data",
+    "_pms": "memory.size",
 }
 #: Names only guard sites read: the runtime's parts (``None`` without a
 #: runtime, whose guards never run), by attribute on the runtime.  The
@@ -185,24 +198,6 @@ GUARD_BINDINGS: Dict[str, str] = {
     "_windows": "_move_windows",
     "_mech": "guard",
 }
-#: Names only the forms emitted with the addressing mode or the tiering
-#: known read.  ``_pm``/``_pmd``/``_pms`` give CARAT loads and stores (and
-#: paging ones past the inline translation) raw physical-memory access:
-#: the backing buffer is allocated once per kernel and never reassigned,
-#: and the out-of-range path delegates to the real accessor
-#: (``_rdb``/``_wrb``) for its exact error.
-KNOWN_FACT_BINDINGS: Dict[str, str] = {
-    "_tb": "_tier_boundary",
-    "_cft": "costs.fast_tier_access",
-    "_cst": "costs.slow_tier_access",
-    "_pm": "memory",
-    "_pmd": "memory._data",
-    "_pms": "memory.size",
-    "_rdb": "memory.read_bytes",
-    "_wrb": "memory.write_bytes",
-    "_rmem": "_read_mem",
-    "_wmem": "_write_mem",
-}
 #: Names only paging loads and stores read (see :func:`_paging`).
 PAGING_BINDINGS: Dict[str, str] = {
     "_dts": "process.mmu.dtlb.sets",
@@ -211,10 +206,7 @@ PAGING_BINDINGS: Dict[str, str] = {
     "_ms": "process.mmu.stats",
     "_tlh": "process.mmu.costs.tlb_hit",
 }
-_GETTERS = {
-    name: attrgetter(path)
-    for name, path in {**BINDINGS, **KNOWN_FACT_BINDINGS}.items()
-}
+_GETTERS = {name: attrgetter(path) for name, path in BINDINGS.items()}
 _PAGING_GETTERS = {**_GETTERS, **{n: attrgetter(p) for n, p in PAGING_BINDINGS.items()}}
 
 
@@ -412,7 +404,7 @@ class _Op:
     )
 
     def __init__(
-        self, w, ind, t, ns, is_carat=None, has_tier=None, mech=None,
+        self, w, ind, t, ns, is_carat, has_tier, mech,
         defined=None, regs=None, code=None, nxt=None, paired=None, spec=None,
     ) -> None:
         self.w = w
@@ -486,26 +478,25 @@ class _Op:
         """Store ``_m`` re-signed to ``ty`` (IntType.wrap, inlined)."""
         self.line(f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m")
 
-    def mode(
-        self, carat: Sequence[str], paging: Sequence[str], either: Sequence[str]
-    ) -> None:
-        """The memory access for the addressing mode, or — with the mode
-        unknown — ``either``: a run-time test between the interpreter's
-        own accessors.  Lines carry their relative indent."""
-        if self.is_carat is None:
-            self.lines(either)
+    def access(self, size: int, write: bool, carat: List[str], slow: str) -> None:
+        """The memory access at ``_a`` in the addressing mode: ``carat``,
+        the raw physical access; or paging's ``slow`` accessor call, behind
+        a trace's inline DTLB probe (see :func:`_paging`).  The block tier
+        calls the accessor directly, so its prologue binds no MMU names
+        (on paper-tiny the probe there read slower set-up and medians)."""
+        if self.is_carat:
+            self.lines(carat)
+        elif self.regs is not None:
+            self.lines(_paging(size, write, carat, slow))
         else:
-            self.lines(carat if self.is_carat else paging)
+            self.line(slow)
 
     def tier(self) -> None:
-        """Tier-cost accounting for the access at ``_a``.  Known tiered:
-        Interpreter._charge_tier inlined (adding a possibly-zero cost
-        unconditionally is value-identical to its ``if extra:`` test).
-        Unknown: a run-time test and the call."""
-        if self.has_tier is None:
-            self.line("if interp._tier_boundary is not None:")
-            self.line("interp._charge_tier(_a)", 1)
-        elif self.has_tier:
+        """Tier-cost accounting for the access at ``_a`` on a tiered
+        kernel: Interpreter._charge_tier inlined (adding a possibly-zero
+        cost unconditionally is value-identical to its ``if extra:``
+        test)."""
+        if self.has_tier:
             self.line("if _a < _tb:")
             self.line("stats.fast_tier_accesses += 1", 1)
             self.line("stats.cycles += _cft", 1)
@@ -758,23 +749,12 @@ def _load(e: _Op, inst: LoadInst) -> bool:
     # CARAT: read_bytes, unrolled — bounds check (the real accessor
     # raises the exact error), bandwidth accounting, slice.  An mmap
     # slice decodes the same as the bytes copy read_bytes returns.
-    access = [
+    e.access(size, False, [
         f"if _a < 0 or _a + {size} > _pms:",
-        f"    _rdb(_a, {size})",
+        f"    _pm.read_bytes(_a, {size})",
         f"_pm.bytes_read += {size}",
         f"_v = _pmd[_a:_a + {size}]",
-    ]
-    e.mode(
-        access,
-        _paging(size, False, access, f"_v = _rmem(_a, {size}, 'read')")
-        if e.is_carat is False else (),
-        [
-            "if interp.is_carat:",
-            f"    _v = interp.memory.read_bytes(_a, {size})",
-            "else:",
-            f"    _v = interp._read_mem(_a, {size}, 'read')",
-        ],
-    )
+    ], f"_v = interp._read_mem(_a, {size}, 'read')")
     for text in decode:
         e.line(text)
     return True
@@ -805,24 +785,13 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     # CARAT: write_bytes, unrolled like the load's read_bytes; the
     # encoders always produce exactly ``size`` bytes, so the slice
     # assignment never resizes.
-    access = [
+    e.line(f"_b = {encode}")
+    e.access(size, True, [
         f"if _a < 0 or _a + {size} > _pms:",
-        "    _wrb(_a, _b)",
+        "    _pm.write_bytes(_a, _b)",
         f"_pm.bytes_written += {size}",
         f"_pmd[_a:_a + {size}] = _b",
-    ]
-    e.mode(
-        [f"_b = {encode}", *access],
-        [f"_b = {encode}", *_paging(size, True, access, "_wmem(_a, _b)")]
-        if e.is_carat is False else (),
-        [
-            f"_b = {encode}",
-            "if interp.is_carat:",
-            "    interp.memory.write_bytes(_a, _b)",
-            "else:",
-            "    interp._write_mem(_a, _b)",
-        ],
-    )
+    ], "interp._write_mem(_a, _b)")
     return True
 
 
@@ -1123,22 +1092,13 @@ _HIT_CHARGE = {
 
 
 @lru_cache(maxsize=None)
-def _guard_hit(mech: Optional[str], ind: int) -> Tuple[str, ...]:
+def _guard_hit(mech: str, ind: int) -> Tuple[str, ...]:
     """The lines, at indent ``ind``, of an allowed access the site's cell
     settles: exactly what the runtime path would charge and write
     (``guards_executed``, ``guard_cycles`` on both stats objects, the
     mechanism's predictor state), minus the call, plus the
-    engine-descriptive ``guard_checks_elided``.  With the mechanism
-    unknown, a run-time test picks its charge."""
-    if mech is None:
-        body = ["_n = _mech.name"]
-        for test, name in (("if", "mpx"), ("elif", "if_tree")):
-            body.append(f"{test} _n == '{name}':")
-            body += [f"    {text}" for text in _HIT_CHARGE[name]]
-        body += ["else:", f"    {_HIT_CHARGE['binary_search'][0]}"]
-    else:
-        body = list(_HIT_CHARGE[mech])
-    body += [
+    engine-descriptive ``guard_checks_elided``."""
+    body = _HIT_CHARGE[mech] + [
         "_rs.guards_executed += 1",
         "_rs.guard_cycles += _gc",
         "stats.guard_cycles += _gc",
@@ -1150,8 +1110,9 @@ def _guard_hit(mech: Optional[str], ind: int) -> Tuple[str, ...]:
 
 def _guard(e: _Op, inst: CallInst, name: str) -> bool:
     # The runtime check through the site's region-cache cell, behind a
-    # specialized check against the site's spec cell.  ``mech`` "" (a
-    # trace that does not specialize) leaves the runtime check alone.
+    # specialized check against the site's spec cell.  ``mech`` "" (no
+    # runtime, a mechanism without baked costs, or a trace that does not
+    # specialize) leaves the runtime check alone.
     # The block tier's cell is ``_specs[site]``; a trace passes ``spec``:
     # its cell's name, whether the hit skips the operands (a covering
     # guard ran on the same address this iteration) and whether the cell
@@ -1181,13 +1142,11 @@ def _guard(e: _Op, inst: CallInst, name: str) -> bool:
     ]
     if not e.mech:
         _runtime_head(e)
-    else:
-        e.raises = True
-        e.head([], ())
-    if e.mech == "":
         e.reads(reads, operands)
         e.lines(runtime)
         return True
+    e.raises = True
+    e.head([], ())
     cell, elide, own = e.spec or (f"_specs[_q{t}]", False, True)
     if name == GUARD_CALL:
         reads.append("_a = interp.sp - _s")
@@ -1295,9 +1254,9 @@ def emit_op(
     inst: Instruction,
     t: int,
     ns: Dict[str, object],
-    is_carat: Optional[bool] = None,
-    has_tier: Optional[bool] = None,
-    mech: Optional[str] = None,
+    is_carat: bool,
+    has_tier: bool,
+    mech: str,
     defined: Optional[Set[int]] = None,
     regs: Optional[Regs] = None,
     code=None,
@@ -1333,4 +1292,4 @@ def emit_op(
 def emit_edge(w: Writer, ind: int, src: BasicBlock, dst: BasicBlock, ns, code) -> None:
     """The edge ``src`` -> ``dst`` of a branch op alone (tag 0), the op a
     trace's side exit calls."""
-    _edge(_Op(w, ind, 0, ns, code=code), src, dst, 0, "t")
+    _edge(_Op(w, ind, 0, ns, *code.facts, code=code), src, dst, 0, "t")

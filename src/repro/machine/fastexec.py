@@ -17,14 +17,19 @@ changing a single observable number:
   template of :mod:`repro.machine.codegen`, the lines the trace tier
   inlines, so operand reads, wrap arithmetic and NaN checks are inline
   in the op itself.  Ops are built by copy-and-patch from a
-  process-wide *stencil library* keyed by the op's text: everything that
+  process-wide *stencil library* keyed by the op's parameter list and
+  body: everything that
   identifies one op (operand and destination slots, constants, blocks,
   its guard site) is a name, so every op of one shape shares one
   stencil, compiled once, and the op is that stencil applied to its
   operands.  Only the I/O builtin calls and the one-line faults (phi,
   unreachable, indirect call, unknown opcode) stay ordinary closures;
-* the compiled form is cached on the module (``Module.metadata``) and
-  shared by every subsequent run of the same binary;
+* the facts a run holds throughout — the addressing mode, whether the
+  kernel is tiered, and the guard mechanism whose hits guard sites settle
+  themselves — are known when an op is built, so no op tests one at run
+  time: a load or store has exactly one memory arm.  One compiled form
+  per set of facts is cached on the module (``Module.metadata``) and
+  shared by every run of the binary with those facts;
 * every ``carat.guard.*`` call site gets a numbered
   :class:`~repro.runtime.runtime.GuardSiteCell` so the runtime's
   epoch-invalidated region cache can memoize the last region *per site*
@@ -34,7 +39,7 @@ changing a single observable number:
 * beside it, each site has a :class:`~repro.machine.codegen.SpecCell`
   (``interp._guard_specs``): the guard op settles an access inside the
   cell's region itself, with the trace tier's specialized check — the
-  same template, with the mechanism a run-time test — and calls the
+  same template, for the same known mechanism — and calls the
   runtime only on a miss, a stale generation or an open move window,
   then re-specializes the cell if
   :func:`~repro.machine.codegen.specializes` still holds (no profiler,
@@ -52,6 +57,7 @@ charges and writes exactly what ``check_known`` would.
 
 from __future__ import annotations
 
+import re
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InterpError
@@ -68,6 +74,7 @@ from repro.machine.codegen import (
     BINDINGS,
     GLOBALS,
     GUARD_BINDINGS,
+    SPECIALIZABLE,
     SpecCell,
     Writer,
     emit_edge,
@@ -98,27 +105,41 @@ class _FastFrame(_Frame):
 # Stencils
 # ----------------------------------------------------------------------
 
-#: Prologue line for each name a block-tier body may read (the facts a
-#: known-fact binding serves are never known here).
-_PROLOGUE = {
-    "stats": "        stats = interp.stats\n",
-    "values": "        values = frame.values\n",
+#: The value each name a block-tier body may read is bound to, in binding
+#: order: a value reads ``interp``, ``frame`` or a name above it (a body
+#: reads guard bindings only with a runtime).
+_PROLOGUE: Dict[str, str] = {
+    "stats": "interp.stats",
+    "values": "frame.values",
+    "_specs": "interp._guard_specs",
 }
-_PROLOGUE.update(
-    (name, f"        {name} = interp.{path}\n") for name, path in BINDINGS.items()
-)
-#: A block-tier guard op reads its spec cells and every guard binding,
-#: so one probe (and one entry, after ``_rt``'s) binds them all.
-_PROLOGUE["_specs"] = "        _specs = interp._guard_specs\n" + "".join(
-    f"        {name} = _rt and _rt.{attr}\n" for name, attr in GUARD_BINDINGS.items()
-)
+_PROLOGUE.update((name, f"interp.{path}") for name, path in BINDINGS.items())
+_PROLOGUE.update(_pmd="_pm._data", _pms="_pm.size")
+_PROLOGUE.update((name, f"_rt.{attr}") for name, attr in GUARD_BINDINGS.items())
+#: A whole identifier that is not an attribute name.
+_NAME = re.compile(r"(?<![.\w])[A-Za-z_]\w*")
 
-#: The stencil library: stencil text -> its maker.  Process-wide and keyed
-#: by the text alone, which holds no id, slot or position — those are the
-#: maker's arguments — so every op of one shape, in any block of any
-#: module, shares one ``compile`` call and one code object.  A maker is
-#: a pure function of its text, so sharing it across modules is safe.
-_STENCILS: Dict[str, Callable[..., Op]] = {}
+
+def _prologue(body: str) -> str:
+    """The lines binding every name ``body`` reads, matched by whole
+    identifier (``_msg0`` is not ``_ms``), with the names their values
+    read."""
+    need = set(_NAME.findall(body))
+    for name, value in reversed(_PROLOGUE.items()):
+        if name in need:
+            need.add(value.partition(".")[0])
+    return "".join(
+        f"        {name} = {value}\n"
+        for name, value in _PROLOGUE.items()
+        if name in need
+    )
+
+
+#: The stencil library: (parameter list, body) -> its maker.  Process-wide
+#: and keyed by text alone, which holds no id, slot or position — those
+#: are the maker's arguments — so every op of one shape, in any block of
+#: any module, shares one ``compile`` call and one code object.
+_STENCILS: Dict[Tuple[str, str], Callable[..., Op]] = {}
 #: The names every emitted body may read besides its bindings: the
 #: codegen constants and the frame class a call pushes.
 _STENCIL_SCOPE: Dict[str, object] = dict(
@@ -131,18 +152,18 @@ def _stencil_op(w: Writer, ns: Dict[str, object]) -> Op:
     stencil ``_mk(<ns names>)`` returns ``_op(interp, frame)``, a prologue
     binding the names the body reads plus the body, and the op is the
     stencil applied to this instruction's ``ns`` values (copy-and-patch:
-    the operands become closure cells)."""
-    body = w.source()
-    text = "".join([
-        f"def _mk({', '.join(ns)}):\n    def _op(interp, frame):\n",
-        *(line for var, line in _PROLOGUE.items() if var in body),
-        body,
-        "    return _op\n",
-    ])
-    make = _STENCILS.get(text)
+    the operands become closure cells).  The prologue is built only on a
+    library miss."""
+    key = (", ".join(ns), w.source())
+    make = _STENCILS.get(key)
     if make is None:
+        params, body = key
+        text = (
+            f"def _mk({params}):\n    def _op(interp, frame):\n"
+            f"{_prologue(body)}{body}    return _op\n"
+        )
         exec(compile(text, "<stencil>", "exec"), _STENCIL_SCOPE)
-        make = _STENCILS[text] = _STENCIL_SCOPE.pop("_mk")
+        make = _STENCILS[key] = _STENCIL_SCOPE.pop("_mk")
     return make(*ns.values())
 
 
@@ -190,14 +211,20 @@ def _closure_op(inst: Instruction) -> Op:
 _METADATA_KEY = "fastexec.code"
 
 
+#: A run's facts: ``(is_carat, has_tier, mech)`` (see repro.machine.codegen).
+Facts = Tuple[bool, bool, str]
+
+
 class ModuleCode:
-    """The compiled form of one module: per-block op lists plus guard-site
-    numbering.  Cached in ``Module.metadata`` and shared across every run
-    of the binary — per-run state (guard cells) lives on the interpreter,
+    """The compiled form of one module under one set of ``facts``:
+    per-block op lists plus guard-site numbering.  Cached in
+    ``Module.metadata`` and shared across every run of the binary with
+    those facts — per-run state (guard cells) lives on the interpreter,
     keyed by the site indices assigned here."""
 
-    def __init__(self, module: Module) -> None:
+    def __init__(self, module: Module, facts: Facts) -> None:
         self.module = module
+        self.facts = facts
         #: block id -> list of (op, is_terminator), index-aligned with
         #: ``block.instructions``.  The terminator flag rides along so the
         #: dispatch loop's safepoint check costs one tuple unpack.  Every
@@ -228,10 +255,8 @@ class ModuleCode:
             )
 
     def _compile(self, inst: Instruction) -> Op:
-        # Module-shared code knows neither the addressing mode nor the
-        # tiering, so the template leaves both as run-time tests.
         w, ns = Writer(), {}
-        if emit_op(w, 2, inst, 0, ns, code=self) is None:
+        if emit_op(w, 2, inst, 0, ns, *self.facts, code=self) is None:
             return _closure_op(inst)
         return _stencil_op(w, ns)
 
@@ -243,14 +268,14 @@ class ModuleCode:
         return _stencil_op(w, ns)
 
 
-def compile_module(module: Module) -> Tuple[ModuleCode, bool]:
-    """Get-or-build the compiled code for ``module``.  Returns
-    ``(code, was_cached)``."""
-    cached = module.metadata.get(_METADATA_KEY)
-    if isinstance(cached, ModuleCode) and cached.module is module:
-        return cached, True
-    code = ModuleCode(module)
-    module.metadata[_METADATA_KEY] = code
+def compile_module(module: Module, facts: Facts) -> Tuple[ModuleCode, bool]:
+    """Get-or-build the compiled code for ``module`` under ``facts``: one
+    code per set of facts its runs use.  Returns ``(code, was_cached)``."""
+    codes = module.metadata.setdefault(_METADATA_KEY, {})
+    code = codes.get(facts)
+    if code is not None:
+        return code, True
+    code = codes[facts] = ModuleCode(module, facts)
     return code, False
 
 
@@ -279,7 +304,14 @@ class FastInterpreter(Interpreter):
         thread_id: int = 0,
     ) -> None:
         super().__init__(process, kernel, max_call_depth, stack_range, thread_id)
-        code, was_cached = compile_module(self.module)
+        # The facts this run holds throughout select its code.
+        runtime = process.runtime
+        mech = runtime.guard.name if runtime is not None else ""
+        code, was_cached = compile_module(self.module, (
+            self.is_carat,
+            self._tier_boundary is not None,
+            mech if mech in SPECIALIZABLE else "",
+        ))
         self._code = code
         self.stats.compiled_blocks = code.compiled_blocks
         # Hit/miss accounting is in *block* units, matching
@@ -301,7 +333,6 @@ class FastInterpreter(Interpreter):
         self._cost_instruction = self.costs.instruction
         self._cost_memory = self.costs.memory_access
         self._cost_call = self.costs.call
-        runtime = process.runtime
         if runtime is not None:
             runtime.enable_region_cache()
 

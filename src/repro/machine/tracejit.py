@@ -105,7 +105,7 @@ only fields that may differ are the engine-descriptive counters
 ``trace_exits``, ``trace_respecializations``, ``guard_checks_elided``,
 ``trace_instructions``, ``trace_aborts``).
 
-Compiled trace code is cached on the module
+Compiled trace code is cached beside the block code of the run's facts
 (:attr:`~repro.machine.fastexec.ModuleCode.trace_codes`) keyed by the
 recorded chain, where it ends, and the specialization variant, and
 *instantiated* per interpreter — specialization cells, cost constants,
@@ -126,7 +126,7 @@ import zlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.carat.guard_opt import guard_covered, guard_tag
-from repro.carat.intrinsics import GUARD_CALL, GUARD_LOAD, GUARD_RANGE
+from repro.carat.intrinsics import GUARD_CALL, GUARD_RANGE
 from repro.errors import InterpError
 from repro.ir.instructions import (
     AllocaInst,
@@ -419,8 +419,6 @@ def _build_trace(
     chain: List[Tuple[int, BasicBlock]],
     specialize: bool,
     mech_name: str,
-    is_carat: bool,
-    has_tier: bool,
     end: Optional[BasicBlock] = None,
     end_depth: int = 0,
 ) -> Optional[_TraceCode]:
@@ -466,6 +464,7 @@ def _build_trace(
     segments = _layout(chain, end, end_depth)
     if segments is None:
         return None
+    is_carat, has_tier, _ = code.facts
 
     w = Writer()
     ns: Dict[str, object] = {}
@@ -831,15 +830,12 @@ class TraceInterpreter(FastInterpreter):
         tracer = runtime.tracer if runtime is not None else None
         specialize = specializes(self)
         mech_name = runtime.guard.name if specialize else ""
-        has_tier = self._tier_boundary is not None
         anchor_key = id(rec.anchor)
         key = (
             anchor_key,
             tuple((d, id(b)) for d, b in rec.chain[1:]),
             specialize,
             mech_name,
-            self.is_carat,
-            has_tier,
             0 if end is None else id(end),
             end_depth,
         )
@@ -848,8 +844,7 @@ class TraceInterpreter(FastInterpreter):
             # A chain the compiler cannot linearize comes back as None;
             # an exception is a compiler bug and propagates.
             tcode = _build_trace(
-                self._code, rec.chain, specialize, mech_name,
-                self.is_carat, has_tier, end, end_depth,
+                self._code, rec.chain, specialize, mech_name, end, end_depth,
             )
             self._code.trace_codes[key] = tcode  # None caches the reject
         if tcode is None:

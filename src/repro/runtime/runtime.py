@@ -464,9 +464,9 @@ class CaratRuntime:
             if tracer is not None:
                 tracer.instant(
                     "guard.fault", "guard",
-                    {"address": address, "size": length, "access": "range"},
+                    {"address": address, "size": length, "access": access},
                 )
-            raise ProtectionFault(address, length, "range")
+            raise ProtectionFault(address, length, access)
         if tracer is not None and tracer.fine:
             tracer.instant(
                 "guard.check", "guard",

@@ -342,6 +342,47 @@ def test_guest_fault_prints_one_line(tmp_path, capsys, engine):
     )
 
 
+#: One argv per command a guest fault can end, and its one line: exit 1,
+#: ``repro <command>: <message>`` on stderr, nothing on stdout.
+GUEST_FAULTS = {
+    "smp-divide-by-zero": (
+        ["smp", "<div.c>", "--tenants", "2"],
+        "integer fault: sdiv 10, 0 (division by zero or invalid shift)",
+    ),
+    "soak-step-budget": (
+        ["soak", "--requests", "100", "--max-steps", "5"],
+        "tenant 1 (svc0) exhausted its step budget after 1112 instructions",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", list(GUEST_FAULTS.values()), ids=list(GUEST_FAULTS)
+)
+def test_guest_fault_in_any_command_prints_one_line(argv, message, tmp_path, capsys):
+    source = tmp_path / "div.c"
+    source.write_text(DIVIDE_BY_ZERO)
+    argv = [str(source) if arg == "<div.c>" else arg for arg in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"repro {argv[0]}: {message}\n"
+
+
+@pytest.mark.parametrize("engine", ["reference", "fast", "trace"])
+def test_smp_fills_a_shared_global_array(tmp_path, capsys, engine):
+    # The fill loop's stores merge into one write range guard; under CoW
+    # sharing (the default) its fault breaks the page for each tenant.
+    from tests.test_multiproc import FILL_SOURCE
+
+    source = tmp_path / "fill.c"
+    source.write_text(FILL_SOURCE)
+    assert main(["smp", str(source), "--tenants", "2", "--engine", engine]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "2 breaks" in captured.out
+
+
 HEAP_HOG = """
 long main() {
   long i;

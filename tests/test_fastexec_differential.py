@@ -27,8 +27,8 @@ from repro.ir.types import IntType
 from repro.kernel.kernel import Kernel
 from repro.kernel.pagetable import PAGE_SIZE, PTE
 from repro.kernel.physmem import PhysicalMemory
-from tests.support import run_carat, run_traditional
-from repro.machine.codegen import GLOBALS, Writer, emit_op
+from tests.support import run_carat, run_carat_baseline, run_traditional
+from repro.machine.codegen import GLOBALS, SPECIALIZABLE, Writer, emit_op
 from repro.machine import fastexec
 from repro.machine.fastexec import compile_module
 from repro.machine.session import CaratSession, RunConfig
@@ -44,6 +44,8 @@ from repro.transform.simplify import fold_int_binop
 from repro.workloads import get_workload, workload_names
 
 MB = 1024 * 1024
+#: Block-code facts of a CARAT run on an untiered kernel under MPX.
+CARAT_FACTS = (True, False, "mpx")
 
 #: The stats fields that must match exactly between engines (everything
 #: the cost model and the figures consume).  The dispatch-cache and
@@ -304,14 +306,51 @@ class TestDispatchCache:
         assert second.stats.dispatch_cache_misses == 0
         assert second.stats.compiled_blocks == first.stats.compiled_blocks
 
+    def test_one_code_per_run_facts(self):
+        # The baseline binary runs on physical addressing and under
+        # paging: two sets of facts, two codes.  A second run with the
+        # same facts reuses its code for every block.
+        source = get_workload("ep", "tiny").source
+        binary = compile_baseline(source, module_name="ep")
+        runs = [
+            run(binary, engine="fast")
+            for run in (run_carat_baseline, run_traditional) * 2
+        ]
+        codes = binary.module.metadata[fastexec._METADATA_KEY]
+        assert sorted(codes) == [(False, False, ""), (True, False, "mpx")]
+        for cold, warm in zip(runs[:2], runs[2:]):
+            assert cold.stats.dispatch_cache_misses == cold.stats.compiled_blocks
+            assert warm.stats.dispatch_cache_hits == warm.stats.compiled_blocks
+            assert warm.stats.dispatch_cache_misses == 0
+            assert warm.output == cold.output == runs[0].output
+
+    @pytest.mark.parametrize("mode", ["carat", "traditional"])
+    def test_fault_message_is_not_a_binding(self, mode):
+        # The op's fault message is ``_msg0``; a prologue matching names
+        # by substring would bind the paging name ``_ms`` into it, which
+        # has no MMU to read under CARAT.
+        text = (
+            "@g = global [2 x i64] zeroinitializer\n"
+            "define void @main() {\nentry:\n"
+            "  %v = load [2 x i64]* @g\n  ret void\n}\n"
+        )
+        outcomes = {
+            engine: _matrix_run(text, mode, engine, verify=False)[:3]
+            for engine in ("reference", "fast", "trace")
+        }
+        assert outcomes["fast"] == outcomes["trace"] == outcomes["reference"] == (
+            "fault", "InterpError", "cannot load a value of type [2 x i64]",
+        )
+        assert fastexec._prologue("        raise _ierr(_msg0)\n") == ""
+
     def test_module_code_identity(self):
         workload = get_workload("ep", "tiny")
         binary = compile_carat(
             workload.source, CompileOptions(), module_name="ep"
         )
-        code, was_cached = compile_module(binary.module)
+        code, was_cached = compile_module(binary.module, CARAT_FACTS)
         assert not was_cached
-        again, was_cached = compile_module(binary.module)
+        again, was_cached = compile_module(binary.module, CARAT_FACTS)
         assert was_cached
         assert again is code
 
@@ -343,7 +382,7 @@ class TestDispatchCache:
             f"next:\n  %b = add i64 %y, {c_next}\n  ret i64 %b\n}}\n"
         )
         function = module.get_function("f")
-        code, _ = compile_module(module)
+        code, _ = compile_module(module, CARAT_FACTS)
         ops = [code.ops_by_block[id(block)][0][0] for block in function.blocks]
         return function, ops
 
@@ -392,7 +431,7 @@ class TestDispatchCache:
             "  br i1 %c, label %loop, label %exit\nexit:\n  ret i64 %j\n}\n"
         )
         function = module.get_function("f")
-        code, _ = compile_module(module)
+        code, _ = compile_module(module, CARAT_FACTS)
         loop = function.blocks[1]
         return loop, code.ops_by_block[id(loop)]
 
@@ -400,7 +439,7 @@ class TestDispatchCache:
         # Any id() or position that leaked into a stencil's text would
         # make the second module's ops miss the library.
         source = get_workload("hpccg", "tiny").source
-        compile_module(compile_carat(source, CompileOptions()).module)
+        compile_module(compile_carat(source, CompileOptions()).module, CARAT_FACTS)
         size = len(fastexec._STENCILS)
         compiles = []
 
@@ -409,25 +448,36 @@ class TestDispatchCache:
             return compile(*args, **kwargs)
 
         monkeypatch.setattr(fastexec, "compile", counting_compile, raising=False)
-        code, was_cached = compile_module(compile_carat(source, CompileOptions()).module)
+        code, was_cached = compile_module(
+            compile_carat(source, CompileOptions()).module, CARAT_FACTS
+        )
         assert not was_cached and code.compiled_blocks > 0
         assert len(fastexec._STENCILS) == size
         assert compiles == []
 
     def test_stencil_library_size_over_all_workloads(self, monkeypatch):
-        # 25 workloads x carat/traditional at tiny scale fold into 163
-        # stencils (93 before branches, calls, returns, select, the
-        # tracking intrinsics and the heap builtins had templates); the
-        # bound is 4x 93, far below one stencil per op.
+        # The 25 workloads at tiny scale, each binary compiled under every
+        # set of facts its runs can use (physical addressing, tiered or
+        # not, under each guard mechanism; the baseline binary under
+        # paging too), fold into 204 stencils (93 before branches,
+        # calls, returns, select, the tracking intrinsics and the heap
+        # builtins had templates); the bound is 4x 93, far below one
+        # stencil per op.
         monkeypatch.setattr(fastexec, "_STENCILS", {})
+        physical = [
+            (True, tier, mech)
+            for tier in (False, True) for mech in sorted(SPECIALIZABLE)
+        ]
         blocks = 0
         for name in workload_names():
             source = get_workload(name, "tiny").source
-            for binary in (
-                compile_carat(source, CompileOptions(), module_name=name),
-                compile_baseline(source, module_name=name),
+            for binary, runs in (
+                (compile_carat(source, CompileOptions(), module_name=name), physical),
+                (compile_baseline(source, module_name=name),
+                 physical + [(False, False, "")]),
             ):
-                blocks += compile_module(binary.module)[0].compiled_blocks
+                for facts in runs:
+                    blocks += compile_module(binary.module, facts)[0].compiled_blocks
         size = len(fastexec._STENCILS)
         print(f"stencil library: {size} stencils for {blocks} blocks")
         assert 0 < size <= 4 * 93
@@ -1317,7 +1367,7 @@ def _template_divide(op, bits, a, b, constant_rhs):
     function = module.get_function("f")
     inst = function.entry.instructions[0]
     w, ns = Writer(), dict(GLOBALS)
-    assert emit_op(w, 1, inst, 0, ns) is not None
+    assert emit_op(w, 1, inst, 0, ns, True, False, "") is not None
     exec("def op(values, stats, _ci):\n" + w.source(), ns)
     x, y = function.args
     values = {id(x): a, id(y): b}

@@ -53,6 +53,19 @@ void main() {
 }
 """
 
+#: Fills a global array in a loop: the guard optimizer merges the stores
+#: into one write range guard, whose fault under sharing must CoW-break.
+FILL_SOURCE = """
+long a[64];
+void main() {
+  long i;
+  long s = 0;
+  for (i = 0; i < 64; i++) { a[i] = i; }
+  for (i = 0; i < 64; i++) { s = s + a[i]; }
+  print_long(s);
+}
+"""
+
 #: Touches only locals — never stores a global, so under sharing its
 #: image stays pristine and it performs zero moves.
 PURE_SOURCE = """
@@ -218,6 +231,17 @@ class TestCowSharing:
         # The code page never breaks: three members, one physical copy.
         assert dedup["saved_pages"] >= 2
         assert all(len(result.pauses[pid]) >= 1 for pid in result.tenants)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_merged_write_range_guard_breaks_cow(self, engine):
+        assert compile_carat(FILL_SOURCE).guard_stats.merged > 0
+        result = _schedule(
+            [TenantSpec(FILL_SOURCE, name=f"f{i}") for i in range(2)],
+            engine=engine,
+            share=True,
+        )
+        assert [r.output for r in result.tenants.values()] == [["2016"]] * 2
+        assert result.dedup["cow_breaks"] == 2
 
     def test_sharing_preserves_solo_output(self):
         config = _config()
