@@ -12,7 +12,6 @@ translates first.
 from __future__ import annotations
 
 import mmap
-import struct
 from typing import List, Optional, Tuple
 
 from repro.errors import OutOfMemoryError, ReproError
@@ -126,9 +125,6 @@ class PhysicalMemory:
         raw = self.read_bytes(address, size)
         return int.from_bytes(raw, "little", signed=True)
 
-    def write_int(self, address: int, value: int, size: int) -> None:
-        self.write_uint(address, value, size)
-
     # The 8-byte accessors (the escape flush's and the patcher's) slice
     # the buffer directly, with read_bytes/write_bytes's check and counts.
     def read_u64(self, address: int) -> int:
@@ -144,20 +140,6 @@ class PhysicalMemory:
         self.bytes_written += 8
         self._data[address : address + 8] = data
 
-    def read_f64(self, address: int) -> float:
-        return struct.unpack("<d", self.read_bytes(address, 8))[0]
-
-    def write_f64(self, address: int, value: float) -> None:
-        self.write_bytes(address, struct.pack("<d", value))
-
-    def read_cstring(self, address: int, limit: int = 1 << 16) -> bytes:
-        out = bytearray()
-        for offset in range(limit):
-            byte = self.read_uint(address + offset, 1)
-            if byte == 0:
-                break
-            out.append(byte)
-        return bytes(out)
 
 
 class FrameAllocator:

@@ -112,14 +112,13 @@ from repro.transform.simplify import fold_int_binop
 
 _MASK64 = (1 << 64) - 1
 
-#: A trace segment's register map: SSA id -> (the Python local holding
-#: the value the segment computed, its Python type name).
-Regs = Dict[int, Tuple[str, str]]
-#: The Python type name of each scalar constant's value.
-_CONST_TYPES = {
-    ConstantInt: "int", ConstantNull: "int", UndefValue: "int",
-    ConstantFloat: "float",
-}
+#: A trace segment's register map: SSA id -> the Python local holding
+#: the value the segment computed.
+Regs = Dict[int, str]
+#: The Python type every engine gives a value of each scalar IR type: a
+#: frame slot, a global address and a scalar constant (``undef``
+#: included) all hold exactly this type (the typed-slot invariant).
+_PY_TYPES = {IntType: "int", PointerType: "int", FloatType: "float"}
 
 #: Never-faulting integer and float ops, by infix symbol.
 _INT_OP_SYMBOL = {
@@ -254,13 +253,14 @@ def expr(
     ``values`` in scope), storing what it needs in ``ns`` under names
     made unique by ``tag``.  Slot and global reads are raw dict lookups
     whose KeyError the template routes to :func:`_raise_undefined`.
+    A float-typed ``undef`` reads as ``0.0``, as in the reference.
 
     ``regs`` is a trace segment's register map (``None`` in the block
     tier): a value in it reads as its local.  ``conv`` (``"int"`` or
-    ``"float"``) wraps the read — unless ``regs`` is given and the
-    Python type is known to be that already (see :func:`_convert`)."""
+    ``"float"``) is the Python type the template needs (see
+    :func:`_convert`)."""
     if regs is not None and id(value) in regs:
-        text = regs[id(value)][0]
+        text = regs[id(value)]
     elif isinstance(value, (Argument, Instruction)):
         ns[f"_k{tag}"] = id(value)
         text = f"values[_k{tag}]"
@@ -271,24 +271,25 @@ def expr(
         ns[f"_c{tag}"] = value.value
         text = f"_c{tag}"
     elif isinstance(value, (ConstantNull, UndefValue)):
-        ns[f"_c{tag}"] = 0
+        ns[f"_c{tag}"] = 0.0 if isinstance(value.type, FloatType) else 0
         text = f"_c{tag}"
     else:
         ns[f"_g{tag}"] = reject(value)
         text = f"_g{tag}(interp, values)"
-    return _convert(text, value, conv, regs)
+    return _convert(text, value, conv)
 
 
-def _convert(text: str, value: Value, conv: str, regs: Optional[Regs]) -> str:
-    """``text``, a read of ``value``, wrapped in ``conv`` — bare when
-    ``value``'s Python type is known to be ``conv``: a scalar
-    constant's, or in a trace (``regs`` given) a register's (its
-    template's result type)."""
-    if conv:
-        reg = regs.get(id(value)) if regs is not None else None
-        if (reg[1] if reg else _CONST_TYPES.get(type(value))) == conv:
-            return text
-    return f"{conv}({text})" if conv else text
+def _convert(text: str, value: Value, conv: str) -> str:
+    """``text``, a read of ``value``, wrapped in ``conv`` only where the
+    Python type of ``value``'s IR type differs from it.  Both compiled
+    tiers keep every frame slot at the Python type of its IR type (a
+    template's result, a load's decode, a phi's or argument's copy of a
+    typed read), so a slot, global or constant read of the right IR type
+    is already a ``conv``; only a cross-type read (``bitcast`` of a
+    float, say) and an aggregate keep the wrapper."""
+    if conv and _PY_TYPES.get(type(value.type)) != conv:
+        return f"{conv}({text})"
+    return text
 
 
 def operand_reads(
@@ -463,15 +464,14 @@ class _Op:
         self.raises = True
         return True
 
-    def dest(self, inst: Instruction, kind: str = "int") -> str:
+    def dest(self, inst: Instruction) -> str:
         """The result slot, named through ``ns`` like every operand, so
         the text of an op depends on its shape alone.  In a trace the
-        store writes through to the register ``_r<t>`` too, whose Python
-        type the template fixes as ``kind``."""
+        store writes through to the register ``_r<t>`` too."""
         self.ns[f"_d{self.t}"] = id(inst)
         if self.regs is None:
             return f"values[_d{self.t}]"
-        self.out = (f"_r{self.t}", kind)
+        self.out = f"_r{self.t}"
         return f"values[_d{self.t}] = _r{self.t}"
 
     def wrap(self, out: str, ty: IntType) -> None:
@@ -585,7 +585,7 @@ def _binary(e: _Op, inst: BinaryInst) -> bool:
     if isinstance(inst.type, IntType):
         return _int_binary(e, inst)
     op = inst.opcode
-    out = e.dest(inst, "float")
+    out = e.dest(inst)
     lhs, rhs = e.read(inst.lhs, "a", "float"), e.read(inst.rhs, "b", "float")
     operands = (inst.lhs, inst.rhs)
     if op in _FLOAT_OP_SYMBOL:
@@ -634,7 +634,7 @@ def _fcmp(e: _Op, inst: FCmpInst) -> bool:
 
 def _cast(e: _Op, inst: CastInst) -> bool:
     op = inst.opcode
-    out = e.dest(inst, "float" if op == "sitofp" else "int")
+    out = e.dest(inst)
     value = e.read(inst.value, "v", "float" if op == "fptosi" else "int")
     ty = inst.type
     if op in ("bitcast", "ptrtoint", "inttoptr", "sext"):
@@ -728,7 +728,7 @@ def _load(e: _Op, inst: LoadInst) -> bool:
     size = size_of(ty)
     if not isinstance(ty, (IntType, FloatType, PointerType)):
         return _bad_access(e, inst, "load", ty)
-    out = e.dest(inst, "float" if isinstance(ty, FloatType) else "int")
+    out = e.dest(inst)
     if isinstance(ty, IntType):
         decode = [
             "_m = _ifb(_v, 'little')",
@@ -764,13 +764,13 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     ty = inst.value.type
     size = size_of(ty)
     if isinstance(ty, IntType):
-        v = _convert("_v", inst.value, "int", e.regs)
+        v = _convert("_v", inst.value, "int")
         encode = f"({v} & {ty.max_unsigned}).to_bytes({size}, 'little')"
     elif isinstance(ty, FloatType):
         e.ns[f"_pa{e.t}"] = struct.Struct("<d" if ty.bits == 64 else "<f").pack
-        encode = f"_pa{e.t}({_convert('_v', inst.value, 'float', e.regs)})"
+        encode = f"_pa{e.t}({_convert('_v', inst.value, 'float')})"
     elif isinstance(ty, PointerType):
-        v = _convert("_v", inst.value, "int", e.regs)
+        v = _convert("_v", inst.value, "int")
         encode = f"({v} & {_MASK64}).to_bytes(8, 'little')"
     else:
         return _bad_access(e, inst, "store", ty)
@@ -798,8 +798,7 @@ def _store(e: _Op, inst: StoreInst) -> bool:
 def _select(e: _Op, inst: SelectInst) -> bool:
     # Only the chosen arm is read, so each arm has its own handler: an
     # undefined value is reported only if the reference evaluates it.
-    # The result's Python type is its arm's, so the register's is unknown.
-    out = e.dest(inst, "")
+    out = e.dest(inst)
     e.head([f"_c = {e.read(inst.condition, 'c')}"], (inst.condition,))
     arms = (("if _c:", "t", inst.true_value), ("else:", "f", inst.false_value))
     for test, sub, value in arms:
@@ -900,7 +899,7 @@ def _math(e: _Op, inst: CallInst) -> bool:
     # (a domain error yields nan), then the call cost.
     t = e.t
     e.ns[f"_fn{t}"] = _MATH_BUILTINS[inst.callee.name]
-    out = e.dest(inst, "float")
+    out = e.dest(inst)
     arg = e.read(inst.args[0], "a", "float")
     e.head([f"_a = {arg}"], inst.args, "stats.calls += 1")
     e.raises = True

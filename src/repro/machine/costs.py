@@ -106,15 +106,6 @@ class CostModel:
             return max(self.range_guard_single, per_level * depth)
         raise ValueError(f"unknown guard mechanism: {mechanism!r}")
 
-    def tier_access_extra(self, tier: str) -> int:
-        """Extra cycles for a data access served by ``tier`` ('fast' or
-        'slow') of a tiered physical memory."""
-        if tier == "fast":
-            return self.fast_tier_access
-        if tier == "slow":
-            return self.slow_tier_access
-        raise ValueError(f"unknown memory tier: {tier!r}")
-
 
 #: The default model used by every experiment unless overridden.
 DEFAULT_COSTS = CostModel()

@@ -348,10 +348,8 @@ class Interpreter:
         key = id(value)
         if key in frame.values:
             return frame.values[key]
-        if isinstance(value, ConstantNull):
-            return 0
-        if isinstance(value, UndefValue):
-            return 0
+        if isinstance(value, (ConstantNull, UndefValue)):
+            return 0.0 if isinstance(value.type, FloatType) else 0
         if isinstance(value, GlobalVariable):
             try:
                 return self.process.globals_map[value.name]

@@ -28,10 +28,8 @@ class TestPhysicalMemory:
         m = PhysicalMemory(MB)
         m.write_u64(0x100, 0xDEADBEEF)
         assert m.read_u64(0x100) == 0xDEADBEEF
-        m.write_int(0x200, -42, 8)
+        m.write_uint(0x200, -42, 8)
         assert m.read_int(0x200, 8) == -42
-        m.write_f64(0x300, 3.25)
-        assert m.read_f64(0x300) == 3.25
         m.write_uint(0x400, 0x1FF, 1)
         assert m.read_uint(0x400, 1) == 0xFF  # truncated to a byte
 
@@ -74,11 +72,6 @@ class TestPhysicalMemory:
         assert m.read_bytes(0x2000, 5) == b"hello"
         m.fill(0x2000, 5, 0)
         assert m.read_bytes(0x2000, 5) == b"\0" * 5
-
-    def test_cstring(self):
-        m = PhysicalMemory(MB)
-        m.write_bytes(0x10, b"abc\0def")
-        assert m.read_cstring(0x10) == b"abc"
 
     def test_invalid_size(self):
         with pytest.raises(PhysicalMemoryError):

@@ -12,7 +12,6 @@ from repro.kernel.kernel import Kernel
 from repro.kernel.mmu_notifier import EventKind
 from repro.kernel.pagetable import PAGE_SHIFT, PAGE_SIZE
 from repro.kernel.physmem import FrameAllocator, PhysicalMemory
-from repro.machine.costs import CostModel
 from tests.support import run_carat
 from repro.machine.interp import Interpreter
 from repro.policy import (
@@ -251,13 +250,6 @@ class TestHeatTracker:
 
 
 class TestTierCosts:
-    def test_cost_model_tier_access_extra(self):
-        costs = CostModel()
-        assert costs.tier_access_extra("fast") == costs.fast_tier_access
-        assert costs.tier_access_extra("slow") == costs.slow_tier_access
-        with pytest.raises(ValueError):
-            costs.tier_access_extra("lukewarm")
-
     def test_interpreter_charges_slow_tier(self):
         kernel = Kernel(memory_size=16 * MB, fast_memory=1 * MB)
         result = run_carat(SUM_SOURCE, kernel=kernel, heap_size=256 * 1024,
