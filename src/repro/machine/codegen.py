@@ -17,13 +17,15 @@ the tracking intrinsics, and the lazy fault forms (a GEP through a
 non-aggregate, a load or store of a non-scalar type).  :func:`emit_op` writes the op's body
 lines into a :class:`Writer` at a given indent: the base charge, the
 operand reads whose ``KeyError`` reaches :func:`_raise_undefined`, the
-wrap arithmetic, and the fault messages.  Only the I/O builtins
+wrap arithmetic, and the fault messages — minus, in a trace, the static
+charges its segment settles at once (see :data:`SETTLED`).  Only the I/O builtins
 (``print_*``, ``abort``, unknown externals) and the one-line faults
 (phi, unreachable, indirect call, unknown opcode) have no template; the
 block tier keeps them as closures, which the trace tier calls.
 
-The lines read a fixed vocabulary: ``interp``, ``frame``, ``values`` and
-``stats``; the per-interpreter names of :data:`BINDINGS`,
+The lines read a fixed vocabulary: ``interp``, ``frame``, ``values``,
+``stats`` and ``_hw`` (the interpreter's heat window, which the trace
+tier keeps in a local); the per-interpreter names of :data:`BINDINGS`,
 :data:`GUARD_BINDINGS` and :data:`PAGING_BINDINGS`; the constants of
 :data:`GLOBALS`; and ``_FF``, the block tier's frame class, and
 ``_respec``, the tier's :func:`respecialize`.  The trace tier inlines them into
@@ -294,13 +296,14 @@ def _convert(text: str, value: Value, conv: str) -> str:
 
 def operand_reads(
     w: Writer, ind: int, reads: Sequence[str], operands: Sequence[Value], t: int,
-    ns, defined: Optional[Set[int]] = None,
+    ns, defined: Optional[Set[int]] = None, undo: Sequence[str] = (),
 ) -> bool:
     """Write the operand-reading lines ``reads`` at ``ind`` inside a
-    ``try:`` whose KeyError takes the undefined-value path and return
-    True — or bare, returning False, when every operand is a scalar
-    constant or a slot in ``defined``, the ids the caller knows were
-    written earlier in the same frame (so the read cannot miss)."""
+    ``try:`` whose KeyError runs ``undo`` and takes the undefined-value
+    path, and return True — or bare, returning False, when every operand
+    is a scalar constant or a slot in ``defined``, the ids the caller
+    knows were written earlier in the same frame (so the read cannot
+    miss)."""
     if defined is not None and all(
         isinstance(v, (ConstantInt, ConstantFloat, ConstantNull, UndefValue))
         or (isinstance(v, (Argument, Instruction)) and id(v) in defined)
@@ -314,6 +317,8 @@ def operand_reads(
         w.line(ind + 1, text)
     ns[f"_v{t}"] = tuple(operands)
     w.line(ind, "except KeyError:")
+    for text in undo:
+        w.line(ind + 1, text)
     w.line(ind + 1, f"_raise_undefined(interp, values, *_v{t})")
     return True
 
@@ -390,23 +395,43 @@ def builtin_template(inst: Instruction) -> Optional[str]:
     return None
 
 
+#: Operands :func:`expr` reads (any other value reads through
+#: :func:`reject`, which faults).
+_EVALUABLE = (
+    Argument, Instruction, GlobalVariable,
+    ConstantInt, ConstantFloat, ConstantNull, UndefValue,
+)
+
+#: A settlement row: the static charges an op leaves to its trace
+#: segment's single settlement — base charges (``_ci``), memory charges
+#: (``_cm``), loads, stores, bytes read and bytes written.
+SETTLED = ("ci", "cm", "loads", "stores", "read", "written")
+
+
 class _Op:
     """One emission: the writer, indent, name tag, facts in effect, the
     slots known to be defined (see :func:`operand_reads`), the trace
     segment's register map ``regs`` (see :func:`expr`), and ``code``,
     the module's compiled form (its block op lists ``ops_by_block``,
     guard sites ``guard_site_of`` and side-exit ``edge_op`` maker).
-    ``out`` is the register the result lands in, ``raises`` whether the
-    op can raise or call out."""
+    ``settle`` is the op's settlement row (see :data:`SETTLED`) in a
+    trace segment, which charges once at its top, else ``None``; with
+    ``clock`` set, foreign code in the segment may read the cycle clock,
+    so the op's cycles stay in place and only its counts settle.
+    ``undo`` are lines the undefined-value handler runs first.  ``out`` is the
+    register the result lands in, ``raises`` whether the op can raise
+    or call out."""
 
     __slots__ = (
         "w", "ind", "t", "ns", "is_carat", "has_tier", "mech", "defined",
-        "regs", "code", "nxt", "paired", "spec", "out", "raises",
+        "regs", "code", "nxt", "paired", "spec", "settle", "clock", "undo",
+        "out", "raises",
     )
 
     def __init__(
         self, w, ind, t, ns, is_carat, has_tier, mech,
         defined=None, regs=None, code=None, nxt=None, paired=None, spec=None,
+        settle=None, clock=False,
     ) -> None:
         self.w = w
         self.ind = ind
@@ -421,6 +446,9 @@ class _Op:
         self.nxt = nxt
         self.paired = paired
         self.spec = spec
+        self.settle = settle
+        self.clock = clock
+        self.undo = ()
         self.out = None
         self.raises = False
 
@@ -444,15 +472,18 @@ class _Op:
         if lines:
             self.raises |= operand_reads(
                 self.w, self.ind + depth, lines, operands, f"{self.t}{sub}",
-                self.ns, self.defined,
+                self.ns, self.defined, self.undo,
             )
 
     def head(self, reads: Sequence[str], operands: Sequence[Value], *pre: str) -> None:
         """The base charge, then ``reads`` under the undefined-value
-        handler.  Every template opens this way, so the charge is the
-        op's first top-level line and precedes anything that can raise
-        (the trace tier batches it per segment)."""
-        self.line("stats.cycles += _ci")
+        handler.  Every template opens this way, so the charge precedes
+        anything that can raise — which lets a trace segment settle it
+        at its top instead."""
+        if self.settle is None or self.clock:
+            self.line("stats.cycles += _ci")
+        else:
+            self.settle[0] += 1
         for text in pre:
             self.line(text)
         self.reads(reads, operands)
@@ -477,6 +508,34 @@ class _Op:
     def wrap(self, out: str, ty: IntType) -> None:
         """Store ``_m`` re-signed to ``ty`` (IntType.wrap, inlined)."""
         self.line(f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m")
+
+    def counted(
+        self, kind: str, size: int, operands: Sequence[Value],
+    ) -> Tuple[List[str], List[str]]:
+        """A load's or store's charge lines (``kind`` is ``loads`` or
+        ``stores``): the memory charge and count, which the reference
+        makes once the operands are read, and the byte count of the
+        inline physical access.  Called before the head: in a trace
+        segment the op adds what settles to its row instead and takes it
+        back on an undefined operand (the segment reconciler takes back a
+        faulting access's bytes).  Paging bytes, the memory charge while
+        the segment's ``clock`` is read, and an access with an operand
+        only :func:`reject` reads keep their lines."""
+        count = [f"_pm.bytes_{'read' if kind == 'loads' else 'written'} += {size}"]
+        if self.settle is None or not all(isinstance(v, _EVALUABLE) for v in operands):
+            return ["stats.cycles += _cm", f"stats.{kind} += 1"], count
+        row, charge, undo = self.settle, [], [f"stats.{kind} -= 1"]
+        if self.clock:
+            charge.append("stats.cycles += _cm")
+        else:
+            row[1] += 1
+            undo.append("stats.cycles -= _cm")
+        row[2 if kind == "loads" else 3] += 1
+        self.undo = tuple(undo)
+        if not self.is_carat:
+            return charge, count
+        row[4 if kind == "loads" else 5] += size
+        return charge, []
 
     def access(self, size: int, write: bool, carat: List[str], slow: str) -> None:
         """The memory access at ``_a`` in the addressing mode: ``carat``,
@@ -515,7 +574,7 @@ def _int_binary(e: _Op, inst: BinaryInst) -> bool:
     if isinstance(lhs_v, ConstantInt) and isinstance(rhs_v, ConstantInt):
         folded = fold_int_binop(op, ty, lhs_v.value, rhs_v.value)
         if folded is not None:
-            e.line("stats.cycles += _ci")
+            e.head([], ())
             e.line(f"{out} = {folded}")
             return True
     mask = ty.max_unsigned
@@ -647,7 +706,8 @@ def _cast(e: _Op, inst: CastInst) -> bool:
     elif op == "zext":
         body = [f"{out} = {value} & {inst.value.type.max_unsigned}"]
     elif op == "sitofp":
-        body = [f"{out} = float({value})"]
+        # Through a local, so no slot read sits inside a conversion.
+        body = [f"_m = {value}", f"{out} = float(_m)"]
     else:
         # fptosi: nan and inf collapse to 0; anything else truncates and
         # wraps to the target width.
@@ -739,20 +799,21 @@ def _load(e: _Op, inst: LoadInst) -> bool:
         decode = [f"{out} = _up{e.t}(_v)[0]"]
     else:
         decode = [f"{out} = _ifb(_v, 'little')"]
-    e.head([f"_a = {e.read(inst.pointer, 'p', 'int')}"], (inst.pointer,))
+    operands = (inst.pointer,)
+    charge, count = e.counted("loads", size, operands)
+    e.head([f"_a = {e.read(inst.pointer, 'p', 'int')}"], operands)
+    e.lines(charge)
     e.raises = True
-    e.line("stats.cycles += _cm")
-    e.line("stats.loads += 1")
     e.tier()
-    e.line("if interp.heat_window is not None:")
-    e.line(f"interp.heat_window[_a >> {PAGE_SHIFT}] += 1", 1)
+    e.line("if _hw is not None:")
+    e.line(f"_hw[_a >> {PAGE_SHIFT}] += 1", 1)
     # CARAT: read_bytes, unrolled — bounds check (the real accessor
     # raises the exact error), bandwidth accounting, slice.  An mmap
     # slice decodes the same as the bytes copy read_bytes returns.
     e.access(size, False, [
         f"if _a < 0 or _a + {size} > _pms:",
         f"    _pm.read_bytes(_a, {size})",
-        f"_pm.bytes_read += {size}",
+        *count,
         f"_v = _pmd[_a:_a + {size}]",
     ], f"_v = interp._read_mem(_a, {size}, 'read')")
     for text in decode:
@@ -775,13 +836,14 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     else:
         return _bad_access(e, inst, "store", ty)
     pointer, value = e.read(inst.pointer, "p", "int"), e.read(inst.value, "v")
-    e.head([f"_a = {pointer}", f"_v = {value}"], (inst.pointer, inst.value))
+    operands = (inst.pointer, inst.value)
+    charge, count = e.counted("stores", size, operands)
+    e.head([f"_a = {pointer}", f"_v = {value}"], operands)
+    e.lines(charge)
     e.raises = True
-    e.line("stats.cycles += _cm")
-    e.line("stats.stores += 1")
     e.tier()
-    e.line("if interp.heat_window is not None:")
-    e.line(f"interp.heat_window[_a >> {PAGE_SHIFT}] += 1", 1)
+    e.line("if _hw is not None:")
+    e.line(f"_hw[_a >> {PAGE_SHIFT}] += 1", 1)
     # CARAT: write_bytes, unrolled like the load's read_bytes; the
     # encoders always produce exactly ``size`` bytes, so the slice
     # assignment never resizes.
@@ -789,7 +851,7 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     e.access(size, True, [
         f"if _a < 0 or _a + {size} > _pms:",
         "    _pm.write_bytes(_a, _b)",
-        f"_pm.bytes_written += {size}",
+        *count,
         f"_pmd[_a:_a + {size}] = _b",
     ], "interp._write_mem(_a, _b)")
     return True
@@ -868,7 +930,7 @@ def _edge(e: _Op, src: BasicBlock, dst: BasicBlock, depth: int, sub: str) -> Non
 def _branch(e: _Op, inst: BranchInst) -> bool:
     # A trace passes the arm it continues on as ``nxt``: that edge is
     # inlined, and the other becomes a side exit — a call of the edge
-    # op, after which ``_of<t>`` tells the trace to return.
+    # op, after which ``_stop`` tells the trace to return.
     src, targets, nxt = inst.parent, inst.targets, e.nxt
     if not inst.is_conditional:
         e.head([], ())
@@ -884,12 +946,12 @@ def _branch(e: _Op, inst: BranchInst) -> bool:
         e.line(test)
         if nxt is None or target is nxt:
             _edge(e, src, target, 1, sub)
-            if nxt is not None:
-                e.line(f"_of{e.t} = False", 1)
         else:
+            # The side exit trips the trace's safepoint test (see
+            # tracejit._build_trace).
             e.ns[f"_x{e.t}"] = e.code.edge_op(src, target)
             e.line(f"_x{e.t}(interp, frame)", 1)
-            e.line(f"_of{e.t} = True", 1)
+            e.line("_stop = -1", 1)
             e.raises = True
     return True
 
@@ -1262,6 +1324,8 @@ def emit_op(
     nxt: Optional[BasicBlock] = None,
     paired: Optional[CallInst] = None,
     spec: Optional[Tuple[str, bool, bool]] = None,
+    settle: Optional[List[int]] = None,
+    clock: bool = False,
 ) -> Optional[bool]:
     """Write ``inst``'s body into ``w`` at indent ``ind`` and return
     whether it can raise or call out; or write nothing and return
@@ -1273,13 +1337,15 @@ def emit_op(
     segment's register map ``regs`` gains the result's register (see
     :func:`expr`); ``code`` is the module's compiled form (see
     :class:`_Op`), which control forms and guards need; ``spec`` is a
-    trace guard's specialization (see :func:`_guard`)."""
+    trace guard's specialization (see :func:`_guard`); ``settle`` is the
+    op's settlement row in a trace segment and ``clock`` whether its
+    cycles stay in place (see :class:`_Op`)."""
     emitter = _EMITTERS.get(type(inst))
     if emitter is None:
         return None
     op = _Op(
         w, ind, t, ns, is_carat, has_tier, mech, defined, regs, code, nxt,
-        paired, spec,
+        paired, spec, settle, clock,
     )
     if not emitter(op, inst):
         return None

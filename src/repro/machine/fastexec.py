@@ -112,6 +112,7 @@ _PROLOGUE: Dict[str, str] = {
     "stats": "interp.stats",
     "values": "frame.values",
     "_specs": "interp._guard_specs",
+    "_hw": "interp.heat_window",
 }
 _PROLOGUE.update((name, f"interp.{path}") for name, path in BINDINGS.items())
 _PROLOGUE.update(_pmd="_pm._data", _pms="_pm.size")

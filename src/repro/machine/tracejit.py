@@ -25,14 +25,17 @@ changing a single observable number:
   fallback for ``select``, ``alloca``, ``frem`` or the heap builtins;
   only I/O builtin calls and one-line faults call the block tier's op),
   interior branch edges collapse their phi parallel-copies into direct
-  slot assignments, and ``steps`` / ``instructions`` — plus the uniform
-  per-op base cycle charge — are batched per block segment, with a fault
-  reconciler that restores the exact per-op totals on any raise (the
-  cost model never sees the difference);
+  slot assignments, and ``instructions`` and every static charge (base
+  and memory cycles, loads, stores, bytes) are settled once per block
+  segment, with a fault reconciler that restores the exact per-op totals
+  on any raise (the cost model never sees the difference); the safepoint
+  after a segment is one compare against ``_stop``, and ``steps`` is
+  derived from ``instructions`` (see :func:`_build_trace`);
 * within a segment, template results are **registers**: the store
   writes through to a Python local (``values[_d<t>] = _r<t> = ...``) and
-  later reads use the local, without an ``int()``/``float()`` wrapper
-  when the type is known.  The map is cleared at every *invalidation
+  later reads use the local (slots hold their IR type's Python type, so
+  no read needs an ``int()``/``float()`` wrapper but a cross-type one:
+  see :func:`~repro.machine.codegen._convert`).  The map is cleared at every *invalidation
   point* — segment start (a tick hook may have patched any slot; calls
   and returns end segments) and after a fallback op; mid-segment, only
   the guards' runtime path, tracking callbacks and ``_respec`` run foreign code
@@ -142,6 +145,7 @@ from repro.ir.values import ConstantInt
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process
 from repro.machine.codegen import (
+    SETTLED,
     Regs,
     SpecCell,
     Writer,
@@ -206,6 +210,7 @@ class _TraceCode:
 
     __slots__ = (
         "code_obj", "ns", "n_spec", "n_blocks", "n_guards", "specialize",
+        "settled",
     )
 
     def __init__(
@@ -216,8 +221,10 @@ class _TraceCode:
         n_blocks: int,
         n_guards: int,
         specialize: bool,
+        settled: List[Tuple[str, int, int]] = (),
     ) -> None:
         self.ns = ns
+        self.settled = settled
         self.n_spec = n_spec
         self.n_blocks = n_blocks
         self.n_guards = n_guards
@@ -235,6 +242,10 @@ class _TraceCode:
         scope.update(self.ns)
         scope.update(bind(interp))
         scope["_respec"] = _respecialize
+        scope["_unsettle"] = _unsettle
+        ci, cm = interp._cost_instruction, interp._cost_memory
+        for name, n_ci, n_cm in self.settled:
+            scope[name] = n_ci * ci + n_cm * cm
         rt = interp.process.runtime
         scope["_tracer"] = rt and rt.tracer
         for j in range(self.n_spec):
@@ -443,12 +454,20 @@ def _build_trace(
     (:func:`~repro.machine.codegen.emit_op`, the lines the block tier
     wraps per op) minus the per-op dispatch: one ``while True:``
     walks the segments :func:`_layout` derives from the chain, each a
-    ``try:`` region whose ``steps`` / ``instructions`` are batched at its
-    control op (a call or return counts its body before the push or
-    pop, so the count is exact at every frame switch).  Tick and pause checks are emitted only after terminator
-    segments (branches and returns — the safepoints of both other
-    engines), never after calls, so safepoint alignment is preserved
-    exactly.  A branch segment ends in the branch template told its
+    ``try:`` region whose ``instructions`` are counted at its control op
+    (a call or return counts its body before the push or pop, so the
+    count is exact at every frame switch).  Each segment settles its
+    ops' static charges once, at its top (:func:`_settlement`): the base
+    and memory cycles — unless an op runs foreign code, which may read
+    the clock — and the loads, stores and CARAT bytes.  Tick and pause
+    checks are emitted only after terminator segments (branches and
+    returns — the safepoints of both other engines), never after calls,
+    so safepoint alignment is preserved exactly; each is one compare,
+    ``stats.instructions >= _stop``, which a side exit trips by setting
+    ``_stop`` to -1.  ``steps`` is never counted: the slow path and every
+    return derive it from the instructions since entry, less the phis
+    the on-trace edges assigned (a static count per pass of the
+    segments).  A branch segment ends in the branch template told its
     on-trace target, whose other arm calls the block tier's edge op (a
     side exit); call and return segments end in the call / return
     template — the real frame push/pop, with the return told its paired
@@ -459,7 +478,9 @@ def _build_trace(
     reconciler re-derives how many ops of the segment completed from
     ``frame.index`` — stored before every op that can raise or call out,
     so faults, CoW retries and register snapshots see the same frame
-    state the block tier would show.
+    state the block tier would show — and takes back the settled charges
+    the reference had not made by then (a faulting load's or store's
+    undefined-value handler takes back its own memory charge and count).
     """
     segments = _layout(chain, end, end_depth)
     if segments is None:
@@ -472,7 +493,6 @@ def _build_trace(
     tag = 0
     spec_count = 0
     guard_count = 0
-    foreign = False  # a body op of this segment runs runtime code
     available: Dict[tuple, int] = {}
     # Per inlined frame, the slots this iteration has already written
     # there: a read of one cannot miss, so it needs no undefined-value
@@ -482,6 +502,17 @@ def _build_trace(
     # The segment's register map (codegen.Regs): reset at every segment
     # start (calls and returns end one) and after every fallback op.
     regs: Regs = {}
+    # Each settled segment's cycle charge, bound per interpreter:
+    # (name, base charges, memory charges).
+    settled: List[Tuple[str, int, int]] = []
+
+    def own_code(inst: Instruction) -> bool:
+        # Whether a body op runs its template alone: not a fallback op
+        # and no runtime code (a tracking callback, an unspecialized
+        # guard), which may read the clock or the tick and heat state.
+        if not isinstance(inst, CallInst):
+            return True
+        return bool(builtin_template(inst)) or (specialize and bool(guard_name(inst)))
 
     def fallback(block: BasicBlock, k: int) -> None:
         # The block tier's compiled op, verbatim: it charges its own
@@ -516,9 +547,11 @@ def _build_trace(
         elide = jdom is not None and mech_name == "binary_search"
         return f"_spec{j}", elide, jdom is None
 
-    def emit_body(block: BasicBlock, k: int, inst: Instruction) -> bool:
+    def emit_body(
+        block: BasicBlock, k: int, inst: Instruction, row: List[int], clock: bool,
+    ) -> bool:
         """Emit one body op; True if it can raise or call out."""
-        nonlocal tag, guard_count, foreign
+        nonlocal tag, guard_count
         name = guard_name(inst)
         spec = None
         if name is not None:
@@ -529,63 +562,88 @@ def _build_trace(
         tag += 1
         raises = emit_op(
             w, 3, inst, t, ns, is_carat, has_tier, mech_name, defined[-1],
-            regs, code, spec=spec,
+            regs, code, spec=spec, settle=row, clock=clock,
         )
         if raises is None:
             # An I/O builtin call or a one-line fault: the block tier's op
             # already charges and faults exactly right.
             fallback(block, k)
-            return True
-        # Runtime code (a tracking callback, an unspecialized guard) may
-        # read the cycle clock: telemetry timestamps must see exact totals.
-        foreign |= (
-            isinstance(inst, CallInst) and not builtin_template(inst) and not spec
-        )
-        # A template writes its result whenever it completes (a builtin
-        # call op, say, may not).
-        defined[-1].add(id(inst))
+            raises = True
+        else:
+            # A template writes its result whenever it completes (a
+            # builtin call op, say, may not).
+            defined[-1].add(id(inst))
+        if not own_code(inst):
+            # Foreign code may have installed a heat window or moved the
+            # next tick.
+            w.line(3, "_hw = interp.heat_window")
+            w.line(3, "_stop = min(interp._next_tick, _pause)")
         return raises
+
+    # Steps retire ops; ``instructions`` also counts the phis an on-trace
+    # edge assigns.  Per segment, the ops and the on-trace phis, and their
+    # running totals through one pass of the segments (one iteration of a
+    # loop trace), derive the step count from ``instructions`` alone.
+    nops_of = [stop + 1 - start for _b, start, stop, _k, _d in segments]
+    phis_of = [
+        len(data.phis()) if kind == "term" else 0
+        for _b, _s, _e, kind, data in segments
+    ]
+    ops_through = [sum(nops_of[: si + 1]) for si in range(len(segments))]
+    phis_through = [sum(phis_of[: si + 1]) for si in range(len(segments))]
+    loop = end is None and end_depth == 0
+    per_pass, phis_per_pass = ops_through[-1] + phis_through[-1], phis_through[-1]
+
+    def steps_now(si: int, extra: int = 0) -> str:
+        # The step count at the end of segment ``si``, whose path counted
+        # ``extra`` instructions beyond its on-trace edge's.  A tick hook
+        # never retires guest instructions, so after ``m`` whole passes
+        # ``instructions`` moved by m * per_pass + ops_through[si] +
+        # phis_through[si] + extra and the steps by the ops alone.
+        back = phis_through[si] + extra
+        since = "stats.instructions - _i0" + (
+            f" - {back}" if back > 0 else f" + {-back}" if back else ""
+        )
+        if not loop or not phis_per_pass:
+            return f"steps + {since}"
+        return (
+            f"steps + (_n := {since}) - (_n - {ops_through[si]})"
+            f" // {per_pass} * {phis_per_pass}"
+        )
 
     w.line(0, "def trace(interp, frame, steps, max_steps):")
     w.line(1, "stats = interp.stats")
     w.line(1, "values = frame.values")
+    w.line(1, "_hw = interp.heat_window")
+    # One compare per safepoint: ``_stop`` is the next tick or, earlier,
+    # the instruction count at which the step quota could run out
+    # (``_pause``: instructions grow at least as fast as steps).
+    w.line(1, "_i0 = stats.instructions")
+    w.line(1, "_pause = _i0 + max_steps - steps")
+    w.line(1, "_stop = min(interp._next_tick, _pause)")
     w.line(1, "while True:")
-    ci_line = "    " * 3 + "stats.cycles += _ci"
     for si, (block, start, stop, kind, data) in enumerate(segments):
         insts = block.instructions
+        nops = nops_of[si]
+        # Every segment charges its static costs once, at its top:
+        # nothing in it reads the counts before its safepoint, where the
+        # settled totals are exact.  Foreign code may read the cycle
+        # clock, so a segment running any keeps its cycles in place.
+        clock = not all(own_code(insts[k]) for k in range(start, stop))
+        rows = [[0] * len(SETTLED) for _ in range(nops)]
         w.line(2, "try:")
         mark = len(w.lines)
         # A tick hook at the segment boundary may have patched any slot.
         regs.clear()
-        foreign = False
         for k in range(start, stop):
             inst = insts[k]
             at = len(w.lines)
-            if emit_body(block, k, inst):
+            if emit_body(block, k, inst, rows[k - start], clock):
                 # Only an op that can raise or call out needs the index
                 # current: the reconciler, faults and anything called
                 # read it there, and nothing else runs mid-segment.
                 w.lines.insert(at, "    " * 3 + f"frame.index = {k + 1}")
             _apply_kills(available, inst)
-        # Batch the uniform per-op base charge: every inline op opens
-        # with exactly one top-level `stats.cycles += _ci` *before*
-        # anything that can raise, so when the count matches the op
-        # count (i.e. no fallback op charged internally) and no op runs
-        # runtime code, the sum can be hoisted to the segment top and
-        # the fault reconciler below subtracts the ops that never ran.
-        # Mid-segment observers see cycles only through the ops' own
-        # extra charges (memory, tier, guard), which stay in place;
-        # ticks and pauses run at segment boundaries, where the batched
-        # total is the exact total.
-        n_ci = 0
-        if stop > start:
-            body = w.lines[mark:]
-            n_ci = body.count(ci_line)
-            if n_ci == stop - start and n_ci > 1 and not foreign:
-                w.lines[mark:] = [ln for ln in body if ln != ci_line]
-                w.lines.insert(mark, "    " * 3 + f"stats.cycles += {n_ci} * _ci")
-            else:
-                n_ci = 0
         at = len(w.lines)
         inst = insts[stop]
         t = tag
@@ -594,12 +652,15 @@ def _build_trace(
             w, 3, inst, t, ns, is_carat, has_tier, mech_name, defined[-1],
             regs, code, nxt=data if kind == "term" else None,
             paired=data if kind == "return" else None,
+            settle=rows[-1], clock=clock,
         )
-        exit_flag = None
+        exit_extra = None
         if kind == "term":
             off = [target for target in inst.targets if target is not data]
             if inst.is_conditional and off:
-                exit_flag = f"_of{t}"
+                # The exit edge op counts the off-trace target's phis
+                # instead of the on-trace ones.
+                exit_extra = len(off[0].phis()) - phis_of[si]
                 ns[f"_e{si}"] = {
                     "anchor": chain[0][1].name,
                     "function": block.parent.name,
@@ -619,7 +680,6 @@ def _build_trace(
             defined.pop()
             if inst.return_value is not None and not data.type.is_void:
                 defined[-1].add(id(data))
-        nops = stop + 1 - start
         # A call or return switches frames, and at every push and pop
         # ``instructions`` must count every op retired before it (the
         # profiler's spans read it there): its body ops are counted just
@@ -629,20 +689,18 @@ def _build_trace(
             w.lines.insert(at, "    " * 3 + f"frame.index = {stop + 1}")
         if split:
             w.lines.insert(at, "    " * 3 + f"stats.instructions += {nops - 1}")
+        top = _settlement(si, rows, settled, ns)
+        w.lines[mark:mark] = top
         w.line(2, "except BaseException:")
-        if n_ci:
-            # Un-charge the batched base cost of the body ops that never
-            # ran: the faulting op (at frame.index - 1) and everything
-            # before it did charge theirs in the reference engine.
-            w.line(3, f"_done = frame.index - {start}")
-            w.line(3, f"if _done < {n_ci}:")
-            w.line(4, f"stats.cycles -= ({n_ci} - _done) * _ci")
+        if top:
+            # Take back what the reference had not charged when the op
+            # at frame.index - 1 faulted.
+            w.line(3, f"_unsettle(interp, _u{si}[frame.index - {start}])")
         if split:
             # A raise in the control op comes after its body's count.
             w.line(3, f"if frame.index <= {stop}:")
         w.line(3 + split, f"stats.instructions += frame.index - 1 - {start}")
         w.line(3, "raise")
-        w.line(2, f"steps += {nops}")
         w.line(2, f"stats.instructions += {1 if split else nops}")
         last = si == len(segments) - 1
         if kind != "term" and not last:
@@ -657,31 +715,83 @@ def _build_trace(
             # A call is not a safepoint in either other engine: no tick,
             # no pause check.
             continue
-        w.line(2, "if stats.instructions >= interp._next_tick:")
-        w.line(3, "interp._next_tick = stats.instructions + interp.tick_interval")
-        w.line(3, "_hook = interp.tick_hook")
-        w.line(3, "if _hook is not None:")
-        w.line(4, "_hook(interp)")
-        if exit_flag is not None:
-            w.line(2, f"if {exit_flag}:")
-            w.line(3, "stats.trace_exits += 1")
-            w.line(3, "if _tracer is not None and _tracer.fine:")
-            w.line(4, f"_tracer.instant('trace.exit', 'trace', _e{si})")
-            w.line(3, "return steps")
+        # The safepoint: tick, then side exit, then pause, all behind one
+        # compare (a side exit set ``_stop`` to -1).
+        w.line(2, "if stats.instructions >= _stop:")
+        w.line(3, "if stats.instructions >= interp._next_tick:")
+        w.line(4, "interp._next_tick = stats.instructions + interp.tick_interval")
+        w.line(4, "_hook = interp.tick_hook")
+        w.line(4, "if _hook is not None:")
+        w.line(5, "_hook(interp)")
+        w.line(5, "_hw = interp.heat_window")
+        if exit_extra is not None:
+            w.line(3, "if _stop < 0:")
+            w.line(4, "stats.trace_exits += 1")
+            w.line(4, "if _tracer is not None and _tracer.fine:")
+            w.line(5, f"_tracer.instant('trace.exit', 'trace', _e{si})")
+            w.line(4, f"return {steps_now(si, exit_extra)}")
         if last and (end is not None or end_depth < 0):
             # A linear trace's closing edge just entered ``end`` (its
             # phis assigned, index at first_non_phi); a return trace's
             # return just popped the anchor frame.  Either way hand
             # control back: the dispatch loop chains into the trace
             # installed at ``end``, or resumes the caller mid-block.
-            w.line(2, "return steps")
+            w.line(2, f"return {steps_now(si)}")
         else:
-            w.line(2, "if steps >= max_steps:")
-            w.line(3, "return steps")
+            w.line(3, f"_steps = {steps_now(si)}")
+            w.line(3, "if _steps >= max_steps:")
+            w.line(4, "return _steps")
+            w.line(3, "_pause = stats.instructions + max_steps - _steps")
+            w.line(3, "_stop = min(interp._next_tick, _pause)")
 
     return _TraceCode(
-        w.source(), ns, spec_count, len(chain), guard_count, specialize
+        w.source(), ns, spec_count, len(chain), guard_count, specialize,
+        settled,
     )
+
+
+def _settlement(si: int, rows: List[List[int]], settled, ns) -> List[str]:
+    """The top lines of segment ``si``, whose ops left their static
+    charges in ``rows`` (one :data:`~repro.machine.codegen.SETTLED` row
+    per op, the control op last) — none if they left none; records its
+    cycle charge in ``settled`` and its reconciler table ``_u<si>`` in
+    ``ns``.  Row ``done`` of the table is what the reference had not
+    charged when the op at position ``done - 1`` faulted: every later
+    op's charges, and the faulting op's bytes (an access that faults
+    moves none)."""
+    totals = [sum(column) for column in zip(*rows)]
+    if not any(totals):
+        return []
+    table = []
+    for done in range(len(rows) + 1):
+        row = [sum(column) for column in zip(*rows[done:])] or [0] * len(SETTLED)
+        if done:
+            row[4] += rows[done - 1][4]
+            row[5] += rows[done - 1][5]
+        table.append(tuple(row))
+    ns[f"_u{si}"] = tuple(table)
+    lines = []
+    if totals[0] or totals[1]:
+        settled.append((f"_w{si}", totals[0], totals[1]))
+        lines.append(f"stats.cycles += _w{si}")
+    for n, counter in zip(totals[2:], (
+        "stats.loads", "stats.stores", "_pm.bytes_read", "_pm.bytes_written",
+    )):
+        if n:
+            lines.append(f"{counter} += {n}")
+    return ["    " * 3 + text for text in lines]
+
+
+def _unsettle(interp, row: Tuple[int, ...]) -> None:
+    """Take back a settled segment's charges the reference had not made
+    when one of its ops faulted: a row of the segment's table."""
+    ci, cm, loads, stores, read, written = row
+    stats = interp.stats
+    stats.cycles -= ci * interp._cost_instruction + cm * interp._cost_memory
+    stats.loads -= loads
+    stats.stores -= stores
+    interp.memory.bytes_read -= read
+    interp.memory.bytes_written -= written
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,8 @@ from repro.carat.pipeline import CompileOptions, compile_carat
 from repro.ir import parse_module
 from repro.kernel import PAGE_SIZE, Kernel
 from tests.support import run_carat
-from repro.machine import tracejit
+from repro.machine import fastexec, tracejit
+from repro.machine.executor import ENGINES
 from repro.machine.interp import ExitProgram
 from repro.machine.session import CaratSession, RunConfig
 from repro.telemetry.metrics import run_snapshot
@@ -714,6 +715,122 @@ def _segment_reads_of_defined_slots(source, ns):
     return found
 
 
+#: A hot loop whose ``body`` segment holds four CARAT accesses (load,
+#: store, load, store) and nothing that runs foreign code, so the trace
+#: settles its charges once at the segment top.  ``{ops}`` places one
+#: faulting access at a chosen position: its pointer (or stored value)
+#: reads ``%u`` (``%uv``), defined only in ``latch`` — the last call of
+#: ``@g`` (``%lim`` -1) enters the compiled loop in a fresh frame that
+#: never defined it — or ``%far``, 2**43 bytes past the table on the
+#: iteration ``%last``.
+SETTLE_IR = _MATRIX_DECLS + """
+define void @g(i64* %tab, i64 %n, i64 %lim, i64 %last) {{
+entry:
+  br label %loop
+loop:
+  %j = phi i64 [0, %entry], [%jn, %latch]
+  %f = icmp sgt i64 %j, %lim
+  br i1 %f, label %body, label %latch
+body:
+  %d = sub i64 %last, %j
+  %z = icmp eq i64 %d, 0
+  %zz = zext i1 %z to i64
+  %off = shl i64 %zz, 40
+  %far = getelementptr i64* %tab, i64 %off
+  %a0 = getelementptr i64* %tab, i64 %j
+  %a1 = getelementptr i64* %tab, i64 9
+{ops}
+  br label %latch
+latch:
+  %u = getelementptr i64* %tab, i64 10
+  %uv = add i64 %j, 5
+  %jn = add i64 %j, 1
+  %c = icmp slt i64 %jn, %n
+  br i1 %c, label %loop, label %exit
+exit:
+  ret void
+}}
+
+define void @main() {{
+entry:
+  %raw = call i8* @malloc(i64 128)
+  %tab = bitcast i8* %raw to i64*
+  br label %warm
+warm:
+  %k = phi i64 [0, %entry], [%kn, %warm]
+  call void @g(i64* %tab, i64 8, i64 0, i64 -1)
+  %kn = add i64 %k, 1
+  %more = icmp slt i64 %kn, 4
+  br i1 %more, label %warm, label %last
+last:
+  call void @g(i64* %tab, i64 8, i64 {lim}, i64 {last})
+  ret void
+}}
+"""
+
+
+def _settle_ir(kind, position):
+    """SETTLE_IR with the access at ``position`` (0..3) faulting by
+    ``kind``: ``undefined`` (its pointer), ``undefined-value`` (a
+    store's value) or ``range`` (an out-of-range address)."""
+    pointers = ["%a0", "%a1", "%a1", "%a0"]
+    stored = {1: "%x0", 3: "%s"}
+    if kind == "range":
+        pointers[position] = "%far"
+    elif kind == "undefined":
+        pointers[position] = "%u"
+    else:
+        stored[position] = "%uv"
+    ops = "\n".join([
+        f"  %x0 = load i64* {pointers[0]}",
+        f"  store i64 {stored[1]}, i64* {pointers[1]}",
+        f"  %x2 = load i64* {pointers[2]}",
+        "  %s = add i64 %x0, %x2",
+        f"  store i64 {stored[3]}, i64* {pointers[3]}",
+    ])
+    lim, last = (0, 5) if kind == "range" else (-1, -1)
+    return SETTLE_IR.format(ops=ops, lim=lim, last=last)
+
+
+#: Every fault of :func:`_settle_ir` (only stores have a value to read).
+_SETTLE_FAULTS = [
+    (kind, position)
+    for kind in ("undefined", "undefined-value", "range")
+    for position in range(4)
+    if kind != "undefined-value" or position % 2
+]
+
+
+def _settle_outcome(text, engine, tiered):
+    """Run unverified IR (no guards, so the raw access faults) at
+    ``trace_threshold=2``: the fault, every modeled counter, the memory's
+    byte counts and the top frame, and whether trace code raised it."""
+    options = CompileOptions(
+        optimize=False, guards=False, tracking=True, verify=False
+    )
+    binary = compile_carat(parse_module(text), options, module_name="ir")
+    kernel = Kernel(memory_size=16 << 20, fast_memory=1 << 20) if tiered else None
+    seen = []
+    session = CaratSession(
+        RunConfig(engine=engine, trace_threshold=2), setup=seen.append,
+        kernel=kernel,
+    )
+    try:
+        session.run(binary)
+    except Exception as exc:  # the fault itself is the observation
+        interp = seen[0]
+        top = interp.frames[-1]
+        frames = traceback.extract_tb(exc.__traceback__)
+        return (
+            (type(exc).__name__, str(exc),
+             {f: getattr(interp.stats, f) for f in SEMANTIC_FIELDS},
+             interp.memory.bytes_read, interp.memory.bytes_written,
+             top.block.name, top.index),
+            "<tracejit>" in [frame.filename for frame in frames],
+        )
+    raise AssertionError("the program did not fault")
+
+
 class TestRegisters:
     def test_tick_hook_rewrite_reaches_later_segments(self):
         # The hook adds 1000 to ``t``'s slot between its definition and
@@ -765,6 +882,25 @@ class TestRegisters:
         assert in_trace  # raised inside a trace
         assert reference[6] == "loop"  # the faulting frame's block
 
+    @pytest.mark.parametrize("tiered", [False, True])
+    @pytest.mark.parametrize("kind, position", _SETTLE_FAULTS)
+    def test_fault_in_a_settled_segment(self, kind, position, tiered):
+        # A settled segment charged every access's cycles, count and
+        # bytes at its top: the fault must take back exactly what the
+        # reference had not charged yet, wherever it strikes.
+        text = _settle_ir(kind, position)
+        reference, _ = _settle_outcome(text, "reference", tiered)
+        fast, _ = _settle_outcome(text, "fast", tiered)
+        trace, in_trace = _settle_outcome(text, "trace", tiered)
+        message = "out of range" if kind == "range" else "use of undefined value %u"
+        assert message in reference[1]
+        assert fast == reference
+        assert trace == reference
+        assert in_trace  # raised inside a trace
+        assert reference[5] == "body"
+        tiers = reference[2]["fast_tier_accesses"] + reference[2]["slow_tier_accesses"]
+        assert (tiers > 0) == tiered
+
     def test_no_slot_read_after_its_definition_in_a_segment(self, monkeypatch):
         texts = []
         build = tracejit._TraceCode.__init__
@@ -773,21 +909,94 @@ class TestRegisters:
             texts.append((source, ns))
             build(self, source, ns, *args)
 
+        stencils = []
+        make = fastexec._stencil_op
+
+        def stencil(w, ns):
+            stencils.append(w.source())
+            return make(w, ns)
+
         monkeypatch.setattr(tracejit._TraceCode, "__init__", capture)
+        monkeypatch.setattr(fastexec, "_stencil_op", stencil)
         for name in ("hpccg", "cg", "ep", "mcf", "lbm"):
             binary = compile_carat(get_workload(name, "small").source)
             CaratSession(RunConfig(engine="trace", name=name)).run(binary)
-        assert len(texts) > 20
+        assert len(texts) > 20 and len(stencils) > 100
         for source, ns in texts:
             assert _segment_reads_of_defined_slots(source, ns) == []
+            # One settlement per segment: its counters move once.
+            for segment in source.split("\n        try:\n")[1:]:
+                assert segment.count("stats.loads +=") <= 1
         joined = "\n".join(source for source, _ns in texts)
-        # Registers are read, and most conversions are gone.  Without
-        # registers these traces held 536 slot reads, 595 int()/float()
-        # calls and 539 index stores.
+        # Registers are read; slots hold their IR type's Python type, so
+        # no slot or global read converts; and steps derive from
+        # ``instructions``.  Without registers these traces held 536 slot
+        # reads, 595 int()/float() calls and 539 index stores.
         assert re.search(r"[^.\w]_r\d+\b(?! =)", joined)
         assert joined.count("values[_k") < 300
         assert len(re.findall(r"\b(?:int|float)\(", joined)) < 300
         assert joined.count("frame.index = ") < 500
+        assert "steps +=" not in joined
+        for text in [joined, *stencils]:
+            assert not re.search(r"\b(?:int\(values\[|float\(values\[|int\(_gm\[)", text)
+
+
+# ---------------------------------------------------------------------------
+# Safepoints: one compare per segment, steps derived from instructions
+# ---------------------------------------------------------------------------
+
+#: A loop trace whose segments assign phis on their on-trace edges (so
+#: ``instructions`` outruns the step count) and side-exit every seventh
+#: iteration through an edge with phis of its own.
+QUANTUM_SOURCE = """
+void main() {
+  long i;
+  long a;
+  long b;
+  a = 1;
+  b = 2;
+  for (i = 0; i < 300; i++) {
+    if (i % 7 == 3) { a = a + b; } else { b = b + i; }
+    if (a > b) { a = a - b; }
+  }
+  print_long(a);
+  print_long(b);
+}
+"""
+
+
+def _pauses(binary, engine, quantum):
+    """Drive one interpreter ``quantum`` steps at a time, with a tick
+    every 13 instructions: where each quantum paused and each tick fired,
+    and how many instructions ran inside traces."""
+    kernel = Kernel()
+    process = kernel.load_carat(binary)
+    interp = ENGINES[engine](process, kernel)
+    if hasattr(interp, "set_trace_tuning"):
+        interp.set_trace_tuning(threshold=2)
+    ticks = []
+    interp.set_tick_interval(13)
+    interp.tick_hook = lambda i: ticks.append(i.stats.instructions)
+    interp.start()
+    pauses = []
+    while interp.run_steps(quantum) == "running":
+        frame = interp.frames[-1]
+        pauses.append((interp.stats.instructions, frame.block.name, frame.index))
+    return (pauses, ticks, interp.output), interp.stats.trace_instructions
+
+
+class TestSafepoints:
+    def test_quantum_sweep_interleaves_identically(self):
+        binary = compile_carat(QUANTUM_SOURCE, module_name="sweep")
+        traced = 0
+        for quantum in range(1, 41):
+            reference, _ = _pauses(binary, "reference", quantum)
+            fast, _ = _pauses(binary, "fast", quantum)
+            trace, in_traces = _pauses(binary, "trace", quantum)
+            assert fast == reference, quantum
+            assert trace == reference, quantum
+            traced += in_traces > 0
+        assert traced > 30  # most quanta left room to run traces
 
 
 # ---------------------------------------------------------------------------
