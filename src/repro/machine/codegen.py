@@ -395,13 +395,6 @@ def builtin_template(inst: Instruction) -> Optional[str]:
     return None
 
 
-#: Operands :func:`expr` reads (any other value reads through
-#: :func:`reject`, which faults).
-_EVALUABLE = (
-    Argument, Instruction, GlobalVariable,
-    ConstantInt, ConstantFloat, ConstantNull, UndefValue,
-)
-
 #: A settlement row: the static charges an op leaves to its trace
 #: segment's single settlement — base charges (``_ci``), memory charges
 #: (``_cm``), loads, stores, bytes read and bytes written.
@@ -509,20 +502,17 @@ class _Op:
         """Store ``_m`` re-signed to ``ty`` (IntType.wrap, inlined)."""
         self.line(f"{out} = _m - {ty.max_unsigned + 1} if _m > {ty.max_signed} else _m")
 
-    def counted(
-        self, kind: str, size: int, operands: Sequence[Value],
-    ) -> Tuple[List[str], List[str]]:
+    def counted(self, kind: str, size: int) -> Tuple[List[str], List[str]]:
         """A load's or store's charge lines (``kind`` is ``loads`` or
         ``stores``): the memory charge and count, which the reference
         makes once the operands are read, and the byte count of the
         inline physical access.  Called before the head: in a trace
         segment the op adds what settles to its row instead and takes it
         back on an undefined operand (the segment reconciler takes back a
-        faulting access's bytes).  Paging bytes, the memory charge while
-        the segment's ``clock`` is read, and an access with an operand
-        only :func:`reject` reads keep their lines."""
+        faulting access's bytes).  Paging bytes and the memory charge
+        while the segment's ``clock`` is read keep their lines."""
         count = [f"_pm.bytes_{'read' if kind == 'loads' else 'written'} += {size}"]
-        if self.settle is None or not all(isinstance(v, _EVALUABLE) for v in operands):
+        if self.settle is None:
             return ["stats.cycles += _cm", f"stats.{kind} += 1"], count
         row, charge, undo = self.settle, [], [f"stats.{kind} -= 1"]
         if self.clock:
@@ -799,9 +789,8 @@ def _load(e: _Op, inst: LoadInst) -> bool:
         decode = [f"{out} = _up{e.t}(_v)[0]"]
     else:
         decode = [f"{out} = _ifb(_v, 'little')"]
-    operands = (inst.pointer,)
-    charge, count = e.counted("loads", size, operands)
-    e.head([f"_a = {e.read(inst.pointer, 'p', 'int')}"], operands)
+    charge, count = e.counted("loads", size)
+    e.head([f"_a = {e.read(inst.pointer, 'p', 'int')}"], (inst.pointer,))
     e.lines(charge)
     e.raises = True
     e.tier()
@@ -836,9 +825,8 @@ def _store(e: _Op, inst: StoreInst) -> bool:
     else:
         return _bad_access(e, inst, "store", ty)
     pointer, value = e.read(inst.pointer, "p", "int"), e.read(inst.value, "v")
-    operands = (inst.pointer, inst.value)
-    charge, count = e.counted("stores", size, operands)
-    e.head([f"_a = {pointer}", f"_v = {value}"], operands)
+    charge, count = e.counted("stores", size)
+    e.head([f"_a = {pointer}", f"_v = {value}"], (inst.pointer, inst.value))
     e.lines(charge)
     e.raises = True
     e.tier()

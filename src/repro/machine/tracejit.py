@@ -243,11 +243,10 @@ class _TraceCode:
         scope.update(bind(interp))
         scope["_respec"] = _respecialize
         scope["_unsettle"] = _unsettle
+        scope["_safepoint"] = _safepoint
         ci, cm = interp._cost_instruction, interp._cost_memory
         for name, n_ci, n_cm in self.settled:
             scope[name] = n_ci * ci + n_cm * cm
-        rt = interp.process.runtime
-        scope["_tracer"] = rt and rt.tracer
         for j in range(self.n_spec):
             scope[f"_spec{j}"] = SpecCell()
         exec(self.code_obj, scope)
@@ -503,8 +502,9 @@ def _build_trace(
     # start (calls and returns end one) and after every fallback op.
     regs: Regs = {}
     # Each settled segment's cycle charge, bound per interpreter:
-    # (name, base charges, memory charges).
+    # (name, base charges, memory charges); and the settlement rows.
     settled: List[Tuple[str, int, int]] = []
+    seen: Dict[tuple, tuple] = {}
 
     def own_code(inst: Instruction) -> bool:
         # Whether a body op runs its template alone: not a fallback op
@@ -574,42 +574,23 @@ def _build_trace(
             # builtin call op, say, may not).
             defined[-1].add(id(inst))
         if not own_code(inst):
-            # Foreign code may have installed a heat window or moved the
-            # next tick.
+            # Foreign code may have installed a heat window or brought
+            # the next tick forward.
             w.line(3, "_hw = interp.heat_window")
-            w.line(3, "_stop = min(interp._next_tick, _pause)")
+            w.line(3, "_stop = min(_stop, interp._next_tick)")
         return raises
 
     # Steps retire ops; ``instructions`` also counts the phis an on-trace
-    # edge assigns.  Per segment, the ops and the on-trace phis, and their
-    # running totals through one pass of the segments (one iteration of a
-    # loop trace), derive the step count from ``instructions`` alone.
-    nops_of = [stop + 1 - start for _b, start, stop, _k, _d in segments]
-    phis_of = [
-        len(data.phis()) if kind == "term" else 0
-        for _b, _s, _e, kind, data in segments
-    ]
-    ops_through = [sum(nops_of[: si + 1]) for si in range(len(segments))]
-    phis_through = [sum(phis_of[: si + 1]) for si in range(len(segments))]
+    # edge assigns.  Per segment, the running totals of both through one
+    # pass of the segments (one iteration of a loop trace) let
+    # :func:`_safepoint` derive the step count from ``instructions``.
+    ops_through = phis_through = 0
+    for _b, start, stop, kind, data in segments:
+        ops_through += stop + 1 - start
+        phis_through += len(data.phis()) if kind == "term" else 0
     loop = end is None and end_depth == 0
-    per_pass, phis_per_pass = ops_through[-1] + phis_through[-1], phis_through[-1]
-
-    def steps_now(si: int, extra: int = 0) -> str:
-        # The step count at the end of segment ``si``, whose path counted
-        # ``extra`` instructions beyond its on-trace edge's.  A tick hook
-        # never retires guest instructions, so after ``m`` whole passes
-        # ``instructions`` moved by m * per_pass + ops_through[si] +
-        # phis_through[si] + extra and the steps by the ops alone.
-        back = phis_through[si] + extra
-        since = "stats.instructions - _i0" + (
-            f" - {back}" if back > 0 else f" + {-back}" if back else ""
-        )
-        if not loop or not phis_per_pass:
-            return f"steps + {since}"
-        return (
-            f"steps + (_n := {since}) - (_n - {ops_through[si]})"
-            f" // {per_pass} * {phis_per_pass}"
-        )
+    pass_shape = (ops_through + phis_through, phis_through if loop else 0)
+    ops_through = phis_through = 0
 
     w.line(0, "def trace(interp, frame, steps, max_steps):")
     w.line(1, "stats = interp.stats")
@@ -617,14 +598,13 @@ def _build_trace(
     w.line(1, "_hw = interp.heat_window")
     # One compare per safepoint: ``_stop`` is the next tick or, earlier,
     # the instruction count at which the step quota could run out
-    # (``_pause``: instructions grow at least as fast as steps).
+    # (instructions grow at least as fast as steps).
     w.line(1, "_i0 = stats.instructions")
-    w.line(1, "_pause = _i0 + max_steps - steps")
-    w.line(1, "_stop = min(interp._next_tick, _pause)")
+    w.line(1, "_stop = min(interp._next_tick, _i0 + max_steps - steps)")
     w.line(1, "while True:")
     for si, (block, start, stop, kind, data) in enumerate(segments):
         insts = block.instructions
-        nops = nops_of[si]
+        nops = stop + 1 - start
         # Every segment charges its static costs once, at its top:
         # nothing in it reads the counts before its safepoint, where the
         # settled totals are exact.  Foreign code may read the cycle
@@ -654,14 +634,16 @@ def _build_trace(
             paired=data if kind == "return" else None,
             settle=rows[-1], clock=clock,
         )
-        exit_extra = None
+        ops_through += nops
+        exit_extra, exit_args = 0, None
         if kind == "term":
+            phis_through += len(data.phis())
             off = [target for target in inst.targets if target is not data]
             if inst.is_conditional and off:
                 # The exit edge op counts the off-trace target's phis
                 # instead of the on-trace ones.
-                exit_extra = len(off[0].phis()) - phis_of[si]
-                ns[f"_e{si}"] = {
+                exit_extra = len(off[0].phis()) - len(data.phis())
+                exit_args = {
                     "anchor": chain[0][1].name,
                     "function": block.parent.name,
                     "from": block.name,
@@ -689,13 +671,13 @@ def _build_trace(
             w.lines.insert(at, "    " * 3 + f"frame.index = {stop + 1}")
         if split:
             w.lines.insert(at, "    " * 3 + f"stats.instructions += {nops - 1}")
-        top = _settlement(si, rows, settled, ns)
+        top = _settlement(si, rows, settled, ns, seen)
         w.lines[mark:mark] = top
         w.line(2, "except BaseException:")
         if top:
             # Take back what the reference had not charged when the op
             # at frame.index - 1 faulted.
-            w.line(3, f"_unsettle(interp, _u{si}[frame.index - {start}])")
+            w.line(3, f"_unsettle(interp, _u{si}, frame.index - {start})")
         if split:
             # A raise in the control op comes after its body's count.
             w.line(3, f"if frame.index <= {stop}:")
@@ -715,34 +697,27 @@ def _build_trace(
             # A call is not a safepoint in either other engine: no tick,
             # no pause check.
             continue
-        # The safepoint: tick, then side exit, then pause, all behind one
-        # compare (a side exit set ``_stop`` to -1).
+        # A linear trace's closing edge just entered ``end`` (its phis
+        # assigned, index at first_non_phi); a return trace's return just
+        # popped the anchor frame.  Either way its last safepoint hands
+        # control back: the dispatch loop chains into the trace installed
+        # at ``end``, or resumes the caller mid-block.
+        hand_back = last and (end is not None or end_depth < 0)
+        ns[f"_g{si}"] = (
+            ops_through, phis_through, *pass_shape, exit_extra, exit_args,
+            hand_back,
+        )
+        call = f"_safepoint(interp, steps, max_steps, _stop, _i0, _g{si})"
+        if hand_back:
+            w.line(2, f"return ~{call}")
+            continue
+        # One compare: a tick is due, the quota may be spent, or a side
+        # exit set ``_stop`` to -1.
         w.line(2, "if stats.instructions >= _stop:")
-        w.line(3, "if stats.instructions >= interp._next_tick:")
-        w.line(4, "interp._next_tick = stats.instructions + interp.tick_interval")
-        w.line(4, "_hook = interp.tick_hook")
-        w.line(4, "if _hook is not None:")
-        w.line(5, "_hook(interp)")
-        w.line(5, "_hw = interp.heat_window")
-        if exit_extra is not None:
-            w.line(3, "if _stop < 0:")
-            w.line(4, "stats.trace_exits += 1")
-            w.line(4, "if _tracer is not None and _tracer.fine:")
-            w.line(5, f"_tracer.instant('trace.exit', 'trace', _e{si})")
-            w.line(4, f"return {steps_now(si, exit_extra)}")
-        if last and (end is not None or end_depth < 0):
-            # A linear trace's closing edge just entered ``end`` (its
-            # phis assigned, index at first_non_phi); a return trace's
-            # return just popped the anchor frame.  Either way hand
-            # control back: the dispatch loop chains into the trace
-            # installed at ``end``, or resumes the caller mid-block.
-            w.line(2, f"return {steps_now(si)}")
-        else:
-            w.line(3, f"_steps = {steps_now(si)}")
-            w.line(3, "if _steps >= max_steps:")
-            w.line(4, "return _steps")
-            w.line(3, "_pause = stats.instructions + max_steps - _steps")
-            w.line(3, "_stop = min(interp._next_tick, _pause)")
+        w.line(3, f"_stop = {call}")
+        w.line(3, "if _stop < 0:")
+        w.line(4, "return ~_stop")
+        w.line(3, "_hw = interp.heat_window")
 
     return _TraceCode(
         w.source(), ns, spec_count, len(chain), guard_count, specialize,
@@ -750,26 +725,19 @@ def _build_trace(
     )
 
 
-def _settlement(si: int, rows: List[List[int]], settled, ns) -> List[str]:
+def _settlement(
+    si: int, rows: List[List[int]], settled, ns, seen: Dict[tuple, tuple],
+) -> List[str]:
     """The top lines of segment ``si``, whose ops left their static
     charges in ``rows`` (one :data:`~repro.machine.codegen.SETTLED` row
     per op, the control op last) — none if they left none; records its
-    cycle charge in ``settled`` and its reconciler table ``_u<si>`` in
-    ``ns``.  Row ``done`` of the table is what the reference had not
-    charged when the op at position ``done - 1`` faulted: every later
-    op's charges, and the faulting op's bytes (an access that faults
-    moves none)."""
+    cycle charge in ``settled`` and its rows, for :func:`_unsettle`, as
+    ``_u<si>`` in ``ns`` (each row once per trace, through ``seen``:
+    a trace's ops leave few distinct rows)."""
     totals = [sum(column) for column in zip(*rows)]
     if not any(totals):
         return []
-    table = []
-    for done in range(len(rows) + 1):
-        row = [sum(column) for column in zip(*rows[done:])] or [0] * len(SETTLED)
-        if done:
-            row[4] += rows[done - 1][4]
-            row[5] += rows[done - 1][5]
-        table.append(tuple(row))
-    ns[f"_u{si}"] = tuple(table)
+    ns[f"_u{si}"] = tuple(seen.setdefault(tuple(row), tuple(row)) for row in rows)
     lines = []
     if totals[0] or totals[1]:
         settled.append((f"_w{si}", totals[0], totals[1]))
@@ -782,10 +750,55 @@ def _settlement(si: int, rows: List[List[int]], settled, ns) -> List[str]:
     return ["    " * 3 + text for text in lines]
 
 
-def _unsettle(interp, row: Tuple[int, ...]) -> None:
-    """Take back a settled segment's charges the reference had not made
-    when one of its ops faulted: a row of the segment's table."""
-    ci, cm, loads, stores, read, written = row
+def _safepoint(interp, steps: int, max_steps: int, stop: int, i0: int, seg) -> int:
+    """A trace safepoint's slow path, entered once ``instructions``
+    reaches the trace's ``stop``: the tick if due, then the side exit
+    (``stop`` -1), then the pause, in the block tier's order.  Returns
+    the next stop, or ``~steps`` (negative) when the trace must return
+    ``steps``.
+
+    ``seg`` holds the segment's running op and on-trace phi counts
+    through one pass, a pass's instructions and its phis (0 unless the
+    trace loops), the instructions its side exit counts beyond the
+    on-trace edge, the exit's telemetry arguments, and whether the
+    segment hands control back.  ``steps`` and ``i0`` are the step and
+    instruction counts at trace entry.  A tick hook never retires guest
+    instructions, so after ``m`` whole passes the instructions since
+    entry are ``m * per_pass + ops + phis`` and the steps ``m *
+    (per_pass - pass_phis) + ops``."""
+    ops, phis, per_pass, pass_phis, exit_extra, exit_args, hand_back = seg
+    stats = interp.stats
+    if stats.instructions >= interp._next_tick:
+        interp._next_tick = stats.instructions + interp.tick_interval
+        hook = interp.tick_hook
+        if hook is not None:
+            hook(interp)
+    since = stats.instructions - i0 - phis - (exit_extra if stop < 0 else 0)
+    if pass_phis:
+        since -= (since - ops) // per_pass * pass_phis
+    steps += since
+    if stop < 0:
+        stats.trace_exits += 1
+        tracer = interp.process.runtime and interp.process.runtime.tracer
+        if tracer is not None and tracer.fine:
+            tracer.instant("trace.exit", "trace", exit_args)
+        return ~steps
+    if hand_back or steps >= max_steps:
+        return ~steps
+    return min(interp._next_tick, stats.instructions + max_steps - steps)
+
+
+def _unsettle(interp, rows: Tuple[Tuple[int, ...], ...], done: int) -> None:
+    """Take back what a segment settled and the reference had not
+    charged when the op at position ``done - 1`` of its ``rows`` faulted:
+    every later op's charges, and the faulting op's bytes (an access that
+    faults moves none)."""
+    ci, cm, loads, stores, read, written = (
+        sum(column) for column in zip(*rows[done:], (0,) * len(SETTLED))
+    )
+    if done:
+        read += rows[done - 1][4]
+        written += rows[done - 1][5]
     stats = interp.stats
     stats.cycles -= ci * interp._cost_instruction + cm * interp._cost_memory
     stats.loads -= loads
