@@ -203,10 +203,12 @@ _LIBRARY: Dict[bytes, bytes] = {}
 class _TraceCode:
     """The compiled form of one superblock variant: its code object, from
     the library, and the build-time namespace (slot ids, blocks, side-exit
-    edge ops, fallback ops — all interpreter-independent).  Cached in
-    :attr:`ModuleCode.trace_codes`; :meth:`instantiate` binds the
-    per-interpreter state (cost constants, guard cells, runtime, fresh
-    specialization cells) and returns the executable closure."""
+    edge ops, fallback ops, settlement rows — all interpreter-independent)
+    and ``settled``, each settled segment's base and memory charge
+    counts.  Cached in :attr:`ModuleCode.trace_codes`; :meth:`instantiate`
+    binds the per-interpreter state (cost constants and the segments'
+    settled cycle charges, guard cells, runtime, fresh specialization
+    cells) and returns the executable closure."""
 
     __slots__ = (
         "code_obj", "ns", "n_spec", "n_blocks", "n_guards", "specialize",
@@ -221,7 +223,7 @@ class _TraceCode:
         n_blocks: int,
         n_guards: int,
         specialize: bool,
-        settled: List[Tuple[str, int, int]] = (),
+        settled: List[Tuple[str, int, int]],
     ) -> None:
         self.ns = ns
         self.settled = settled
