@@ -3,8 +3,8 @@
 * :mod:`repro.analysis.cfg` — reverse post-order, reachability
 * :mod:`repro.analysis.dominators` — dominator tree and frontiers
 * :mod:`repro.analysis.loops` — natural loops and preheader creation
-* :mod:`repro.analysis.dataflow` — forward GEN/KILL framework; available
-  values (AC/DC's core)
+* :mod:`repro.analysis.dataflow` — available values, a forward GEN/KILL
+  must-analysis (AC/DC's core)
 * :mod:`repro.analysis.alias` — BasicAA, TBAA, Steensgaard, chained AA
 * :mod:`repro.analysis.points_to` — the Steensgaard solver
 * :mod:`repro.analysis.scev` — scalar evolution and trip counts
@@ -24,7 +24,7 @@ from repro.analysis.cfg import (
     remove_unreachable_blocks,
     reverse_post_order,
 )
-from repro.analysis.dataflow import AvailableValues, DataflowProblem
+from repro.analysis.dataflow import AvailableValues
 from repro.analysis.dominators import DominatorTree
 from repro.analysis.loops import Loop, LoopInfo
 from repro.analysis.points_to import SteensgaardSolver
@@ -50,7 +50,6 @@ __all__ = [
     "remove_unreachable_blocks",
     "reverse_post_order",
     "AvailableValues",
-    "DataflowProblem",
     "DominatorTree",
     "Loop",
     "LoopInfo",

@@ -116,9 +116,6 @@ class DominatorTree:
             and self._dfs_out[b] <= self._dfs_out[a]
         )
 
-    def strictly_dominates(self, a: BasicBlock, b: BasicBlock) -> bool:
-        return a is not b and self.dominates(a, b)
-
     def dominance_frontier(self) -> Dict[BasicBlock, Dict[BasicBlock, None]]:
         """Dominance frontiers for every reachable block (Cooper et al. §4).
 
@@ -139,13 +136,3 @@ class DominatorTree:
                     frontier[runner][block] = None
                     runner = self._idom.get(runner)
         return frontier
-
-    def blocks_preorder(self) -> List[BasicBlock]:
-        """Reachable blocks in dominator-tree preorder."""
-        result: List[BasicBlock] = []
-        stack = [self.function.entry]
-        while stack:
-            block = stack.pop()
-            result.append(block)
-            stack.extend(reversed(self._children.get(block, [])))
-        return result

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.dominators import DominatorTree
 from repro.ir.builder import IRBuilder
-from repro.ir.instructions import BranchInst, Instruction
+from repro.ir.instructions import BranchInst
 from repro.ir.module import BasicBlock, Function
 
 
@@ -31,9 +31,6 @@ class Loop:
 
     def contains(self, block: BasicBlock) -> bool:
         return block in self.blocks
-
-    def contains_instruction(self, inst: Instruction) -> bool:
-        return inst.parent is not None and inst.parent in self.blocks
 
     @property
     def depth(self) -> int:
@@ -142,10 +139,6 @@ class LoopInfo:
     def loop_for(self, block: BasicBlock) -> Optional[Loop]:
         """The innermost loop containing ``block``, or None."""
         return self._loop_of.get(block)
-
-    def loop_depth(self, block: BasicBlock) -> int:
-        loop = self.loop_for(block)
-        return loop.depth if loop else 0
 
     # -- transforms -----------------------------------------------------------------
 

@@ -18,7 +18,7 @@ what Table 1 reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.carat.intrinsics import (
     CALL_OVERHEAD_BYTES,
@@ -154,10 +154,3 @@ def _callee_frame_size(module: Module, call: CallInst) -> int:
     if callee is None or callee.is_declaration:
         return DEFAULT_FRAME_SIZE
     return max_stack_footprint(callee)
-
-
-def iter_guards(fn: Function) -> List[CallInst]:
-    """All guard intrinsic calls currently present in ``fn``."""
-    from repro.carat.intrinsics import is_guard_call
-
-    return [inst for inst in fn.instructions() if is_guard_call(inst)]  # type: ignore[misc]

@@ -47,14 +47,6 @@ class Signature:
     toolchain: str
     digest: str  # hex HMAC-SHA256
 
-    def to_json(self) -> str:
-        return json.dumps({"toolchain": self.toolchain, "digest": self.digest})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Signature":
-        data = json.loads(text)
-        return cls(toolchain=data["toolchain"], digest=data["digest"])
-
 
 def _canonical_bytes(module: Module, metadata: Dict[str, object]) -> bytes:
     body = print_module(module)

@@ -59,10 +59,6 @@ class IRBuilder:
         self._block = inst.parent
         self._anchor = inst
 
-    def position_at_start(self, block: BasicBlock) -> None:
-        self._block = block
-        self._anchor = block.instructions[0] if block.instructions else None
-
     # -- insertion core ----------------------------------------------------------
 
     def _insert(self, inst: Instruction, name: str = "") -> Instruction:

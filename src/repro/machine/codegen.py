@@ -422,7 +422,7 @@ class _Op:
     segment's register map ``regs`` (see :func:`expr`), ``code``, the
     module's compiled form (its guard sites ``guard_site_of`` and
     side-exit ``edge_op`` maker), and ``lists``, the block op lists the
-    edges and calls bind (``code.ops_by_block`` unless given).
+    edges, side exits and calls bind.
     ``settle`` is the op's settlement row (see :data:`SETTLED`) in a
     trace segment, which charges once at its top, else ``None``; with
     ``clock`` set, foreign code in the segment may read the cycle clock,
@@ -452,8 +452,6 @@ class _Op:
         self.defined = defined
         self.regs = regs
         self.code = code
-        if lists is None and code is not None:
-            lists = code.ops_by_block
         self.lists = lists
         self.nxt = nxt
         self.paired = paired
@@ -963,7 +961,7 @@ def _branch(e: _Op, inst: BranchInst) -> bool:
         else:
             # The side exit trips the trace's safepoint test (see
             # tracejit._build_trace).
-            e.ns[f"_x{e.t}"] = e.code.edge_op(src, target)
+            e.ns[f"_x{e.t}"] = e.code.edge_op(src, target, e.lists)
             e.line(f"_x{e.t}(interp, frame)", 1)
             e.line("_stop = -1", 1)
             e.raises = True
@@ -1391,7 +1389,9 @@ def emit_op(
     return op.raises
 
 
-def emit_edge(w: Writer, ind: int, src: BasicBlock, dst: BasicBlock, ns, code) -> None:
-    """The edge ``src`` -> ``dst`` of a branch op alone (tag 0), the op a
-    trace's side exit calls."""
-    _edge(_Op(w, ind, 0, ns, *code.facts, code=code), src, dst, 0, "t")
+def emit_edge(
+    w: Writer, ind: int, src: BasicBlock, dst: BasicBlock, ns, code, lists,
+) -> None:
+    """The edge ``src`` -> ``dst`` of a branch op alone (tag 0), into
+    ``lists``: the op a trace's side exit calls."""
+    _edge(_Op(w, ind, 0, ns, *code.facts, code=code, lists=lists), src, dst, 0, "t")

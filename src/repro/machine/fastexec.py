@@ -16,13 +16,14 @@ changing a single observable number:
   and tracking intrinsics — is the one source template of
   :mod:`repro.machine.codegen`, the lines the trace tier inlines, so
   operand reads, wrap arithmetic and NaN checks are inline in the op
-  itself.  The fast engine's op runs a whole **segment**: the
-  templates of a straight-line run of instructions up to a terminator,
-  a call of a defined function, an instruction with no template or
-  :data:`SEGMENT_CAP` instructions, with ``instructions`` and
-  ``frame.index`` where a per-instruction dispatch loop would leave
-  them wherever anything can read them (see :meth:`ModuleCode.build`).
-  The trace engine's block tier keeps one op per instruction.  Ops are
+  itself.  An op runs a whole **segment**: the templates of a
+  straight-line run of instructions up to a terminator, a call of a
+  defined function, an instruction with no template or the engine's
+  ``segment_cap`` instructions (16 for the fast engine; the trace
+  engine's block tier, at cap 1, keeps one op per instruction), with
+  ``instructions`` and ``frame.index`` where a per-instruction dispatch
+  loop would leave them wherever anything can read them (see
+  :meth:`ModuleCode.build`).  Ops are
   built by copy-and-patch from a process-wide *stencil library* keyed
   by the op's parameter list and body: everything that identifies one op
   (operand and destination slots, constants, blocks, positions, its
@@ -99,11 +100,8 @@ Op = Callable[["FastInterpreter", "_FastFrame"], None]
 #: An op-list entry: the op, whether its last instruction is a
 #: terminator (a safepoint), and how many instructions it runs.
 Entry = Tuple[Op, bool, int]
-
-#: The most instructions one segment op runs.  Uncapped, a module's
-#: longest blocks (64 instructions in the tiny workloads) each compile a
-#: stencil of their own, whose compile-time memory shows in a run's peak.
-SEGMENT_CAP = 16
+#: One form of a module's op lists: block id -> its entries.
+Lists = Dict[int, List[Entry]]
 
 
 class _FastFrame(_Frame):
@@ -232,7 +230,7 @@ def _resume(interp: "FastInterpreter", frame: _FastFrame) -> None:
     segment mid-way (a fault retry — a CoW break, a stack growth —
     rewinds ``frame.index`` to the faulting instruction): run that
     instruction alone."""
-    interp._code.single(frame.block, frame.index - 1)(interp, frame)
+    interp._code.single(frame.block, frame.index - 1, interp._ops)(interp, frame)
 
 
 # ----------------------------------------------------------------------
@@ -253,14 +251,14 @@ class ModuleCode:
     those facts — per-run state (guard cells) lives on the interpreter,
     keyed by the site indices assigned here.
 
-    The op lists come in two forms, each built on first use
-    (:meth:`build`): ``ops_by_block``, one op per instruction, which the
-    trace engine's block tier runs, and ``segments_by_block``, one op per
-    segment, which the fast engine runs.  Either maps a block id to its
-    entries ``(op, is_terminator, n)``, index-aligned with
-    ``block.instructions``; the terminator flag rides along so the
+    ``forms`` holds the op lists in one form per segment cap, each built
+    on first use (:meth:`build`): the fast engine runs cap 16, the trace
+    engine's block tier cap 1, one op per instruction.  A form maps a
+    block id to its entries ``(op, is_terminator, n)``, index-aligned
+    with ``block.instructions``; the terminator flag rides along so the
     dispatch loop's safepoint check costs one tuple unpack.  Each form's
-    edge and call ops bind that form's lists."""
+    edge and call ops bind that form's lists, and every op built outside
+    a form (:meth:`single`, :meth:`edge_op`) is told the lists to bind."""
 
     def __init__(self, module: Module, facts: Facts) -> None:
         self.module = module
@@ -272,11 +270,10 @@ class ModuleCode:
             for block in function.blocks
         ]
         self.compiled_blocks = len(self.blocks)
-        self.ops_by_block: Dict[int, List[Entry]] = {}
-        self.segments_by_block: Dict[int, List[Entry]] = {}
-        self._built: Set[bool] = set()
-        #: instruction id -> its op alone (see :meth:`single`).
-        self._singles: Dict[int, Op] = {}
+        #: segment cap -> the op lists of that form.
+        self.forms: Dict[int, Lists] = {}
+        #: (lists id, instruction id) -> its op alone (see :meth:`single`).
+        self._singles: Dict[Tuple[int, int], Op] = {}
         #: instruction id -> guard-site index: its memoization cell.
         self.guard_site_of: Dict[int, int] = {}
         #: (anchor id, chain ids, variant) -> compiled trace code, shared
@@ -287,21 +284,17 @@ class ModuleCode:
                 if guard_name(inst) is not None:
                     self.guard_site_of[id(inst)] = len(self.guard_site_of)
 
-    def lists(self, segmented: bool) -> Dict[int, List[Entry]]:
-        """The op lists of one form."""
-        return self.segments_by_block if segmented else self.ops_by_block
-
-    def build(self, segmented: bool) -> bool:
-        """Build the form ``segmented`` picks unless it exists, and return
-        whether it did.  Every list exists before any op is built, so an
-        edge or call op binds its target's list directly.
+    def build(self, cap: int) -> bool:
+        """Build the form of segment cap ``cap`` unless it exists, and
+        return whether it did.  Every list exists before any op is built,
+        so an edge or call op binds its target's list directly.
 
         A segment is a maximal run of instructions with templates,
         ending at a terminator, a call of a defined function (the frame
-        push) or after :data:`SEGMENT_CAP` of them; an instruction with
-        no template is an op of its own.  The segment's op is one stencil
-        of the instructions' bodies (each tagged by its position; a read
-        of a slot an earlier one wrote has no undefined-value handler).
+        push) or after ``cap`` of them; an instruction with no template
+        is an op of its own.  The segment's op is one stencil of the
+        instructions' bodies (each tagged by its position; a read of a
+        slot an earlier one wrote has no undefined-value handler).
         Before each op that can raise or call out, and before the last,
         it brings ``stats.instructions`` and ``frame.index`` to where the
         dispatch loop leaves them between two ops, so faults, retries,
@@ -309,16 +302,16 @@ class ModuleCode:
         frame as per-instruction dispatch leaves them; nothing else reads
         them mid-segment.  The heat window is re-read after a call, whose
         foreign code may have installed one.  The segment's entry sits at
-        its first index; each interior index holds :func:`_resume`."""
-        if segmented in self._built:
+        its first index; each interior index holds :func:`_resume`.  At
+        cap 1 each instruction's op is compiled alone (:meth:`_compile`),
+        which builds blocks faster than one-instruction segments."""
+        if cap in self.forms:
             return False
-        self._built.add(segmented)
-        lists = self.lists(segmented)
+        lists: Lists = {id(block): [] for block in self.blocks}
+        self.forms[cap] = lists
         for block in self.blocks:
-            lists[id(block)] = []
-        for block in self.blocks:
-            if segmented:
-                lists[id(block)].extend(self._segments(block))
+            if cap > 1:
+                lists[id(block)].extend(self._segments(block, lists, cap))
             else:
                 lists[id(block)].extend(
                     (self._compile(inst, lists), inst.is_terminator, 1)
@@ -326,9 +319,8 @@ class ModuleCode:
                 )
         return True
 
-    def _segments(self, block: BasicBlock) -> Iterator[Entry]:
+    def _segments(self, block: BasicBlock, lists: Lists, cap: int) -> Iterator[Entry]:
         insts = block.instructions
-        lists = self.segments_by_block
         k = 0
         while k < len(insts):
             # Each op's body and whether it can raise or call out; a slot
@@ -336,7 +328,7 @@ class ModuleCode:
             ns: Dict[str, object] = {}
             parts: List[Tuple[List[str], bool]] = []
             defined: Set[int] = set()
-            while k + len(parts) < len(insts) and len(parts) < SEGMENT_CAP:
+            while k + len(parts) < len(insts) and len(parts) < cap:
                 inst = insts[k + len(parts)]
                 body = Writer()
                 raises = emit_op(
@@ -371,44 +363,44 @@ class ModuleCode:
                 yield _resume, insts[j].is_terminator, 1
             k += n
 
-    def _compile(self, inst: Instruction, lists: Dict[int, List[Entry]]) -> Op:
+    def _compile(self, inst: Instruction, lists: Lists) -> Op:
         w, ns = Writer(), {}
         if emit_op(w, 2, inst, 0, ns, *self.facts, code=self, lists=lists) is None:
             return _closure_op(inst)
         return _stencil_op(w, ns)
 
-    def single(self, block: BasicBlock, k: int) -> Op:
-        """The op running instruction ``k`` of ``block`` alone, built on
-        first use: what :func:`_resume` runs, and what the dispatch loop
-        runs in place of a segment that would cross its give-up bound.
-        Its edges and calls bind the segment form's lists."""
+    def single(self, block: BasicBlock, k: int, lists: Lists) -> Op:
+        """The op running instruction ``k`` of ``block`` alone, its edges
+        and calls binding ``lists``, built on first use: what
+        :func:`_resume` runs, and what the dispatch loop runs in place of
+        a segment that would cross its give-up bound."""
         inst = block.instructions[k]
-        op = self._singles.get(id(inst))
+        key = (id(lists), id(inst))
+        op = self._singles.get(key)
         if op is None:
-            op = self._compile(inst, self.segments_by_block)
-            self._singles[id(inst)] = op
+            op = self._singles[key] = self._compile(inst, lists)
         return op
 
-    def edge_op(self, source: BasicBlock, target: BasicBlock) -> Op:
-        """The op taking the edge ``source`` -> ``target`` alone: a trace's
-        side exit, into the per-instruction form."""
+    def edge_op(self, source: BasicBlock, target: BasicBlock, lists: Lists) -> Op:
+        """The op taking the edge ``source`` -> ``target`` alone, into
+        ``lists``: a trace's side exit."""
         w, ns = Writer(), {}
-        emit_edge(w, 2, source, target, ns, self)
+        emit_edge(w, 2, source, target, ns, self, lists)
         return _stencil_op(w, ns)
 
 
 def compile_module(
-    module: Module, facts: Facts, segmented: bool = False,
+    module: Module, facts: Facts, cap: int,
 ) -> Tuple[ModuleCode, bool]:
     """Get-or-build the compiled code for ``module`` under ``facts`` — one
-    code per set of facts its runs use — with its op lists in the form
-    ``segmented`` picks.  Returns ``(code, was_cached)``: whether that
+    code per set of facts its runs use — with its op lists in the form of
+    segment cap ``cap``.  Returns ``(code, was_cached)``: whether that
     form existed."""
     codes = module.metadata.setdefault(_METADATA_KEY, {})
     code = codes.get(facts)
     if code is None:
         code = codes[facts] = ModuleCode(module, facts)
-    return code, not code.build(segmented)
+    return code, not code.build(cap)
 
 
 # ----------------------------------------------------------------------
@@ -427,9 +419,14 @@ class FastInterpreter(Interpreter):
     counters are the only additions.
     """
 
-    #: Whether the block tier runs one op per segment (see
-    #: :meth:`ModuleCode.build`) rather than one per instruction.
-    segmented = True
+    #: The most instructions one op of the block tier runs (see
+    #: :meth:`ModuleCode.build`).  Uncapped, a module's longest blocks
+    #: (64 instructions in the tiny workloads) each compile a stencil of
+    #: their own, whose compile-time memory shows in a run's peak.
+    segment_cap = 16
+    #: The trace tier's entry point at a block entered through a
+    #: terminator (see :meth:`run_steps`); the fast engine has none.
+    _enter_block = None
 
     def __init__(
         self,
@@ -447,9 +444,9 @@ class FastInterpreter(Interpreter):
             self.is_carat,
             self._tier_boundary is not None,
             mech if mech in SPECIALIZABLE else "",
-        ), self.segmented)
+        ), self.segment_cap)
         self._code = code
-        self._ops = code.lists(self.segmented)
+        self._ops = code.forms[self.segment_cap]
         self.stats.compiled_blocks = code.compiled_blocks
         # Hit/miss accounting is in *block* units, matching
         # ``compiled_blocks``: a cold run compiles every block (all
@@ -491,42 +488,48 @@ class FastInterpreter(Interpreter):
         so they pause where the reference does; a segment that would run
         past the give-up bound (100 000 steps past the quota without a
         safepoint) runs one instruction at a time instead, so that bound
-        falls where the reference's does too."""
+        falls where the reference's does too.  This is the one loop of
+        both compiled engines: after a terminator that leaves its frame
+        in place, the trace engine's :meth:`_enter_block` sees the block
+        entered and may run traces from it."""
         steps = 0
         at_safepoint = False
         frames = self.frames
         stats = self.stats
         hard_stop = max_steps + 100_000
-        while frames:
-            if steps >= max_steps and (at_safepoint or steps >= hard_stop):
-                break  # pause at a safepoint (or give up on alignment)
-            frame = frames[-1]
-            index = frame.index
-            try:
-                op, is_terminator, n = frame.ops[index]
-            except IndexError:
-                raise InterpError(
-                    f"fell off block %{frame.block.name} in "
-                    f"@{frame.function.name}"
-                ) from None
-            if steps + n > hard_stop:
-                # A multi-instruction segment's first is no terminator.
-                op = self._code.single(frame.block, index)
-                is_terminator, n = False, 1
-            frame.index = index + 1
-            try:
+        enter = self._enter_block
+        try:
+            while frames:
+                if steps >= max_steps and (at_safepoint or steps >= hard_stop):
+                    break  # pause at a safepoint (or give up on alignment)
+                frame = frames[-1]
+                index = frame.index
+                try:
+                    op, is_terminator, n = frame.ops[index]
+                except IndexError:
+                    raise InterpError(
+                        f"fell off block %{frame.block.name} in "
+                        f"@{frame.function.name}"
+                    ) from None
+                if steps + n > hard_stop:
+                    # A multi-instruction segment's first is no terminator.
+                    op = self._code.single(frame.block, index, self._ops)
+                    is_terminator, n = False, 1
+                frame.index = index + 1
                 op(self, frame)
-            except ExitProgram as exit_request:
-                self.exit_code = exit_request.code
-                frames.clear()
-                break
-            steps += n
-            stats.instructions += 1
-            at_safepoint = is_terminator
-            if is_terminator and stats.instructions >= self._next_tick:
-                self._next_tick = stats.instructions + self.tick_interval
-                if self.tick_hook is not None:
-                    self.tick_hook(self)
+                steps += n
+                stats.instructions += 1
+                at_safepoint = is_terminator
+                if is_terminator:
+                    if stats.instructions >= self._next_tick:
+                        self._next_tick = stats.instructions + self.tick_interval
+                        if self.tick_hook is not None:
+                            self.tick_hook(self)
+                    if enter is not None and frames and frames[-1] is frame:
+                        steps = enter(frame, steps, max_steps)
+        except ExitProgram as exit_request:
+            self.exit_code = exit_request.code
+            frames.clear()
         if not frames:
             self.finished = True
             self.kernel.exit_process(self.process, self.exit_code)

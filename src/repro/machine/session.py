@@ -61,9 +61,10 @@ class RunConfig:
     stack_size: int = DEFAULT_STACK
     name: str = "program"
     #: Round-robin time-slice, in instructions, for anything that
-    #: schedules multiple interpreter contexts — intra-process
-    #: :class:`~repro.machine.threads.ThreadGroup` rounds and the
-    #: multi-tenant :class:`~repro.multiproc.Scheduler` both consume it.
+    #: schedules multiple interpreter contexts: the multi-tenant
+    #: :class:`~repro.multiproc.Scheduler` reads it, and an intra-process
+    #: :class:`~repro.machine.threads.ThreadGroup` takes it as
+    #: ``quantum=config.quantum``.
     quantum: int = 400
     sanitize: bool = False
     #: Fault-injection spec for the move protocol (``run --inject-faults``

@@ -31,8 +31,8 @@ from repro.machine.interp import Interpreter
 from repro.runtime.patching import RegisterSnapshot
 
 DEFAULT_THREAD_STACK = 64 * 1024
-#: Fallback round-robin quantum when no :class:`RunConfig` supplies one
-#: (``RunConfig.quantum`` is the configured path; see ``from_config``).
+#: Fallback round-robin quantum when the caller passes none (a run
+#: configured by a :class:`RunConfig` passes ``quantum=config.quantum``).
 DEFAULT_QUANTUM = 400
 
 
@@ -81,26 +81,6 @@ class ThreadGroup:
             interp.start(spec.entry, spec.args)
             self.threads.append(interp)
         self._snapshots: Optional[List[List[RegisterSnapshot]]] = None
-
-    @classmethod
-    def from_config(
-        cls,
-        process: Process,
-        kernel: Kernel,
-        specs: Sequence[ThreadSpec],
-        config,
-        thread_stack_size: int = DEFAULT_THREAD_STACK,
-    ) -> "ThreadGroup":
-        """Build a group whose quantum comes from a
-        :class:`~repro.machine.session.RunConfig` (already validated
-        there), instead of the module fallback."""
-        return cls(
-            process,
-            kernel,
-            specs,
-            quantum=config.quantum,
-            thread_stack_size=thread_stack_size,
-        )
 
     # ------------------------------------------------------------------
     # Scheduling

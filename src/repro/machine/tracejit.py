@@ -131,7 +131,6 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.carat.guard_opt import guard_covered, guard_tag
 from repro.carat.intrinsics import GUARD_CALL, GUARD_RANGE
-from repro.errors import InterpError
 from repro.ir.instructions import (
     AllocaInst,
     BranchInst,
@@ -158,8 +157,7 @@ from repro.machine.codegen import (
     respecialize,
     specializes,
 )
-from repro.machine.fastexec import _STENCIL_SCOPE, FastInterpreter, ModuleCode
-from repro.machine.interp import ExitProgram
+from repro.machine.fastexec import _STENCIL_SCOPE, FastInterpreter, Lists, ModuleCode
 
 #: Consecutive recording aborts before an anchor is blacklisted.
 _ABORT_LIMIT = 3
@@ -424,6 +422,7 @@ def _apply_kills(available: Dict[tuple, int], inst: Instruction) -> None:
 
 def _build_trace(
     code: ModuleCode,
+    lists: Lists,
     chain: List[Tuple[int, BasicBlock]],
     specialize: bool,
     mech_name: str,
@@ -431,7 +430,9 @@ def _build_trace(
     end_depth: int = 0,
 ) -> Optional[_TraceCode]:
     """Compile one recorded chain into a :class:`_TraceCode`, or ``None``
-    if the chain is not linearizable.
+    if the chain is not linearizable.  ``lists`` are the run's block op
+    lists, one op per instruction: its fallback ops, side exits and
+    pushed frames run them.
 
     With ``end`` set the result is a *linear trace*: a one-shot run of
     the chain that finishes by entering ``end`` at call depth
@@ -518,7 +519,7 @@ def _build_trace(
         nonlocal tag
         t = tag
         tag += 1
-        ns[f"_op{t}"] = code.ops_by_block[id(block)][k][0]
+        ns[f"_op{t}"] = lists[id(block)][k][0]
         w.line(3, f"_op{t}(interp, frame)")
         regs.clear()
 
@@ -563,7 +564,7 @@ def _build_trace(
         tag += 1
         raises = emit_op(
             w, 3, inst, t, ns, is_carat, has_tier, mech_name, defined[-1],
-            regs, code, spec=spec, settle=row, clock=clock,
+            regs, code, spec=spec, settle=row, clock=clock, lists=lists,
         )
         if f"_l{t}" in ns:
             takebacks.append((f"_l{t}", k))
@@ -636,7 +637,7 @@ def _build_trace(
             w, 3, inst, t, ns, is_carat, has_tier, mech_name, defined[-1],
             regs, code, nxt=data if kind == "term" else None,
             paired=data if kind == "return" else None,
-            settle=rows[-1], clock=clock,
+            settle=rows[-1], clock=clock, lists=lists,
         )
         ops_through += nops
         exit_extra, exit_args = 0, None
@@ -855,7 +856,7 @@ class TraceInterpreter(FastInterpreter):
     #: The block tier runs one op per instruction: a trace run compiles
     #: fresh modules often, and almost all of its instructions run in
     #: traces, so segments would cost compile time and win nothing.
-    segmented = False
+    segment_cap = 1
 
     def __init__(
         self,
@@ -979,7 +980,8 @@ class TraceInterpreter(FastInterpreter):
             # A chain the compiler cannot linearize comes back as None;
             # an exception is a compiler bug and propagates.
             tcode = _build_trace(
-                self._code, rec.chain, specialize, mech_name, end, end_depth,
+                self._code, self._ops, rec.chain, specialize, mech_name,
+                end, end_depth,
             )
             self._code.trace_codes[key] = tcode  # None caches the reject
         if tcode is None:
@@ -1008,90 +1010,49 @@ class TraceInterpreter(FastInterpreter):
 
     # -- dispatch --------------------------------------------------------
 
-    def run_steps(self, max_steps: int) -> str:
-        """The fast dispatch loop plus the trace tier at safepoints.
+    #: The loop is the fast engine's, which calls :meth:`_enter_block`.
+    #: Named here as well, so a per-class wrapper of ``run_steps`` (the
+    #: host benchmark's ledger, ``benchmarks/perf/perf_layers.py``) sees
+    #: the trace engine's runs apart from the fast engine's.
+    run_steps = FastInterpreter.run_steps
 
-        Identical contract to :meth:`FastInterpreter.run_steps`; the only
-        added work per terminator is one dict probe.  Traces run under a
-        profiler too: it attributes at frame switches, where the trace's
-        counters are as exact as the block tier's.
-        """
-        steps = 0
-        at_safepoint = False
+    def _enter_block(self, frame, steps: int, max_steps: int) -> int:
+        """The trace tier at a block ``frame`` entered through a
+        terminator, at a safepoint: note the entry (hotness, or the
+        recording), then run the installed traces from it while the quota
+        lasts, and return the step count.  At a block with no trace and
+        no recording in flight that is one dict probe and the hotness
+        count.  Traces run under a profiler too:
+        it attributes at frame switches, where the trace's counters are
+        as exact as the block tier's."""
+        traces = self._traces
+        if self._recorder is not None:
+            fn = self._note_recorded_entry(frame)
+        else:
+            fn = traces.get(id(frame.block))
+            if fn is None:
+                self._note_hot_entry(frame)
+                return steps
         frames = self.frames
         stats = self.stats
-        hard_stop = max_steps + 100_000
-        traces = self._traces
-        while frames:
-            if steps >= max_steps and (at_safepoint or steps >= hard_stop):
-                break  # pause at a safepoint (or give up on alignment)
-            frame = frames[-1]
-            index = frame.index
+        while fn is not None and steps < max_steps:
+            depth = len(frames)
+            entered = stats.instructions
             try:
-                op, is_terminator, n = frame.ops[index]
-            except IndexError:
-                raise InterpError(
-                    f"fell off block %{frame.block.name} in "
-                    f"@{frame.function.name}"
-                ) from None
-            frame.index = index + 1
-            try:
-                op(self, frame)
-            except ExitProgram as exit_request:
-                self.exit_code = exit_request.code
-                frames.clear()
-                break
-            steps += n
-            stats.instructions += 1
-            at_safepoint = is_terminator
-            if is_terminator:
-                if stats.instructions >= self._next_tick:
-                    self._next_tick = stats.instructions + self.tick_interval
-                    if self.tick_hook is not None:
-                        self.tick_hook(self)
-                if frames and frames[-1] is frame:
-                    if self._recorder is not None:
-                        fn = self._note_recorded_entry(frame)
-                    else:
-                        fn = traces.get(id(frame.block))
-                        if fn is None:
-                            self._note_hot_entry(frame)
-                    if fn is not None:
-                        try:
-                            while fn is not None and steps < max_steps:
-                                depth = len(frames)
-                                entered = stats.instructions
-                                try:
-                                    steps = fn(self, frame, steps, max_steps)
-                                finally:
-                                    stats.trace_instructions += (
-                                        stats.instructions - entered
-                                    )
-                                if len(frames) > depth:
-                                    # The trace stopped inside a callee,
-                                    # at a block entry: a linear trace
-                                    # that joined an inner loop's trace,
-                                    # or a side exit there.
-                                    frame = frames[-1]
-                                elif frames[-1] is not frame:
-                                    break  # a return trace: caller mid-block
-                                fn = traces.get(id(frame.block))
-                                if (
-                                    fn is None
-                                    and steps < max_steps
-                                    and self._recorder is None
-                                ):
-                                    # Exits bypass the terminator
-                                    # notification above, so bump the
-                                    # target's hotness here or the exit
-                                    # path can never promote.
-                                    self._note_hot_entry(frame)
-                        except ExitProgram as exit_request:
-                            self.exit_code = exit_request.code
-                            frames.clear()
-                            break
-        if not frames:
-            self.finished = True
-            self.kernel.exit_process(self.process, self.exit_code)
-            return "done"
-        return "running"
+                steps = fn(self, frame, steps, max_steps)
+            finally:
+                stats.trace_instructions += stats.instructions - entered
+            if len(frames) > depth:
+                # The trace stopped inside a callee, at a block entry: a
+                # linear trace that joined an inner loop's trace, or a
+                # side exit there.
+                frame = frames[-1]
+            elif frames[-1] is not frame:
+                break  # a return trace: caller mid-block
+            fn = traces.get(id(frame.block))
+            if fn is None and steps < max_steps and self._recorder is None:
+                # Exits bypass the terminator notification above, so bump
+                # the target's hotness here or the exit path can never
+                # promote.
+                self._note_hot_entry(frame)
+        return steps

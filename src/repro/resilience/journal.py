@@ -148,14 +148,6 @@ class MoveJournal:
 
     # -- outcomes --------------------------------------------------------
 
-    def steps_journaled(self) -> List[str]:
-        """Unique step names in first-appearance order (for reporting)."""
-        seen: List[str] = []
-        for entry in self.entries:
-            if entry.step not in seen:
-                seen.append(entry.step)
-        return seen
-
     def commit(self) -> None:
         self.state = "committed"
         self.entries.clear()

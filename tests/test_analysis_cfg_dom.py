@@ -84,8 +84,8 @@ class TestDominators:
         assert dt.idom(parts["loop"]) is parts["entry"]
         assert dt.idom(parts["body"]) is parts["loop"]
         assert dt.idom(parts["exit"]) is parts["loop"]
-        assert dt.strictly_dominates(parts["loop"], parts["body"])
-        assert not dt.strictly_dominates(parts["loop"], parts["loop"])
+        assert dt.dominates(parts["loop"], parts["body"])
+        assert not dt.dominates(parts["body"], parts["loop"])
 
     def test_frontiers_diamond(self, module):
         fn, entry, left, right, join = diamond(module)
@@ -103,6 +103,4 @@ class TestDominators:
     def test_children_preorder(self, module):
         fn, entry, left, right, join = diamond(module)
         dt = DominatorTree.compute(fn)
-        pre = dt.blocks_preorder()
-        assert pre[0] is entry
         assert set(dt.children(entry)) == {left, right, join}

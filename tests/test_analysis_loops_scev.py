@@ -39,7 +39,7 @@ class TestLoopDetection:
         loop = li.loops[0]
         assert li.loop_for(parts["body"]) is loop
         assert li.loop_for(parts["exit"]) is None
-        assert li.loop_depth(parts["body"]) == 1
+        assert loop.depth == 1
         assert loop.exits() == [parts["exit"]]
         assert loop.exiting_blocks() == [parts["loop"]]
 

@@ -17,7 +17,6 @@ from repro.carat import (
     sign_module,
     verify_signature,
 )
-from repro.carat.guards import GuardTable, iter_guards
 from repro.carat.intrinsics import (
     CALL_OVERHEAD_BYTES,
     GUARD_CALL,
@@ -322,12 +321,6 @@ class TestSigning:
         module = compile_source(SUM_SOURCE)
         with pytest.raises(SigningError):
             verify_signature(module, Signature("ghost-toolchain", "00"))
-
-    def test_signature_json_roundtrip(self):
-        from repro.carat.signing import Signature
-
-        sig = Signature("tc", "abcd")
-        assert Signature.from_json(sig.to_json()) == sig
 
 
 class TestPipeline:

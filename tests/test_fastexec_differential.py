@@ -348,9 +348,9 @@ class TestDispatchCache:
         binary = compile_carat(
             workload.source, CompileOptions(), module_name="ep"
         )
-        code, was_cached = compile_module(binary.module, CARAT_FACTS)
+        code, was_cached = compile_module(binary.module, CARAT_FACTS, 1)
         assert not was_cached
-        again, was_cached = compile_module(binary.module, CARAT_FACTS)
+        again, was_cached = compile_module(binary.module, CARAT_FACTS, 1)
         assert was_cached
         assert again is code
 
@@ -364,6 +364,16 @@ class TestDispatchCache:
         assert result.stats.trace_exits == 0
         assert result.stats.trace_respecializations == 0
         assert result.stats.guard_checks_elided == 0
+
+    def test_fast_engine_never_enters_the_trace_tier(self):
+        # Both compiled engines share one dispatch loop; only the trace
+        # engine hands the blocks it enters to the trace tier.
+        workload = get_workload("ep", "tiny")
+        result = run_carat(workload.source, name="ep", engine="fast")
+        assert result.stats.compiled_blocks > 0
+        assert result.stats.traces_compiled == 0
+        assert result.stats.trace_instructions == 0
+        assert result.stats.trace_exits == 0
 
     def test_unknown_engine_rejected(self):
         workload = get_workload("ep", "tiny")
@@ -382,8 +392,8 @@ class TestDispatchCache:
             f"next:\n  %b = add i64 %y, {c_next}\n  ret i64 %b\n}}\n"
         )
         function = module.get_function("f")
-        code, _ = compile_module(module, CARAT_FACTS)
-        ops = [code.ops_by_block[id(block)][0][0] for block in function.blocks]
+        code, _ = compile_module(module, CARAT_FACTS, 1)
+        ops = [code.forms[1][id(block)][0][0] for block in function.blocks]
         return function, ops
 
     def test_same_shape_ops_share_one_stencil(self):
@@ -431,15 +441,15 @@ class TestDispatchCache:
             "  br i1 %c, label %loop, label %exit\nexit:\n  ret i64 %j\n}\n"
         )
         function = module.get_function("f")
-        code, _ = compile_module(module, CARAT_FACTS)
+        code, _ = compile_module(module, CARAT_FACTS, 1)
         loop = function.blocks[1]
-        return loop, code.ops_by_block[id(loop)]
+        return loop, code.forms[1][id(loop)]
 
     def test_recompiling_a_program_adds_no_stencils(self, monkeypatch):
         # Any id() or position that leaked into a stencil's text would
         # make the second module's ops miss the library.
         source = get_workload("hpccg", "tiny").source
-        compile_module(compile_carat(source, CompileOptions()).module, CARAT_FACTS)
+        compile_module(compile_carat(source, CompileOptions()).module, CARAT_FACTS, 1)
         size = len(fastexec._STENCILS)
         compiles = []
 
@@ -449,7 +459,7 @@ class TestDispatchCache:
 
         monkeypatch.setattr(fastexec, "compile", counting_compile, raising=False)
         code, was_cached = compile_module(
-            compile_carat(source, CompileOptions()).module, CARAT_FACTS
+            compile_carat(source, CompileOptions()).module, CARAT_FACTS, 1
         )
         assert not was_cached and code.compiled_blocks > 0
         assert len(fastexec._STENCILS) == size
@@ -477,7 +487,7 @@ class TestDispatchCache:
                  physical + [(False, False, "")]),
             ):
                 for facts in runs:
-                    blocks += compile_module(binary.module, facts)[0].compiled_blocks
+                    blocks += compile_module(binary.module, facts, 1)[0].compiled_blocks
         size = len(fastexec._STENCILS)
         print(f"stencil library: {size} stencils for {blocks} blocks")
         assert 0 < size <= 4 * 93

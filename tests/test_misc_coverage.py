@@ -67,15 +67,6 @@ class TestBuilderPositioning:
         second = b.mul(fn.args[0], b.i64(2))
         assert block.instructions.index(second) < block.instructions.index(ret)
 
-    def test_position_at_start_respects_order(self, module):
-        fn = Function("g", FunctionType(VOID, [I64]), module, ["x"])
-        block = fn.add_block("entry")
-        b = IRBuilder(block)
-        b.ret()
-        b.position_at_start(block)
-        added = b.add(fn.args[0], b.i64(1))
-        assert block.instructions[0] is added
-
     def test_builder_without_block_errors(self):
         with pytest.raises(IRError):
             IRBuilder().block

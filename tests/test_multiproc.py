@@ -116,11 +116,11 @@ class TestQuantumConfig:
         binary = compile_carat(SUM_SOURCE)
         kernel = Kernel(8 << 20)
         process = kernel.load_carat(binary, **SMALL)
-        group = ThreadGroup.from_config(
+        group = ThreadGroup(
             process,
             kernel,
             [ThreadSpec("main")],
-            _config(quantum=77, sanitize=False),
+            quantum=_config(quantum=77, sanitize=False).quantum,
         )
         assert group.quantum == 77
 

@@ -85,12 +85,6 @@ class TestMoveJournal:
         with pytest.raises(RollbackError, match="release-frames"):
             journal.rollback()
 
-    def test_steps_journaled_first_appearance_order(self):
-        journal = MoveJournal()
-        for step in ["a", "b", "a", "c", "b"]:
-            journal.record(step, step, lambda: None)
-        assert journal.steps_journaled() == ["a", "b", "c"]
-
 
 # ---------------------------------------------------------------------------
 # Retry policy

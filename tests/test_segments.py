@@ -113,7 +113,7 @@ def test_fault_at_each_position_of_a_segment(kind, position):
 def test_recompiling_a_program_adds_no_segment_stencils(monkeypatch):
     source = get_workload("hpccg", "tiny").source
     compile_module(
-        compile_carat(source, CompileOptions()).module, CARAT_FACTS, True
+        compile_carat(source, CompileOptions()).module, CARAT_FACTS, 16
     )
     size = len(fastexec._STENCILS)
     compiles = []
@@ -124,14 +124,29 @@ def test_recompiling_a_program_adds_no_segment_stencils(monkeypatch):
 
     monkeypatch.setattr(fastexec, "compile", counting_compile, raising=False)
     code, was_cached = compile_module(
-        compile_carat(source, CompileOptions()).module, CARAT_FACTS, True
+        compile_carat(source, CompileOptions()).module, CARAT_FACTS, 16
     )
     assert not was_cached and code.compiled_blocks > 0
-    segments = code.segments_by_block.values()
+    segments = code.forms[16].values()
     assert any(entry[2] > 1 for ops in segments for entry in ops)
-    assert not code.ops_by_block  # a fast run builds one form only
+    assert list(code.forms) == [16]  # one form only
     assert len(fastexec._STENCILS) == size
     assert compiles == []
+
+
+@pytest.mark.parametrize("engine, cap", [("fast", 16), ("trace", 1)])
+def test_a_run_builds_its_engine_form_only(engine, cap):
+    # The trace engine's block tier runs one op per instruction, the
+    # fast engine's segments; neither builds the other's form.
+    binary = compile_carat(
+        get_workload("hpccg", "tiny").source, CompileOptions(),
+        module_name="hpccg",
+    )
+    seen = []
+    CaratSession(RunConfig(engine=engine), setup=seen.append).run(binary)
+    assert seen[0].segment_cap == cap
+    codes = binary.module.metadata[fastexec._METADATA_KEY].values()
+    assert [list(code.forms) for code in codes] == [[cap]]
 
 
 BAD_LOAD_IR = """
@@ -366,9 +381,9 @@ def test_cow_break_retries_mid_segment(monkeypatch):
     resumed = []
     single = fastexec.ModuleCode.single
 
-    def counted(code, block, k):
+    def counted(code, block, k, lists):
         resumed.append(k)
-        return single(code, block, k)
+        return single(code, block, k, lists)
 
     monkeypatch.setattr(fastexec.ModuleCode, "single", counted)
     reference = _cow_schedule("reference")

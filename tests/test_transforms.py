@@ -256,7 +256,7 @@ class TestLICM:
         assert hoisted >= 1
         verify_function(fn)
         li = LoopInfo.compute(fn)
-        assert not li.loops[0].contains_instruction(invariant)
+        assert not li.loops[0].contains(invariant.parent)
 
     def test_variant_not_hoisted(self, module):
         from tests.conftest import build_count_loop
